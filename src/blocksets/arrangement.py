@@ -17,8 +17,8 @@ from functools import cached_property
 
 from .errors import (CoefficientLoss, DimensionMismatch, DuplicateForm,
                      InvalidForm, TooLarge)
-from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, Space, flat_count,
-                       flats_within, iter_flats, space)
+from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, FlatGrowth, Space,
+                       flat_count, iter_flats, space)
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,12 @@ class ComplementSet:
     def member_set(self):
         return frozenset(self.members)
 
+    @cached_property
+    def contained(self):
+        """The flats inside the complement, grown once for all dimensions
+        asked of this set."""
+        return FlatGrowth(self.space, self.member_set)
+
     def __len__(self):
         return len(self.members)
 
@@ -167,8 +173,9 @@ def complement(sp, arr):
 
 
 def flats_in_complement(comp, d):
-    """All d-flats entirely inside the complement, canonically ordered."""
-    return flats_within(comp.space, comp.member_set, d)
+    """All d-flats entirely inside the complement, canonically ordered.
+    Later calls on the same complement reuse the levels already grown."""
+    return comp.contained.flats(d)
 
 
 def touching_traces(comp, d):
@@ -196,7 +203,7 @@ def max_flat_dimension(comp):
         return comp.space.n
     best = 0
     for d in range(1, comp.space.n + 1):
-        if not flats_within(comp.space, comp.member_set, d):
+        if not flats_in_complement(comp, d):
             return best
         best = d
     return best
@@ -209,8 +216,8 @@ def max_flat_dimension(comp):
 #
 # '#' starts a comment, blank lines are skipped.
 
-_KIND_ALIASES = {"projective": PROJECTIVE, "pg": PROJECTIVE,
-                 "affine": AFFINE, "ag": AFFINE}
+KIND_ALIASES = {"projective": PROJECTIVE, "pg": PROJECTIVE,
+                "affine": AFFINE, "ag": AFFINE}
 
 
 def parse_arrangement_text(text):
@@ -225,7 +232,7 @@ def parse_arrangement_text(text):
             parts = line.split()
             if len(parts) != 3:
                 raise InvalidForm("line %d: header must be 'kind n q'" % lineno)
-            kind = _KIND_ALIASES.get(parts[0].lower())
+            kind = KIND_ALIASES.get(parts[0].lower())
             if kind is None:
                 raise InvalidForm("line %d: unknown kind %r" % (lineno, parts[0]))
             try:

@@ -26,7 +26,7 @@ from .errors import (DimensionOutOfRange, DimensionTooSmall,
                      FlatDisjointFromUniverse, FlatNotContained,
                      NotBlocking, NotInUniverse, PreconditionFailed,
                      SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import Flat, Space, flats_within
+from .geometry import Flat, FlatGrowth, Space, flats_within
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -119,6 +119,7 @@ def build_instance(sp, arr, t, scope=CONTAINED):
     comp = complement(sp, arr)
     d = sp.n - t
     if scope == CONTAINED:
+        # both calls read the levels of one growth pass kept on comp
         fam_flats = tuple(flats_in_complement(comp, d))
         family = tuple(fl.points for fl in fam_flats)
         forb_flats = tuple(flats_in_complement(comp, t))
@@ -373,10 +374,11 @@ def nonexistence_by_subspace(inst, convention=PLAIN, max_universe=ORACLE_FULL_CA
         raise ValueError("convention must be one of %s" % (CONVENTIONS,))
     req = convention == NONTRIVIAL
     sp = inst.space
+    inside = FlatGrowth(sp, inst.universe_set)
     for d in range(max(inst.blocked_dim, 0), sp.n + 1):
         if d <= inst.t:
             continue
-        for fl in flats_within(sp, inst.universe_set, d):
+        for fl in inside.flats(d):
             sub = induced_subinstance(inst, fl)
             if not sub.family:
                 continue

@@ -17,10 +17,10 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .arrangement import (arrangement_make, complement, corresponding_arrangement,
-                          emit_arrangement_text, flats_in_complement,
-                          max_flat_dimension, parse_arrangement_text,
-                          touching_traces)
+from .arrangement import (KIND_ALIASES, arrangement_make, complement,
+                          corresponding_arrangement, emit_arrangement_text,
+                          flats_in_complement, max_flat_dimension,
+                          parse_arrangement_text, touching_traces)
 from .blocking import (CONVENTIONS, SCOPES, build_instance, classify_arrangement,
                        exhaustive_oracle, guaranteed_existence_check, is_blocking,
                        is_minimal, is_nontrivial, min_blocking_set, minimalize,
@@ -32,12 +32,9 @@ from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
 from .solver import ORACLE_FULL_CAP
 
-_KINDS = {"projective": PROJECTIVE, "pg": PROJECTIVE,
-          "affine": AFFINE, "ag": AFFINE}
-
 
 def _kind(token):
-    k = _KINDS.get(token.lower())
+    k = KIND_ALIASES.get(token.lower())
     if k is None:
         raise ValueError("kind must be projective|affine (pg|ag)")
     return k

@@ -6,6 +6,12 @@ class BlocksetsError(Exception):
     pass
 
 
+class InternalError(AssertionError):
+    """A structural identity of a construction failed (a count or a
+    divisibility that holds by theorem).  A fault in the program, never bad
+    input, so it is deliberately not a BlocksetsError."""
+
+
 class NotPrimePower(BlocksetsError):
     """q is not p^e for a prime p, or q is out of the supported range."""
 

@@ -20,11 +20,13 @@ deduplicating spans, so the count identities against Gaussian binomials are
 structural rather than accidental.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 
-from .errors import DimensionMismatch, DimensionOutOfRange, SpaceTooLarge, TooLarge
+from .errors import (DimensionMismatch, DimensionOutOfRange, InternalError,
+                     SpaceTooLarge, TooLarge)
 from .gf import FieldSpec, field_make
 
 ENUM_GUARD = 2 ** 24
@@ -42,7 +44,9 @@ def gaussian_binomial(m, k, q):
     for i in range(k):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalError("Gaussian binomial [%d choose %d]_%d is not integral"
+                            % (m, k, q))
     return num // den
 
 
@@ -192,12 +196,6 @@ def _vec_sub(u, v, fq):
     return tuple(fq.sub(a, b) for a, b in zip(u, v))
 
 
-def _vec_add_scaled(u, lam, v, fq):
-    if lam == 0:
-        return u
-    return tuple(fq.add(a, fq.mul(lam, b)) for a, b in zip(u, v))
-
-
 def _reduce_by_rows(v, pivots, rows, fq):
     v = list(v)
     for p, row in zip(pivots, rows):
@@ -231,37 +229,49 @@ class Flat:
         return head + ", rows=%s)" % (self.rows,)
 
 
-def _normalized_coeff_vectors(k, q):
-    """Vectors of GF(q)^k with first nonzero entry 1, in leading-position
-    order.  One per projective class; used to walk a flat's points."""
-    for lead in range(k - 1, -1, -1):
-        zeros = (0,) * lead
-        for tail in product(range(q), repeat=k - 1 - lead):
-            yield zeros + (1,) + tail
+def _flat(sp, base, rows):
+    """The flat with canonical echelon `rows`: projective when `base` is
+    None, else the affine flat through `base`.
 
-
-def _projective_flat(sp, rows):
+    Points are built row by row, last row first.  `vecs` holds every
+    combination of the rows after the current one (translated by `base`),
+    so each row adds q-1 shifted copies of it.  A projective flat keeps the
+    copies with coefficient 1 on the current row: the first nonzero
+    coefficient is 1, and since the rows are in reduced echelon form that
+    vector is already a normalized point.  The field operations are bound
+    once; tables or not, this is the only path that lists a flat's points."""
     fq = sp.field
+    add, mul = fq.add, fq.mul
+    index = sp.point_index
+    vecs = [base if base is not None else (0,) * sp.ncoords]
     pts = []
-    for lam in _normalized_coeff_vectors(len(rows), sp.q):
-        v = (0,) * sp.ncoords
-        for li, row in zip(lam, rows):
-            v = _vec_add_scaled(v, li, row, fq)
-        pts.append(sp.point_index[v])  # combinations of rref rows are already normalized
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        step = [tuple(map(add, row, v)) for v in vecs]
+        if base is None:
+            pts.extend(index[v] for v in step)
+            if i == 0:
+                break
+        for lam in range(2, sp.q):
+            mrow = tuple(mul(lam, x) for x in row)
+            step.extend(tuple(map(add, mrow, v)) for v in vecs)
+        vecs.extend(step)
+    if base is not None:
+        pts = [index[v] for v in vecs]
     pts.sort()
-    return Flat(PROJECTIVE, len(rows) - 1, None, tuple(rows), tuple(pts))
-
-
-def _affine_flat(sp, base, rows):
-    fq = sp.field
-    pts = []
-    for lam in product(range(sp.q), repeat=len(rows)):
-        v = base
-        for li, row in zip(lam, rows):
-            v = _vec_add_scaled(v, li, row, fq)
-        pts.append(sp.point_index[v])
-    pts.sort()
+    if base is None:
+        return Flat(PROJECTIVE, len(rows) - 1, None, tuple(rows), tuple(pts))
     return Flat(AFFINE, len(rows), tuple(base), tuple(rows), tuple(pts))
+
+
+def _flat_through(sp, origin, vecs):
+    """Smallest flat containing the projective points `vecs` (origin None)
+    or the affine points origin + span(vecs)."""
+    fq = sp.field
+    if origin is None:
+        return _flat(sp, None, rref(vecs, fq)[1])
+    pivots, rows = rref(vecs, fq) if vecs else ([], [])
+    return _flat(sp, _reduce_by_rows(origin, pivots, rows, fq), rows)
 
 
 def span(sp, pts):
@@ -269,15 +279,18 @@ def span(sp, pts):
     coords = [sp.points[p] if isinstance(p, int) else sp.normalize(p) for p in pts]
     if not coords:
         raise DimensionOutOfRange("span of an empty point set is undefined")
-    fq = sp.field
     if sp.kind == PROJECTIVE:
-        _, rows = rref(coords, fq)
-        return _projective_flat(sp, rows)
+        return _flat_through(sp, None, coords)
     origin = coords[0]
-    dirs = [_vec_sub(c, origin, fq) for c in coords[1:]]
-    pivots, rows = rref(dirs, fq) if dirs else ([], [])
-    base = _reduce_by_rows(origin, pivots, rows, fq)
-    return _affine_flat(sp, base, rows)
+    return _flat_through(sp, origin, [_vec_sub(c, origin, sp.field) for c in coords[1:]])
+
+
+def _extend(sp, fl, p):
+    """span(fl + {p}) from fl's canonical basis and the point index p."""
+    coords = sp.points[p]
+    if fl.base is None:
+        return _flat_through(sp, None, fl.rows + (coords,))
+    return _flat_through(sp, fl.base, fl.rows + (_vec_sub(coords, fl.base, sp.field),))
 
 
 def in_flat(sp, flat, point):
@@ -311,7 +324,7 @@ def iter_flats(sp, d):
                     rows[r][pivots[r]] = 1
                 for (r, c), v in zip(free, vals):
                     rows[r][c] = v
-                yield _projective_flat(sp, [tuple(r) for r in rows])
+                yield _flat(sp, None, [tuple(r) for r in rows])
     else:
         m = sp.n
         for pivots in combinations(range(m), d):
@@ -330,7 +343,7 @@ def iter_flats(sp, d):
                     base = [0] * m
                     for c, v in zip(nonpivot, bvals):
                         base[c] = v
-                    yield _affine_flat(sp, tuple(base), rows)
+                    yield _flat(sp, tuple(base), rows)
 
 
 def enumerate_flats(sp, d):
@@ -340,36 +353,66 @@ def enumerate_flats(sp, d):
         raise TooLarge("enumerating %d flats of dimension %d in %s exceeds the guard"
                        % (expected, d, sp))
     flats = sorted(iter_flats(sp, d), key=Flat.sort_key)
-    assert len(flats) == expected
+    if len(flats) != expected:
+        raise InternalError("built %d flats of dimension %d in %s, expected %d"
+                            % (len(flats), d, sp, expected))
     return flats
+
+
+class FlatGrowth:
+    """The flats lying inside a fixed set of point indices, grown one
+    dimension at a time from the points up and kept, so that asking for
+    several dimensions grows each level once.
+
+    Level k+1 comes from extending every k-flat F by each member p above
+    F's least point.  Once span(F + p) is known, every other point of it
+    would give the same extension, so they are all marked done for F and
+    skipped; an extension is kept when all its points are members.  Each
+    (k+1)-flat inside the set contains a k-flat through its least point,
+    so none is missed."""
+
+    def __init__(self, sp, members):
+        self.space = sp
+        self.members = frozenset(members)
+        self.order = sorted(self.members)
+        self.levels = []
+
+    def flats(self, d):
+        """All d-flats inside the set, sorted by canonical basis."""
+        sp = self.space
+        if d < 0 or d > sp.n:
+            raise DimensionOutOfRange("d=%d outside 0..%d" % (d, sp.n))
+        if len(self.members) == sp.npoints:
+            return enumerate_flats(sp, d)
+        if not self.members:
+            return []
+        if not self.levels:
+            self.levels.append(sorted((span(sp, [p]) for p in self.order),
+                                      key=Flat.sort_key))
+        while len(self.levels) <= d:
+            self.levels.append(self._grow(self.levels[-1], len(self.levels)))
+        return list(self.levels[d])
+
+    def _grow(self, current, level):
+        sp, members, order = self.space, self.members, self.order
+        need = flat_size(sp.kind, level, sp.q)
+        grown = {}
+        for fl in current:
+            done = set(fl.points)
+            for p in order[bisect_right(order, fl.points[0]):]:
+                if p in done:
+                    continue
+                cand = _extend(sp, fl, p)
+                done.update(cand.points)
+                key = cand.key()
+                if key not in grown and len(cand.points) == need \
+                        and members.issuperset(cand.points):
+                    grown[key] = cand
+        return sorted(grown.values(), key=Flat.sort_key)
 
 
 def flats_within(sp, members, d):
     """All d-flats whose point set lies inside `members` (a set of point
     indices), grown from lower-dimensional flats by spanning.  Avoids
     enumerating the whole flat population when `members` is small."""
-    if d < 0 or d > sp.n:
-        raise DimensionOutOfRange("d=%d outside 0..%d" % (d, sp.n))
-    members = set(members)
-    if len(members) == sp.npoints:
-        return enumerate_flats(sp, d)
-    if not members:
-        return []
-    current = [span(sp, [p]) for p in sorted(members)]
-    for level in range(1, d + 1):
-        grown = {}
-        need = flat_size(sp.kind, level, sp.q)
-        for fl in current:
-            lo = fl.points[0]
-            for p in sorted(members):
-                if p <= lo or p in fl.points:
-                    continue
-                cand = span(sp, list(fl.points) + [p])
-                if cand.key() in grown:
-                    continue
-                if len(cand.points) == need and all(x in members for x in cand.points):
-                    grown[cand.key()] = cand
-        current = list(grown.values())
-        if not current:
-            return []
-    return sorted(current, key=Flat.sort_key)
+    return FlatGrowth(sp, members).flats(d)

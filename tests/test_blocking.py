@@ -17,8 +17,8 @@ from blocksets.errors import (DimensionOutOfRange, DimensionTooSmall,
                               FlatNotContained, NotBlocking, NotInUniverse,
                               PreconditionFailed, SearchTimeout, TooLarge,
                               UniverseTooLarge)
-from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats, flat_size,
-                                space, span)
+from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth, enumerate_flats,
+                                flat_size, flats_within, space, span)
 
 
 def empty_instance(kind, n, q, t=1, scope="contained"):
@@ -34,6 +34,35 @@ def one_line_instance(n, q, t=1, scope="touching"):
 
 
 # -- instance construction --------------------------------------------------
+
+@pytest.mark.parametrize("kind,n,q,rows,t", [
+    (AFFINE, 3, 5, [(1, 4, 0, 0), (1, 0, 4, 0), (0, 1, 4, 0)], 2),  # braid
+    (PROJECTIVE, 3, 3, [(1, 0, 0, 0)], 1),
+    (AFFINE, 3, 3, [(1, 0, 0, 0), (0, 1, 0, 0)], 2),
+    (AFFINE, 3, 3, [(1, 0, 0, 0)], 1),  # family level above the forbidden one
+])
+def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows, t):
+    sp = space(kind, n, q)
+    arr = arrangement_make(sp, rows)
+    grown = []
+    real = FlatGrowth._grow
+
+    def counted(self, current, level):
+        grown.append(level)
+        return real(self, current, level)
+
+    monkeypatch.setattr(FlatGrowth, "_grow", counted)
+    inst = build_instance(sp, arr, t, "contained")
+    assert grown == list(range(1, max(n - t, t) + 1))
+    monkeypatch.undo()
+    members = complement(sp, arr).member_set
+    fam = flats_within(sp, members, n - t)
+    forb = flats_within(sp, members, t)
+    assert [fl.key() for fl in inst.family_flats] == [fl.key() for fl in fam]
+    assert [fl.key() for fl in inst.forbidden_flats] == [fl.key() for fl in forb]
+    assert inst.family == tuple(fl.points for fl in fam)
+    assert inst.forbidden == tuple(fl.points for fl in forb)
+
 
 def test_build_empty_arrangement_pg23():
     for scope in ("contained", "touching"):

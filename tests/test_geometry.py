@@ -1,14 +1,17 @@
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksets.errors import DimensionOutOfRange, SpaceTooLarge
+from blocksets import geometry
+from blocksets.errors import DimensionOutOfRange, InternalError, SpaceTooLarge
 from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
                                 enumerate_points, flat_count, flat_size,
                                 flats_within, gaussian_binomial, in_flat,
                                 space, span)
+from blocksets.gf import TABLE_CAP
 
 
 def test_point_counts():
@@ -152,6 +155,68 @@ def test_flats_within_full_universe_matches_enumeration():
     allpts = set(range(sp.npoints))
     assert ([fl.key() for fl in flats_within(sp, allpts, 1)]
             == [fl.key() for fl in enumerate_flats(sp, 1)])
+
+
+@lru_cache(maxsize=None)
+def _all_flats(kind, n, q, d):
+    return enumerate_flats(space(kind, n, q), d)
+
+
+def _check_flats_within(sp, members, d):
+    want = [fl for fl in _all_flats(sp.kind, sp.n, sp.q, d)
+            if set(fl.points) <= members]
+    got = flats_within(sp, members, d)
+    assert ([(fl.key(), fl.points) for fl in got]
+            == [(fl.key(), fl.points) for fl in want])
+    for fl in got:
+        assert fl.points == tuple(p for p in range(sp.npoints) if in_flat(sp, fl, p))
+
+
+_SMALL_SPACES = [(kind, n, q) for kind in (PROJECTIVE, AFFINE)
+                 for n in (2, 3) for q in (2, 3, 4, 5)]
+
+
+@st.composite
+def _member_sets(draw):
+    """A space and a member set: a sparse random set, or everything but a
+    few points (which still holds many flats)."""
+    kind, n, q = draw(st.sampled_from(_SMALL_SPACES))
+    sp = space(kind, n, q)
+    picked = draw(st.sets(st.integers(0, sp.npoints - 1), max_size=12))
+    if draw(st.booleans()):
+        return sp, set(picked)
+    return sp, set(range(sp.npoints)) - picked
+
+
+@settings(max_examples=60, deadline=None)
+@given(_member_sets())
+def test_flats_within_matches_filtered_enumeration(case):
+    sp, members = case
+    for d in range(sp.n + 1):
+        _check_flats_within(sp, members, d)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from([PROJECTIVE, AFFINE]),
+       st.sets(st.integers(0, 520), min_size=1, max_size=12))
+def test_flats_within_over_a_field_without_tables(kind, members):
+    sp = space(kind, 1, 521)
+    assert sp.q > TABLE_CAP and sp.field.add_table is None
+    for d in range(sp.n + 1):
+        _check_flats_within(sp, members, d)
+
+
+def test_flat_count_mismatch_raises(monkeypatch):
+    real = geometry.iter_flats
+
+    def drop_one(sp, d):
+        flats = real(sp, d)
+        next(flats)
+        return flats
+
+    monkeypatch.setattr(geometry, "iter_flats", drop_one)
+    with pytest.raises(InternalError):
+        enumerate_flats(space(PROJECTIVE, 2, 3), 1)
 
 
 def test_dimension_out_of_range():
