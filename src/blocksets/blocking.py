@@ -24,7 +24,7 @@ from .arrangement import (Arrangement, HyperplaneForm, arrangement_make,
                           touching_traces)
 from .errors import (DimensionOutOfRange, DimensionTooSmall,
                      FlatDisjointFromUniverse, FlatNotContained,
-                     NotBlocking, NotInUniverse, PreconditionFailed,
+                     InternalError, NotBlocking, NotInUniverse, PreconditionFailed,
                      SearchTimeout, SpaceTooLarge, TooLarge)
 from .geometry import Flat, FlatGrowth, Space, flats_within
 from .solver import ORACLE_FULL_CAP, SearchResult
@@ -223,9 +223,11 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
     if size is None:
         return SearchResult("not-exists", None, None, nodes, elapsed)
     witness = tuple(inst.universe[b] for b in solver._mask_bits(wmask))
-    assert is_blocking(inst, witness)
-    if require_nontrivial:
-        assert is_nontrivial(inst, witness)
+    if not is_blocking(inst, witness):
+        raise InternalError("search witness %r does not block" % (witness,))
+    if require_nontrivial and not is_nontrivial(inst, witness):
+        raise InternalError("search witness %r swallows a forbidden trace"
+                            % (witness,))
     return SearchResult("exists", size, witness, nodes, elapsed)
 
 
@@ -259,8 +261,9 @@ def solve_instance(inst, convention=PLAIN, size_cap=None, time_budget=None,
     res = min_blocking_set(inst, require_nontrivial=(convention == NONTRIVIAL),
                            size_cap=size_cap, time_budget=time_budget,
                            workers=workers)
-    if convention == MINIMAL and res.verdict == "exists":
-        assert is_minimal(inst, res.witness)
+    if convention == MINIMAL and res.verdict == "exists" \
+            and not is_minimal(inst, res.witness):
+        raise InternalError("minimum witness %r is not minimal" % (res.witness,))
     return res
 
 
@@ -297,7 +300,7 @@ def induced_subinstance(inst, flat):
 
 def restrict_blocking(inst, candidate, flat):
     """Cut a blocking set down to a flat.  The intersection blocks the
-    induced sub-instance; that postcondition is asserted, not hoped for."""
+    induced sub-instance; that postcondition is checked, not hoped for."""
     pts = _as_pointset(inst, candidate)
     if not is_blocking(inst, pts):
         raise NotBlocking("restriction needs a blocking set to start from")
@@ -313,7 +316,9 @@ def restrict_blocking(inst, candidate, flat):
             raise FlatDisjointFromUniverse("flat misses the universe entirely")
     sub = induced_subinstance(inst, flat)
     part = tuple(sorted(pts & fset))
-    assert is_blocking(sub, part)
+    if not is_blocking(sub, part):
+        raise InternalError("restriction %r does not block the sub-instance"
+                            % (part,))
     return sub, part
 
 
@@ -321,7 +326,7 @@ def join_blocking(c_complement, c_hyperplane, hyperplane, sp, t=1):
     """Glue a blocking set of the one-hyperplane complement (touching
     scope) to a set inside the hyperplane that hits every (n-t)-flat the
     hyperplane contains.  The union blocks the whole space at level t;
-    asserted against the empty-arrangement instance before returning."""
+    checked against the empty-arrangement instance before returning."""
     row = hyperplane.coeffs if isinstance(hyperplane, HyperplaneForm) else tuple(hyperplane)
     arr = arrangement_make(sp, [row])
     form = arr.forms[0]
@@ -341,7 +346,8 @@ def join_blocking(c_complement, c_hyperplane, hyperplane, sp, t=1):
                 "hyperplane part misses a %d-flat inside the hyperplane" % (sp.n - t,))
     union = b1 | b2
     full = build_instance(sp, arrangement_make(sp, []), t, scope=CONTAINED)
-    assert is_blocking(full, union)
+    if not is_blocking(full, union):
+        raise InternalError("joined set does not block the whole space")
     return tuple(sorted(union))
 
 

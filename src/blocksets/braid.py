@@ -19,7 +19,8 @@ from itertools import permutations
 from .arrangement import Arrangement, arrangement_make, complement
 from .blocking import (CONTAINED, MINIMAL, PLAIN, build_instance,
                        is_blocking, is_minimal, solve_instance)
-from .errors import BadChooser, DimensionMismatch, IdenticalPoints
+from .errors import (BadChooser, DimensionMismatch, IdenticalPoints, InternalError,
+                     NotInUniverse)
 from .geometry import AFFINE, PROJECTIVE, Space, span, space
 from .solver import SearchResult
 
@@ -129,8 +130,9 @@ def escape_parameter(src, x, y):
     Returns ((i, j), t0, P): the least coordinate pair that separates the
     direction, the parameter with P = y + t0 (x - y), and the landing
     point, which satisfies P_i = P_j.  t0 is never 0 or 1 (the endpoints
-    are complement points); both facts are checked on the constructed P
-    rather than assumed.  Returns None when the line never leaves.
+    are complement points, else NotInUniverse is raised); both facts are
+    checked on the constructed P rather than assumed.  Returns None when
+    the line never leaves.
     """
     sp, base = _resolve(src)
     if sp.kind != AFFINE:
@@ -140,6 +142,9 @@ def escape_parameter(src, x, y):
     yc = sp.points[y] if isinstance(y, int) else tuple(y)
     if xc == yc:
         raise IdenticalPoints("need two distinct points")
+    for c in (xc, yc):
+        if len(set(c)) != len(c):
+            raise NotInUniverse("point %r is not in the braid complement" % (c,))
     d = [fq.sub(a, b) for a, b in zip(xc, yc)]
     pair = None
     for i in range(len(d)):
@@ -154,7 +159,9 @@ def escape_parameter(src, x, y):
     i, j = pair
     t0 = fq.div(fq.sub(yc[j], yc[i]), fq.sub(d[i], d[j]))
     P = tuple(fq.add(yc[k], fq.mul(t0, d[k])) for k in range(len(d)))
-    assert P[i] == P[j] and t0 not in (0, 1)
+    if P[i] != P[j] or t0 in (0, 1):
+        raise InternalError("escape point %r (t0=%r) is not on x_%d = x_%d"
+                            " away from both ends" % (P, t0, i, j))
     return (i + base, j + base), t0, P
 
 
@@ -175,7 +182,8 @@ def braid_lines(src):
             continue
         other = tuple(fq.add(a, b) for a, b in zip(pt, ones))
         fl = span(sp, [pt, other])
-        assert all(p in members for p in fl.points)
+        if not members.issuperset(fl.points):
+            raise InternalError("braid line %r leaves the complement" % (fl.points,))
         out.append(fl)
     out.sort(key=lambda fl: fl.sort_key())
     return out
@@ -246,9 +254,10 @@ def _transversal_result(sp, inst, convention, size_cap):
     witness = braid_transversal(sp)
     if size_cap is not None and len(witness) > size_cap:
         return SearchResult("not-exists", nodes=0)
-    assert is_blocking(inst, witness)
-    if convention == MINIMAL:
-        assert is_minimal(inst, witness)
+    if not is_blocking(inst, witness):
+        raise InternalError("braid transversal %r does not block" % (witness,))
+    if convention == MINIMAL and not is_minimal(inst, witness):
+        raise InternalError("braid transversal %r is not minimal" % (witness,))
     return SearchResult("exists", len(witness), witness, 0, 0.0)
 
 

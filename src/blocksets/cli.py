@@ -7,7 +7,8 @@ the volatile parts (timestamps and search statistics); two runs that agree
 must then agree byte for byte, whatever the worker count.
 
 Exit codes: 0 when a verdict was delivered (not-exists included), 2 for
-input errors, 3 when a search ran out of its time budget.
+input errors, 3 when a search ran out of its time budget, 4 when an
+internal check failed (a fault in the program, not in the input).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from .blocking import (CONVENTIONS, SCOPES, build_instance, classify_arrangement
                        nonexistence_by_subspace, solve_instance, threshold_scan)
 from .braid import (braid_arrangement, braid_existence, braid_lines,
                     braid_transversal, escape_parameter)
-from .errors import BlocksetsError, NotBlocking, SearchTimeout
+from .errors import BlocksetsError, InternalError, NotBlocking, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
 from .solver import ORACLE_FULL_CAP
@@ -395,39 +396,43 @@ def cmd_selftest(args):
         except Exception as exc:  # noqa: BLE001 - report, do not crash
             checks.append({"name": name, "ok": False, "error": str(exc)})
 
+    def expect(got, want):
+        if got != want:
+            raise InternalError("got %r, expected %r" % (got, want))
+
     def gf_basics():
         f4 = field_make(4)
-        assert f4.mul(2, 2) == 3 and f4.modulus_str() == "x^2+x+1"
-        assert field_make(9).modulus_str() == "x^2+1"
-        assert field_make(3).inv(2) == 2
+        expect((f4.mul(2, 2), f4.modulus_str()), (3, "x^2+x+1"))
+        expect(field_make(9).modulus_str(), "x^2+1")
+        expect(field_make(3).inv(2), 2)
 
     def geometry_counts():
-        assert space(PROJECTIVE, 2, 3).npoints == 13
-        assert gaussian_binomial(4, 2, 2) == 35
-        assert flat_count(PROJECTIVE, 3, 2, 2) == 15
+        expect(space(PROJECTIVE, 2, 3).npoints, 13)
+        expect(gaussian_binomial(4, 2, 2), 35)
+        expect(flat_count(PROJECTIVE, 3, 2, 2), 15)
 
     def small_minima():
         sp = space(PROJECTIVE, 2, 2)
         inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
-        assert min_blocking_set(inst).size == 3
-        assert min_blocking_set(inst, require_nontrivial=True).verdict == "not-exists"
+        expect(min_blocking_set(inst).size, 3)
+        expect(min_blocking_set(inst, require_nontrivial=True).verdict, "not-exists")
         sp3 = space(PROJECTIVE, 2, 3)
         inst3 = build_instance(sp3, arrangement_make(sp3, []), 1, "contained")
-        assert min_blocking_set(inst3).size == 4
-        assert min_blocking_set(inst3, require_nontrivial=True).size == 6
+        expect(min_blocking_set(inst3).size, 4)
+        expect(min_blocking_set(inst3, require_nontrivial=True).size, 6)
 
     def braid_small():
         sp = space(AFFINE, 3, 3)
-        assert len(braid_lines(sp)) == 2
+        expect(len(braid_lines(sp)), 2)
         hit = escape_parameter(sp, (0, 1, 2), (1, 0, 2))
-        assert hit == ((0, 1), 2, (2, 2, 2))
+        expect(hit, ((0, 1), 2, (2, 2, 2)))
 
     def oracle_agreement():
         sp = space(PROJECTIVE, 2, 3)
         inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
         a = min_blocking_set(inst, require_nontrivial=True)
         b = exhaustive_oracle(inst, require_nontrivial=True)
-        assert (a.size, a.witness) == (b.size, b.witness)
+        expect((a.size, a.witness), (b.size, b.witness))
 
     check("gf-basics", gf_basics)
     check("geometry-counts", geometry_counts)
@@ -549,19 +554,23 @@ def build_parser():
     return top
 
 
+def _error(exc, code):
+    print(json.dumps({"error": str(exc), "type": type(exc).__name__},
+                     sort_keys=True, separators=(",", ":")), file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except SearchTimeout as exc:
-        print(json.dumps({"error": str(exc), "type": "SearchTimeout"},
-                         sort_keys=True, separators=(",", ":")), file=sys.stderr)
-        return 3
+        return _error(exc, 3)
+    except InternalError as exc:
+        return _error(exc, 4)
     except (BlocksetsError, ValueError, OSError) as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__},
-                         sort_keys=True, separators=(",", ":")), file=sys.stderr)
-        return 2
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ class BlocksetsError(Exception):
 
 
 class InternalError(AssertionError):
-    """A structural identity of a construction failed (a count or a
-    divisibility that holds by theorem).  A fault in the program, never bad
-    input, so it is deliberately not a BlocksetsError."""
+    """An internal check failed: a structural identity of a construction
+    (a count or a divisibility that holds by theorem, a field table) or the
+    re-check of a result before it leaves (a witness that must block).  A
+    fault in the program, never bad input, so it is deliberately not a
+    BlocksetsError; the CLI reports it with exit code 4."""
 
 
 class NotPrimePower(BlocksetsError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-from .errors import DivisionByZero, NotPrimePower, TooLarge
+from .errors import DivisionByZero, InternalError, NotPrimePower, TooLarge
 
 Q_CAP = 2 ** 16
 # Full q x q tables only up to this; larger fields compute operations on
@@ -274,25 +274,31 @@ def _validate_tables(fq):
     the latin-square property of both operation tables.  Full associativity
     and distributivity exhaustion lives in the test suite."""
     q = fq.q
+    add, neg, mul, inv = fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table
     full = list(range(q))
     for a in range(q):
-        assert fq.add_table[a][0] == a
-        assert fq.mul_table[a][1] == a
-        assert fq.mul_table[a][0] == 0
-        assert fq.add_table[a][fq.neg_table[a]] == 0
-        assert sorted(fq.add_table[a]) == full
-        if a:
-            assert fq.mul_table[fq.inv_table[a]][a] == 1
-            assert sorted(fq.mul_table[a][1:] + [0]) == full
-        assert fq.add_table[a] == [fq.add_table[b][a] for b in range(q)]
-        assert fq.mul_table[a] == [fq.mul_table[b][a] for b in range(q)]
+        if not (add[a][0] == a and mul[a][1] == a and mul[a][0] == 0
+                and add[a][neg[a]] == 0):
+            raise InternalError("GF(%d) tables: identity or negation fails at %d"
+                                % (q, a))
+        if sorted(add[a]) != full or (a and sorted(mul[a][1:] + [0]) != full):
+            raise InternalError("GF(%d) tables: row %d is not a permutation"
+                                % (q, a))
+        if a and mul[inv[a]][a] != 1:
+            raise InternalError("GF(%d) tables: bad inverse of %d" % (q, a))
+        if add[a] != [add[b][a] for b in range(q)] \
+                or mul[a] != [mul[b][a] for b in range(q)]:
+            raise InternalError("GF(%d) tables: not commutative at %d" % (q, a))
     if q <= 16:  # cheap enough to exhaust at construction
         for a in range(q):
             for b in range(q):
                 for c in range(q):
-                    assert fq.add_table[fq.add_table[a][b]][c] == fq.add_table[a][fq.add_table[b][c]]
-                    assert fq.mul_table[fq.mul_table[a][b]][c] == fq.mul_table[a][fq.mul_table[b][c]]
-                    assert fq.mul_table[a][fq.add_table[b][c]] == fq.add_table[fq.mul_table[a][b]][fq.mul_table[a][c]]
+                    if not (add[add[a][b]][c] == add[a][add[b][c]]
+                            and mul[mul[a][b]][c] == mul[a][mul[b][c]]
+                            and mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]):
+                        raise InternalError(
+                            "GF(%d) tables: associativity or distributivity"
+                            " fails at (%d, %d, %d)" % (q, a, b, c))
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,6 @@ class SearchResult:
     witness: tuple = None  # sorted point indices; () for vacuous
     nodes: int = 0
     elapsed: float = 0.0
-    certificate: object = None
 
 
 def _mask_bits(mask):
@@ -82,30 +81,42 @@ def _violates(inc, forb_idx, forb_masks):
 
 
 def _search(trace_masks, cover, forb_masks, forb_at, npoints,
-            inc0, exc0, cov0, best0, deadline, first_only):
-    """Core branch and bound.  Returns (best, best_inc, nodes, timed_out);
-    best is the smallest solution size < best0 reached from this state, or
-    best0 if none (best_inc None in that case)."""
+            inc0, exc0, cov0, best0, deadline, first_only, rest=None):
+    """Core branch and bound on an explicit stack.  Returns (best, best_inc,
+    nodes, timed_out); best is the smallest solution size < best0 reached
+    from this state, or best0 if none (best_inc None in that case).
+
+    A popped state is checked and, unless settled or pruned, replaced by
+    its children pushed in reverse, so they are visited in branching order
+    and child i carries the exclusions of children 0..i-1.  When `rest` is
+    a list the search stops one level below the start: the children are
+    appended to it unexpanded, in order."""
     F = len(trace_masks)
     full = (1 << F) - 1
     nodes = 0
     best = best0
     best_inc = None
-    timed = False
     bit_count = int.bit_count
-
-    def rec(inc, exc, cov, k):
-        nonlocal nodes, best, best_inc, timed
+    k0 = inc0.bit_count()
+    depth_cap = k0 if rest is not None else npoints
+    stack = [(inc0, exc0, cov0, k0)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        inc, exc, cov, k = pop()
+        if k > depth_cap:
+            rest.append((inc, exc, cov))
+            continue
         nodes += 1
         if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
-            timed = True
-        if timed:
-            return
+            return best, best_inc, nodes, True
         if cov == full:
             if k < best:
                 best = k
                 best_inc = inc
-            return
+                if first_only:
+                    break
+            continue
         und = ~(inc | exc)
         pack = 0
         acc = 0
@@ -116,10 +127,10 @@ def _search(trace_masks, cover, forb_masks, forb_at, npoints,
         m = full & ~cov
         while m:
             b = m & -m
-            m ^= b
             opts = trace_masks[b.bit_length() - 1] & und
             if not opts:
-                return  # some trace can no longer be hit
+                break  # some trace can no longer be hit; m stays nonzero
+            m ^= b
             u += 1
             usable |= opts
             if not opts & acc:
@@ -129,8 +140,8 @@ def _search(trace_masks, cover, forb_masks, forb_at, npoints,
             if c < sel_cnt:
                 sel_cnt = c
                 sel_opts = opts
-        if k + pack >= best:
-            return
+        if m or k + pack >= best:
+            continue
         rem = full & ~cov
         # counting bound with the degree restricted to uncovered traces
         delta = 1
@@ -142,22 +153,20 @@ def _search(trace_masks, cover, forb_masks, forb_at, npoints,
             if dc > delta:
                 delta = dc
         if k - (-u // delta) >= best:
-            return
+            continue
         pts = _mask_bits(sel_opts)
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
-        excl = 0
-        for p in pts:
+        # child i excludes the points of children 0..i-1: walking backwards,
+        # excl drops each point's own bit just before its child is pushed
+        excl = sel_opts
+        for p in reversed(pts):
             pb = 1 << p
+            excl ^= pb
             inc2 = inc | pb
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-                rec(inc2, exc | excl, cov | cover[p], k + 1)
-                if timed or (first_only and best_inc is not None):
-                    return
-            excl |= pb
-
-    rec(inc0, exc0, cov0, inc0.bit_count())
-    return best, best_inc, nodes, timed
+                push((inc2, exc | excl, cov | cover[p], k + 1))
+    return best, best_inc, nodes, False
 
 
 def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
@@ -198,68 +207,32 @@ def _phase1_task(payload):
     (trace_masks, cover, forb_masks, forb_at, npoints,
      inc, exc, cov, best0, budget) = payload
     deadline = time.monotonic() + budget if budget is not None else None
-    best, best_inc, nodes, timed = _search(
-        trace_masks, cover, forb_masks, forb_at, npoints,
-        inc, exc, cov, best0, deadline, False)
-    return best, nodes, timed
+    return _search(trace_masks, cover, forb_masks, forb_at, npoints,
+                   inc, exc, cov, best0, deadline, False)
 
 
-def _expand_once(state, trace_masks, cover, forb_masks, forb_at, npoints):
-    """One include/exclude branching step under the same trace-selection
-    rule as _search; returns child states (empty when the state is dead)
-    or None when it is already fully covered."""
-    inc, exc, cov = state
-    full = (1 << len(trace_masks)) - 1
-    if cov == full:
-        return None
-    und = ~(inc | exc)
-    sel_opts = 0
-    sel_cnt = npoints + 1
-    m = full & ~cov
-    while m:
-        b = m & -m
-        m ^= b
-        opts = trace_masks[b.bit_length() - 1] & und
-        if not opts:
-            return []
-        c = opts.bit_count()
-        if c < sel_cnt:
-            sel_cnt = c
-            sel_opts = opts
-    rem = full & ~cov
-    pts = _mask_bits(sel_opts)
-    if len(pts) > 1:
-        pts.sort(key=lambda p: (-(cover[p] & rem).bit_count(), p))
-    excl = 0
-    out = []
-    for p in pts:
-        pb = 1 << p
-        inc2 = inc | pb
-        if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-            out.append((inc2, exc | excl, cov | cover[p]))
-        excl |= pb
-    return out
-
-
-def _split_tasks(trace_masks, cover, forb_masks, forb_at, npoints, target):
-    """Grow the branch frontier breadth-first until it holds at least
-    `target` states (or stops growing).  The states partition the search
-    space, so scanning them all is equivalent to one sequential run."""
+def _split_tasks(trace_masks, cover, forb_masks, forb_at, npoints, target, best):
+    """Grow the branch frontier until it holds at least `target` states or
+    empties.  Each round expands every frontier state by one level with
+    _search itself, pruning against `best`, so a long chain costs one node
+    per round rather than a fresh descent from the root.  The states
+    partition what the pass left unsettled, so scanning them all is
+    equivalent to one sequential run.  Returns (best, best_inc, nodes,
+    frontier)."""
     frontier = [(0, 0, 0)]
-    while len(frontier) < target:
+    best_inc = None
+    nodes = 0
+    while frontier and len(frontier) < target:
         grown = []
-        progress = False
-        for st in frontier:
-            kids = _expand_once(st, trace_masks, cover, forb_masks, forb_at, npoints)
-            if kids is None:
-                grown.append(st)  # already a full cover, keep as a leaf task
-            else:
-                progress = True
-                grown.extend(kids)
+        for inc, exc, cov in frontier:
+            b, found, n, _timed = _search(
+                trace_masks, cover, forb_masks, forb_at, npoints,
+                inc, exc, cov, best, None, False, grown)
+            nodes += n
+            if found is not None:
+                best, best_inc = b, found
         frontier = grown
-        if not progress or not frontier:
-            break
-    return frontier
+    return best, best_inc, nodes, frontier
 
 
 def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
@@ -279,67 +252,56 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         forb_at = None
     nodes = 0
 
-    best0 = cap + 1
+    def tally(result):
+        """Counts a finished search's nodes; raises if it ran out of time."""
+        nonlocal nodes
+        b, found, n, timed = result
+        nodes += n
+        if timed:
+            raise SearchTimeout("search exceeded its time budget",
+                                nodes=nodes, elapsed=time.monotonic() - start)
+        return b, found
+
+    # best stays cap + 1 with incumbent None until a cover within the cap is
+    # known; from then on incumbent is a cover of size best
+    best = cap + 1
     incumbent = _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, U)
     if incumbent is not None and incumbent.bit_count() <= cap:
-        best0 = incumbent.bit_count()
+        best = incumbent.bit_count()
     else:
         incumbent = None
 
-    branches = None
+    tasks = [(0, 0, 0)]
     if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
-        branches = _split_tasks(trace_masks, cover, forb_masks, forb_at, U,
-                                workers * 8)
-    if branches and len(branches) > 1:
+        best, found, n, tasks = _split_tasks(trace_masks, cover, forb_masks,
+                                             forb_at, U, workers * 8, best)
+        nodes += n
+        if found is not None:
+            incumbent = found
+    if len(tasks) > 1:
         budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
         payloads = [(trace_masks, cover, forb_masks, forb_at, U,
-                     inc, exc, cov, best0, budget)
-                    for inc, exc, cov in branches]
-        best = best0
-        timed = False
+                     inc, exc, cov, best, budget)
+                    for inc, exc, cov in tasks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for b, n, t in pool.map(_phase1_task, payloads, chunksize=1):
-                nodes += n
-                timed = timed or t
-                if b < best:
-                    best = b
-        nodes += 1  # the root itself
-        if timed:
-            raise SearchTimeout("search exceeded its time budget",
-                                nodes=nodes, elapsed=time.monotonic() - start)
+            results = list(pool.map(_phase1_task, payloads, chunksize=1))
     else:
-        best, _inc, n1, timed = _search(
-            trace_masks, cover, forb_masks, forb_at, U,
-            0, 0, 0, best0, deadline, False)
-        nodes += n1
-        if timed:
-            raise SearchTimeout("search exceeded its time budget",
-                                nodes=nodes, elapsed=time.monotonic() - start)
-        if _inc is not None:
-            incumbent = _inc
-
-    if best > cap and incumbent is None:
-        return None, None, nodes
-    s_star = min(best, best0)
-    if s_star > cap:
+        results = [_search(trace_masks, cover, forb_masks, forb_at, U,
+                           inc, exc, cov, best, deadline, False)
+                   for inc, exc, cov in tasks]
+    for b, found in map(tally, results):
+        if b < best:
+            best, incumbent = b, found
+    if best > cap:
         return None, None, nodes
 
     # Lexicographic refinement: fix witness elements smallest-first.
-    if incumbent is None or incumbent.bit_count() != s_star:
-        # the optimum came from the search; recover some witness at s_star
-        _b, incumbent, n2, timed = _search(
-            trace_masks, cover, forb_masks, forb_at, U,
-            0, 0, 0, s_star + 1, deadline, True)
-        nodes += n2
-        if timed or incumbent is None:
-            raise SearchTimeout("search exceeded its time budget",
-                                nodes=nodes, elapsed=time.monotonic() - start)
     witness = sorted(_mask_bits(incumbent))
     full_mask = (1 << U) - 1
     prefix_mask = 0
     prefix_cov = 0
     prefix = []
-    for pos in range(s_star):
+    for pos in range(best):
         lo = prefix[-1] + 1 if prefix else 0
         for p in range(lo, witness[pos]):
             pb = 1 << p
@@ -349,13 +311,9 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             allowed = inc0 | (full_mask & ~((pb << 1) - 1))
             exc0 = full_mask & ~allowed
             cov0 = prefix_cov | cover[p]
-            _b, found, n3, timed = _search(
+            _b, found = tally(_search(
                 trace_masks, cover, forb_masks, forb_at, U,
-                inc0, exc0, cov0, s_star + 1, deadline, True)
-            nodes += n3
-            if timed:
-                raise SearchTimeout("search exceeded its time budget",
-                                    nodes=nodes, elapsed=time.monotonic() - start)
+                inc0, exc0, cov0, best + 1, deadline, True))
             if found is not None:
                 witness = sorted(_mask_bits(found))
                 break
@@ -365,7 +323,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     wmask = 0
     for p in witness:
         wmask |= 1 << p
-    return s_star, wmask, nodes
+    return best, wmask, nodes
 
 
 def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None):

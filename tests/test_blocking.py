@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from blocksets import blocking
+from blocksets import blocking, solver
 from blocksets.arrangement import arrangement_make, complement
 from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
@@ -14,9 +14,9 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 threshold_scan)
 from blocksets.braid import braid_arrangement, braid_transversal
 from blocksets.errors import (DimensionOutOfRange, DimensionTooSmall,
-                              FlatNotContained, NotBlocking, NotInUniverse,
-                              PreconditionFailed, SearchTimeout, TooLarge,
-                              UniverseTooLarge)
+                              FlatNotContained, InternalError, NotBlocking,
+                              NotInUniverse, PreconditionFailed, SearchTimeout,
+                              TooLarge, UniverseTooLarge)
 from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth, enumerate_flats,
                                 flat_size, flats_within, space, span)
 
@@ -204,6 +204,29 @@ def test_search_timeout_is_distinct():
     with pytest.raises(SearchTimeout):
         min_blocking_set(inst, require_nontrivial=True, size_cap=14,
                          time_budget=1e-4)
+
+
+# Serial node counts pin the branching rule (trace selection, point order,
+# exclusions, forbidden checks) and the pruning order: any drift in the
+# engine changes them even when the answer stays the same.
+@pytest.mark.parametrize("kind,n,q,nontrivial,size,nodes", [
+    (PROJECTIVE, 2, 5, True, 9, 20292),
+    (AFFINE, 3, 3, False, 7, 9597),
+    (PROJECTIVE, 3, 3, True, 6, 17855),
+    (PROJECTIVE, 4, 2, True, 5, 7465),
+    (AFFINE, 2, 5, False, 9, 6046),
+])
+def test_serial_node_counts_are_pinned(kind, n, q, nontrivial, size, nodes):
+    res = min_blocking_set(empty_instance(kind, n, q), require_nontrivial=nontrivial)
+    assert (res.size, res.nodes) == (size, nodes)
+
+
+def test_witness_recheck_raises_internal_error(monkeypatch):
+    def one_point(universe_size, trace_masks, forb_masks, **kw):
+        return 1, 1, 0  # a single point blocks no projective plane
+    monkeypatch.setattr(solver, "solve_masks", one_point)
+    with pytest.raises(InternalError):
+        min_blocking_set(empty_instance(PROJECTIVE, 2, 3))
 
 
 def test_universe_guard(monkeypatch):

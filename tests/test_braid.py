@@ -9,7 +9,8 @@ from blocksets.braid import (BraidSpec, braid_arrangement,
                              braid_lines, braid_transversal, escape_parameter,
                              line_in_complement)
 from blocksets.arrangement import complement, flats_in_complement
-from blocksets.errors import BadChooser, DimensionMismatch, IdenticalPoints
+from blocksets.errors import (BadChooser, DimensionMismatch, IdenticalPoints,
+                              NotInUniverse)
 from blocksets.geometry import AFFINE, PROJECTIVE, space
 
 
@@ -81,6 +82,14 @@ def test_escape_parameter_biconditional_q3():
             (i, j), t0, P = hit
             assert P[i] == P[j]
             assert t0 not in (0, 1)
+
+
+def test_escape_parameter_needs_complement_points():
+    sp = space(AFFINE, 3, 3)
+    with pytest.raises(NotInUniverse):
+        escape_parameter(sp, (0, 0, 1), (1, 0, 2))
+    with pytest.raises(NotInUniverse):
+        escape_parameter(sp, (0, 1, 2), (0, 1, 1))
 
 
 def test_escape_parameter_one_based_labels():

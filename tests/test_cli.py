@@ -1,9 +1,13 @@
 """Exercises the command line surface in process via main(argv)."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import blocksets
+from blocksets import cli, solver
 from blocksets.cli import main
 
 
@@ -85,6 +89,29 @@ def test_timeout_exit_code(capsys):
     assert rep["result"]["verdict"] == "timeout"
 
 
+@pytest.mark.parametrize("argv", [
+    ("--space", "ag", "--n", "10", "--q", "2", "--t", "10"),
+    ("--space", "pg", "--n", "9", "--q", "2", "--t", "9"),
+    ("--space", "ag", "--n", "10", "--q", "2", "--t", "10", "--workers", "2"),
+])
+def test_deep_search_has_no_depth_limit(capsys, argv):
+    # the only blocking set of the points is all 2^10 (or 2^10 - 1) of them,
+    # so the search runs a chain that deep before it can answer
+    rep = run_json(capsys, "--no-meta", "search", *argv,
+                   "--convention", "nontrivial")
+    assert rep["result"]["verdict"] == "not-exists"
+
+
+def test_internal_check_failure_exits_four(capsys, monkeypatch):
+    monkeypatch.setattr(solver, "solve_masks",
+                        lambda universe_size, *a, **kw: (1, 1, 0))
+    code, out, err = run(capsys, "search", "--space", "pg", "--n", "2",
+                         "--q", "3", "--t", "1")
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["type"] == "InternalError"
+
+
 def test_bad_inputs_exit_two(capsys):
     cases = [
         ("space", "euclidean", "2", "3"),
@@ -96,6 +123,7 @@ def test_bad_inputs_exit_two(capsys):
         ("search", "--space", "pg", "--n", "2", "--q", "6"),
         ("scan", "--q", "3", "--nmax", "2", "--kind", "affine-classical",
          "--family", "braid"),
+        ("braid", "--q", "3", "--escape", "0,0,1", "1,0,2"),  # off the complement
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
@@ -216,3 +244,22 @@ def test_selftest_green(capsys):
     rep = json.loads(out)
     assert rep["ok"] is True
     assert all(c["ok"] for c in rep["checks"])
+
+
+def test_selftest_reports_a_failed_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gaussian_binomial", lambda n, k, q: 0)
+    code, out, _ = run(capsys, "--no-meta", "selftest")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["ok"]]
+    assert failed == ["geometry-counts"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so a check written as one would
+    # silently stop checking; the package raises explicitly instead
+    found = []
+    for path in sorted(Path(blocksets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert found == []

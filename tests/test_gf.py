@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksets.errors import DivisionByZero, NotPrimePower, TooLarge
+from blocksets import gf
+from blocksets.errors import DivisionByZero, InternalError, NotPrimePower, TooLarge
 from blocksets.gf import field_make
 
 
@@ -90,3 +91,24 @@ def test_axioms_random_larger(q, a, b, c):
 
 def test_field_make_cached():
     assert field_make(9) is field_make(9)
+
+
+@pytest.mark.parametrize("q,table,a,b", [
+    (5, "add_table", 1, 2),   # a row stops being a permutation
+    (4, "mul_table", 2, 3),
+    (5, "neg_table", 1, None),
+    (7, "inv_table", 3, None),
+])
+def test_corrupt_table_raises(monkeypatch, q, table, a, b):
+    real = gf._build_tables
+
+    def corrupt(fq):
+        real(fq)
+        t = getattr(fq, table)
+        if b is None:
+            t[a] = (t[a] + 1) % q
+        else:
+            t[a][b] = (t[a][b] + 1) % q
+    monkeypatch.setattr(gf, "_build_tables", corrupt)
+    with pytest.raises(InternalError):
+        field_make.__wrapped__(q)
