@@ -1,7 +1,7 @@
 #!/bin/bash
 # Reports with --no-meta must not depend on the worker count.  Compares
 # byte-for-byte across --workers 1 and --workers 8 on the instances the
-# other scripts search.  The q=7 pair dominates the runtime (~1 min).
+# other scripts search.  The q=7 pair dominates the runtime (a few seconds).
 set -euo pipefail
 BS="python3 -m blocksets"
 tmp=$(mktemp -d)

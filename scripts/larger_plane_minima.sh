@@ -1,7 +1,7 @@
 #!/bin/bash
-# Nontrivial minima in the planes of order 4, 5, 7.  Order 4 is
-# cross-checked by capped enumeration; the order-7 search is kept bounded
-# with a cap of 2q, and takes roughly half a minute.
+# Nontrivial minima in the planes of order 4, 5, 7, 8.  Order 4 is
+# cross-checked by capped enumeration; the order-7 and order-8 searches are
+# kept bounded with a cap of 2q, and take a few seconds together.
 set -euo pipefail
 BS="python3 -m blocksets"
 
@@ -18,4 +18,8 @@ echo "q=5: nontrivial minimum 9"
 rep=$($BS --no-meta search --space pg --n 2 --q 7 --t 1 --convention nontrivial --cap 14)
 grep -q '"size":12' <<<"$rep" || { echo "FAIL q=7" >&2; exit 1; }
 echo "q=7: nontrivial minimum 12 under cap 14"
+
+rep=$($BS --no-meta search --space pg --n 2 --q 8 --t 1 --convention nontrivial --cap 16)
+grep -q '"size":13' <<<"$rep" || { echo "FAIL q=8" >&2; exit 1; }
+echo "q=8: nontrivial minimum 13 under cap 16"
 echo "ok"

@@ -1,6 +1,6 @@
 #!/bin/bash
-# Runs every reproduction script plus the built-in selftest.  Expect a few
-# minutes; the order-7 plane searches dominate.
+# Runs every reproduction script plus the built-in selftest.  Expect a
+# minute or two.
 set -euo pipefail
 here=$(dirname "$0")
 

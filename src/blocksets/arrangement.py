@@ -175,6 +175,9 @@ def complement(sp, arr):
 def flats_in_complement(comp, d):
     """All d-flats entirely inside the complement, canonically ordered.
     Later calls on the same complement reuse the levels already grown."""
+    sp = comp.space
+    if sp.kind == PROJECTIVE and comp.arrangement.forms and 1 <= d <= sp.n:
+        return []  # in PG(n,q) every flat of dimension >= 1 meets every hyperplane
     return comp.contained.flats(d)
 
 

@@ -216,19 +216,22 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
     fmasks = []
     if require_nontrivial and inst.forbidden:
         fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    stats = {}
     size, wmask, nodes = solver.solve_masks(
         len(inst.universe), tmasks, fmasks,
-        size_cap=size_cap, time_budget=time_budget, workers=workers)
+        size_cap=size_cap, time_budget=time_budget, workers=workers,
+        stats=stats)
     elapsed = time.monotonic() - start
+    sym = stats.get("symmetry")
     if size is None:
-        return SearchResult("not-exists", None, None, nodes, elapsed)
+        return SearchResult("not-exists", None, None, nodes, elapsed, sym)
     witness = tuple(inst.universe[b] for b in solver._mask_bits(wmask))
     if not is_blocking(inst, witness):
         raise InternalError("search witness %r does not block" % (witness,))
     if require_nontrivial and not is_nontrivial(inst, witness):
         raise InternalError("search witness %r swallows a forbidden trace"
                             % (witness,))
-    return SearchResult("exists", size, witness, nodes, elapsed)
+    return SearchResult("exists", size, witness, nodes, elapsed, sym)
 
 
 def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None):

@@ -72,6 +72,13 @@ def _instance_block(inst):
             "forbidden_size": len(inst.forbidden)}
 
 
+def _search_stats(res):
+    stats = {"nodes": res.nodes, "elapsed": res.elapsed}
+    if res.symmetry is not None:
+        stats["symmetry"] = res.symmetry
+    return stats
+
+
 def _emit(args, command, payload, stats=None):
     report = {"version": __version__, "command": command}
     report.update(payload)
@@ -220,7 +227,7 @@ def cmd_search(args):
         payload["oracle_agrees"] = (ores.verdict == res.verdict
                                     and ores.size == res.size
                                     and ores.witness == res.witness)
-    _emit(args, "search", payload, stats={"nodes": res.nodes, "elapsed": res.elapsed})
+    _emit(args, "search", payload, stats=_search_stats(res))
     return 0
 
 
@@ -342,7 +349,7 @@ def cmd_braid(args):
         payload["result"] = _result_block(out.space, out.result)
     stats = None
     if out.result is not None:
-        stats = {"nodes": out.result.nodes, "elapsed": out.result.elapsed}
+        stats = _search_stats(out.result)
     if args.lines:
         sp = out.space
         payload["lines"] = [[_point_str(sp, p) for p in fl.points]

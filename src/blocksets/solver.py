@@ -9,6 +9,9 @@ solution space.  The lower bound is a greedy packing of pairwise-disjoint
 uncovered traces, strengthened by the counting bound ceil(uncovered / max
 point degree); the packing gets sharper as exclusions accumulate, which is
 what makes projective instances (where any two traces meet) tractable.
+A search that outgrows a probe also prunes by symmetry: children that an
+automorphism of the instance maps onto an earlier sibling are skipped
+(orbital branching, see symmetry.py).
 
 Verdict sizes are exact.  Witnesses are pinned separately: after the
 optimum s* is known, a prefix-by-prefix feasibility scan builds the
@@ -26,6 +29,8 @@ from .errors import SearchTimeout, UniverseTooLarge
 
 ORACLE_FULL_CAP = 22
 PARALLEL_MIN_UNIVERSE = 24  # below this the pool costs more than the search
+DEADLINE = "deadline"  # _search stopped early: out of time
+LIMIT = "limit"        # _search stopped early: node limit reached
 
 
 @dataclass
@@ -35,6 +40,7 @@ class SearchResult:
     witness: tuple = None  # sorted point indices; () for vacuous
     nodes: int = 0
     elapsed: float = 0.0
+    symmetry: dict = None  # solve_masks' symmetry record, when it made one
 
 
 def _mask_bits(mask):
@@ -81,35 +87,54 @@ def _violates(inc, forb_idx, forb_masks):
 
 
 def _search(trace_masks, cover, forb_masks, forb_at, npoints,
-            inc0, exc0, cov0, best0, deadline, first_only, rest=None):
+            inc0, exc0, cov0, best0, deadline, first_only, rest=None,
+            group=None, limit=None):
     """Core branch and bound on an explicit stack.  Returns (best, best_inc,
-    nodes, timed_out); best is the smallest solution size < best0 reached
-    from this state, or best0 if none (best_inc None in that case).
+    nodes, stop, skipped, group_s); best is the smallest solution size <
+    best0 reached from this state, or best0 if none (best_inc None in that
+    case); stop is DEADLINE or LIMIT when the search ended early, else
+    None.
 
     A popped state is checked and, unless settled or pruned, replaced by
     its children pushed in reverse, so they are visited in branching order
     and child i carries the exclusions of children 0..i-1.  When `rest` is
     a list the search stops one level below the start: the children are
-    appended to it unexpanded, in order."""
+    appended to it unexpanded, in order.  `limit` caps the nodes.
+
+    `group` is the pointwise stabilizer of inc0 | exc0 in the instance's
+    automorphism group, as symmetry.branch takes it, or None.  At a node
+    with a nontrivial group a child whose point shares an orbit with an
+    earlier sibling's point is skipped (`skipped` counts them): the group
+    maps its solutions onto solutions through that sibling, which an
+    earlier child covers, so the optimum is unchanged.  Each kept child
+    gets the stabilizer of its own decided points; once that is trivial
+    its subtree does no group work (`group_s` seconds in all)."""
     F = len(trace_masks)
     full = (1 << F) - 1
     nodes = 0
+    skipped = 0
+    group_s = 0.0
+    node_cap = -1 if limit is None else limit
+    if group is not None:
+        from .symmetry import branch
     best = best0
     best_inc = None
     bit_count = int.bit_count
     k0 = inc0.bit_count()
     depth_cap = k0 if rest is not None else npoints
-    stack = [(inc0, exc0, cov0, k0)]
+    stack = [(inc0, exc0, cov0, k0, group)]
     pop = stack.pop
     push = stack.append
     while stack:
-        inc, exc, cov, k = pop()
+        inc, exc, cov, k, grp = pop()
         if k > depth_cap:
-            rest.append((inc, exc, cov))
+            rest.append((inc, exc, cov, grp))
             continue
+        if nodes == node_cap:
+            return best, best_inc, nodes, LIMIT, skipped, group_s
         nodes += 1
         if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
-            return best, best_inc, nodes, True
+            return best, best_inc, nodes, DEADLINE, skipped, group_s
         if cov == full:
             if k < best:
                 best = k
@@ -160,13 +185,23 @@ def _search(trace_masks, cover, forb_masks, forb_at, npoints,
         # child i excludes the points of children 0..i-1: walking backwards,
         # excl drops each point's own bit just before its child is pushed
         excl = sel_opts
-        for p in reversed(pts):
+        keep = groups = None
+        if grp is not None:
+            t0 = time.perf_counter()
+            keep, groups = branch(grp, pts, npoints)
+            group_s += time.perf_counter() - t0
+        for i in range(len(pts) - 1, -1, -1):
+            p = pts[i]
             pb = 1 << p
             excl ^= pb
+            if keep is not None and not keep[i]:
+                skipped += 1
+                continue
             inc2 = inc | pb
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-                push((inc2, exc | excl, cov | cover[p], k + 1))
-    return best, best_inc, nodes, False
+                push((inc2, exc | excl, cov | cover[p], k + 1,
+                      groups[i] if groups else None))
+    return best, best_inc, nodes, None, skipped, group_s
 
 
 def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
@@ -205,41 +240,57 @@ def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
 
 def _phase1_task(payload):
     (trace_masks, cover, forb_masks, forb_at, npoints,
-     inc, exc, cov, best0, budget) = payload
+     inc, exc, cov, group, best0, budget) = payload
     deadline = time.monotonic() + budget if budget is not None else None
     return _search(trace_masks, cover, forb_masks, forb_at, npoints,
-                   inc, exc, cov, best0, deadline, False)
+                   inc, exc, cov, best0, deadline, False, group=group)
 
 
-def _split_tasks(trace_masks, cover, forb_masks, forb_at, npoints, target, best):
+def _split_tasks(trace_masks, cover, forb_masks, forb_at, npoints, target,
+                 best, deadline, group):
     """Grow the branch frontier until it holds at least `target` states or
     empties.  Each round expands every frontier state by one level with
-    _search itself, pruning against `best`, so a long chain costs one node
-    per round rather than a fresh descent from the root.  The states
-    partition what the pass left unsettled, so scanning them all is
-    equivalent to one sequential run.  Returns (best, best_inc, nodes,
-    frontier)."""
-    frontier = [(0, 0, 0)]
+    _search itself, pruning against `best` and by symmetry under `group`
+    (the root's), so a long chain costs one node per round rather than a
+    fresh descent from the root.  The states partition what the pass left
+    unsettled, up to symmetry, so scanning them all is equivalent to one
+    sequential run.  Returns (result, frontier): result is shaped like
+    _search's, its stop DEADLINE when the pass ran out of time."""
+    frontier = [(0, 0, 0, group)]
     best_inc = None
-    nodes = 0
+    nodes = skipped = 0
+    group_s = 0.0
     while frontier and len(frontier) < target:
+        if deadline is not None and time.monotonic() > deadline:
+            return (best, best_inc, nodes, DEADLINE, skipped, group_s), frontier
         grown = []
-        for inc, exc, cov in frontier:
-            b, found, n, _timed = _search(
+        for inc, exc, cov, grp in frontier:
+            b, found, n, stop, sk, gs = _search(
                 trace_masks, cover, forb_masks, forb_at, npoints,
-                inc, exc, cov, best, None, False, grown)
+                inc, exc, cov, best, deadline, False, grown, grp)
             nodes += n
+            skipped += sk
+            group_s += gs
+            if stop is not None:
+                return (best, best_inc, nodes, stop, skipped, group_s), frontier
             if found is not None:
                 best, best_inc = b, found
         frontier = grown
-    return best, best_inc, nodes, frontier
+    return (best, best_inc, nodes, None, skipped, group_s), frontier
 
 
 def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
-                time_budget=None, workers=1):
+                time_budget=None, workers=1, stats=None):
     """Exact minimum over masks.  Returns (size or None, witness_mask or
     None, nodes).  witness_mask is the lexicographically least optimum
-    (smallest bit indices first); None size means nothing <= cap."""
+    (smallest bit indices first); None size means nothing <= cap.
+
+    The bound phase first runs the plain search with one node per
+    incidence of the instance (trace points, family and forbidden in
+    force).  Only a search that needs more than that pays for the
+    automorphism group: it restarts from the root with orbital branching,
+    keeping the probe's incumbent, and `stats` (a dict, when given) gets
+    a "symmetry" record.  The witness phase never uses the group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -251,15 +302,22 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     else:
         forb_at = None
     nodes = 0
+    sym = None
+
+    def timeout():
+        return SearchTimeout("search exceeded its time budget",
+                             nodes=nodes, elapsed=time.monotonic() - start)
 
     def tally(result):
         """Counts a finished search's nodes; raises if it ran out of time."""
         nonlocal nodes
-        b, found, n, timed = result
+        b, found, n, stop, skipped, group_s = result
         nodes += n
-        if timed:
-            raise SearchTimeout("search exceeded its time budget",
-                                nodes=nodes, elapsed=time.monotonic() - start)
+        if sym is not None:
+            sym["skipped"] += skipped
+            sym["seconds"] += group_s
+        if stop == DEADLINE:
+            raise timeout()
         return b, found
 
     # best stays cap + 1 with incumbent None until a cover within the cap is
@@ -271,27 +329,52 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     else:
         incumbent = None
 
-    tasks = [(0, 0, 0)]
-    if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
-        best, found, n, tasks = _split_tasks(trace_masks, cover, forb_masks,
-                                             forb_at, U, workers * 8, best)
-        nodes += n
+    incidences = sum(m.bit_count() for m in trace_masks) + \
+        sum(f.bit_count() for f in forb_masks)
+    probe = _search(trace_masks, cover, forb_masks, forb_at, U,
+                    0, 0, 0, best, deadline, False, limit=incidences)
+    results = [probe]
+    if probe[3] == LIMIT:
+        b, found = tally(probe)
         if found is not None:
-            incumbent = found
-    if len(tasks) > 1:
-        budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-        payloads = [(trace_masks, cover, forb_masks, forb_at, U,
-                     inc, exc, cov, best, budget)
-                    for inc, exc, cov in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_phase1_task, payloads, chunksize=1))
-    else:
-        results = [_search(trace_masks, cover, forb_masks, forb_at, U,
-                           inc, exc, cov, best, deadline, False)
-                   for inc, exc, cov in tasks]
+            best, incumbent = b, found
+        # imported here, not at the top: only a search past the probe needs
+        # it, and every process that imports the package would compile it
+        from . import symmetry
+        t0 = time.perf_counter()
+        # each level of the generator search gets one refinement per
+        # incidence, the allowance the probe had in nodes
+        group = symmetry.automorphisms(U, trace_masks, forb_masks, deadline,
+                                       incidences)
+        sym = {"order": group[1] if group else 1,
+               "generators": len(group[0]) if group else 0,
+               "probe_nodes": probe[2], "skipped": 0,
+               "seconds": time.perf_counter() - t0}
+        if deadline is not None and time.monotonic() > deadline:
+            raise timeout()
+        tasks = [(0, 0, 0, group)]
+        if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
+            split, tasks = _split_tasks(trace_masks, cover, forb_masks, forb_at,
+                                        U, workers * 8, best, deadline, group)
+            b, found = tally(split)
+            if found is not None:
+                best, incumbent = b, found
+        if len(tasks) > 1:
+            budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
+            payloads = [(trace_masks, cover, forb_masks, forb_at, U,
+                         inc, exc, cov, grp, best, budget)
+                        for inc, exc, cov, grp in tasks]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_phase1_task, payloads, chunksize=1))
+        else:
+            results = [_search(trace_masks, cover, forb_masks, forb_at, U,
+                               inc, exc, cov, best, deadline, False, group=grp)
+                       for inc, exc, cov, grp in tasks]
     for b, found in map(tally, results):
         if b < best:
             best, incumbent = b, found
+    if sym is not None and stats is not None:
+        stats["symmetry"] = sym
     if best > cap:
         return None, None, nodes
 

@@ -1,0 +1,421 @@
+"""Automorphisms of mask instances and the stabilizers the search needs.
+
+An automorphism of a mask instance is a permutation of the universe
+positions that maps the family masks onto the family masks and the
+forbidden masks onto the forbidden masks; it maps solutions to solutions
+of the same size.  The solver uses the group for orbital branching
+(Ostrowski, Linderoth, Rossi & Smriglio, "Orbital branching", Math. Prog.
+126, 2011; Margot, "Symmetry in integer linear programming", 2010).
+
+`automorphisms` finds generators by individualization and refinement on the
+point-trace incidence, the scheme of McKay's nauty without canonical
+labelling, and keeps a permutation only after checking it against the
+masks.  Any subgroup serves the search, so a generator search that runs
+out of its refinement allowance or the deadline returns what it has.
+
+`schreier_sims` builds a stabilizer chain for a group of known order.
+`branch` uses it at a search node: children whose points share an orbit of
+the node's group with an earlier sibling are skipped, and each kept child
+gets the pointwise stabilizer of its decided points.
+
+Permutations are tuples: g[x] is the image of position x.  A group is
+passed around as (generators, order); None stands for the trivial group.
+"""
+
+import random
+import time
+
+from .solver import _cover_masks, _mask_bits
+
+
+def _mul(a, b):
+    """a then b."""
+    return tuple(map(b.__getitem__, a))
+
+
+def _inverse(g):
+    inv = [0] * len(g)
+    for x, y in enumerate(g):
+        inv[y] = x
+    return tuple(inv)
+
+
+def _map_mask(g, mask):
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= 1 << g[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
+def _preserves(g, mask_sets):
+    """g maps each set of masks onto itself."""
+    for have in mask_sets:
+        for m in have:
+            if _map_mask(g, m) not in have:
+                return False
+    return True
+
+
+class _Refiner:
+    """Equitable refinement of ordered partitions of the points and the
+    distinct traces of one instance, the traces coloured by the sides
+    they are on (family, forbidden or both).
+
+    A node is (pcells, pcell_of, tcells, tcell_of): cells are bitmasks in a
+    fixed order, *_of gives each vertex's cell index.  Splitting keeps the
+    fragment with the smallest count at the old index and appends the
+    others in count order, so the partition and the recorded invariant
+    depend only on the structure, never on the labels: two nodes related
+    by an automorphism refine alike and record equal invariants."""
+
+    def __init__(self, npoints, trace_masks, forb_masks):
+        self.npoints = npoints
+        fam, forb = set(trace_masks), set(forb_masks)
+        colours = ([m for m in fam if m not in forb], list(fam & forb),
+                   [m for m in forb if m not in fam])
+        self.tmask = [m for c in colours for m in c]
+        self.colours = [len(c) for c in colours]
+        self.pcov = _cover_masks(len(self.tmask), self.tmask, npoints)
+        self.refinements = 0
+
+    def initial(self):
+        """The root partition: all points in one cell, the traces in one
+        cell per colour, refined."""
+        U, nt = self.npoints, len(self.tmask)
+        pcells = [(1 << U) - 1]
+        pcell_of = [0] * U
+        tcells = []
+        tcell_of = [0] * nt
+        lo = 0
+        for size in self.colours:
+            hi = lo + size
+            if hi > lo:
+                for ti in range(lo, hi):
+                    tcell_of[ti] = len(tcells)
+                tcells.append(((1 << hi) - 1) ^ ((1 << lo) - 1))
+            lo = hi
+        queue = [(0, 0)] + [(1, i) for i in range(len(tcells))]
+        node = (pcells, pcell_of, tcells, tcell_of)
+        return node, self._refine(node, queue)
+
+    def individualize(self, node, ci, v):
+        """Child node with point v split off its cell ci, refined; returns
+        (node, invariant)."""
+        pcells, pcell_of, tcells, tcell_of = node
+        pcells = pcells[:]
+        pcell_of = pcell_of[:]
+        rest = pcells[ci] & ~(1 << v)
+        pcells[ci] = 1 << v
+        new = len(pcells)
+        pcells.append(rest)
+        for p in _mask_bits(rest):
+            pcell_of[p] = new
+        child = (pcells, pcell_of, tcells[:], tcell_of[:])
+        return child, self._refine(child, [(0, ci)])
+
+    def _refine(self, node, queue):
+        self.refinements += 1
+        pcells, pcell_of, tcells, tcell_of = node
+        sides = ((pcells, pcell_of), (tcells, tcell_of))
+        vmask = (self.pcov, self.tmask)  # a vertex's neighbours
+        pending = set(queue)
+        invariant = []
+        head = 0
+        # once the points are discrete so is every leaf labelling; stopping
+        # there is the same step for nodes an automorphism relates
+        while head < len(queue) and len(pcells) < self.npoints:
+            side, wi = queue[head]
+            head += 1
+            pending.discard((side, wi))
+            # a cell on one side splits the cells of the other side by the
+            # number of neighbours each vertex has in it
+            W = sides[side][0][wi]
+            nbr = vmask[1 - side]
+            cells, cell_of = sides[1 - side]
+            own = vmask[side]
+            touched = 0
+            m = W
+            while m:
+                b = m & -m
+                touched |= own[b.bit_length() - 1]
+                m ^= b
+            counts = {}  # cell -> {neighbours in W: mask of its vertices}
+            m = touched
+            while m:
+                b = m & -m
+                m ^= b
+                y = b.bit_length() - 1
+                c = cell_of[y]
+                cell = cells[c]
+                if cell & (cell - 1):
+                    k = (nbr[y] & W).bit_count()
+                    byk = counts.get(c)
+                    if byk is None:
+                        counts[c] = {k: b}
+                    else:
+                        byk[k] = byk.get(k, 0) | b
+            other = 1 - side
+            for c in sorted(counts):
+                frags = counts[c]
+                cell = cells[c]
+                zero = cell
+                for fm in frags.values():
+                    zero &= ~fm
+                if zero:
+                    frags[0] = zero
+                if len(frags) == 1:
+                    continue
+                keys = sorted(frags)
+                sizes = [frags[k].bit_count() for k in keys]
+                invariant.append((side, wi, c, tuple(zip(keys, sizes))))
+                idxs = [c]
+                cells[c] = frags[keys[0]]
+                for k in keys[1:]:
+                    ni = len(cells)
+                    fm = frags[k]
+                    cells.append(fm)
+                    while fm:
+                        b = fm & -fm
+                        cell_of[b.bit_length() - 1] = ni
+                        fm ^= b
+                    idxs.append(ni)
+                if (other, c) in pending:
+                    add = idxs[1:]
+                else:
+                    # the old cell was already a splitter: all fragments but
+                    # one largest carry the same information
+                    big = sizes.index(max(sizes))
+                    add = idxs[:big] + idxs[big + 1:]
+                for ni in add:
+                    if (other, ni) not in pending:
+                        pending.add((other, ni))
+                        queue.append((other, ni))
+        return tuple(invariant)
+
+
+def _target(pcells):
+    """Index of the first largest non-singleton point cell: in a geometry
+    this puts the base points in general position, where refinement
+    separates most."""
+    best = None
+    size = 1
+    for i, m in enumerate(pcells):
+        c = m.bit_count()
+        if c > size:
+            best, size = i, c
+    return best
+
+
+class _Orbits:
+    """Union-find over the points, merged along each generator added."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def add(self, g):
+        for x, y in enumerate(g):
+            rx, ry = self.find(x), self.find(y)
+            if rx != ry:
+                if rx < ry:
+                    self.parent[ry] = rx
+                else:
+                    self.parent[rx] = ry
+
+
+def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
+                  limit=None):
+    """The automorphism group of the instance as (generators, order), or
+    None when it is trivial; every generator is checked against the masks.
+
+    The first path individualizes the least point of the first largest
+    non-singleton cell until the partition is discrete; its base points
+    b_1..b_m are then treated deepest first.  At level i every point w of
+    b_i's cell not yet in b_i's orbit under the generators found so far
+    (all of which fix b_1..b_{i-1}) is tried: a depth-first search under w,
+    pruned where the refinement invariants leave the first path's, looks
+    for a discrete leaf whose labelling against the first leaf is an
+    automorphism.  When every level is settled the generators are strong
+    for that base and the orbit lengths multiply to the order.  A level
+    that needs more than `limit` refinements, or the deadline, stops the
+    search early; it then returns the generators of the levels already
+    settled, which span the stabilizer of the base points above them,
+    with its order found the same way."""
+    mask_sets = (set(trace_masks), set(forb_masks))
+    ref = _Refiner(npoints, trace_masks, forb_masks)
+    node, inv0 = ref.initial()
+    path = [node]
+    invs = [inv0]
+    base = []
+    while True:
+        ci = _target(node[0])
+        if ci is None:
+            break
+        v = (node[0][ci] & -node[0][ci]).bit_length() - 1
+        base.append((ci, v))
+        node, inv = ref.individualize(node, ci, v)
+        path.append(node)
+        invs.append(inv)
+    m = len(base)
+    gens = []
+    orbits = _Orbits(npoints)
+    stop = None  # the refinement count at which the current level gives up
+
+    def spent():
+        return ((stop is not None and ref.refinements >= stop)
+                or (deadline is not None and time.monotonic() > deadline))
+
+    first = [cell.bit_length() - 1 for cell in path[m][0]]
+
+    def find(level, w):
+        """A verified automorphism fixing b_1..b_level and mapping
+        b_{level+1} to w, or None."""
+        stack = [(level, path[level], w)]
+        while stack and not spent():
+            lv, node, v = stack.pop()
+            child, inv = ref.individualize(node, base[lv][0], v)
+            if inv != invs[lv + 1] or len(child[0]) != len(path[lv + 1][0]):
+                continue
+            if lv + 1 < m:
+                for v2 in reversed(_mask_bits(child[0][base[lv + 1][0]])):
+                    stack.append((lv + 1, child, v2))
+                continue
+            g = [0] * npoints
+            for x, cell in zip(first, child[0]):
+                g[x] = cell.bit_length() - 1
+            g = tuple(g)
+            if _preserves(g, mask_sets):
+                return g
+        return None
+
+    order = 1
+    settled = 0  # gens[:settled] span the stabilizer of the base points above
+    for level in reversed(range(m)):
+        ci, b = base[level]
+        if limit is not None:
+            stop = ref.refinements + limit
+        failed = []
+        for w in _mask_bits(path[level][0][ci]):
+            rw = orbits.find(w)
+            if rw == orbits.find(b) or any(orbits.find(f) == rw for f in failed):
+                continue
+            g = find(level, w)
+            if g is not None:
+                gens.append(g)
+                orbits.add(g)
+            elif spent():
+                # the levels below are settled: their group, of known order
+                return (tuple(gens[:settled]), order) if order > 1 else None
+            else:
+                failed.append(w)
+        # every candidate was settled, so this is b's full orbit under the
+        # stabilizer of the base points above it
+        rb = orbits.find(b)
+        order *= sum(1 for x in range(npoints) if orbits.find(x) == rb)
+        settled = len(gens)
+    return (tuple(gens), order) if order > 1 else None
+
+
+def schreier_sims(gens, n, order, prefix=()):
+    """Stabilizer chain of the group of the given order spanned by gens.
+    Returns (base, strong, transversals): the base starts with `prefix`,
+    strong[i] lists the strong generators fixing base[:i], and
+    transversals[i] maps each point x of base[i]'s orbit under them to an
+    element taking base[i] to x.
+
+    Group elements come from a product-replacement walk over the
+    generators (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)
+    and are sifted through the chain; a residue becomes a strong generator.
+    The orbit lengths multiply to the order exactly when the chain is
+    complete, so the walk only decides how soon that happens, never the
+    chain's groups or orbits.  The walk follows a fixed seed, so runs
+    repeat."""
+    ident = tuple(range(n))
+    base = list(prefix)
+    S = [[] for _ in base]
+    T = [{b: ident} for b in base]
+    Tinv = [{b: ident} for b in base]  # inverses, for sifting
+    size = 1
+    rng = random.Random(0)
+    state = list(gens) * (-(-10 // len(gens)))
+    acc = ident
+    pending = list(gens)  # the generators themselves are sifted first
+    while size < order:
+        if pending:
+            h = pending.pop()
+        else:
+            i, j = rng.sample(range(len(state)), 2)
+            state[i] = _mul(state[i], state[j])
+            acc = _mul(acc, state[i])
+            h = acc
+        level = 0
+        while level < len(base):
+            u = Tinv[level].get(h[base[level]])
+            if u is None:
+                break
+            h = _mul(h, u)
+            level += 1
+        if h == ident:
+            continue
+        if level == len(base):
+            z = next(z for z in range(n) if h[z] != z)
+            base.append(z)
+            S.append([])
+            T.append({z: ident})
+            Tinv.append({z: ident})
+        # h fixes base[:level], so it joins every strong set down to there
+        for l in range(level + 1):
+            S[l].append(h)
+            t, tinv = T[l], Tinv[l]
+            frontier = list(t)
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    ux = t[x]
+                    for s in S[l]:
+                        y = s[x]
+                        if y not in t:
+                            t[y] = _mul(ux, s)
+                            tinv[y] = _inverse(t[y])
+                            nxt.append(y)
+                frontier = nxt
+        size = 1
+        for t in T:
+            size *= len(t)
+    return base, S, T
+
+
+def branch(group, pts, n):
+    """Orbital branching at a node whose decided points `group` fixes.
+
+    Returns (keep, children): keep[j] is False when pts[j] shares an orbit
+    with an earlier pts[i]; children[j] is the pointwise stabilizer of
+    pts[0..j] in the group, as (generators, order) or None when trivial."""
+    gens, order = group
+    orbits = _Orbits(n)
+    for g in gens:
+        orbits.add(g)
+    seen = set()
+    keep = []
+    for p in pts:
+        r = orbits.find(p)
+        keep.append(r not in seen)
+        seen.add(r)
+    base, S, T = schreier_sims(gens, n, order, pts)
+    children = []
+    rest = order
+    for j in range(len(pts)):
+        rest //= len(T[j])
+        if rest == 1:
+            children.extend([None] * (len(pts) - j))
+            break
+        children.append((tuple(S[j + 1]), rest))
+    return keep, children

@@ -11,12 +11,14 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from blocksets.arrangement import (arrangement_make, complement,
                                    evaluate_form, flats_in_complement)
 from blocksets.blocking import (build_instance, classify_arrangement,
                                 exhaustive_oracle, is_blocking, is_minimal,
-                                join_blocking, make_instance, min_blocking_set,
-                                minimalize, restrict_blocking)
+                                is_nontrivial, join_blocking, make_instance,
+                                min_blocking_set, minimalize, restrict_blocking)
 from blocksets.braid import (braid_arrangement, braid_complement_points,
                              braid_existence, braid_transversal,
                              escape_parameter, line_in_complement)
@@ -164,6 +166,35 @@ def test_larger_plane_minima():
     assert (res7.verdict, res7.size) == ("exists", 12)
     assert is_blocking(inst7, res7.witness)
     assert time.monotonic() - start < 300.0
+
+
+# Blocking the hyperplanes of AG(n,q) takes n(q-1)+1 points (Jamison 1977;
+# Brouwer & Schrijver 1978).  Without orbital branching these three ran
+# past a minute (AG(3,4) took 704 s).
+@pytest.mark.parametrize("n,q", [(2, 7), (3, 4), (4, 3)])
+def test_affine_hyperplane_blocking_known_answers(n, q):
+    start = time.monotonic()
+    sp = space(AFFINE, n, q)
+    inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
+    res = min_blocking_set(inst, time_budget=30.0)
+    assert (res.verdict, res.size) == ("exists", n * (q - 1) + 1)
+    assert is_blocking(inst, res.witness) and is_minimal(inst, res.witness)
+    assert res.symmetry is not None and res.symmetry["skipped"] > 0
+    assert time.monotonic() - start < 30.0
+
+
+def test_pg28_nontrivial_minimum():
+    # the smallest nontrivial blocking set of PG(2,8) has 13 points
+    # (Hirschfeld, Projective Geometries over Finite Fields, 2nd ed., 1998);
+    # without orbital branching the capped search timed out at 60 s
+    start = time.monotonic()
+    sp = space(PROJECTIVE, 2, 8)
+    inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
+    res = min_blocking_set(inst, require_nontrivial=True, size_cap=16,
+                           time_budget=30.0)
+    assert (res.verdict, res.size) == ("exists", 13)
+    assert is_blocking(inst, res.witness) and is_nontrivial(inst, res.witness)
+    assert time.monotonic() - start < 30.0
 
 
 def _holds(inst, pts, nontrivial):

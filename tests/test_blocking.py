@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -53,7 +54,12 @@ def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows,
 
     monkeypatch.setattr(FlatGrowth, "_grow", counted)
     inst = build_instance(sp, arr, t, "contained")
-    assert grown == list(range(1, max(n - t, t) + 1))
+    if kind == PROJECTIVE:
+        # every flat of dimension >= 1 meets the removed hyperplane, so the
+        # contained levels are known empty without growing them
+        assert grown == []
+    else:
+        assert grown == list(range(1, max(n - t, t) + 1))
     monkeypatch.undo()
     members = complement(sp, arr).member_set
     fam = flats_within(sp, members, n - t)
@@ -206,19 +212,44 @@ def test_search_timeout_is_distinct():
                          time_budget=1e-4)
 
 
+def test_budget_covers_the_worker_frontier():
+    inst = empty_instance(PROJECTIVE, 2, 7)
+    with pytest.raises(SearchTimeout):
+        min_blocking_set(inst, require_nontrivial=True, size_cap=14,
+                         time_budget=1e-3, workers=2)
+
+
+def test_frontier_pass_stops_at_the_deadline():
+    inst = empty_instance(PROJECTIVE, 2, 5)
+    U = len(inst.universe)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    cover = solver._cover_masks(len(tmasks), tmasks, U)
+    result, _frontier = solver._split_tasks(tmasks, cover, [], None, U, 16, U + 1,
+                                            time.monotonic() - 1.0, None)
+    assert result[3] == solver.DEADLINE
+
+
 # Serial node counts pin the branching rule (trace selection, point order,
-# exclusions, forbidden checks) and the pruning order: any drift in the
-# engine changes them even when the answer stays the same.
-@pytest.mark.parametrize("kind,n,q,nontrivial,size,nodes", [
-    (PROJECTIVE, 2, 5, True, 9, 20292),
-    (AFFINE, 3, 3, False, 7, 9597),
-    (PROJECTIVE, 3, 3, True, 6, 17855),
-    (PROJECTIVE, 4, 2, True, 5, 7465),
-    (AFFINE, 2, 5, False, 9, 6046),
-])
-def test_serial_node_counts_are_pinned(kind, n, q, nontrivial, size, nodes):
+# exclusions, forbidden checks), the pruning order and the orbital
+# branching: any drift in the engine or the group work changes them even
+# when the answer stays the same.  Each row also keeps its count from
+# before orbital branching, which names the row and bounds the new count.
+PINNED_NODES = [
+    # kind, n, q, nontrivial, size, nodes without symmetry, nodes
+    (PROJECTIVE, 2, 5, True, 9, 20292, 783),
+    (AFFINE, 3, 3, False, 7, 9597, 410),
+    (PROJECTIVE, 3, 3, True, 6, 17855, 1057),
+    (PROJECTIVE, 4, 2, True, 5, 7465, 939),
+    (AFFINE, 2, 5, False, 9, 6046, 393),
+]
+
+
+@pytest.mark.parametrize("kind,n,q,nontrivial,size,before,nodes", PINNED_NODES,
+                         ids=["-".join(map(str, row[:6])) for row in PINNED_NODES])
+def test_serial_node_counts_are_pinned(kind, n, q, nontrivial, size, before, nodes):
     res = min_blocking_set(empty_instance(kind, n, q), require_nontrivial=nontrivial)
     assert (res.size, res.nodes) == (size, nodes)
+    assert nodes < before
 
 
 def test_witness_recheck_raises_internal_error(monkeypatch):

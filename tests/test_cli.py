@@ -47,6 +47,25 @@ def test_no_meta_is_reproducible(capsys):
     assert rep["result"]["size"] == 6
 
 
+def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
+    small = ("search", "--space", "pg", "--n", "2", "--q", "3", "--t", "1")
+    rep = run_json(capsys, *small)
+    assert set(rep["stats"]) == {"nodes", "elapsed"}
+    big = ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
+           "--convention", "nontrivial")
+    rep = run_json(capsys, *big)
+    sym = rep["stats"]["symmetry"]
+    assert set(sym) == {"order", "generators", "probe_nodes", "skipped", "seconds"}
+    assert sym["order"] == 372000 and sym["skipped"] > 0
+    assert sym["probe_nodes"] == 31 * 6 * 2  # one node per incidence
+    assert rep["stats"]["nodes"] > sym["probe_nodes"]
+    assert "stats" not in run_json(capsys, "--no-meta", *big)
+    braid = ("braid", "--kind", "ag", "--n", "3", "--q", "4", "--t", "1",
+             "--scope", "touching")
+    assert run_json(capsys, *braid)["stats"]["symmetry"]["skipped"] > 0
+    assert "stats" not in run_json(capsys, "--no-meta", *braid)
+
+
 def test_worker_count_does_not_change_report(capsys):
     base = ("--no-meta", "search", "--space", "pg", "--n", "2", "--q", "3",
             "--t", "1", "--convention", "nontrivial")

@@ -1,0 +1,216 @@
+"""The automorphism groups of mask instances and orbital branching.
+
+Group orders are checked against the classical formulas and against
+sympy's own Schreier-Sims; every generator is mapped over the masks by
+hand; orbital branching must reach the optimum the plain search reaches,
+and the subset oracle's where the universe is small enough."""
+
+import time
+from math import prod
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from blocksets import solver, symmetry
+from blocksets.arrangement import arrangement_make
+from blocksets.blocking import build_instance
+from blocksets.errors import BlocksetsError
+from blocksets.geometry import AFFINE, PROJECTIVE, space
+
+
+def _masks(kind, n, q, t=1, rows=(), scope="contained", nontrivial=False):
+    sp = space(kind, n, q)
+    inst = build_instance(sp, arrangement_make(sp, list(rows)), t, scope)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = solver._build_masks(inst.universe, inst.forbidden) if nontrivial else []
+    return len(inst.universe), tmasks, fmasks
+
+
+def _gl(n, q):
+    return prod(q ** n - q ** i for i in range(n))
+
+
+def _field_degree(q):
+    return {2: 1, 3: 1, 4: 2, 5: 1}[q]
+
+
+def _pgaml(n, q):
+    """|PGammaL(n+1, q)|: the collineations of PG(n, q)."""
+    return _field_degree(q) * _gl(n + 1, q) // (q - 1)
+
+
+def _agaml(n, q):
+    """|AGammaL(n, q)|: the collineations of AG(n, q)."""
+    return _field_degree(q) * q ** n * _gl(n, q)
+
+
+def _sympy_order(gens):
+    return PermutationGroup([Permutation(list(g)) for g in gens]).order()
+
+
+def _maps_onto(g, masks):
+    """Direct check, independent of symmetry._preserves."""
+    sets = {frozenset(b for b in range(len(g)) if m >> b & 1) for m in masks}
+    return {frozenset(g[b] for b in s) for s in sets} == sets
+
+
+@pytest.mark.parametrize("kind,n,q,order", [
+    (PROJECTIVE, 2, 2, 168),
+    (PROJECTIVE, 2, 3, 5616),
+    (PROJECTIVE, 2, 4, 120960),
+    (PROJECTIVE, 2, 5, 372000),
+    (AFFINE, 2, 3, 432),
+    (AFFINE, 3, 2, 1344),
+    (PROJECTIVE, 3, 2, 20160),
+])
+def test_group_order_matches_formula_and_sympy(kind, n, q, order):
+    # the hyperplanes of PG(n,q) or AG(n,q), n >= 2: the group is the full
+    # collineation group (fundamental theorem of projective geometry)
+    U, tmasks, fmasks = _masks(kind, n, q)
+    formula = _pgaml(n, q) if kind == PROJECTIVE else _agaml(n, q)
+    assert formula == order
+    gens, got = symmetry.automorphisms(U, tmasks, fmasks)
+    assert got == order
+    assert _sympy_order(gens) == order
+
+
+@pytest.mark.parametrize("kind,n,q,t,rows,scope,nontrivial,order", [
+    (PROJECTIVE, 2, 3, 1, (), "contained", True, 5616),
+    # PGL(3,7) is transitive on line pairs and on non-concurrent line
+    # triples, so the stabilizers have order 5630688 / (57*56/2) = 3528 and
+    # 5630688 / (57*56*49/6) = 216
+    (PROJECTIVE, 2, 7, 1, ((1, 0, 0), (0, 1, 0)), "touching", False, 3528),
+    (PROJECTIVE, 2, 7, 1, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "touching", True, 216),
+    (AFFINE, 3, 3, 2, ((1, 0, 0, 0),), "touching", True, None),
+])
+def test_generators_preserve_family_and_forbidden(kind, n, q, t, rows, scope,
+                                                  nontrivial, order):
+    U, tmasks, fmasks = _masks(kind, n, q, t, rows, scope, nontrivial)
+    group = symmetry.automorphisms(U, tmasks, fmasks)
+    gens, got = group
+    for g in gens:
+        assert sorted(g) == list(range(U))
+        assert _maps_onto(g, tmasks) and _maps_onto(g, fmasks)
+    assert _sympy_order(gens) == got
+    if order is not None:
+        assert got == order
+
+
+def test_generator_search_gives_up_with_a_valid_subgroup():
+    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 5)
+    orders = []
+    for limit in (0, 1, 5, 12, 40, None):
+        group = symmetry.automorphisms(U, tmasks, fmasks, limit=limit)
+        if group is None:
+            orders.append(1)
+            continue
+        gens, order = group
+        assert all(_maps_onto(g, tmasks) for g in gens)
+        assert order == _sympy_order(gens)
+        orders.append(order)
+    assert all(372000 % o == 0 for o in orders)
+    assert orders[0] < orders[-1] == 372000
+    assert symmetry.automorphisms(U, tmasks, fmasks,
+                                  deadline=time.monotonic() - 1.0) == \
+        symmetry.automorphisms(U, tmasks, fmasks, limit=0)
+
+
+def test_branch_orbits_and_stabilizers_match_sympy():
+    U, tmasks, _ = _masks(PROJECTIVE, 2, 4)
+    gens, order = symmetry.automorphisms(U, tmasks, [])
+    G = PermutationGroup([Permutation(list(g)) for g in gens])
+    pts = [3, 0, 7, 20, 11, 5]
+    keep, children = symmetry.branch((gens, order), pts, U)
+    orbit_of = {}
+    for orb in G.orbits():
+        for x in orb:
+            orbit_of[x] = min(orb)
+    seen = set()
+    for p, kept in zip(pts, keep):
+        assert kept == (orbit_of[p] not in seen)
+        seen.add(orbit_of[p])
+    for j, child in enumerate(children):
+        want = G.pointwise_stabilizer(pts[:j + 1]).order()
+        if child is None:
+            assert want == 1
+        else:
+            cgens, corder = child
+            assert corder == want == _sympy_order(cgens)
+            assert all(g[p] == p for g in cgens for p in pts[:j + 1])
+
+
+def test_schreier_sims_base_starts_with_the_prefix():
+    U, tmasks, _ = _masks(AFFINE, 2, 3)
+    gens, order = symmetry.automorphisms(U, tmasks, [])
+    base, strong, trans = symmetry.schreier_sims(gens, U, order, prefix=(4, 2))
+    assert base[:2] == [4, 2]
+    assert prod(len(t) for t in trans) == order
+    for i, t in enumerate(trans):
+        for x, u in t.items():
+            assert u[base[i]] == x
+
+
+# Universes past 16 points are searched under this cap (answers above it
+# read as "none within the cap" on every route), so that no draw runs long.
+CAP = 5
+
+
+@st.composite
+def _instances(draw):
+    kind = draw(st.sampled_from([PROJECTIVE, AFFINE]))
+    n = draw(st.integers(2, 3))
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    nvars = n + 1 if kind == PROJECTIVE else n
+    rows = draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+        .filter(lambda r: any(r[:nvars])),
+        min_size=1, max_size=4))
+    t = draw(st.integers(1, n))
+    scope = draw(st.sampled_from(["contained", "touching"]))
+    convention = draw(st.sampled_from(["plain", "minimal", "nontrivial"]))
+    return kind, n, q, rows, t, scope, convention
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_instances())
+def test_orbital_search_reaches_the_plain_optimum(case):
+    kind, n, q, rows, t, scope, convention = case
+    sp = space(kind, n, q)
+    try:
+        arr = arrangement_make(sp, [tuple(r) for r in rows])
+    except BlocksetsError:
+        return  # a repeated or degenerate hyperplane
+    inst = build_instance(sp, arr, t, scope)
+    if not inst.family:
+        return
+    U = len(inst.universe)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = []
+    if convention == "nontrivial":
+        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    cover = solver._cover_masks(len(tmasks), tmasks, U)
+    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
+               for p in range(U)] if fmasks else None
+    cap = U if U <= 16 else CAP
+    # the generator search gets the allowance solve_masks gives it
+    incidences = sum(m.bit_count() for m in tmasks + fmasks)
+    group = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
+    plain = solver._search(tmasks, cover, fmasks, forb_at, U, 0, 0, 0,
+                           cap + 1, None, False)
+    orbital = solver._search(tmasks, cover, fmasks, forb_at, U, 0, 0, 0,
+                             cap + 1, None, False, group=group)
+    assert orbital[0] == plain[0]
+    assert orbital[2] <= plain[2] or group is None
+    if orbital[1] is not None:
+        found = orbital[1]
+        cov = 0
+        for p in solver._mask_bits(found):
+            cov |= cover[p]
+        assert cov == (1 << len(tmasks)) - 1
+        assert not any(f & found == f for f in fmasks)
+    if U <= solver.ORACLE_FULL_CAP:
+        size, _w, _n = solver.oracle_masks(U, tmasks, fmasks, size_cap=cap)
+        assert (size if size is not None else cap + 1) == orbital[0]
