@@ -1,10 +1,15 @@
 #!/bin/bash
-# Prints one sha256 over the --no-meta reports of a fixed list of commands
-# that enumerate many flats: contained and touching complements, instance
-# traces in both scopes, the braid lines and a contained search.  Two
-# versions of the package that build the same flats print the same digest,
-# so comparing it across checkouts shows whether a change to flat
-# construction altered any report:
+# Prints two sha256 digests over the --no-meta reports of fixed lists of
+# commands.  The first list enumerates many flats: contained and touching
+# complements, instance traces in both scopes, the braid lines and a
+# contained search.  The second runs over the extension fields GF(8) and
+# GF(9), so every report in it goes through the field tables of a
+# non-prime field: point lists, contained lines of braid complements,
+# escape parameters (division and subtraction), arrangements re-read in
+# another dimension, and a scan with a cap and two workers.  Two versions
+# of the package that build the same flats and compute the same field
+# elements print the same digests, so comparing them across checkouts
+# shows whether a change altered any report:
 #
 #   PYTHONPATH=src bash scripts/report_digest.sh
 #
@@ -20,6 +25,12 @@ printf 'affine 3 3\n1 0 0 0\n0 1 0 0\n' > "$tmp/ag3-3.minus-2-planes.txt"
 # braid arrangements x1 = x2, x1 = x3, x2 = x3 over GF(5) and GF(4)
 printf 'affine 3 5\n1 4 0 0\n1 0 4 0\n0 1 4 0\n' > "$tmp/ag3-5.braid.txt"
 printf 'affine 3 4\n1 1 0 0\n1 0 1 0\n0 1 1 0\n' > "$tmp/ag3-4.braid.txt"
+printf 'affine 3 8\n1 1 0 0\n1 0 1 0\n0 1 1 0\n' > "$tmp/ag3-8.braid.txt"
+# over GF(9), -1 is 2, so a wrong sign in the echelon reduction shows here
+printf 'affine 3 9\n1 2 0 0\n1 0 2 0\n0 1 2 0\n' > "$tmp/ag3-9.braid.txt"
+# forms over GF(9) with leading coefficients other than 1
+printf 'projective 2 9\n3 5 1\n0 7 2\n' > "$tmp/pg2-9.two-lines.txt"
+printf 'affine 3 9\n5 1 0 2\n0 4 0 3\n' > "$tmp/ag3-9.two-planes.txt"
 
 {
     $BS complement --space pg --n 3 --q 3 --flats 1
@@ -43,4 +54,18 @@ printf 'affine 3 4\n1 1 0 0\n1 0 1 0\n0 1 1 0\n' > "$tmp/ag3-4.braid.txt"
     $BS search "$tmp/ag3-3.minus-plane.txt" --t 2
     $BS search "$tmp/ag3-5.braid.txt" --t 2 --convention nontrivial
     $BS search "$tmp/ag3-4.braid.txt" --t 2
-} | sha256sum | cut -d' ' -f1
+} | sha256sum | sed 's/-$/flat-heavy commands/'
+
+{
+    $BS space pg 2 8 --points
+    $BS space ag 2 9 --points
+    $BS complement "$tmp/ag3-8.braid.txt" --flats 1 --max-dim
+    $BS instance "$tmp/ag3-9.braid.txt" --t 2 --traces
+    $BS braid --q 9 --n 3 --escape 0,1,2 1,2,0
+    $BS braid --q 9 --n 3 --escape 3,4,5 6,8,7
+    $BS braid --q 9 --n 3 --escape 1,5,7 2,3,8
+    $BS braid --q 9 --escape 0,1,2,3,4,5,6,7,8 8,7,6,5,4,3,2,1,0
+    $BS arrangement "$tmp/pg2-9.two-lines.txt" --correspond 3
+    $BS arrangement "$tmp/ag3-9.two-planes.txt" --correspond 2
+    $BS scan --q 4 --nmax 3 --cap 8 --workers 2
+} | sha256sum | sed 's/-$/extension-field commands/'

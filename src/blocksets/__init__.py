@@ -13,16 +13,15 @@ from .blocking import (BlockingInstance, ClassificationResult, ScanReport,
                        classify_arrangement, exhaustive_oracle,
                        guaranteed_existence_check, induced_subinstance,
                        is_blocking, is_minimal, is_nontrivial, join_blocking,
-                       make_instance, min_blocking_set, minimalize,
+                       min_blocking_set, minimalize,
                        nonexistence_by_subspace, restrict_blocking,
                        solve_instance, threshold_scan)
-from .braid import (BraidOutcome, BraidSpec, braid_arrangement,
+from .braid import (BraidOutcome, braid_arrangement,
                     braid_complement_points, braid_existence, braid_lines,
                     braid_transversal, escape_parameter, line_in_complement)
 from .errors import BlocksetsError, SearchTimeout
 from .geometry import (AFFINE, PROJECTIVE, Flat, Space, enumerate_flats,
-                       enumerate_points, flat_count, flat_size, flats_within,
-                       gaussian_binomial, in_flat, iter_flats,
-                       projective_point_count, span, space)
+                       flat_count, flat_size, flats_within, gaussian_binomial,
+                       in_flat, iter_flats, span, space)
 from .gf import FieldSpec, field_make
 from .solver import SearchResult

@@ -16,7 +16,7 @@ the fast route is re-checked here with direct set loops before it leaves.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import solver
 from .arrangement import (Arrangement, HyperplaneForm, arrangement_make,
@@ -100,14 +100,6 @@ class BlockingInstance:
                     len(self.family), len(self.forbidden)))
 
 
-def make_instance(sp, t, universe, family, forbidden=(), family_flats=None,
-                  forbidden_flats=None, arrangement=None, scope="custom",
-                  blocked_dim=None):
-    return BlockingInstance(sp, t, tuple(universe), tuple(family),
-                            tuple(forbidden), family_flats, forbidden_flats,
-                            arrangement, scope, blocked_dim)
-
-
 def build_instance(sp, arr, t, scope=CONTAINED):
     """Geometric constructor: universe = complement of arr in sp, family =
     traces of (n-t)-flats under the given scope, forbidden = traces of
@@ -131,9 +123,9 @@ def build_instance(sp, arr, t, scope=CONTAINED):
         fpairs = touching_traces(comp, t)
         forb_flats = tuple(fl for fl, _ in fpairs)
         forbidden = tuple(tr for _, tr in fpairs)
-    return make_instance(sp, t, comp.members, family, forbidden,
-                         family_flats=fam_flats, forbidden_flats=forb_flats,
-                         arrangement=arr, scope=scope, blocked_dim=d)
+    return BlockingInstance(sp, t, comp.members, family, forbidden,
+                            family_flats=fam_flats, forbidden_flats=forb_flats,
+                            arrangement=arr, scope=scope, blocked_dim=d)
 
 
 def _as_pointset(inst, candidate):
@@ -197,6 +189,15 @@ def minimalize(inst, candidate):
     return tuple(sorted(pts))
 
 
+def _masks(inst, require_nontrivial):
+    """Family masks, and the forbidden masks when they are in force."""
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = []
+    if require_nontrivial and inst.forbidden:
+        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    return tmasks, fmasks
+
+
 def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
                      time_budget=None, workers=1):
     """Exact minimum blocking set.
@@ -212,10 +213,7 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
                        % (len(inst.universe), SEARCH_UNIVERSE_CAP))
     if not inst.family:
         return SearchResult("vacuous", 0, (), 0, time.monotonic() - start)
-    tmasks = solver._build_masks(inst.universe, inst.family)
-    fmasks = []
-    if require_nontrivial and inst.forbidden:
-        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    tmasks, fmasks = _masks(inst, require_nontrivial)
     stats = {}
     size, wmask, nodes = solver.solve_masks(
         len(inst.universe), tmasks, fmasks,
@@ -241,10 +239,7 @@ def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None):
     start = time.monotonic()
     if not inst.family:
         return SearchResult("vacuous", 0, (), 0, time.monotonic() - start)
-    tmasks = solver._build_masks(inst.universe, inst.family)
-    fmasks = []
-    if require_nontrivial and inst.forbidden:
-        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    tmasks, fmasks = _masks(inst, require_nontrivial)
     size, wmask, checked = solver.oracle_masks(
         len(inst.universe), tmasks, fmasks, size_cap=size_cap)
     elapsed = time.monotonic() - start
@@ -294,11 +289,11 @@ def induced_subinstance(inst, flat):
             forb_flats.append(fl)
             forbidden.append(tr)
     t_sub = inst.t - (inst.space.n - flat.d)
-    return make_instance(inst.space, t_sub, sub_universe, family, forbidden,
-                         family_flats=tuple(fam_flats),
-                         forbidden_flats=tuple(forb_flats),
-                         arrangement=inst.arrangement, scope=inst.scope,
-                         blocked_dim=inst.blocked_dim)
+    return BlockingInstance(inst.space, t_sub, sub_universe, family, forbidden,
+                            family_flats=tuple(fam_flats),
+                            forbidden_flats=tuple(forb_flats),
+                            arrangement=inst.arrangement, scope=inst.scope,
+                            blocked_dim=inst.blocked_dim)
 
 
 def restrict_blocking(inst, candidate, flat):

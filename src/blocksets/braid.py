@@ -21,45 +21,12 @@ from .blocking import (CONTAINED, MINIMAL, PLAIN, build_instance,
                        is_blocking, is_minimal, solve_instance)
 from .errors import (BadChooser, DimensionMismatch, IdenticalPoints, InternalError,
                      NotInUniverse)
-from .geometry import AFFINE, PROJECTIVE, Space, span, space
+from .geometry import AFFINE, span, space
 from .solver import SearchResult
 
 
-@dataclass(frozen=True)
-class BraidSpec:
-    """Coordinate count and field size for a braid arrangement.
-
-    m counts coordinates, so the ambient space is AG(m,q) for the affine
-    kind and PG(m-1,q) for the projective one.  index_base only relabels
-    the coordinate pair reported by escape_parameter (0 keeps internal
-    positions, 1 numbers coordinates from one).
-    """
-    m: int
-    q: int
-    kind: str = AFFINE
-    index_base: int = 0
-
-    def ambient(self):
-        n = self.m if self.kind == AFFINE else self.m - 1
-        return space(self.kind, n, self.q)
-
-
-def _resolve(src):
-    """Accept a Space, a BraidSpec, or a bare field size q (meaning the
-    affine braid in q coordinates over GF(q)).  Returns (space, base)."""
-    if isinstance(src, Space):
-        return src, 0
-    if isinstance(src, BraidSpec):
-        return src.ambient(), src.index_base
-    if isinstance(src, int):
-        return space(AFFINE, src, src), 0
-    raise TypeError("expected a space, a braid spec, or a field size, got %r"
-                    % (src,))
-
-
-def braid_arrangement(src):
+def braid_arrangement(sp):
     """x_i - x_j = 0 for every pair of coordinate positions i < j."""
-    sp, _ = _resolve(src)
     fq = sp.field
     neg1 = fq.neg(1)
     m = sp.ncoords
@@ -88,18 +55,13 @@ def _injective_ranks(m, q):
     return tuple(out)
 
 
-def braid_complement_points(src):
+def braid_complement_points(sp):
     """Complement members by the distinct-coordinates test alone, no form
     evaluation.  Affine members are generated directly as injective
     coordinate tuples and ranked, never by filtering the full point list,
     so the empty regime m > q costs nothing at any size.  Projective
     representatives are filtered: scaling preserves coordinate collisions,
     so the test is well defined on normalized representatives."""
-    if isinstance(src, int):
-        return _injective_ranks(src, src)
-    if isinstance(src, BraidSpec) and src.kind == AFFINE:
-        return _injective_ranks(src.m, src.q)
-    sp, _ = _resolve(src)
     if sp.kind == AFFINE:
         return _injective_ranks(sp.ncoords, sp.q)
     out = []
@@ -109,10 +71,9 @@ def braid_complement_points(src):
     return tuple(out)
 
 
-def line_in_complement(src, x, y):
+def line_in_complement(sp, x, y):
     """A line through two complement points stays inside the complement
     exactly when their difference is a multiple of the all-ones vector."""
-    sp, _ = _resolve(src)
     fq = sp.field
     xc = sp.points[x] if isinstance(x, int) else tuple(x)
     yc = sp.points[y] if isinstance(y, int) else tuple(y)
@@ -124,7 +85,7 @@ def line_in_complement(src, x, y):
     return all(v == d[0] for v in d)
 
 
-def escape_parameter(src, x, y):
+def escape_parameter(sp, x, y):
     """Where the line through x and y leaves the complement.
 
     Returns ((i, j), t0, P): the least coordinate pair that separates the
@@ -134,7 +95,6 @@ def escape_parameter(src, x, y):
     checked on the constructed P rather than assumed.  Returns None when
     the line never leaves.
     """
-    sp, base = _resolve(src)
     if sp.kind != AFFINE:
         raise DimensionMismatch("escape parameters are defined in affine space")
     fq = sp.field
@@ -162,14 +122,13 @@ def escape_parameter(src, x, y):
     if P[i] != P[j] or t0 in (0, 1):
         raise InternalError("escape point %r (t0=%r) is not on x_%d = x_%d"
                             " away from both ends" % (P, t0, i, j))
-    return (i + base, j + base), t0, P
+    return (i, j), t0, P
 
 
-def braid_lines(src):
+def braid_lines(sp):
     """The lines contained in the affine braid complement: one per
     representative with first coordinate 0, all running in the all-ones
     direction.  Empty when m > q (no injective tuples at all)."""
-    sp, _ = _resolve(src)
     if sp.kind != AFFINE:
         raise DimensionMismatch("contained braid lines are affine")
     members = set(braid_complement_points(sp))
@@ -189,7 +148,7 @@ def braid_lines(src):
     return out
 
 
-def braid_transversal(src, chooser=None):
+def braid_transversal(sp, chooser=None):
     """One point per contained line.  The lines are parallel, hence
     pairwise disjoint, so the result blocks the line family minimally:
     every chosen point keeps its own line as a private trace.
@@ -198,7 +157,6 @@ def braid_transversal(src, chooser=None):
     the line, or a sequence giving one pick per line in braid_lines order;
     picks may be indices or coordinate tuples and must lie on their line.
     """
-    sp, _ = _resolve(src)
     lines = braid_lines(sp)
     picks = None
     if chooser is not None and not callable(chooser):

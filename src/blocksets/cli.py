@@ -14,7 +14,6 @@ internal check failed (a fault in the program, not in the input).
 import argparse
 import json
 import sys
-import time
 from datetime import datetime, timezone
 
 from . import __version__
@@ -28,7 +27,7 @@ from .blocking import (CONVENTIONS, SCOPES, build_instance, classify_arrangement
                        nonexistence_by_subspace, solve_instance, threshold_scan)
 from .braid import (braid_arrangement, braid_existence, braid_lines,
                     braid_transversal, escape_parameter)
-from .errors import BlocksetsError, InternalError, NotBlocking, SearchTimeout
+from .errors import BlocksetsError, InternalError, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
 from .solver import ORACLE_FULL_CAP
@@ -111,9 +110,15 @@ def _add_source(p):
     p.add_argument("--q", type=int, default=None, help="field size for --space")
 
 
-def _add_search_opts(p):
+def _add_level_opts(p):
+    """What every subcommand that builds an instance reads."""
     p.add_argument("--t", type=int, default=1, help="level: block (n-t)-flats")
     p.add_argument("--scope", choices=SCOPES, default="contained")
+
+
+def _add_search_opts(p):
+    """The level options plus what the subcommands that search read."""
+    _add_level_opts(p)
     p.add_argument("--convention", choices=CONVENTIONS, default="plain")
     p.add_argument("--cap", type=int, default=None,
                    help="largest blocking-set size to consider")
@@ -490,7 +495,7 @@ def build_parser():
 
     p = sub.add_parser("instance", help="build the blocking instance")
     _add_source(p)
-    _add_search_opts(p)
+    _add_level_opts(p)
     p.add_argument("--traces", action="store_true",
                    help="list family and forbidden traces")
     p.set_defaults(fn=cmd_instance)
@@ -506,7 +511,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="check a candidate point set")
     _add_source(p)
-    _add_search_opts(p)
+    _add_level_opts(p)
     p.add_argument("--set", nargs="+", required=True, metavar="PT",
                    help="points as comma-separated coordinates, e.g. 0,1,2")
     p.add_argument("--minimalize", action="store_true",
@@ -518,16 +523,11 @@ def build_parser():
                    choices=("projective", "pg", "affine", "ag",
                             "affine-classical"))
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--t", type=int, default=1)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--scope", choices=SCOPES, default="contained")
-    p.add_argument("--convention", choices=CONVENTIONS, default="plain")
+    _add_search_opts(p)
     p.add_argument("--family", default="empty",
                    choices=("empty", "braid", "single"),
                    help="arrangement at each dimension of the scan")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--budget", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--table", action="store_true",
                    help="plain aligned-text table instead of JSON")
     p.set_defaults(fn=cmd_scan)

@@ -50,10 +50,6 @@ def gaussian_binomial(m, k, q):
     return num // den
 
 
-def projective_point_count(n, q):
-    return (q ** (n + 1) - 1) // (q - 1)
-
-
 def flat_size(kind, d, q):
     """Number of points of a d-flat."""
     if kind == PROJECTIVE:
@@ -92,9 +88,7 @@ class Space:
 
     @property
     def npoints(self):
-        if self.kind == PROJECTIVE:
-            return projective_point_count(self.n, self.q)
-        return self.q ** self.n
+        return flat_size(self.kind, self.n, self.q)
 
     @cached_property
     def points(self):
@@ -156,15 +150,13 @@ def space(kind, n, q):
     return Space(kind, n, field_make(q))
 
 
-def enumerate_points(sp):
-    return list(sp.points)
-
-
 # -- linear algebra over the field ---------------------------------------
 
 def rref(rows, fq):
     """Reduced row echelon form.  Returns (pivot_cols, rows) with zero rows
-    dropped; rows come back as tuples."""
+    dropped; rows come back as tuples.  Subtracting g times the pivot row
+    adds (-g) times it, one row of the multiplication table."""
+    add, neg, mul = fq.add_table, fq.neg_table, fq.mul_table
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
@@ -178,13 +170,13 @@ def rref(rows, fq):
         rows[r], rows[pr] = rows[pr], rows[r]
         lead = rows[r][c]
         if lead != 1:
-            f = fq.inv(lead)
-            rows[r] = [fq.mul(f, x) for x in rows[r]]
+            f = mul[fq.inv(lead)]
+            rows[r] = [f[x] for x in rows[r]]
+        prow = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
-                g = rows[i][c]
-                rows[i] = [fq.sub(rows[i][j], fq.mul(g, rows[r][j]))
-                           for j in range(ncols)]
+                g = mul[neg[rows[i][c]]]
+                rows[i] = [add[x][g[y]] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -193,17 +185,19 @@ def rref(rows, fq):
 
 
 def _vec_sub(u, v, fq):
-    return tuple(fq.sub(a, b) for a, b in zip(u, v))
+    add, neg = fq.add_table, fq.neg_table
+    return tuple(add[a][neg[b]] for a, b in zip(u, v))
 
 
 def _reduce_by_rows(v, pivots, rows, fq):
-    v = list(v)
+    add, neg, mul = fq.add_table, fq.neg_table, fq.mul_table
+    v = tuple(v)
     for p, row in zip(pivots, rows):
         c = v[p]
         if c:
-            for j in range(len(v)):
-                v[j] = fq.sub(v[j], fq.mul(c, row[j]))
-    return tuple(v)
+            g = mul[neg[c]]
+            v = tuple(add[x][g[y]] for x, y in zip(v, row))
+    return v
 
 
 @dataclass(frozen=True)
@@ -239,7 +233,7 @@ def _flat(sp, base, rows):
     copies with coefficient 1 on the current row: the first nonzero
     coefficient is 1, and since the rows are in reduced echelon form that
     vector is already a normalized point.  The field operations are bound
-    once; tables or not, this is the only path that lists a flat's points."""
+    once; this is the only path that lists a flat's points."""
     fq = sp.field
     add, mul = fq.add, fq.mul
     index = sp.point_index
@@ -295,14 +289,11 @@ def _extend(sp, fl, p):
 
 def in_flat(sp, flat, point):
     """Membership test from the canonical basis, no point list needed."""
-    coords = sp.points[point] if isinstance(point, int) else sp.normalize(point)
-    fq = sp.field
-    if flat.kind == PROJECTIVE:
-        pivots = [next(j for j, x in enumerate(row) if x) for row in flat.rows]
-        return not any(_reduce_by_rows(coords, pivots, flat.rows, fq))
+    v = sp.points[point] if isinstance(point, int) else sp.normalize(point)
+    if flat.kind == AFFINE:
+        v = _vec_sub(v, flat.base, sp.field)
     pivots = [next(j for j, x in enumerate(row) if x) for row in flat.rows]
-    w = _vec_sub(coords, flat.base, fq)
-    return not any(_reduce_by_rows(w, pivots, flat.rows, fq))
+    return not any(_reduce_by_rows(v, pivots, flat.rows, sp.field))
 
 
 def iter_flats(sp, d):

@@ -18,10 +18,10 @@ from itertools import product
 
 from .errors import DivisionByZero, InternalError, NotPrimePower, TooLarge
 
-Q_CAP = 2 ** 16
-# Full q x q tables only up to this; larger fields compute operations on
-# demand (the q^2 table at the Q_CAP would not fit in memory).
-TABLE_CAP = 512
+# Every field gets full q x q operation tables, up to this order.  No
+# instance over a larger field builds in useful time: the smallest plane
+# past it, PG(2,521), has 271,963 points and as many lines.
+Q_CAP = 512
 
 
 def _factor_prime_power(q):
@@ -110,7 +110,9 @@ def _canonical_modulus(p, e):
 
 @dataclass(eq=False)
 class FieldSpec:
-    """A concrete GF(q) with its reduction modulus and operation tables."""
+    """A concrete GF(q) with its reduction modulus and operation tables.
+
+    field_make fills the tables, so every operation is a table read."""
 
     q: int
     p: int
@@ -121,22 +123,6 @@ class FieldSpec:
     inv_table: list = field(default=None, repr=False)
     neg_table: list = field(default=None, repr=False)
 
-    # -- element codec -------------------------------------------------
-
-    def coeffs(self, a):
-        """Base-p digits of the code, low degree first, length e."""
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def code(self, coeffs):
-        a = 0
-        for c in reversed(coeffs):
-            a = a * self.p + (c % self.p)
-        return a
-
     def _check(self, a):
         if not isinstance(a, int) or not 0 <= a < self.q:
             raise ValueError("element code %r outside 0..%d" % (a, self.q - 1))
@@ -144,29 +130,21 @@ class FieldSpec:
     # -- operations -----------------------------------------------------
 
     def add(self, a, b):
-        if self.add_table is not None:
-            return self.add_table[a][b]
-        return self._add_raw(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a):
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        return self._neg_raw(a)
+        return self.neg_table[a]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.mul_table is not None:
-            return self.mul_table[a][b]
-        return self._mul_raw(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse in GF(%d)" % self.q)
-        if self.inv_table is not None:
-            return self.inv_table[a]
-        return self.pow(a, self.q - 2)
+        return self.inv_table[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -183,48 +161,6 @@ class FieldSpec:
             base = self.mul(base, base)
             k >>= 1
         return result
-
-    def elements(self):
-        return range(self.q)
-
-    # -- raw (table-free) arithmetic -------------------------------------
-
-    def _add_raw(self, a, b):
-        self._check(a)
-        self._check(b)
-        if self.e == 1:
-            return (a + b) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a or b:
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _neg_raw(self, a):
-        self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        p = self.p
-        out = 0
-        mult = 1
-        while a:
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def _mul_raw(self, a, b):
-        self._check(a)
-        self._check(b)
-        if self.e == 1:
-            return (a * b) % self.p
-        m_low = [self.modulus[-1 - i] for i in range(self.e + 1)]
-        prod_ = _poly_mul(_poly_trim(self.coeffs(a)), _poly_trim(self.coeffs(b)), self.p)
-        return self.code(_poly_mod(prod_, m_low, self.p) + [0] * self.e)
 
     # -- misc -------------------------------------------------------------
 
@@ -254,18 +190,51 @@ class FieldSpec:
             self.q, self.p, self.e, self.modulus_str())
 
 
+# -- arithmetic on codes, used only to fill the tables ---------------------
+
+def _digits(a, p, e):
+    """Base-p digits of the code, low degree first, length e."""
+    out = []
+    for _ in range(e):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _add_raw(fq, a, b):
+    if fq.e == 1:
+        return (a + b) % fq.p
+    p = fq.p
+    out = 0
+    mult = 1
+    while a or b:
+        out += ((a % p + b % p) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
+def _mul_raw(fq, a, b):
+    p, e = fq.p, fq.e
+    if e == 1:
+        return (a * b) % p
+    m_low = [fq.modulus[-1 - i] for i in range(e + 1)]
+    prod_ = _poly_mul(_poly_trim(_digits(a, p, e)), _poly_trim(_digits(b, p, e)), p)
+    out = 0
+    for c in reversed(_poly_mod(prod_, m_low, p)):
+        out = out * p + c
+    return out
+
+
 def _build_tables(fq):
+    """Addition and multiplication from the codes; the negative and the
+    inverse of a are where a's row of those tables holds 0 and 1."""
     q = fq.q
-    add = [[fq._add_raw(a, b) for b in range(q)] for a in range(q)]
-    neg = [fq._neg_raw(a) for a in range(q)]
-    mul = [[fq._mul_raw(a, b) for b in range(q)] for a in range(q)]
-    inv = [None] * q
-    for a in range(1, q):
-        row = mul[a]
-        for b in range(1, q):
-            if row[b] == 1:
-                inv[a] = b
-                break
+    add = [[_add_raw(fq, a, b) for b in range(q)] for a in range(q)]
+    mul = [[_mul_raw(fq, a, b) for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add]
+    inv = [None] + [row.index(1) for row in mul[1:]]
     fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table = add, neg, mul, inv
 
 
@@ -303,14 +272,14 @@ def _validate_tables(fq):
 
 @lru_cache(maxsize=None)
 def field_make(q):
-    """Construct GF(q).  Raises NotPrimePower for bad q, TooLarge beyond the cap."""
+    """Construct GF(q) with its tables.  Raises NotPrimePower for bad q,
+    TooLarge beyond Q_CAP."""
     if not isinstance(q, int):
         raise NotPrimePower("q must be an integer, got %r" % (q,))
     if q > Q_CAP:
         raise TooLarge("q=%d exceeds the cap %d" % (q, Q_CAP))
     p, e = _factor_prime_power(q)
     fq = FieldSpec(q=q, p=p, e=e, modulus=_canonical_modulus(p, e))
-    if q <= TABLE_CAP:
-        _build_tables(fq)
-        _validate_tables(fq)
+    _build_tables(fq)
+    _validate_tables(fq)
     return fq

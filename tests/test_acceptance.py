@@ -15,10 +15,11 @@ import pytest
 
 from blocksets.arrangement import (arrangement_make, complement,
                                    evaluate_form, flats_in_complement)
-from blocksets.blocking import (build_instance, classify_arrangement,
-                                exhaustive_oracle, is_blocking, is_minimal,
-                                is_nontrivial, join_blocking, make_instance,
-                                min_blocking_set, minimalize, restrict_blocking)
+from blocksets.blocking import (BlockingInstance, build_instance,
+                                classify_arrangement, exhaustive_oracle,
+                                is_blocking, is_minimal, is_nontrivial,
+                                join_blocking, min_blocking_set, minimalize,
+                                restrict_blocking)
 from blocksets.braid import (braid_arrangement, braid_complement_points,
                              braid_existence, braid_transversal,
                              escape_parameter, line_in_complement)
@@ -226,7 +227,7 @@ def test_randomized_instances_agree_with_oracle():
         family = tuple(sorted(rng.sample(base.family, k)))
         nontrivial = rng.random() < 0.3
         forbidden = base.forbidden if nontrivial else ()
-        inst = make_instance(sp, t, base.universe, family, forbidden)
+        inst = BlockingInstance(sp, t, base.universe, family, forbidden)
         cap = rng.randint(2, 5) if rng.random() < 0.3 else None
         if nontrivial and cap is None and sp.npoints > 13:
             cap = 6  # keep the exhaustive side inside its budget

@@ -9,11 +9,11 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
                                 guaranteed_existence_check, induced_subinstance,
                                 is_blocking, is_minimal, is_nontrivial,
-                                join_blocking, make_instance, min_blocking_set,
+                                join_blocking, min_blocking_set,
                                 minimalize, nonexistence_by_subspace,
                                 restrict_blocking, solve_instance,
                                 threshold_scan)
-from blocksets.braid import braid_arrangement, braid_transversal
+from blocksets.braid import braid_arrangement
 from blocksets.errors import (DimensionOutOfRange, DimensionTooSmall,
                               FlatNotContained, InternalError, NotBlocking,
                               NotInUniverse, PreconditionFailed, SearchTimeout,
@@ -121,7 +121,7 @@ def test_level_validation():
 def test_instance_rejects_foreign_points():
     sp = space(PROJECTIVE, 2, 3)
     with pytest.raises(NotInUniverse):
-        make_instance(sp, 1, universe=(0, 1, 99), family=((0, 1),))
+        BlockingInstance(sp, 1, universe=(0, 1, 99), family=((0, 1),))
 
 
 # -- predicates --------------------------------------------------------------
@@ -313,7 +313,7 @@ def test_random_subfamilies_agree_with_oracle():
     sp = space(PROJECTIVE, 2, 3)
     for _ in range(25):
         fam = tuple(sorted(rng.sample(lines, rng.randint(2, 8))))
-        inst = make_instance(sp, 1, universe=tuple(range(13)), family=fam)
+        inst = BlockingInstance(sp, 1, universe=tuple(range(13)), family=fam)
         a = min_blocking_set(inst)
         b = exhaustive_oracle(inst)
         assert (a.verdict, a.size, a.witness) == (b.verdict, b.size, b.witness)

@@ -4,14 +4,15 @@ from itertools import combinations
 import pytest
 
 from blocksets.blocking import build_instance, is_blocking, is_minimal, min_blocking_set
-from blocksets.braid import (BraidSpec, braid_arrangement,
+from blocksets.braid import (braid_arrangement,
                              braid_complement_points, braid_existence,
                              braid_lines, braid_transversal, escape_parameter,
                              line_in_complement)
 from blocksets.arrangement import complement, flats_in_complement
 from blocksets.errors import (BadChooser, DimensionMismatch, IdenticalPoints,
                               NotInUniverse)
-from blocksets.geometry import AFFINE, PROJECTIVE, space
+from blocksets.geometry import AFFINE, PROJECTIVE, Space, space
+from blocksets.gf import field_make
 
 
 def test_braid_form_count_and_normalization():
@@ -44,16 +45,13 @@ def test_projective_complement_matches_form_route():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
 def test_falling_factorial_complement_sizes(q):
-    # includes the zero case m = q + 1, computed without touching any
-    # point table
     for m in range(2, q + 2):
-        got = len(braid_complement_points(BraidSpec(m, q)))
+        got = len(braid_complement_points(space(AFFINE, m, q)))
         assert got == math.perm(q, m)
-
-
-def test_complement_of_field_size_argument():
-    assert len(braid_complement_points(3)) == 6
-    assert len(braid_complement_points(4)) == 24
+    # the zero case m = q + 1 is computed without building the point table
+    sp = Space(AFFINE, q + 1, field_make(q))
+    assert braid_complement_points(sp) == ()
+    assert "points" not in vars(sp)
 
 
 def test_line_in_complement_direction_test():
@@ -92,12 +90,6 @@ def test_escape_parameter_needs_complement_points():
         escape_parameter(sp, (0, 1, 2), (0, 1, 1))
 
 
-def test_escape_parameter_one_based_labels():
-    spec = BraidSpec(3, 3, index_base=1)
-    got = escape_parameter(spec, (1, 0, 2), (0, 1, 2))
-    assert got[0] == (1, 2)
-
-
 def test_escape_parameter_affine_only():
     with pytest.raises(DimensionMismatch):
         escape_parameter(space(PROJECTIVE, 2, 3), (1, 0, 2), (0, 1, 2))
@@ -105,9 +97,9 @@ def test_escape_parameter_affine_only():
 
 @pytest.mark.parametrize("q,count", [(3, 2), (4, 6), (5, 24)])
 def test_contained_line_count(q, count):
-    lines = braid_lines(q)
-    assert len(lines) == count == math.factorial(q - 1)
     sp = space(AFFINE, q, q)
+    lines = braid_lines(sp)
+    assert len(lines) == count == math.factorial(q - 1)
     ones = (1,) * q
     fq = sp.field
     for fl in lines:
@@ -148,10 +140,10 @@ def test_transversal_blocks_minimally(q):
 
 
 def test_transversal_choosers():
-    lines = braid_lines(3)
     sp = space(AFFINE, 3, 3)
-    assert braid_transversal(3) == tuple(fl.points[0] for fl in lines)
-    assert braid_transversal(3, lambda fl: fl.points[-1]) == \
+    lines = braid_lines(sp)
+    assert braid_transversal(sp) == tuple(fl.points[0] for fl in lines)
+    assert braid_transversal(sp, lambda fl: fl.points[-1]) == \
         tuple(sorted(fl.points[-1] for fl in lines))
     picks = [lines[0].points[1], lines[1].points[0]]
     assert braid_transversal(sp, picks) == tuple(sorted(picks))
@@ -194,8 +186,3 @@ def test_affine_vacuous_at_level_one():
     out = braid_existence(AFFINE, 3, 3, t=1)
     assert out.verdict == "vacuous"
     assert out.vacuous_family
-
-
-def test_braidspec_ambient():
-    assert BraidSpec(3, 3).ambient() == space(AFFINE, 3, 3)
-    assert BraidSpec(3, 3, kind=PROJECTIVE).ambient() == space(PROJECTIVE, 2, 3)

@@ -143,12 +143,40 @@ def test_bad_inputs_exit_two(capsys):
         ("scan", "--q", "3", "--nmax", "2", "--kind", "affine-classical",
          "--family", "braid"),
         ("braid", "--q", "3", "--escape", "0,0,1", "1,0,2"),  # off the complement
+        ("space", "pg", "1", "521"),                       # past the field cap
     ]
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert "error" in json.loads(err)
+
+
+def test_search_options_only_where_a_handler_reads_them(capsys):
+    parser = cli.build_parser()
+    search_like = (["search"], ["classify"], ["braid", "--q", "3"],
+                   ["scan", "--q", "3", "--nmax", "2"])
+    for argv in search_like:
+        args = parser.parse_args(argv)
+        assert (args.t, args.scope, args.convention, args.cap, args.budget,
+                args.workers) == (1, "contained", "plain", None, None, 1)
+        args = parser.parse_args(argv + [
+            "--t", "2", "--scope", "touching", "--convention", "nontrivial",
+            "--cap", "3", "--budget", "1.5", "--workers", "2"])
+        assert (args.t, args.scope, args.convention, args.cap, args.budget,
+                args.workers) == (2, "touching", "nontrivial", 3, 1.5, 2)
+    for argv in (["instance"], ["verify", "--set", "0,0,1"]):
+        args = parser.parse_args(argv)
+        assert (args.t, args.scope) == (1, "contained")
+        assert not {"convention", "cap", "budget", "workers"} & set(vars(args))
+    for argv in (("instance", "--space", "pg", "--n", "2", "--q", "3",
+                  "--cap", "3"),
+                 ("verify", "--space", "pg", "--n", "2", "--q", "3",
+                  "--set", "0,0,1", "--workers", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_verify_and_minimalize(capsys):

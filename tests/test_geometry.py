@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from blocksets import geometry
 from blocksets.errors import DimensionOutOfRange, InternalError, SpaceTooLarge
 from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
-                                enumerate_points, flat_count, flat_size,
-                                flats_within, gaussian_binomial, in_flat,
-                                space, span)
-from blocksets.gf import TABLE_CAP
+                                flat_count, flat_size, flats_within,
+                                gaussian_binomial, in_flat, space, span)
 
 
 def test_point_counts():
@@ -22,7 +20,7 @@ def test_point_counts():
 
 def test_projective_points_normalized_and_lex():
     sp = space(PROJECTIVE, 2, 3)
-    pts = enumerate_points(sp)
+    pts = sp.points
     assert len(pts) == len(set(pts)) == 13
     for pt in pts:
         nz = [c for c in pt if c]
@@ -32,7 +30,7 @@ def test_projective_points_normalized_and_lex():
 
 def test_affine_points_are_all_tuples_lex():
     sp = space(AFFINE, 2, 3)
-    pts = enumerate_points(sp)
+    pts = sp.points
     assert pts == sorted(pts)
     assert len(pts) == 9
     assert pts[0] == (0, 0) and pts[-1] == (2, 2)
@@ -196,16 +194,6 @@ def test_flats_within_matches_filtered_enumeration(case):
         _check_flats_within(sp, members, d)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from([PROJECTIVE, AFFINE]),
-       st.sets(st.integers(0, 520), min_size=1, max_size=12))
-def test_flats_within_over_a_field_without_tables(kind, members):
-    sp = space(kind, 1, 521)
-    assert sp.q > TABLE_CAP and sp.field.add_table is None
-    for d in range(sp.n + 1):
-        _check_flats_within(sp, members, d)
-
-
 def test_flat_count_mismatch_raises(monkeypatch):
     real = geometry.iter_flats
 
@@ -230,7 +218,7 @@ def test_dimension_out_of_range():
 def test_space_guard():
     sp = space(AFFINE, 9, 8)  # 8^9 points is past the enumeration guard
     with pytest.raises(SpaceTooLarge):
-        enumerate_points(sp)
+        sp.points
 
 
 def test_space_rejects_bad_dimension():

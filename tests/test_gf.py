@@ -41,8 +41,12 @@ def test_not_prime_power():
 
 
 def test_order_cap():
-    with pytest.raises(TooLarge):
-        field_make(1 << 17)
+    # every field is built with its tables, so none past the table size:
+    # 521 is the least prime power above it
+    assert gf.Q_CAP == 512
+    for q in (521, 1 << 17):
+        with pytest.raises(TooLarge):
+            field_make(q)
 
 
 def test_inv_zero_rejected():
