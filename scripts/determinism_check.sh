@@ -1,13 +1,16 @@
 #!/bin/bash
 # Reports with --no-meta must not depend on the worker count.  Compares
 # byte-for-byte across --workers 1 and --workers 8 on the instances the
-# other scripts search.  The q=7 pair dominates the runtime (a few seconds).
+# other scripts search, plus one whose --workers frontier runs under an
+# arrangement and a nontrivial automorphism group (PG(2,7) minus two
+# lines).  The q=7 pairs dominate the runtime (a few seconds).
 set -euo pipefail
 BS="python3 -m blocksets"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 printf 'projective 2 3\n1 0 0\n' > "$tmp/one-line.txt"
+printf 'projective 2 7\n0 0 1\n0 1 2\n' > "$tmp/pg2-7.two-lines.txt"
 
 pair() {
     $BS --no-meta search "$@" --workers 1 > "$tmp/w1.json"
@@ -23,4 +26,5 @@ pair --space pg --n 3 --q 2 --t 2
 pair --space pg --n 2 --q 4 --t 1 --convention nontrivial
 pair --space pg --n 2 --q 5 --t 1 --convention nontrivial
 pair --space pg --n 2 --q 7 --t 1 --convention nontrivial --cap 14
+pair "$tmp/pg2-7.two-lines.txt" --t 1 --scope touching
 echo "ok"

@@ -520,8 +520,7 @@ def build_parser():
 
     p = sub.add_parser("scan", help="existence by dimension at fixed q and t")
     p.add_argument("--kind", default="projective",
-                   choices=("projective", "pg", "affine", "ag",
-                            "affine-classical"))
+                   choices=(*KIND_ALIASES, "affine-classical"))
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     _add_search_opts(p)

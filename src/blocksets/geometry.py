@@ -24,6 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import getitem
 
 from .errors import (DimensionMismatch, DimensionOutOfRange, InternalError,
                      SpaceTooLarge, TooLarge)
@@ -232,23 +233,25 @@ def _flat(sp, base, rows):
     so each row adds q-1 shifted copies of it.  A projective flat keeps the
     copies with coefficient 1 on the current row: the first nonzero
     coefficient is 1, and since the rows are in reduced echelon form that
-    vector is already a normalized point.  The field operations are bound
-    once; this is the only path that lists a flat's points."""
-    fq = sp.field
-    add, mul = fq.add, fq.mul
+    vector is already a normalized point.  A row to add is bound as the
+    addition-table rows of its coordinates, so each coordinate of a new
+    vector is one table read; this is the only path that lists a flat's
+    points."""
+    add, mul = sp.field.add_table, sp.field.mul_table
     index = sp.point_index
     vecs = [base if base is not None else (0,) * sp.ncoords]
     pts = []
     for i in range(len(rows) - 1, -1, -1):
         row = rows[i]
-        step = [tuple(map(add, row, v)) for v in vecs]
+        arow = [add[x] for x in row]
+        step = [tuple(map(getitem, arow, v)) for v in vecs]
         if base is None:
             pts.extend(index[v] for v in step)
             if i == 0:
                 break
         for lam in range(2, sp.q):
-            mrow = tuple(mul(lam, x) for x in row)
-            step.extend(tuple(map(add, mrow, v)) for v in vecs)
+            arow = [add[mul[lam][x]] for x in row]
+            step.extend(tuple(map(getitem, arow, v)) for v in vecs)
         vecs.extend(step)
     if base is not None:
         pts = [index[v] for v in vecs]

@@ -13,6 +13,11 @@ A search that outgrows a probe also prunes by symmetry: children that an
 automorphism of the instance maps onto an earlier sibling are skipped
 (orbital branching, see symmetry.py).
 
+The search runs on an explicit stack of open subtrees, and a run cut short
+by a node limit leaves the rest on it.  That is how `--workers` splits the
+work: the orbital search runs a few nodes at a time until its stack holds
+workers * 8 states, and each state is one pool task.
+
 Verdict sizes are exact.  Witnesses are pinned separately: after the
 optimum s* is known, a prefix-by-prefix feasibility scan builds the
 lexicographically least s*-subset that works, so the reported witness never
@@ -86,55 +91,51 @@ def _violates(inc, forb_idx, forb_masks):
     return False
 
 
-def _search(trace_masks, cover, forb_masks, forb_at, npoints,
-            inc0, exc0, cov0, best0, deadline, first_only, rest=None,
-            group=None, limit=None):
-    """Core branch and bound on an explicit stack.  Returns (best, best_inc,
-    nodes, stop, skipped, group_s); best is the smallest solution size <
-    best0 reached from this state, or best0 if none (best_inc None in that
-    case); stop is DEADLINE or LIMIT when the search ended early, else
-    None.
+def _search(inst, stack, best0, deadline, first_only, limit=None):
+    """Core branch and bound, run on `stack`: a list of states (inc, exc,
+    cov, k, group), taken from its end.  `inst` is (trace_masks, cover,
+    forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes, stop,
+    skipped, group_s); best is the smallest solution size < best0 reached
+    from the states, or best0 if none (best_inc None in that case); stop
+    is DEADLINE or LIMIT when the search ended early, else None.
 
     A popped state is checked and, unless settled or pruned, replaced by
     its children pushed in reverse, so they are visited in branching order
-    and child i carries the exclusions of children 0..i-1.  When `rest` is
-    a list the search stops one level below the start: the children are
-    appended to it unexpanded, in order.  `limit` caps the nodes.
+    and child i carries the exclusions of children 0..i-1.  A search that
+    stops on `limit` nodes or the deadline leaves every state it has not
+    expanded on the stack.  Those are the open subtrees: disjoint, and
+    together they hold everything not yet settled, up to symmetry, so
+    running them, together or one by one, finishes the search.
 
-    `group` is the pointwise stabilizer of inc0 | exc0 in the instance's
-    automorphism group, as symmetry.branch takes it, or None.  At a node
-    with a nontrivial group a child whose point shares an orbit with an
-    earlier sibling's point is skipped (`skipped` counts them): the group
-    maps its solutions onto solutions through that sibling, which an
-    earlier child covers, so the optimum is unchanged.  Each kept child
-    gets the stabilizer of its own decided points; once that is trivial
-    its subtree does no group work (`group_s` seconds in all)."""
+    A state's `group` is the pointwise stabilizer of inc | exc in the
+    instance's automorphism group, as symmetry.branch takes it, or None.
+    At a node with a nontrivial group a child whose point shares an orbit
+    with an earlier sibling's point is skipped (`skipped` counts them):
+    the group maps its solutions onto solutions through that sibling,
+    which an earlier child covers, so the optimum is unchanged.  Each kept
+    child gets the stabilizer of its own decided points; once that is
+    trivial its subtree does no group work (`group_s` seconds in all)."""
+    trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
     nodes = 0
     skipped = 0
     group_s = 0.0
     node_cap = -1 if limit is None else limit
-    if group is not None:
+    if any(state[4] is not None for state in stack):
         from .symmetry import branch
     best = best0
     best_inc = None
     bit_count = int.bit_count
-    k0 = inc0.bit_count()
-    depth_cap = k0 if rest is not None else npoints
-    stack = [(inc0, exc0, cov0, k0, group)]
     pop = stack.pop
     push = stack.append
     while stack:
-        inc, exc, cov, k, grp = pop()
-        if k > depth_cap:
-            rest.append((inc, exc, cov, grp))
-            continue
         if nodes == node_cap:
             return best, best_inc, nodes, LIMIT, skipped, group_s
-        nodes += 1
-        if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
+        if deadline is not None and not nodes % 2048 and time.monotonic() > deadline:
             return best, best_inc, nodes, DEADLINE, skipped, group_s
+        inc, exc, cov, k, grp = pop()
+        nodes += 1
         if cov == full:
             if k < best:
                 best = k
@@ -239,44 +240,9 @@ def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
 
 
 def _phase1_task(payload):
-    (trace_masks, cover, forb_masks, forb_at, npoints,
-     inc, exc, cov, group, best0, budget) = payload
+    inst, state, best0, budget = payload
     deadline = time.monotonic() + budget if budget is not None else None
-    return _search(trace_masks, cover, forb_masks, forb_at, npoints,
-                   inc, exc, cov, best0, deadline, False, group=group)
-
-
-def _split_tasks(trace_masks, cover, forb_masks, forb_at, npoints, target,
-                 best, deadline, group):
-    """Grow the branch frontier until it holds at least `target` states or
-    empties.  Each round expands every frontier state by one level with
-    _search itself, pruning against `best` and by symmetry under `group`
-    (the root's), so a long chain costs one node per round rather than a
-    fresh descent from the root.  The states partition what the pass left
-    unsettled, up to symmetry, so scanning them all is equivalent to one
-    sequential run.  Returns (result, frontier): result is shaped like
-    _search's, its stop DEADLINE when the pass ran out of time."""
-    frontier = [(0, 0, 0, group)]
-    best_inc = None
-    nodes = skipped = 0
-    group_s = 0.0
-    while frontier and len(frontier) < target:
-        if deadline is not None and time.monotonic() > deadline:
-            return (best, best_inc, nodes, DEADLINE, skipped, group_s), frontier
-        grown = []
-        for inc, exc, cov, grp in frontier:
-            b, found, n, stop, sk, gs = _search(
-                trace_masks, cover, forb_masks, forb_at, npoints,
-                inc, exc, cov, best, deadline, False, grown, grp)
-            nodes += n
-            skipped += sk
-            group_s += gs
-            if stop is not None:
-                return (best, best_inc, nodes, stop, skipped, group_s), frontier
-            if found is not None:
-                best, best_inc = b, found
-        frontier = grown
-    return (best, best_inc, nodes, None, skipped, group_s), frontier
+    return _search(inst, [state], best0, deadline, False)
 
 
 def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
@@ -301,6 +267,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                    for p in range(U)]
     else:
         forb_at = None
+    inst = (trace_masks, cover, forb_masks, forb_at, U)
     nodes = 0
     sym = None
 
@@ -309,7 +276,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                              nodes=nodes, elapsed=time.monotonic() - start)
 
     def tally(result):
-        """Counts a finished search's nodes; raises if it ran out of time."""
+        """Counts a search's nodes; raises if it ran out of time."""
         nonlocal nodes
         b, found, n, stop, skipped, group_s = result
         nodes += n
@@ -323,21 +290,24 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     # best stays cap + 1 with incumbent None until a cover within the cap is
     # known; from then on incumbent is a cover of size best
     best = cap + 1
-    incumbent = _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, U)
+    incumbent = _greedy_incumbent(*inst)
     if incumbent is not None and incumbent.bit_count() <= cap:
         best = incumbent.bit_count()
     else:
         incumbent = None
 
+    def bound(result):
+        """Tallies a bound-phase search and keeps a better incumbent."""
+        nonlocal best, incumbent
+        b, found = tally(result)
+        if found is not None and b < best:
+            best, incumbent = b, found
+
     incidences = sum(m.bit_count() for m in trace_masks) + \
         sum(f.bit_count() for f in forb_masks)
-    probe = _search(trace_masks, cover, forb_masks, forb_at, U,
-                    0, 0, 0, best, deadline, False, limit=incidences)
-    results = [probe]
-    if probe[3] == LIMIT:
-        b, found = tally(probe)
-        if found is not None:
-            best, incumbent = b, found
+    stack = [(0, 0, 0, 0, None)]
+    bound(_search(inst, stack, best, deadline, False, limit=incidences))
+    if stack:  # the probe left open subtrees: restart with the group
         # imported here, not at the top: only a search past the probe needs
         # it, and every process that imports the package would compile it
         from . import symmetry
@@ -348,31 +318,26 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                                        incidences)
         sym = {"order": group[1] if group else 1,
                "generators": len(group[0]) if group else 0,
-               "probe_nodes": probe[2], "skipped": 0,
+               "probe_nodes": nodes, "skipped": 0,
                "seconds": time.perf_counter() - t0}
         if deadline is not None and time.monotonic() > deadline:
             raise timeout()
-        tasks = [(0, 0, 0, group)]
+        stack = [(0, 0, 0, 0, group)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
-            split, tasks = _split_tasks(trace_masks, cover, forb_masks, forb_at,
-                                        U, workers * 8, best, deadline, group)
-            b, found = tally(split)
-            if found is not None:
-                best, incumbent = b, found
-        if len(tasks) > 1:
+            # the frontier: run a few nodes at a time until the open
+            # subtrees are enough tasks for the pool, or none are left
+            target = workers * 8
+            while 0 < len(stack) < target:
+                bound(_search(inst, stack, best, deadline, False, limit=target))
+        if len(stack) > 1:
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
-            payloads = [(trace_masks, cover, forb_masks, forb_at, U,
-                         inc, exc, cov, grp, best, budget)
-                        for inc, exc, cov, grp in tasks]
+            # the tasks go in the order the serial search would visit them
+            payloads = [(inst, state, best, budget) for state in reversed(stack)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_phase1_task, payloads, chunksize=1))
+                for result in pool.map(_phase1_task, payloads, chunksize=1):
+                    bound(result)
         else:
-            results = [_search(trace_masks, cover, forb_masks, forb_at, U,
-                               inc, exc, cov, best, deadline, False, group=grp)
-                       for inc, exc, cov, grp in tasks]
-    for b, found in map(tally, results):
-        if b < best:
-            best, incumbent = b, found
+            bound(_search(inst, stack, best, deadline, False))
     if sym is not None and stats is not None:
         stats["symmetry"] = sym
     if best > cap:
@@ -394,9 +359,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             allowed = inc0 | (full_mask & ~((pb << 1) - 1))
             exc0 = full_mask & ~allowed
             cov0 = prefix_cov | cover[p]
-            _b, found = tally(_search(
-                trace_masks, cover, forb_masks, forb_at, U,
-                inc0, exc0, cov0, best + 1, deadline, True))
+            _b, found = tally(_search(inst, [(inc0, exc0, cov0, pos + 1, None)],
+                                      best + 1, deadline, True))
             if found is not None:
                 witness = sorted(_mask_bits(found))
                 break

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from blocksets import blocking, solver
+from blocksets import blocking, solver, symmetry
 from blocksets.arrangement import arrangement_make, complement
 from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
@@ -220,13 +220,20 @@ def test_budget_covers_the_worker_frontier():
 
 
 def test_frontier_pass_stops_at_the_deadline():
+    # the --workers frontier is the orbital search run workers * 8 nodes at
+    # a time; a past deadline stops it before it expands the root, which
+    # stays on the stack as the one open subtree
     inst = empty_instance(PROJECTIVE, 2, 5)
     U = len(inst.universe)
     tmasks = solver._build_masks(inst.universe, inst.family)
     cover = solver._cover_masks(len(tmasks), tmasks, U)
-    result, _frontier = solver._split_tasks(tmasks, cover, [], None, U, 16, U + 1,
-                                            time.monotonic() - 1.0, None)
+    group = symmetry.automorphisms(U, tmasks, [])
+    root = (0, 0, 0, 0, group)
+    stack = [root]
+    result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
+                            time.monotonic() - 1.0, False, limit=16)
     assert result[3] == solver.DEADLINE
+    assert (result[2], stack) == (0, [root])
 
 
 # Serial node counts pin the branching rule (trace selection, point order,

@@ -285,6 +285,43 @@ def test_classify_single_line(capsys, tmp_path):
     assert rep["minimal"] is True
 
 
+def test_classify_pool(capsys, tmp_path):
+    files = {"empty": "projective 2 3\n", "one": "projective 2 3\n1 0 0\n",
+             "two": "projective 2 3\n1 0 0\n0 1 0\n", "pg24": "projective 2 4\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def classify(src, pool):
+        return run(capsys, "--no-meta", "classify", str(tmp_path / src), "--t", "1",
+                   "--scope", "touching", "--convention", "nontrivial",
+                   "--pool", str(tmp_path / pool))
+
+    # the empty arrangement keeps existence, so it cannot replace the line
+    code, out, _ = classify("one", "empty")
+    rep = json.loads(out)
+    assert (code, rep["category"], rep["pool_minimal"]) == \
+        (0, "blocking-arrangement", True)
+    # one of the two lines already blocks existence on its own
+    code, out, _ = classify("two", "one")
+    rep = json.loads(out)
+    assert (code, rep["category"], rep["pool_minimal"]) == \
+        (0, "blocking-arrangement", False)
+    code, _, err = classify("one", "pg24")
+    assert code == 2 and "PG(2,4)" in err
+
+
+def test_classify_unblocking_arrangement(capsys, tmp_path):
+    # PG(2,2) has no nontrivial blocking set; removing a line leaves a
+    # complement with no contained line, which the empty set blocks
+    src = tmp_path / "fano-line.txt"
+    src.write_text("projective 2 2\n0 0 1\n")
+    rep = run_json(capsys, "--no-meta", "classify", str(src), "--t", "1",
+                   "--scope", "contained", "--convention", "nontrivial")
+    assert rep["category"] == "unblocking-arrangement"
+    assert rep["baseline"]["verdict"] == "not-exists"
+    assert rep["with_arrangement"]["verdict"] == "vacuous"
+
+
 def test_selftest_green(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -198,10 +198,9 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     # the generator search gets the allowance solve_masks gives it
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
-    plain = solver._search(tmasks, cover, fmasks, forb_at, U, 0, 0, 0,
-                           cap + 1, None, False)
-    orbital = solver._search(tmasks, cover, fmasks, forb_at, U, 0, 0, 0,
-                             cap + 1, None, False, group=group)
+    inst = (tmasks, cover, fmasks, forb_at, U)
+    plain = solver._search(inst, [(0, 0, 0, 0, None)], cap + 1, None, False)
+    orbital = solver._search(inst, [(0, 0, 0, 0, group)], cap + 1, None, False)
     assert orbital[0] == plain[0]
     assert orbital[2] <= plain[2] or group is None
     if orbital[1] is not None:
@@ -214,3 +213,66 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     if U <= solver.ORACLE_FULL_CAP:
         size, _w, _n = solver.oracle_masks(U, tmasks, fmasks, size_cap=cap)
         assert (size if size is not None else cap + 1) == orbital[0]
+
+
+# A search cut at L nodes leaves its open subtrees on the stack; finishing
+# each of them on its own must visit exactly the nodes the uncut run
+# visits.  The incumbent is the optimum from the start, so no prune depends
+# on the order in which the subtrees run.
+RESUME_LIMITS = (1, 7, 50, 300)
+
+
+def _check_resume(U, tmasks, fmasks, cap):
+    cover = solver._cover_masks(len(tmasks), tmasks, U)
+    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
+               for p in range(U)] if fmasks else None
+    inst = (tmasks, cover, fmasks, forb_at, U)
+    incidences = sum(m.bit_count() for m in tmasks + fmasks)
+    orbital = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
+    opt = solver._search(inst, [(0, 0, 0, 0, None)], cap + 1, None, False)[0]
+    for group in (None, orbital):
+        whole = solver._search(inst, [(0, 0, 0, 0, group)], opt, None, False)
+        assert whole[1] is None and whole[3] is None
+        for limit in RESUME_LIMITS:
+            stack = [(0, 0, 0, 0, group)]
+            cut = solver._search(inst, stack, opt, None, False, limit=limit)
+            assert cut[3] == (solver.LIMIT if stack else None)
+            assert cut[2] == (limit if stack else whole[2])
+            rest = [solver._search(inst, [state], opt, None, False)
+                    for state in stack]
+            assert all(r[1] is None and r[3] is None for r in rest)
+            assert cut[2] + sum(r[2] for r in rest) == whole[2]
+            assert cut[4] + sum(r[4] for r in rest) == whole[4]
+
+
+@pytest.mark.parametrize("kind,n,q,rows,scope,nontrivial", [
+    (PROJECTIVE, 2, 4, (), "contained", True),
+    (AFFINE, 2, 4, (), "contained", False),
+    (PROJECTIVE, 2, 5, ((1, 0, 0),), "touching", True),
+    (AFFINE, 3, 3, ((1, 1, 0, 0),), "touching", False),
+])
+def test_resumed_search_visits_the_uncut_nodes(kind, n, q, rows, scope, nontrivial):
+    U, tmasks, fmasks = _masks(kind, n, q, rows=rows, scope=scope,
+                               nontrivial=nontrivial)
+    _check_resume(U, tmasks, fmasks, U)
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_instances())
+def test_resumed_search_visits_the_uncut_nodes_on_drawn_instances(case):
+    kind, n, q, rows, t, scope, convention = case
+    sp = space(kind, n, q)
+    try:
+        arr = arrangement_make(sp, [tuple(r) for r in rows])
+    except BlocksetsError:
+        return  # a repeated or degenerate hyperplane
+    inst = build_instance(sp, arr, t, scope)
+    if not inst.family:
+        return
+    U = len(inst.universe)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = []
+    if convention == "nontrivial":
+        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    _check_resume(U, tmasks, fmasks, U if U <= 16 else CAP)
