@@ -1,14 +1,18 @@
 #!/bin/bash
-# Prints two sha256 digests over the --no-meta reports of fixed lists of
+# Prints three sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines and a
 # contained search.  The second runs over the extension fields GF(8) and
 # GF(9), so every report in it goes through the field tables of a
 # non-prime field: point lists, contained lines of braid complements,
 # escape parameters (division and subtraction), arrangements re-read in
-# another dimension, and a scan with a cap and two workers.  Two versions
-# of the package that build the same flats and compute the same field
-# elements print the same digests, so comparing them across checkouts
+# another dimension, and a scan with a cap and two workers.  The third
+# runs the solver on wide instances, thousands of traces or points:
+# Bose-Burton minima in PG(3,q) and PG(4,3), and AG(9,2) and AG(10,2) at
+# the point level under the nontrivial convention, where the greedy walks
+# every point before the whole space is forbidden.  Two versions of the
+# package that build the same flats, compute the same field elements and
+# search alike print the same digests, so comparing them across checkouts
 # shows whether a change altered any report:
 #
 #   PYTHONPATH=src bash scripts/report_digest.sh
@@ -69,3 +73,12 @@ printf 'affine 3 9\n5 1 0 2\n0 4 0 3\n' > "$tmp/ag3-9.two-planes.txt"
     $BS arrangement "$tmp/ag3-9.two-planes.txt" --correspond 2
     $BS scan --q 4 --nmax 3 --cap 8 --workers 2
 } | sha256sum | sed 's/-$/extension-field commands/'
+
+{
+    $BS search --space pg --n 3 --q 5 --t 2
+    $BS search --space pg --n 3 --q 7 --t 2
+    $BS search --space pg --n 3 --q 9 --t 2
+    $BS search --space pg --n 4 --q 3 --t 3
+    $BS search --space ag --n 9 --q 2 --t 9 --convention nontrivial
+    $BS search --space ag --n 10 --q 2 --t 10 --convention nontrivial
+} | sha256sum | sed 's/-$/wide-solver commands/'

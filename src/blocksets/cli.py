@@ -13,6 +13,7 @@ internal check failed (a fault in the program, not in the input).
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -125,6 +126,20 @@ def _add_search_opts(p):
     p.add_argument("--budget", type=float, default=None,
                    help="search time budget in seconds")
     p.add_argument("--workers", type=int, default=1)
+
+
+def _check_search_opts(args):
+    """Rejects search options that no search can honour; a subcommand
+    without them has nothing to check."""
+    budget = getattr(args, "budget", None)
+    if budget is not None and not (math.isfinite(budget) and budget > 0):
+        raise ValueError("--budget must be a finite number of seconds > 0, "
+                         "got %r" % budget)
+    if getattr(args, "workers", 1) < 1:
+        raise ValueError("--workers must be at least 1, got %d" % args.workers)
+    cap = getattr(args, "cap", None)
+    if cap is not None and cap < 0:
+        raise ValueError("--cap must be at least 0, got %d" % cap)
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -570,6 +585,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_search_opts(args)
         return args.fn(args)
     except SearchTimeout as exc:
         return _error(exc, 3)

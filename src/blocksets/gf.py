@@ -201,20 +201,6 @@ def _digits(a, p, e):
     return out
 
 
-def _add_raw(fq, a, b):
-    if fq.e == 1:
-        return (a + b) % fq.p
-    p = fq.p
-    out = 0
-    mult = 1
-    while a or b:
-        out += ((a % p + b % p) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
-
-
 def _mul_raw(fq, a, b):
     p, e = fq.p, fq.e
     if e == 1:
@@ -227,12 +213,41 @@ def _mul_raw(fq, a, b):
     return out
 
 
+def _powers(fq):
+    """The powers g^0 .. g^(q-2) of the smallest primitive element g."""
+    for g in range(1, fq.q):
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = _mul_raw(fq, x, g)
+        if len(powers) == fq.q - 1:
+            return powers
+    raise InternalError("GF(%d) has no primitive element" % fq.q)  # unreachable
+
+
 def _build_tables(fq):
-    """Addition and multiplication from the codes; the negative and the
-    inverse of a are where a's row of those tables holds 0 and 1."""
-    q = fq.q
-    add = [[_add_raw(fq, a, b) for b in range(q)] for a in range(q)]
-    mul = [[_mul_raw(fq, a, b) for b in range(q)] for a in range(q)]
+    """Addition digit by digit from the codes; multiplication from the log
+    and antilog tables of a primitive element g, so a * b is g^(log a +
+    log b).  The negative and the inverse of a are where a's row of those
+    tables holds 0 and 1."""
+    q, p = fq.q, fq.p
+    add = [[(a + b) % p for b in range(p)] for a in range(p)]
+    low = p  # add covers the codes below low, the low digits of every code
+    while low < q:
+        add = [[add[a % low][b % low] + low * ((a // low + b // low) % p)
+                for b in range(low * p)] for a in range(low * p)]
+        low *= p
+    antilog = _powers(fq)
+    log = [0] * q
+    for i, x in enumerate(antilog):
+        log[x] = i
+    antilog2 = antilog + antilog  # g^i for i up to 2q-4, no reduction mod q-1
+    logs = log[1:]
+    mul = [[0] * q]
+    for a in range(1, q):
+        # row a at b is g^(log a + log b): a window of antilog2 read by log
+        mul.append([0, *map(antilog2[log[a]:].__getitem__, logs)])
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table = add, neg, mul, inv

@@ -13,6 +13,11 @@ A search that outgrows a probe also prunes by symmetry: children that an
 automorphism of the instance maps onto an earlier sibling are skipped
 (orbital branching, see symmetry.py).
 
+A node costs time linear in its uncovered traces: they are listed from
+the binary digits of one mask (_mask_bits), and each point's cover mask is
+built once, before the search.  The incumbent it starts from is a lazy
+greedy cover that picks the same points as a full rescan would.
+
 The search runs on an explicit stack of open subtrees, and a run cut short
 by a node limit leaves the rest on it.  That is how `--workers` splits the
 work: the orbital search runs a few nodes at a time until its stack holds
@@ -25,10 +30,11 @@ depends on exploration order, worker count, or the incumbent the bound
 phase happened to find.
 """
 
+import heapq
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import SearchTimeout, UniverseTooLarge
 
@@ -48,13 +54,19 @@ class SearchResult:
     symmetry: dict = None  # solve_masks' symmetry record, when it made one
 
 
+# bin() digits as bytes 0 and 1, so that compress() keeps the set bits
+_BIN_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# per bit j, each byte value as the digit of its bit j, b"0" or b"1"
+_BIT_DIGITS = [bytes(0x30 | (v >> j & 1) for v in range(256)) for j in range(8)]
+
+
 def _mask_bits(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
+    """The set bit positions of a nonnegative mask, ascending.  The scan
+    runs in C over the binary digits, so it costs time linear in the width
+    of the mask; peeling the lowest bit off a wide int instead copies the
+    int once per bit."""
+    flags = bin(mask)[:1:-1].encode().translate(_BIN_FLAGS)
+    return list(compress(range(len(flags)), flags))
 
 
 def _build_masks(universe, traces):
@@ -72,14 +84,19 @@ def _build_masks(universe, traces):
 
 
 def _cover_masks(ntraces, trace_masks, npoints):
-    cover = [0] * npoints
-    for ti, m in enumerate(trace_masks):
-        tb = 1 << ti
-        mm = m
-        while mm:
-            b = mm & -mm
-            cover[b.bit_length() - 1] |= tb
-            mm ^= b
+    """Per point, the mask of the traces through it: the transpose of the
+    trace masks, each built in one piece.  The masks are laid out as rows
+    of bytes, the last trace first, so byte column k holds points 8k..8k+7
+    and bit j of that column, read as binary digits, is point 8k+j's mask."""
+    if not ntraces:
+        return [0] * npoints
+    width = (npoints + 7) >> 3
+    rows = b"".join(m.to_bytes(width, "little") for m in reversed(trace_masks))
+    cover = []
+    for k in range(width):
+        column = rows[k::width]
+        cover.extend(int(column.translate(_BIT_DIGITS[j]), 2)
+                     for j in range(min(8, npoints - 8 * k)))
     return cover
 
 
@@ -118,6 +135,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
+    points = (1 << npoints) - 1
     nodes = 0
     skipped = 0
     group_s = 0.0
@@ -127,6 +145,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     best = best0
     best_inc = None
     bit_count = int.bit_count
+    mask_bits = _mask_bits
     pop = stack.pop
     push = stack.append
     while stack:
@@ -143,21 +162,17 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                 if first_only:
                     break
             continue
-        und = ~(inc | exc)
+        und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
         pack = 0
         acc = 0
-        u = 0
         usable = 0
         sel_opts = 0
         sel_cnt = npoints + 1
-        m = full & ~cov
-        while m:
-            b = m & -m
-            opts = trace_masks[b.bit_length() - 1] & und
+        rem = full ^ cov
+        for ti in mask_bits(rem):
+            opts = trace_masks[ti] & und
             if not opts:
-                break  # some trace can no longer be hit; m stays nonzero
-            m ^= b
-            u += 1
+                break  # some trace can no longer be hit
             usable |= opts
             if not opts & acc:
                 acc |= opts
@@ -166,21 +181,18 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             if c < sel_cnt:
                 sel_cnt = c
                 sel_opts = opts
-        if m or k + pack >= best:
+        # rem is not empty, so opts is set: 0 exactly when the loop broke
+        if not opts or k + pack >= best:
             continue
-        rem = full & ~cov
         # counting bound with the degree restricted to uncovered traces
         delta = 1
-        m = usable
-        while m:
-            b = m & -m
-            m ^= b
-            dc = bit_count(cover[b.bit_length() - 1] & rem)
+        for p in mask_bits(usable):
+            dc = bit_count(cover[p] & rem)
             if dc > delta:
                 delta = dc
-        if k - (-u // delta) >= best:
+        if k - (-bit_count(rem) // delta) >= best:
             continue
-        pts = _mask_bits(sel_opts)
+        pts = mask_bits(sel_opts)
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
         # child i excludes the points of children 0..i-1: walking backwards,
@@ -207,35 +219,52 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
 
 def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
     """Deterministic greedy cover + one minimalization pass; None when the
-    forbidden constraints block the greedy path."""
+    forbidden constraints block the greedy path.
+
+    Each step adds the lowest point of largest gain (newly covered traces)
+    that keeps every forbidden trace incomplete.  The steps are lazy: a
+    heap holds (-gain, p) with each gain as last scored, and gains only
+    shrink as the cover grows, so a top entry whose score is still current
+    is the step's point; a stale top is re-scored and pushed back.  A point
+    whose addition completes a forbidden trace is dropped for good, since
+    the included set only grows."""
     F = len(trace_masks)
     full = (1 << F) - 1
     inc = 0
     cov = 0
+    heap = [(-c.bit_count(), p) for p, c in enumerate(cover) if c]
+    heapq.heapify(heap)
     while cov != full:
-        best_gain = 0
-        best_p = None
-        for p in range(npoints):
-            pb = 1 << p
-            if inc & pb:
-                continue
-            if forb_at and _violates(inc | pb, forb_at[p], forb_masks):
+        while heap:
+            neg, p = heap[0]
+            if forb_at and _violates(inc | 1 << p, forb_at[p], forb_masks):
+                heapq.heappop(heap)
                 continue
             gain = (cover[p] & ~cov).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_p = p
-        if best_p is None:
+            if gain == -neg:
+                break
+            if gain:
+                heapq.heapreplace(heap, (-gain, p))
+            else:
+                heapq.heappop(heap)
+        else:
             return None
-        inc |= 1 << best_p
-        cov |= cover[best_p]
-    for p in reversed(_mask_bits(inc)):
-        trimmed = inc & ~(1 << p)
-        c = 0
-        for b in _mask_bits(trimmed):
-            c |= cover[b]
-        if c == full:
-            inc = trimmed
+        heapq.heappop(heap)
+        inc |= 1 << p
+        cov |= cover[p]
+    # minimalize, highest point first: drop a point when the points below
+    # it and the kept points above it still cover everything
+    pts = _mask_bits(inc)
+    below = [0]
+    for p in pts[:-1]:
+        below.append(below[-1] | cover[p])
+    above = 0
+    for i in range(len(pts) - 1, -1, -1):
+        p = pts[i]
+        if below[i] | above == full:
+            inc ^= 1 << p
+        else:
+            above |= cover[p]
     return inc
 
 

@@ -145,6 +145,16 @@ def test_bad_inputs_exit_two(capsys):
         ("braid", "--q", "3", "--escape", "0,0,1", "1,0,2"),  # off the complement
         ("space", "pg", "1", "521"),                       # past the field cap
     ]
+    # search options that no search can honour, on every subcommand that
+    # takes them
+    for head in (("search", "--space", "pg", "--n", "2", "--q", "3"),
+                 ("classify", "--space", "pg", "--n", "2", "--q", "3"),
+                 ("braid", "--q", "3"),
+                 ("scan", "--q", "3", "--nmax", "2")):
+        for bad in (("--budget", "nan"), ("--budget", "-1"), ("--budget", "0"),
+                    ("--budget", "inf"), ("--workers", "0"),
+                    ("--workers", "-3"), ("--cap", "-1")):
+            cases.append(head + bad)
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

@@ -1,0 +1,141 @@
+"""The solver's mask primitives and greedy incumbent, each checked against a
+plain reference on drawn masks, and wide instances with pinned node counts."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blocksets import solver
+from blocksets.arrangement import arrangement_make
+from blocksets.blocking import build_instance, min_blocking_set
+from blocksets.geometry import PROJECTIVE, space
+
+
+def peel_bits(mask):
+    """Reference listing: peel the lowest set bit off until none is left."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return out
+
+
+def reference_cover(trace_masks, npoints):
+    """Point p's cover mask by definition: bit ti is set when trace ti
+    holds p."""
+    return [sum(1 << ti for ti, m in enumerate(trace_masks) if m >> p & 1)
+            for p in range(npoints)]
+
+
+def reference_greedy(trace_masks, cover, forb_masks, forb_at, npoints):
+    """The full-scan greedy: every step scores every point and adds the
+    lowest one of largest gain that completes no forbidden trace; then one
+    minimalization pass, highest point first."""
+    full = (1 << len(trace_masks)) - 1
+    inc = cov = 0
+    while cov != full:
+        best_gain, best_p = 0, None
+        for p in range(npoints):
+            if inc >> p & 1:
+                continue
+            if forb_at and any(f & (inc | 1 << p) == f
+                               for f in (forb_masks[fi] for fi in forb_at[p])):
+                continue
+            gain = (cover[p] & ~cov).bit_count()
+            if gain > best_gain:
+                best_gain, best_p = gain, p
+        if best_p is None:
+            return None
+        inc |= 1 << best_p
+        cov |= cover[best_p]
+    for p in reversed(peel_bits(inc)):
+        trimmed = inc & ~(1 << p)
+        if union_cover(cover, trimmed) == full:
+            inc = trimmed
+    return inc
+
+
+def union_cover(cover, inc):
+    c = 0
+    for p in peel_bits(inc):
+        c |= cover[p]
+    return c
+
+
+def masks_of_width(width):
+    """Dense masks, and sparse ones built from a few set positions."""
+    dense = st.integers(0, (1 << width) - 1)
+    if not width:
+        return dense
+    sparse = st.sets(st.integers(0, width - 1), max_size=40).map(
+        lambda bits: sum(1 << b for b in bits))
+    return st.one_of(dense, sparse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 9000).flatmap(masks_of_width))
+def test_mask_bits_matches_peeling(mask):
+    assert solver._mask_bits(mask) == peel_bits(mask)
+
+
+def test_mask_bits_across_byte_boundaries():
+    for width in range(0, 70):
+        full = (1 << width) - 1
+        assert solver._mask_bits(full) == list(range(width))
+        assert solver._mask_bits(1 << width) == [width]
+        assert solver._mask_bits(full ^ (1 << width // 2)) == peel_bits(
+            full ^ (1 << width // 2))
+
+
+@st.composite
+def instances(draw, max_points=30, max_traces=40):
+    """(npoints, trace_masks, forb_masks): nonzero masks over the points;
+    the forbidden list may be empty."""
+    npoints = draw(st.integers(1, max_points))
+    mask = st.integers(1, (1 << npoints) - 1)
+    traces = draw(st.lists(mask, min_size=1, max_size=max_traces, unique=True))
+    forb = draw(st.lists(mask, max_size=8, unique=True))
+    return npoints, traces, forb
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_points=90, max_traces=120))
+def test_cover_masks_match_definition(inst):
+    npoints, traces, _forb = inst
+    assert solver._cover_masks(len(traces), traces, npoints) == \
+        reference_cover(traces, npoints)
+    assert solver._cover_masks(0, [], npoints) == [0] * npoints
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances())
+def test_lazy_greedy_matches_full_scan(inst):
+    npoints, traces, forb = inst
+    cover = reference_cover(traces, npoints)
+    forb_at = [tuple(fi for fi, f in enumerate(forb) if f >> p & 1)
+               for p in range(npoints)] if forb else None
+    args = (traces, cover, forb, forb_at, npoints)
+    assert solver._greedy_incumbent(*args) == reference_greedy(*args)
+
+
+# Wide Bose-Burton rows: the minimum blocking set of the (n-t)-flats of
+# PG(n,q) is a t-flat.  Thousands of traces, few nodes: these pin the
+# search's per-node work on wide instances (trace scan, bounds, branching
+# order), where the narrow pinned rows of test_blocking.py barely reach.
+WIDE_PINNED = [
+    # n, q, t, size, nodes
+    (3, 5, 2, 31, 37),
+    (3, 7, 2, 57, 65),
+    (4, 3, 3, 40, 53),
+]
+
+
+@pytest.mark.parametrize("n,q,t,size,nodes", WIDE_PINNED,
+                         ids=["pg%d-%d.t%d" % row[:3] for row in WIDE_PINNED])
+def test_wide_bose_burton_node_counts_are_pinned(n, q, t, size, nodes):
+    sp = space(PROJECTIVE, n, q)
+    inst = build_instance(sp, arrangement_make(sp, []), t, "contained")
+    res = min_blocking_set(inst)
+    assert (res.verdict, res.size, res.nodes) == ("exists", size, nodes)
+    assert size == (q ** (t + 1) - 1) // (q - 1)
