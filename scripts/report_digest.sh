@@ -1,5 +1,5 @@
 #!/bin/bash
-# Prints three sha256 digests over the --no-meta reports of fixed lists of
+# Prints four sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines and a
 # contained search.  The second runs over the extension fields GF(8) and
@@ -10,10 +10,13 @@
 # runs the solver on wide instances, thousands of traces or points:
 # Bose-Burton minima in PG(3,q) and PG(4,3), and AG(9,2) and AG(10,2) at
 # the point level under the nontrivial convention, where the greedy walks
-# every point before the whole space is forbidden.  Two versions of the
-# package that build the same flats, compute the same field elements and
-# search alike print the same digests, so comparing them across checkouts
-# shows whether a change altered any report:
+# every point before the whole space is forbidden.  The fourth lists the
+# flats of wide instances, so it fingerprints the point lists themselves:
+# the traces of PG(3,4) and AG(4,3) at each level, of the braid
+# complements of AG(4,5) and AG(3,7), and the planes of PG(3,8).  Two
+# versions of the package that build the same flats, compute the same
+# field elements and search alike print the same digests, so comparing
+# them across checkouts shows whether a change altered any report:
 #
 #   PYTHONPATH=src bash scripts/report_digest.sh
 #
@@ -35,6 +38,10 @@ printf 'affine 3 9\n1 2 0 0\n1 0 2 0\n0 1 2 0\n' > "$tmp/ag3-9.braid.txt"
 # forms over GF(9) with leading coefficients other than 1
 printf 'projective 2 9\n3 5 1\n0 7 2\n' > "$tmp/pg2-9.two-lines.txt"
 printf 'affine 3 9\n5 1 0 2\n0 4 0 3\n' > "$tmp/ag3-9.two-planes.txt"
+# braid arrangements x_i = x_j over GF(5) in dimension 4 and over GF(7)
+printf 'affine 4 5\n1 4 0 0 0\n1 0 4 0 0\n1 0 0 4 0\n0 1 4 0 0\n0 1 0 4 0\n0 0 1 4 0\n' \
+    > "$tmp/ag4-5.braid.txt"
+printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
 
 {
     $BS complement --space pg --n 3 --q 3 --flats 1
@@ -82,3 +89,14 @@ printf 'affine 3 9\n5 1 0 2\n0 4 0 3\n' > "$tmp/ag3-9.two-planes.txt"
     $BS search --space ag --n 9 --q 2 --t 9 --convention nontrivial
     $BS search --space ag --n 10 --q 2 --t 10 --convention nontrivial
 } | sha256sum | sed 's/-$/wide-solver commands/'
+
+{
+    $BS instance --space pg --n 3 --q 4 --t 1 --traces
+    $BS instance --space pg --n 3 --q 4 --t 2 --traces
+    $BS instance --space ag --n 4 --q 3 --t 1 --traces
+    $BS instance --space ag --n 4 --q 3 --t 2 --traces
+    $BS instance --space ag --n 4 --q 3 --t 3 --traces
+    $BS instance "$tmp/ag4-5.braid.txt" --t 3 --traces
+    $BS instance "$tmp/ag3-7.braid.txt" --t 2 --traces
+    $BS complement --space pg --n 3 --q 8 --flats 2
+} | sha256sum | sed 's/-$/build-heavy commands/'

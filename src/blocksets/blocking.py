@@ -76,17 +76,17 @@ class BlockingInstance:
             tr = tuple(sorted(set(tr)))
             if not tr:
                 raise ValueError("empty trace in family")
-            for p in tr:
-                if p not in uset:
-                    raise NotInUniverse("family trace point %r outside universe" % (p,))
+            if not uset.issuperset(tr):
+                p = next(p for p in tr if p not in uset)
+                raise NotInUniverse("family trace point %r outside universe" % (p,))
             fam.append(tr)
         self.family = tuple(fam)
         forb = []
         for tr in self.forbidden:
             tr = tuple(sorted(set(tr)))
-            for p in tr:
-                if p not in uset:
-                    raise NotInUniverse("forbidden trace point %r outside universe" % (p,))
+            if not uset.issuperset(tr):
+                p = next(p for p in tr if p not in uset)
+                raise NotInUniverse("forbidden trace point %r outside universe" % (p,))
             if tr:
                 forb.append(tr)
         self.forbidden = tuple(forb)

@@ -16,7 +16,7 @@ coordinate pair that can serve.
 from dataclasses import dataclass
 from itertools import permutations
 
-from .arrangement import Arrangement, arrangement_make, complement
+from .arrangement import Arrangement, arrangement_make
 from .blocking import (CONTAINED, MINIMAL, PLAIN, build_instance,
                        is_blocking, is_minimal, solve_instance)
 from .errors import (BadChooser, DimensionMismatch, IdenticalPoints, InternalError,
@@ -233,8 +233,7 @@ def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
     """
     sp = space(kind, n, q)
     arr = braid_arrangement(sp)
-    comp = complement(sp, arr)
-    if not comp.members:
+    if not braid_complement_points(sp):
         return BraidOutcome(sp, arr, t, scope, convention, "empty",
                             False, 0)
     inst = build_instance(sp, arr, t, scope)

@@ -18,13 +18,20 @@ Flats carry a canonical basis so that equality is bit-for-bit:
 Enumeration generates canonical echelon matrices directly instead of
 deduplicating spans, so the count identities against Gaussian binomials are
 structural rather than accidental.
+
+A flat's points are listed by index arithmetic, never by building a
+coordinate tuple and looking it up: the index is a weighted sum of the
+coordinate codes (in PG(n,q) after an offset for the lead column), so the
+points of x + span(rows) are a few list additions over one table row per
+column (`_coset`, the only path that lists points).  The flats inside a
+point set are grown by counting cosets (`FlatGrowth`).
 """
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product
-from operator import getitem
+from itertools import product
 
 from .errors import (DimensionMismatch, DimensionOutOfRange, InternalError,
                      SpaceTooLarge, TooLarge)
@@ -111,6 +118,28 @@ class Space:
     @cached_property
     def point_index(self):
         return {pt: i for i, pt in enumerate(self.points)}
+
+    @cached_property
+    def _index_tables(self):
+        """What `_coset` reads to list a flat's points by index arithmetic:
+        the weight of each coordinate, for each (column k, code x) the row
+        add[x][c] * weight[k] over the codes c, the correction that turns
+        a projective lead column's weight into its block offset, and one
+        int object per index so that equal indices in different flats are
+        one object."""
+        q, n, add = self.q, self.n, self.field.add_table
+        if self.kind == AFFINE:
+            weights = [q ** (n - 1 - k) for k in range(n)]
+            lead_adj = None
+        else:
+            # a point with lead l is off[l] + sum over k > l of c_k q^(n-k),
+            # off[l] = (q^(n-l) - 1)/(q - 1) points having a later lead
+            weights = [q ** (n - k) for k in range(n + 1)]
+            lead_adj = [(q ** (n - l) - 1) // (q - 1) - weights[l]
+                        for l in range(n + 1)]
+        rows = [[[add[x][c] * w for c in range(q)] for x in range(q)]
+                for w in weights]
+        return weights, rows, lead_adj, list(range(self.npoints))
 
     def normalize(self, coords):
         """Canonical representative of a coordinate tuple (identity for affine)."""
@@ -224,51 +253,110 @@ class Flat:
         return head + ", rows=%s)" % (self.rows,)
 
 
+# -- listing points by index arithmetic -------------------------------------
+#
+# A point's index is a weighted sum of its coordinate codes: in AG(n,q)
+# sum c_k q^(n-1-k); in PG(n,q) off[lead] + sum over k > lead of c_k q^(n-k).
+# The points of a flat are a first vector x plus a span V: in AG x is the
+# base and V the span of all rows; in PG x is a row r and V the span of the
+# rows after it, which lists the points whose lead is r's pivot.  x is zero
+# in V's pivot columns, so each pivot column k adds lam * weight[k] and any
+# other column k adds add[x_k][v_k] * weight[k], one table row per (k, x_k).
+# V is kept column by column over its q^dim vectors in one fixed order:
+# `sums` totals the pivot columns, `free` holds the codes of the other
+# columns where V is not zero, and `zero` names the columns where it is.
+
+
+def _zero_span(sp):
+    """The span of no rows: the zero vector alone."""
+    return [0], [], list(range(sp.ncoords))
+
+
+def _coset(tables, x, vspan, lead=None):
+    """Sorted indices of the points x + v over v in `vspan`; `lead` is x's
+    pivot column in a projective space (None in an affine one)."""
+    weights, rows, lead_adj, ints = tables
+    sums, free, zero = vspan
+    c = 0 if lead is None else lead_adj[lead]
+    for k in zero:
+        if x[k]:
+            c += x[k] * weights[k]
+    vals = map(c.__add__, sums)
+    for k, col in free:
+        vals = map(operator.add, vals, map(rows[k][x[k]].__getitem__, col))
+    return sorted(map(ints.__getitem__, vals))
+
+
+def _widen(sp, vspan, row, p):
+    """span(row + V) from V, for an echelon row with pivot p that is zero
+    in V's pivot columns; the new vectors are lam * row + v, lam outer."""
+    q, add, mul = sp.q, sp.field.add_table, sp.field.mul_table
+    weights = sp._index_tables[0]
+    sums, free, zero = vspan
+    size = len(sums)
+    wp = weights[p]
+    nsums = []
+    for lam in range(q):
+        nsums.extend(map((lam * wp).__add__, sums))
+    nfree = []
+    for k, col in free:
+        r = row[k]
+        if r:
+            ncol = []
+            for lam in range(q):
+                ncol.extend(map(add[mul[lam][r]].__getitem__, col))
+        else:
+            ncol = col * q
+        nfree.append((k, ncol))
+    nzero = []
+    for k in zero:
+        if k == p:
+            continue
+        r = row[k]
+        if r:
+            ncol = []
+            for lam in range(q):
+                ncol.extend([mul[lam][r]] * size)
+            nfree.append((k, ncol))
+        else:
+            nzero.append(k)
+    return nsums, nfree, nzero
+
+
 def _flat(sp, base, rows):
     """The flat with canonical echelon `rows`: projective when `base` is
     None, else the affine flat through `base`.
 
-    Points are built row by row, last row first.  `vecs` holds every
-    combination of the rows after the current one (translated by `base`),
-    so each row adds q-1 shifted copies of it.  A projective flat keeps the
-    copies with coefficient 1 on the current row: the first nonzero
-    coefficient is 1, and since the rows are in reduced echelon form that
-    vector is already a normalized point.  A row to add is bound as the
-    addition-table rows of its coordinates, so each coordinate of a new
-    vector is one table read; this is the only path that lists a flat's
-    points."""
-    add, mul = sp.field.add_table, sp.field.mul_table
-    index = sp.point_index
-    vecs = [base if base is not None else (0,) * sp.ncoords]
+    Its points come from `_coset`, the one kernel that lists points.  An
+    affine flat is one coset: base plus the span of its rows.  A projective
+    flat is listed row by row, last row first: the points whose lead is
+    row i's pivot are row i plus the span of the rows after it, and each
+    row's points have larger indices than those of the rows after it, so
+    the pieces come out in order."""
+    tables = sp._index_tables
+    vspan = _zero_span(sp)
+    pivots = [row.index(1) for row in rows]
+    if base is not None:
+        for row, p in zip(reversed(rows), reversed(pivots)):
+            vspan = _widen(sp, vspan, row, p)
+        return Flat(AFFINE, len(rows), tuple(base), tuple(rows),
+                    tuple(_coset(tables, base, vspan)))
     pts = []
     for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        arow = [add[x] for x in row]
-        step = [tuple(map(getitem, arow, v)) for v in vecs]
-        if base is None:
-            pts.extend(index[v] for v in step)
-            if i == 0:
-                break
-        for lam in range(2, sp.q):
-            arow = [add[mul[lam][x]] for x in row]
-            step.extend(tuple(map(getitem, arow, v)) for v in vecs)
-        vecs.extend(step)
-    if base is not None:
-        pts = [index[v] for v in vecs]
-    pts.sort()
-    if base is None:
-        return Flat(PROJECTIVE, len(rows) - 1, None, tuple(rows), tuple(pts))
-    return Flat(AFFINE, len(rows), tuple(base), tuple(rows), tuple(pts))
+        pts += _coset(tables, rows[i], vspan, pivots[i])
+        if i:
+            vspan = _widen(sp, vspan, rows[i], pivots[i])
+    return Flat(PROJECTIVE, len(rows) - 1, None, tuple(rows), tuple(pts))
 
 
-def _flat_through(sp, origin, vecs):
-    """Smallest flat containing the projective points `vecs` (origin None)
-    or the affine points origin + span(vecs)."""
+def _canonical(sp, origin, vecs):
+    """Canonical (base, rows) of the projective span of `vecs` (origin
+    None) or of the affine flat origin + span(vecs)."""
     fq = sp.field
-    if origin is None:
-        return _flat(sp, None, rref(vecs, fq)[1])
     pivots, rows = rref(vecs, fq) if vecs else ([], [])
-    return _flat(sp, _reduce_by_rows(origin, pivots, rows, fq), rows)
+    if origin is None:
+        return None, tuple(rows)
+    return _reduce_by_rows(origin, pivots, rows, fq), tuple(rows)
 
 
 def span(sp, pts):
@@ -277,17 +365,10 @@ def span(sp, pts):
     if not coords:
         raise DimensionOutOfRange("span of an empty point set is undefined")
     if sp.kind == PROJECTIVE:
-        return _flat_through(sp, None, coords)
+        return _flat(sp, *_canonical(sp, None, coords))
     origin = coords[0]
-    return _flat_through(sp, origin, [_vec_sub(c, origin, sp.field) for c in coords[1:]])
-
-
-def _extend(sp, fl, p):
-    """span(fl + {p}) from fl's canonical basis and the point index p."""
-    coords = sp.points[p]
-    if fl.base is None:
-        return _flat_through(sp, None, fl.rows + (coords,))
-    return _flat_through(sp, fl.base, fl.rows + (_vec_sub(coords, fl.base, sp.field),))
+    vecs = [_vec_sub(c, origin, sp.field) for c in coords[1:]]
+    return _flat(sp, *_canonical(sp, origin, vecs))
 
 
 def in_flat(sp, flat, point):
@@ -299,45 +380,69 @@ def in_flat(sp, flat, point):
     return not any(_reduce_by_rows(v, pivots, flat.rows, sp.field))
 
 
+def _fillings(sp, vec, cols):
+    """The vector `vec` with every choice of codes in the columns `cols`,
+    the last column varying fastest."""
+    vec = list(vec)
+    for vals in product(range(sp.q), repeat=len(cols)):
+        for c, v in zip(cols, vals):
+            vec[c] = v
+        yield tuple(vec)
+
+
+def _echelon_rows(sp, p, taken):
+    """Every row with leading 1 in column p and zeros in the pivot columns
+    `taken`."""
+    m = sp.ncoords
+    return _fillings(sp, [0] * p + [1] + [0] * (m - p - 1),
+                     [c for c in range(p + 1, m) if c not in taken])
+
+
 def iter_flats(sp, d):
     """Generate all d-flats by direct construction of canonical echelon
-    bases: pivot-column choice, then free entries in row-major order."""
+    bases, last row first, in no particular order (enumerate_flats sorts).
+    The span of each choice of trailing rows is built once and shared by
+    every first row (projective) or base (affine) that extends it; in a
+    projective space the trailing rows' own points are shared too, since
+    they have later leads and so smaller indices."""
     if d < 0 or d > sp.n:
         raise DimensionOutOfRange("d=%d outside 0..%d" % (d, sp.n))
-    q = sp.q
     if sp.kind == PROJECTIVE:
-        k = d + 1
-        m = sp.ncoords
-        for pivots in combinations(range(m), k):
-            pivot_set = set(pivots)
-            free = [(r, c) for r in range(k) for c in range(m)
-                    if c > pivots[r] and c not in pivot_set]
-            for vals in product(range(q), repeat=len(free)):
-                rows = [[0] * m for _ in range(k)]
-                for r in range(k):
-                    rows[r][pivots[r]] = 1
-                for (r, c), v in zip(free, vals):
-                    rows[r][c] = v
-                yield _flat(sp, None, [tuple(r) for r in rows])
+        yield from _projective_flats(sp, d, d, sp.ncoords, (), _zero_span(sp), [])
     else:
-        m = sp.n
-        for pivots in combinations(range(m), d):
-            pivot_set = set(pivots)
-            free = [(r, c) for r in range(d) for c in range(m)
-                    if c > pivots[r] and c not in pivot_set]
-            nonpivot = [c for c in range(m) if c not in pivot_set]
-            for vals in product(range(q), repeat=len(free)):
-                rows = [[0] * m for _ in range(d)]
-                for r in range(d):
-                    rows[r][pivots[r]] = 1
-                for (r, c), v in zip(free, vals):
-                    rows[r][c] = v
-                rows = [tuple(r) for r in rows]
-                for bvals in product(range(q), repeat=len(nonpivot)):
-                    base = [0] * m
-                    for c, v in zip(nonpivot, bvals):
-                        base[c] = v
-                    yield _flat(sp, tuple(base), rows)
+        yield from _affine_flats(sp, d, d - 1, sp.ncoords, (), _zero_span(sp))
+
+
+def _projective_flats(sp, d, i, bound, later, vspan, tail):
+    """Flats whose rows after row i are `later`, spanning `vspan`, with
+    points `tail`; row i takes a pivot below `bound`."""
+    tables = sp._index_tables
+    taken = [row.index(1) for row in later]
+    for p in range(i, bound):
+        for row in _echelon_rows(sp, p, taken):
+            pts = tail + _coset(tables, row, vspan, p)
+            rows = (row,) + later
+            if i == 0:
+                yield Flat(PROJECTIVE, d, None, rows, tuple(pts))
+            else:
+                yield from _projective_flats(sp, d, i - 1, p, rows,
+                                             _widen(sp, vspan, row, p), pts)
+
+
+def _affine_flats(sp, d, i, bound, later, vspan):
+    """Affine flats whose rows after row i are `later`, spanning `vspan`;
+    once every row is chosen, one flat per base."""
+    taken = [row.index(1) for row in later]
+    if i < 0:
+        tables = sp._index_tables
+        free = [c for c in range(sp.ncoords) if c not in taken]
+        for base in _fillings(sp, [0] * sp.ncoords, free):
+            yield Flat(AFFINE, d, base, later, tuple(_coset(tables, base, vspan)))
+        return
+    for p in range(i, bound):
+        for row in _echelon_rows(sp, p, taken):
+            yield from _affine_flats(sp, d, i - 1, p, (row,) + later,
+                                     _widen(sp, vspan, row, p))
 
 
 def enumerate_flats(sp, d):
@@ -358,12 +463,13 @@ class FlatGrowth:
     dimension at a time from the points up and kept, so that asking for
     several dimensions grows each level once.
 
-    Level k+1 comes from extending every k-flat F by each member p above
-    F's least point.  Once span(F + p) is known, every other point of it
-    would give the same extension, so they are all marked done for F and
-    skipped; an extension is kept when all its points are members.  Each
-    (k+1)-flat inside the set contains a k-flat through its least point,
-    so none is missed."""
+    Level k+1 comes from every k-flat F by counting cosets.  Each member p
+    above F's least point and off F names span(F + p) by a canonical id:
+    p (in AG, p - base) reduced by F's echelon rows and scaled to lead 1.
+    The span lies inside the set with least point min F exactly when its
+    id is counted |span| - |F| times, and only those spans are built.
+    Each (k+1)-flat inside the set contains a k-flat through its least
+    point, so none is missed."""
 
     def __init__(self, sp, members):
         self.space = sp
@@ -388,20 +494,38 @@ class FlatGrowth:
         return list(self.levels[d])
 
     def _grow(self, current, level):
-        sp, members, order = self.space, self.members, self.order
-        need = flat_size(sp.kind, level, sp.q)
+        sp, order = self.space, self.order
+        fq, coords = sp.field, sp.points
+        add, neg, mul = fq.add_table, fq.neg_table, fq.mul_table
+        scale = [None] + [mul[c] for c in fq.inv_table[1:]]
+        extra = flat_size(sp.kind, level, sp.q) - flat_size(sp.kind, level - 1, sp.q)
         grown = {}
         for fl in current:
-            done = set(fl.points)
+            # per echelon row: its pivot column and, per code c, the row times -c
+            reducers = [(row.index(1), [tuple(map(mul[neg[c]].__getitem__, row))
+                                        for c in range(sp.q)])
+                        for row in fl.rows]
+            shift = None if fl.base is None else [add[neg[b]] for b in fl.base]
+            count = {}
             for p in order[bisect_right(order, fl.points[0]):]:
-                if p in done:
-                    continue
-                cand = _extend(sp, fl, p)
-                done.update(cand.points)
-                key = cand.key()
-                if key not in grown and len(cand.points) == need \
-                        and members.issuperset(cand.points):
-                    grown[key] = cand
+                v = coords[p]
+                if shift is not None:  # affine: p - base
+                    v = tuple(map(operator.getitem, shift, v))
+                for col, minus in reducers:
+                    if v[col]:
+                        row = minus[v[col]]
+                        v = tuple(map(operator.getitem, map(add.__getitem__, v), row))
+                lead = next(filter(None, v), 0)
+                if not lead:
+                    continue  # p lies on fl
+                if lead != 1:
+                    v = tuple(map(scale[lead].__getitem__, v))
+                count[v] = count.get(v, 0) + 1
+            for v, c in count.items():
+                if c == extra:
+                    key = _canonical(sp, fl.base, fl.rows + (v,))
+                    if key not in grown:
+                        grown[key] = _flat(sp, *key)
         return sorted(grown.values(), key=Flat.sort_key)
 
 

@@ -124,6 +124,17 @@ def test_instance_rejects_foreign_points():
         BlockingInstance(sp, 1, universe=(0, 1, 99), family=((0, 1),))
 
 
+def test_instance_names_the_first_trace_point_outside_the_universe():
+    sp = space(PROJECTIVE, 2, 3)
+    uni = (0, 1, 2, 3)
+    with pytest.raises(NotInUniverse, match="^family trace point 7 outside universe$"):
+        BlockingInstance(sp, 1, universe=uni, family=((0, 1), (9, 0, 7)))
+    with pytest.raises(NotInUniverse, match="^forbidden trace point 5 outside universe$"):
+        BlockingInstance(sp, 1, universe=uni, family=((0,),), forbidden=((8, 1, 5),))
+    with pytest.raises(ValueError, match="^empty trace in family$"):
+        BlockingInstance(sp, 1, universe=uni, family=((0,), ()))
+
+
 # -- predicates --------------------------------------------------------------
 
 def test_is_blocking_basics():

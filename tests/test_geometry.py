@@ -1,5 +1,5 @@
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from blocksets import geometry
 from blocksets.errors import DimensionOutOfRange, InternalError, SpaceTooLarge
-from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
-                                flat_count, flat_size, flats_within,
-                                gaussian_binomial, in_flat, space, span)
+from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth,
+                                enumerate_flats, flat_count, flat_size,
+                                flats_within, gaussian_binomial, in_flat,
+                                space, span)
 
 
 def test_point_counts():
@@ -192,6 +193,114 @@ def test_flats_within_matches_filtered_enumeration(case):
     sp, members = case
     for d in range(sp.n + 1):
         _check_flats_within(sp, members, d)
+
+
+def _reference_flats(sp, d):
+    """Every d-flat from its canonical echelon basis (pivot columns, then
+    free entries), its points listed one coefficient vector at a time, each
+    looked up in point_index; sorted as enumerate_flats sorts."""
+    q, add, mul = sp.q, sp.field.add_table, sp.field.mul_table
+    affine = sp.kind == AFFINE
+    k, m = (d, sp.n) if affine else (d + 1, sp.n + 1)
+    out = []
+    for pivots in combinations(range(m), k):
+        free = [(r, c) for r in range(k) for c in range(m)
+                if c > pivots[r] and c not in pivots]
+        for vals in product(range(q), repeat=len(free)):
+            rows = [[0] * m for _ in range(k)]
+            for r, p in enumerate(pivots):
+                rows[r][p] = 1
+            for (r, c), v in zip(free, vals):
+                rows[r][c] = v
+            rows = tuple(tuple(r) for r in rows)
+            nonpivot = [c for c in range(m) if c not in pivots]
+            bases = [None]
+            if affine:
+                bases = []
+                for bvals in product(range(q), repeat=len(nonpivot)):
+                    base = [0] * m
+                    for c, v in zip(nonpivot, bvals):
+                        base[c] = v
+                    bases.append(tuple(base))
+            for base in bases:
+                pts = set()
+                for lams in product(range(q), repeat=k):
+                    if not affine and next((x for x in lams if x), 0) != 1:
+                        continue  # projective: first nonzero coefficient 1
+                    v = base or (0,) * m
+                    for lam, row in zip(lams, rows):
+                        v = tuple(add[a][mul[lam][b]] for a, b in zip(v, row))
+                    pts.add(sp.point_index[v])
+                out.append((base, rows, tuple(sorted(pts))))
+    out.sort(key=lambda f: (f[0] or (), f[1]))
+    return out
+
+
+@pytest.mark.parametrize("kind", [PROJECTIVE, AFFINE])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_enumerate_flats_matches_reference(kind, q):
+    # every n <= 4 and d whose flats hold at most 20,000 point slots
+    for n in range(1, 5):
+        sp = space(kind, n, q)
+        for d in range(n + 1):
+            if flat_count(kind, n, d, q) * flat_size(kind, d, q) > 20000:
+                continue
+            got = [(fl.base, fl.rows, fl.points) for fl in enumerate_flats(sp, d)]
+            assert got == _reference_flats(sp, d)
+
+
+_GROWTH_SPACES = [(PROJECTIVE, 2, 4), (PROJECTIVE, 2, 9), (PROJECTIVE, 3, 3),
+                  (PROJECTIVE, 3, 4), (AFFINE, 2, 9), (AFFINE, 3, 4),
+                  (AFFINE, 3, 5), (AFFINE, 4, 3), (AFFINE, 2, 7)]
+
+
+@st.composite
+def _flat_unions(draw):
+    """A member set made of a few random flats and points, half the time
+    with one point of the last flat taken out, so that the coset count of
+    that flat (and of every flat through the point) falls one short."""
+    kind, n, q = draw(st.sampled_from(_GROWTH_SPACES))
+    sp = space(kind, n, q)
+    members = set(draw(st.sets(st.integers(0, sp.npoints - 1), max_size=6)))
+    holed = None
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, n - 1))
+        fl = draw(st.sampled_from(_all_flats(kind, n, q, d)))
+        members.update(fl.points)
+        holed = fl
+    if draw(st.booleans()):
+        members.discard(draw(st.sampled_from(holed.points)))
+    return sp, members
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flat_unions())
+def test_flat_growth_levels_match_filtered_enumeration(case):
+    sp, members = case
+    growth = FlatGrowth(sp, members)
+    for d in range(sp.n + 1):
+        want = [fl for fl in _all_flats(sp.kind, sp.n, sp.q, d)
+                if members.issuperset(fl.points)]
+        got = growth.flats(d)
+        assert ([(fl.key(), fl.points) for fl in got]
+                == [(fl.key(), fl.points) for fl in want])
+
+
+@pytest.mark.parametrize("n,q", [(2, 4), (2, 9), (3, 3), (3, 4), (4, 2)])
+def test_flats_within_projective_hyperplane(n, q):
+    # a hyperplane of PG(n,q) is a PG(n-1,q): its d-flats number
+    # [n choose d+1]_q and are exactly the flats of PG(n,q) inside it
+    sp = space(PROJECTIVE, n, q)
+    hyps = _all_flats(PROJECTIVE, n, q, n - 1)
+    for hyp in (hyps[0], hyps[-1]):
+        members = set(hyp.points)
+        for d in range(n + 1):
+            got = flats_within(sp, members, d)
+            want = [fl for fl in _all_flats(PROJECTIVE, n, q, d)
+                    if members.issuperset(fl.points)]
+            assert ([(fl.key(), fl.points) for fl in got]
+                    == [(fl.key(), fl.points) for fl in want])
+            assert len(got) == gaussian_binomial(n, d + 1, q)
 
 
 def test_flat_count_mismatch_raises(monkeypatch):
