@@ -1,5 +1,5 @@
 #!/bin/bash
-# Prints four sha256 digests over the --no-meta reports of fixed lists of
+# Prints five sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines and a
 # contained search.  The second runs over the extension fields GF(8) and
@@ -13,7 +13,11 @@
 # every point before the whole space is forbidden.  The fourth lists the
 # flats of wide instances, so it fingerprints the point lists themselves:
 # the traces of PG(3,4) and AG(4,3) at each level, of the braid
-# complements of AG(4,5) and AG(3,7), and the planes of PG(3,8).  Two
+# complements of AG(4,5) and AG(3,7), and the planes of PG(3,8).  The
+# fifth runs the subset oracle: the `search --oracle` rows of
+# oracle_agreement.sh (nontrivial and capped among them), two
+# `search --certificate` instances with no blocking set, whose reports
+# carry the oracle's subset count, and the selftest.  Two
 # versions of the package that build the same flats, compute the same
 # field elements and search alike print the same digests, so comparing
 # them across checkouts shows whether a change altered any report:
@@ -100,3 +104,26 @@ printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
     $BS instance "$tmp/ag3-7.braid.txt" --t 2 --traces
     $BS complement --space pg --n 3 --q 8 --flats 2
 } | sha256sum | sed 's/-$/build-heavy commands/'
+
+{
+    for row in "--space pg --n 2 --q 2 --t 1" \
+               "--space pg --n 2 --q 2 --t 1 --convention nontrivial" \
+               "--space pg --n 2 --q 3 --t 1" \
+               "--space pg --n 2 --q 3 --t 1 --convention minimal" \
+               "--space pg --n 2 --q 3 --t 1 --convention nontrivial" \
+               "--space ag --n 2 --q 3 --t 1" \
+               "--space ag --n 2 --q 3 --t 1 --convention nontrivial" \
+               "--space ag --n 3 --q 2 --t 1" \
+               "--space ag --n 3 --q 2 --t 2" \
+               "--space pg --n 3 --q 2 --t 1" \
+               "--space pg --n 3 --q 2 --t 2" \
+               "--space pg --n 3 --q 2 --t 2 --convention nontrivial" \
+               "--space ag --n 2 --q 4 --t 1" \
+               "--space ag --n 2 --q 4 --t 1 --convention nontrivial --cap 6"; do
+        # shellcheck disable=SC2086  # each row is a list of options
+        $BS search $row --oracle
+    done
+    $BS search --space pg --n 2 --q 2 --t 1 --convention nontrivial --certificate
+    $BS search --space ag --n 3 --q 2 --t 2 --convention nontrivial --certificate
+    $BS selftest
+} | sha256sum | sed 's/-$/oracle-heavy commands/'

@@ -11,7 +11,7 @@ forbidden traces come from dimension t.
 
 Decision routes are deliberately redundant: the branch-and-bound engine in
 solver.py gives the fast exact answer, exhaustive_oracle re-derives it by
-plain subset enumeration on small universes, and every witness returned by
+subset enumeration on small universes, and every witness returned by
 the fast route is re-checked here with direct set loops before it leaves.
 """
 
@@ -232,16 +232,22 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
     return SearchResult("exists", size, witness, nodes, elapsed, sym)
 
 
-def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None):
+def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None,
+                      time_budget=None):
     """Reference answer by subset enumeration, sizes ascending and subsets
-    in index-lexicographic order.  Refuses universes above ORACLE_FULL_CAP
-    points unless a size cap bounds the work."""
+    in index-lexicographic order (solver.oracle_masks: a walk that skips
+    whole runs of subsets it can rule out, and counts them).  The result's
+    `nodes` is the number of subsets up to and including the witness, or
+    of all subsets up to the cap when none blocks.  Refuses universes
+    above ORACLE_FULL_CAP points unless a size cap bounds the work, and
+    raises SearchTimeout once `time_budget` seconds have passed."""
     start = time.monotonic()
     if not inst.family:
         return SearchResult("vacuous", 0, (), 0, time.monotonic() - start)
     tmasks, fmasks = _masks(inst, require_nontrivial)
     size, wmask, checked = solver.oracle_masks(
-        len(inst.universe), tmasks, fmasks, size_cap=size_cap)
+        len(inst.universe), tmasks, fmasks, size_cap=size_cap,
+        time_budget=time_budget)
     elapsed = time.monotonic() - start
     if size is None:
         return SearchResult("not-exists", None, None, checked, elapsed)

@@ -7,14 +7,16 @@ the volatile parts (timestamps and search statistics); two runs that agree
 must then agree byte for byte, whatever the worker count.
 
 Exit codes: 0 when a verdict was delivered (not-exists included), 2 for
-input errors, 3 when a search ran out of its time budget, 4 when an
-internal check failed (a fault in the program, not in the input).
+input errors, 3 when a search, or the oracle of search --oracle, ran out
+of its time budget, 4 when an internal check failed (a fault in the
+program, not in the input).
 """
 
 import argparse
 import json
 import math
 import sys
+import time
 from datetime import datetime, timezone
 
 from . import __version__
@@ -124,7 +126,8 @@ def _add_search_opts(p):
     p.add_argument("--cap", type=int, default=None,
                    help="largest blocking-set size to consider")
     p.add_argument("--budget", type=float, default=None,
-                   help="search time budget in seconds")
+                   help="time budget in seconds; for search it also "
+                        "covers --oracle")
     p.add_argument("--workers", type=int, default=1)
 
 
@@ -217,6 +220,7 @@ def cmd_search(args):
                "arrangement": {"count": len(arr.forms)},
                "instance": _instance_block(inst),
                "convention": args.convention}
+    start = time.monotonic()
     try:
         res = solve_instance(inst, args.convention, size_cap=args.cap,
                              time_budget=args.budget, workers=args.workers)
@@ -241,8 +245,19 @@ def cmd_search(args):
     if args.oracle:
         if len(inst.universe) > ORACLE_FULL_CAP and args.cap is None:
             raise ValueError("universe too large for --oracle without --cap")
-        ores = exhaustive_oracle(inst, require_nontrivial=(args.convention == "nontrivial"),
-                                 size_cap=args.cap)
+        # the oracle gets what the search and the certificate left of --budget
+        budget = None if args.budget is None else \
+            args.budget - (time.monotonic() - start)
+        try:
+            ores = exhaustive_oracle(
+                inst, require_nontrivial=(args.convention == "nontrivial"),
+                size_cap=args.cap, time_budget=budget)
+        except SearchTimeout as exc:
+            payload["oracle"] = {"verdict": "timeout", "size": None, "witness": None}
+            stats = _search_stats(res)
+            stats["oracle"] = {"subsets": exc.nodes, "elapsed": exc.elapsed}
+            _emit(args, "search", payload, stats=stats)
+            return 3
         payload["oracle"] = _result_block(sp, ores)
         payload["oracle_agrees"] = (ores.verdict == res.verdict
                                     and ores.size == res.size

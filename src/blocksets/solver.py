@@ -34,7 +34,8 @@ import heapq
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import compress
+from math import comb
 
 from .errors import SearchTimeout, UniverseTooLarge
 
@@ -402,11 +403,27 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     return best, wmask, nodes
 
 
-def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None):
-    """Independent route: plain subset enumeration, sizes ascending and
-    combinations in lexicographic order, so the first hit is both minimum
-    and lexicographically least.  Returns (size or None, witness_mask or
-    None, subsets_checked)."""
+def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
+                 time_budget=None):
+    """Independent route: every subset in turn, sizes ascending and the
+    subsets of one size in lexicographic order, so the first hit is both
+    minimum and lexicographically least.  Returns (size or None,
+    witness_mask or None, subsets_checked), where subsets_checked counts
+    every subset up to and including the hit, as a loop over all of them
+    would.  Raises SearchTimeout once `time_budget` seconds have passed.
+
+    Each size is a depth-first walk over prefixes, in the order of the
+    subsets they start.  A state (lo, r, cov, pm) is a prefix mask pm with
+    cover cov that still needs r points, all of them >= lo.  Its subtree
+    of comb(U - lo, r) subsets is skipped, and counted when it is popped,
+    when one of three tests shows none of them is a hit: an uncovered
+    trace has no point >= lo; more traces are uncovered than r times the
+    largest cover among points >= lo; or pm holds a forbidden trace (only
+    those whose highest point is pm's last point lo - 1 are new).  With one
+    point left, only points on the lowest uncovered trace can complete the
+    cover, and the walk tries them in order.  Beyond _cover_masks and
+    _mask_bits the walk shares nothing with _search, so the two answers
+    stay independent."""
     U = universe_size
     if size_cap is None:
         if U > ORACLE_FULL_CAP:
@@ -415,20 +432,56 @@ def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None):
         cap = U
     else:
         cap = min(size_cap, U)
+    start = time.monotonic()
+    deadline = start + time_budget if time_budget is not None else None
+    if 0 in forb_masks:  # the empty trace lies in every subset
+        return None, None, sum(comb(U, k) for k in range(1, cap + 1))
     cover = _cover_masks(len(trace_masks), trace_masks, U)
     full = (1 << len(trace_masks)) - 1
+    # reach[lo], most[lo]: the union of the covers of the points >= lo, and
+    # the largest number of traces one of them covers
+    reach = [0] * (U + 1)
+    most = [0] * (U + 1)
+    for p in range(U - 1, -1, -1):
+        reach[p] = reach[p + 1] | cover[p]
+        most[p] = max(most[p + 1], cover[p].bit_count())
+    # per point, the forbidden traces whose highest point it is
+    forb_top = [[] for _ in range(U)]
+    for f in forb_masks:
+        forb_top[f.bit_length() - 1].append(f)
+    mask_bits = _mask_bits
     checked = 0
+    pops = 0
     for k in range(1, cap + 1):
-        for combo in combinations(range(U), k):
-            checked += 1
-            cov = 0
-            pm = 0
-            for p in combo:
-                cov |= cover[p]
-                pm |= 1 << p
-            if cov != full:
+        stack = [(0, k, 0, 0)]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            if deadline is not None and not pops % 2048 and time.monotonic() > deadline:
+                raise SearchTimeout("oracle exceeded its time budget",
+                                    nodes=checked, elapsed=time.monotonic() - start)
+            pops += 1
+            lo, r, cov, pm = pop()
+            left = full ^ cov
+            if (left & ~reach[lo] or left.bit_count() > r * most[lo]
+                    or lo and any(f & pm == f for f in forb_top[lo - 1])):
+                checked += comb(U - lo, r)
                 continue
-            if forb_masks and any(f & pm == f for f in forb_masks):
+            if r > 1:
+                # children in reverse, so they pop in lexicographic order
+                for p in range(U - r, lo - 1, -1):
+                    push((p + 1, r - 1, cov | cover[p], pm | 1 << p))
                 continue
-            return k, pm, checked
+            # the last point: it must lie on every uncovered trace
+            if left:
+                cand = trace_masks[(left & -left).bit_length() - 1] >> lo
+            else:
+                cand = (1 << U - lo) - 1
+            for p in mask_bits(cand):
+                p += lo
+                if cov | cover[p] == full:
+                    hit = pm | 1 << p
+                    if not any(f & hit == f for f in forb_top[p]):
+                        return k, hit, checked + p - lo + 1
+            checked += U - lo
     return None, None, checked

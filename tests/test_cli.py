@@ -2,6 +2,8 @@
 
 import ast
 import json
+import math
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +94,35 @@ def test_search_not_exists_is_exit_zero(capsys):
     assert rep["certificate"]["flat_dim"] == 2
 
 
+def test_certificate_counts_every_subset_of_the_fano_plane(capsys):
+    # no nontrivial blocking set in PG(2,2): the oracle on the 7-point
+    # certifying plane counts each of its 2^7 - 1 nonempty subsets
+    rep = run_json(capsys, "--no-meta", "search", "--space", "pg", "--n", "2",
+                   "--q", "2", "--t", "1", "--convention", "nontrivial",
+                   "--certificate")
+    assert rep["certificate"]["sub_universe"] == 7
+    assert rep["certificate"]["subsets_checked"] == 127
+
+
+def test_certificate_count_is_exact_when_subtrees_are_skipped(capsys, monkeypatch):
+    # AG(3,2), lines blocked, no plane swallowed: none exists, and the
+    # oracle's walk skips whole subtrees of the 8-point space yet still
+    # counts all 2^8 - 1 subsets
+    skipped = []
+
+    def comb(n, k):
+        skipped.append(math.comb(n, k))
+        return skipped[-1]
+
+    monkeypatch.setattr(solver, "comb", comb)
+    rep = run_json(capsys, "--no-meta", "search", "--space", "ag", "--n", "3",
+                   "--q", "2", "--t", "2", "--convention", "nontrivial",
+                   "--certificate")
+    assert rep["certificate"]["sub_universe"] == 8
+    assert rep["certificate"]["subsets_checked"] == 255
+    assert max(skipped) > 1
+
+
 def test_search_oracle_crosscheck(capsys):
     rep = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q", "3",
                    "--t", "1", "--oracle")
@@ -106,6 +137,23 @@ def test_timeout_exit_code(capsys):
     assert code == 3
     rep = json.loads(out)
     assert rep["result"]["verdict"] == "timeout"
+
+
+def test_budget_reaches_the_oracle(capsys):
+    # the search proves in well under a second that no nontrivial blocking
+    # set of PG(2,7) fits in 11 points; the oracle would list every subset
+    # of up to 11 of the 57 points, and stops at the rest of the budget
+    start = time.monotonic()
+    code, out, err = run(capsys, "search", "--space", "pg", "--n", "2",
+                         "--q", "7", "--t", "1", "--convention", "nontrivial",
+                         "--oracle", "--cap", "11", "--budget", "2")
+    assert time.monotonic() - start < 6
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    assert rep["result"]["verdict"] == "not-exists"
+    assert rep["oracle"] == {"verdict": "timeout", "size": None, "witness": None}
+    assert "oracle_agrees" not in rep
+    assert rep["stats"]["oracle"]["subsets"] > 0
 
 
 @pytest.mark.parametrize("argv", [

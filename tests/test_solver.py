@@ -1,5 +1,8 @@
-"""The solver's mask primitives and greedy incumbent, each checked against a
-plain reference on drawn masks, and wide instances with pinned node counts."""
+"""The solver's mask primitives, greedy incumbent and subset oracle, each
+checked against a plain reference on drawn masks, and wide instances with
+pinned node counts."""
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis import strategies as st
 from blocksets import solver
 from blocksets.arrangement import arrangement_make
 from blocksets.blocking import build_instance, min_blocking_set
-from blocksets.geometry import PROJECTIVE, space
+from blocksets.geometry import AFFINE, PROJECTIVE, space
 
 
 def peel_bits(mask):
@@ -139,3 +142,73 @@ def test_wide_bose_burton_node_counts_are_pinned(n, q, t, size, nodes):
     res = min_blocking_set(inst)
     assert (res.verdict, res.size, res.nodes) == ("exists", size, nodes)
     assert size == (q ** (t + 1) - 1) // (q - 1)
+
+
+def reference_oracle(universe_size, trace_masks, forb_masks, size_cap=None):
+    """Every subset in turn, sizes ascending and each size in lexicographic
+    order, each one's cover rebuilt from scratch; subsets_checked counts
+    them up to and including the hit."""
+    U = universe_size
+    cap = U if size_cap is None else min(size_cap, U)
+    cover = reference_cover(trace_masks, U)
+    full = (1 << len(trace_masks)) - 1
+    checked = 0
+    for k in range(1, cap + 1):
+        for combo in combinations(range(U), k):
+            checked += 1
+            cov = 0
+            pm = 0
+            for p in combo:
+                cov |= cover[p]
+                pm |= 1 << p
+            if cov != full:
+                continue
+            if forb_masks and any(f & pm == f for f in forb_masks):
+                continue
+            return k, pm, checked
+    return None, None, checked
+
+
+@st.composite
+def oracle_instances(draw):
+    """(U, trace_masks, forb_masks, size_cap) with U from 0 to 14; traces
+    may be empty or repeat, the forbidden list may be empty, and the cap
+    may be absent."""
+    U = draw(st.integers(0, 14))
+    mask = st.integers(0, (1 << U) - 1)
+    small = st.sets(st.integers(0, max(U - 1, 0)), max_size=4).map(
+        lambda bits: sum(1 << b for b in bits) & ((1 << U) - 1))
+    trace = st.one_of(mask, small)
+    traces = draw(st.lists(trace, max_size=24))
+    if traces and draw(st.booleans()):
+        traces.append(draw(st.sampled_from(traces)))  # a duplicate
+    forb = draw(st.one_of(st.just([]), st.lists(st.one_of(small, mask),
+                                                max_size=10)))
+    cap = draw(st.one_of(st.none(), st.integers(0, U + 1)))
+    return U, traces, forb, cap
+
+
+@settings(max_examples=600, deadline=None)
+@given(oracle_instances())
+def test_oracle_walk_matches_subset_loop(inst):
+    U, traces, forb, cap = inst
+    assert solver.oracle_masks(U, traces, forb, size_cap=cap) == \
+        reference_oracle(U, traces, forb, size_cap=cap)
+
+
+def test_oracle_walk_on_geometric_instances():
+    """Whole planes, where every skip rule fires: PG(2,3) nontrivial (a
+    hit after skipped subtrees), PG(2,2) nontrivial (no hit: every subset
+    counted) and AG(2,3) under a cap below the minimum."""
+    for kind, n, q, forb, cap in [(PROJECTIVE, 2, 3, True, None),
+                                  (PROJECTIVE, 2, 2, True, None),
+                                  (AFFINE, 2, 3, False, 3)]:
+        sp = space(kind, n, q)
+        inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
+        pos = {p: i for i, p in enumerate(inst.universe)}
+        tm = [sum(1 << pos[p] for p in tr) for tr in inst.family]
+        fm = [sum(1 << pos[p] for p in tr) for tr in inst.forbidden] if forb else []
+        U = len(inst.universe)
+        assert solver.oracle_masks(U, tm, fm, size_cap=cap) == \
+            reference_oracle(U, tm, fm, size_cap=cap)
+
