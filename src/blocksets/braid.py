@@ -93,13 +93,15 @@ def escape_parameter(sp, x, y):
     point, which satisfies P_i = P_j.  t0 is never 0 or 1 (the endpoints
     are complement points, else NotInUniverse is raised); both facts are
     checked on the constructed P rather than assumed.  Returns None when
-    the line never leaves.
+    the line never leaves.  x and y are point indices or coordinate
+    tuples; a tuple goes through sp.normalize, so a wrong length raises
+    DimensionMismatch and a code outside the field ValueError.
     """
     if sp.kind != AFFINE:
         raise DimensionMismatch("escape parameters are defined in affine space")
     fq = sp.field
-    xc = sp.points[x] if isinstance(x, int) else tuple(x)
-    yc = sp.points[y] if isinstance(y, int) else tuple(y)
+    xc = sp.points[x] if isinstance(x, int) else sp.normalize(x)
+    yc = sp.points[y] if isinstance(y, int) else sp.normalize(y)
     if xc == yc:
         raise IdenticalPoints("need two distinct points")
     for c in (xc, yc):

@@ -43,12 +43,15 @@ def _kind(token):
     return k
 
 
-def _coords(token, sp):
+def _parse_point(token):
     try:
-        parts = tuple(int(x) for x in token.split(","))
+        return tuple(int(x) for x in token.split(","))
     except ValueError:
         raise ValueError("point %r is not a comma-separated coordinate tuple" % token)
-    return sp.index_of(parts)
+
+
+def _coords(token, sp):
+    return sp.index_of(_parse_point(token))
 
 
 def _point_str(sp, idx):
@@ -132,8 +135,8 @@ def _add_search_opts(p):
 
 
 def _check_search_opts(args):
-    """Rejects search options that no search can honour; a subcommand
-    without them has nothing to check."""
+    """Rejects search options that no search can honour, and a scan range
+    with no row; a subcommand without them has nothing to check."""
     budget = getattr(args, "budget", None)
     if budget is not None and not (math.isfinite(budget) and budget > 0):
         raise ValueError("--budget must be a finite number of seconds > 0, "
@@ -143,6 +146,10 @@ def _check_search_opts(args):
     cap = getattr(args, "cap", None)
     if cap is not None and cap < 0:
         raise ValueError("--cap must be at least 0, got %d" % cap)
+    nmax = getattr(args, "nmax", None)
+    if nmax is not None and nmax < max(args.t, 1):
+        raise ValueError("--nmax must be at least max(--t, 1) = %d, got %d"
+                         % (max(args.t, 1), nmax))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -354,9 +361,7 @@ def cmd_braid(args):
         n = args.q if kind == AFFINE else args.q - 1
     if args.escape:
         sp = space(kind, n, args.q)
-        x = tuple(int(v) for v in args.escape[0].split(","))
-        y = tuple(int(v) for v in args.escape[1].split(","))
-        hit = escape_parameter(sp, x, y)
+        hit = escape_parameter(sp, *map(_parse_point, args.escape))
         payload = {"space": _space_block(sp)}
         if hit is None:
             payload["escape"] = None
@@ -590,6 +595,9 @@ def build_parser():
     return top
 
 
+_parser = None  # built on the first main() call, then reused
+
+
 def _error(exc, code):
     print(json.dumps({"error": str(exc), "type": type(exc).__name__},
                      sort_keys=True, separators=(",", ":")), file=sys.stderr)
@@ -597,8 +605,13 @@ def _error(exc, code):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Runs one subcommand.  The parser is built once per process: parse_args
+    returns a fresh Namespace each call and nothing changes the parser after
+    build_parser, so repeated in-process calls share it."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         _check_search_opts(args)
         return args.fn(args)

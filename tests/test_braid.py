@@ -90,9 +90,21 @@ def test_escape_parameter_needs_complement_points():
         escape_parameter(sp, (0, 1, 2), (0, 1, 1))
 
 
+def test_escape_parameter_checks_coordinate_tuples():
+    sp = space(AFFINE, 3, 3)
+    with pytest.raises(DimensionMismatch, match="expected 3 coordinates, got 2"):
+        escape_parameter(sp, (0, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="coordinate 3 is not a GF"):
+        escape_parameter(sp, (3, 4, 5), (0, 1, 2))   # was an IndexError
+    with pytest.raises(ValueError, match="coordinate -1 is not a GF"):
+        escape_parameter(sp, (0, 1, 2), (-1, 0, 1))
+
+
 def test_escape_parameter_affine_only():
     with pytest.raises(DimensionMismatch):
         escape_parameter(space(PROJECTIVE, 2, 3), (1, 0, 2), (0, 1, 2))
+    with pytest.raises(DimensionMismatch, match="affine space"):
+        escape_parameter(space(PROJECTIVE, 2, 3), (0, 1), (0, 1, 2))
 
 
 @pytest.mark.parametrize("q,count", [(3, 2), (4, 6), (5, 24)])

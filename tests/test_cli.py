@@ -3,6 +3,9 @@
 import ast
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -191,6 +194,8 @@ def test_bad_inputs_exit_two(capsys):
         ("scan", "--q", "3", "--nmax", "2", "--kind", "affine-classical",
          "--family", "braid"),
         ("braid", "--q", "3", "--escape", "0,0,1", "1,0,2"),  # off the complement
+        ("scan", "--q", "3", "--nmax", "0"),               # no row to scan
+        ("scan", "--q", "3", "--t", "2", "--nmax", "1"),
         ("space", "pg", "1", "521"),                       # past the field cap
     ]
     # search options that no search can honour, on every subcommand that
@@ -235,6 +240,88 @@ def test_search_options_only_where_a_handler_reads_them(capsys):
             main(list(argv))
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_shared_parser_carries_no_state_between_calls(capsys, monkeypatch,
+                                                     tmp_path):
+    """main() builds its parser once per process.  Each call must parse as
+    a fresh parser would, whatever ran before it (usage errors included),
+    and print what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+    seen = []
+    check = cli._check_search_opts
+
+    def record(args):
+        seen.append(dict(vars(args)))
+        check(args)
+
+    monkeypatch.setattr(cli, "_check_search_opts", record)
+    pg23 = ("--space", "pg", "--n", "2", "--q", "3")
+    search = ("--no-meta", "search") + pg23 + ("--t", "1")
+    argvs = [
+        ("--no-meta", "space", "pg", "2", "3", "--points"),
+        ("space", "ag", "2", "3"),                  # --no-meta left out
+        ("--no-meta", "arrangement") + pg23 + ("--emit",),
+        ("--no-meta", "complement") + pg23 + ("--members", "--flats", "1"),
+        ("--no-meta", "instance") + pg23 + ("--scope", "touching", "--traces"),
+        search + ("--cap", "3"),
+        search,                                     # --cap left out
+        search,                                     # the same argv twice
+        ("--no-meta", "search", "--cap"),           # usage error, exit 2
+        search + ("--convention", "nontrivial", "--oracle"),
+        ("--no-meta", "verify") + pg23 + ("--set", "0,0,1", "0,1,0", "1,0,0",
+                                          "--minimalize"),
+        ("--no-meta", "verify") + pg23 + ("--set", "0,0,1"),
+        ("--no-meta", "nosuch"),                    # usage error, exit 2
+        ("--no-meta", "scan", "--q", "3", "--nmax", "2", "--workers", "2"),
+        ("--no-meta", "scan", "--q", "3", "--nmax", "2"),
+        ("--no-meta", "braid", "--q", "3", "--escape", "1,0,2", "0,1,2"),
+        ("--no-meta", "braid", "--q", "3", "--lines"),
+        ("--no-meta", "classify") + pg23 + ("--pool",),
+        ("--no-meta", "selftest"),
+    ]
+    commands = {a[1] if a[0] == "--no-meta" else a[0] for a in argvs}
+    assert commands >= {"space", "arrangement", "complement", "instance",
+                        "search", "verify", "scan", "braid", "classify",
+                        "selftest"}
+    results = {}
+    for _ in range(2):
+        for argv in argvs:
+            try:
+                want = vars(cli.build_parser().parse_args(list(argv)))
+            except SystemExit as exc:
+                want = exc.code
+            capsys.readouterr()
+            before = len(seen)
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+                assert code == want == 2 and len(seen) == before, argv
+            else:
+                assert seen[-1] == want, argv
+            out = capsys.readouterr()
+            results[argv] = (out.out, out.err, code)
+
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(blocksets.__file__).resolve().parents[1]))
+    for argv in (search + ("--cap", "3"), search, ("--no-meta", "search", "--cap"),
+                 ("--no-meta", "braid", "--q", "3", "--escape", "1,0,2", "0,1,2"),
+                 ("--no-meta", "scan", "--q", "3", "--nmax", "2")):
+        proc = subprocess.run([sys.executable, "-m", "blocksets", *argv],
+                              capture_output=True, text=True, env=env,
+                              cwd=tmp_path)
+        assert results[argv] == (proc.stdout, proc.stderr, proc.returncode), argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_parser", None)
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    for _ in range(3):
+        assert run(capsys, "space", "pg", "2", "3")[0] == 0
+    assert builds == [1]
 
 
 def test_verify_and_minimalize(capsys):
@@ -298,6 +385,27 @@ def test_braid_escape_report(capsys):
                    "--escape", "1,0,2", "0,1,2")
     assert rep["escape"] == {"pair": [0, 1], "t0": 2, "point": "2,2,2"}
     assert rep["line_contained"] is False
+
+
+def test_braid_escape_rejects_bad_points_as_verify_does(capsys):
+    verify = ("verify", "--space", "ag", "--n", "3", "--q", "3", "--set")
+    for bad, error, kind in (
+            ("0,1", "expected 3 coordinates, got 2", "DimensionMismatch"),
+            ("0,1,5", "coordinate 5 is not a GF(3) code", "ValueError"),
+            ("0,1,2,0", "expected 3 coordinates, got 4", "DimensionMismatch"),
+            ("a,b,c", "point 'a,b,c' is not a comma-separated coordinate "
+                      "tuple", "ValueError")):
+        for argv in (verify + (bad,),
+                     ("braid", "--q", "3", "--escape", bad, "0,1,2"),
+                     ("braid", "--q", "3", "--escape", "0,1,2", bad)):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert json.loads(err) == {"error": error, "type": kind}, argv
+    # the affine-kind check still comes first
+    code, _, err = run(capsys, "braid", "--kind", "pg", "--q", "3",
+                       "--escape", "0,1", "0,1,2")
+    assert code == 2
+    assert "affine space" in json.loads(err)["error"]
 
 
 def test_braid_transversal_search(capsys):
