@@ -1,7 +1,8 @@
 #!/bin/bash
-# Nontrivial minima in the planes of order 4, 5, 7, 8.  Order 4 is
+# Nontrivial minima in the planes of order 4, 5, 7, 8, 9.  Order 4 is
 # cross-checked by capped enumeration; the order-7 and order-8 searches are
-# kept bounded with a cap of 2q, and take a few seconds together.
+# kept bounded with a cap of 2q, and take a few seconds together.  Order 9
+# runs with no cap: its minimum 13 is a Baer subplane (Bruen 1970).
 set -euo pipefail
 BS="python3 -m blocksets"
 
@@ -22,4 +23,8 @@ echo "q=7: nontrivial minimum 12 under cap 14"
 rep=$($BS --no-meta search --space pg --n 2 --q 8 --t 1 --convention nontrivial --cap 16)
 grep -q '"size":13' <<<"$rep" || { echo "FAIL q=8" >&2; exit 1; }
 echo "q=8: nontrivial minimum 13 under cap 16"
+
+rep=$($BS --no-meta search --space pg --n 2 --q 9 --t 1 --convention nontrivial)
+grep -q '"size":13' <<<"$rep" || { echo "FAIL q=9" >&2; exit 1; }
+echo "q=9: nontrivial minimum 13"
 echo "ok"

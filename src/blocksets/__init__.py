@@ -18,7 +18,7 @@ from .blocking import (BlockingInstance, ClassificationResult, ScanReport,
                        solve_instance, threshold_scan)
 from .braid import (BraidOutcome, braid_arrangement,
                     braid_complement_points, braid_existence, braid_lines,
-                    braid_transversal, escape_parameter, line_in_complement)
+                    braid_transversal, escape_parameter)
 from .errors import BlocksetsError, SearchTimeout
 from .geometry import (AFFINE, PROJECTIVE, Flat, Space, enumerate_flats,
                        flat_count, flat_size, flats_within, gaussian_binomial,

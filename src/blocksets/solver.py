@@ -6,9 +6,13 @@ trace is a point mask, and the family side carries one cover mask per point
 with the fewest undecided points: each branch includes one of its points
 and excludes the points tried before it, so the subtrees partition the
 solution space.  The lower bound is a greedy packing of pairwise-disjoint
-uncovered traces, strengthened by the counting bound ceil(uncovered / max
-point degree); the packing gets sharper as exclusions accumulate, which is
-what makes projective instances (where any two traces meet) tractable.
+uncovered traces, strengthened by a counting bound: r more points cover
+at most the sum of the r largest degrees of undecided points, a degree
+counting the uncovered traces through a point.  The packing gets sharper
+as exclusions accumulate, which is what makes projective instances (where
+any two traces meet) tractable.  A parent hands each child the largest
+degree sum that child's counting bound could allow, so a child with more
+uncovered traces than that closes before any scan.
 A search that outgrows a probe also prunes by symmetry: children that an
 automorphism of the instance maps onto an earlier sibling are skipped
 (orbital branching, see symmetry.py).
@@ -111,11 +115,11 @@ def _violates(inc, forb_idx, forb_masks):
 
 def _search(inst, stack, best0, deadline, first_only, limit=None):
     """Core branch and bound, run on `stack`: a list of states (inc, exc,
-    cov, k, group), taken from its end.  `inst` is (trace_masks, cover,
-    forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes, stop,
-    skipped, group_s); best is the smallest solution size < best0 reached
-    from the states, or best0 if none (best_inc None in that case); stop
-    is DEADLINE or LIMIT when the search ended early, else None.
+    cov, k, group, reach), taken from its end.  `inst` is (trace_masks,
+    cover, forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes,
+    stop, skipped, group_s); best is the smallest solution size < best0
+    reached from the states, or best0 if none (best_inc None in that case);
+    stop is DEADLINE or LIMIT when the search ended early, else None.
 
     A popped state is checked and, unless settled or pruned, replaced by
     its children pushed in reverse, so they are visited in branching order
@@ -132,7 +136,13 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     the group maps its solutions onto solutions through that sibling,
     which an earlier child covers, so the optimum is unchanged.  Each kept
     child gets the stabilizer of its own decided points; once that is
-    trivial its subtree does no group work (`group_s` seconds in all)."""
+    trivial its subtree does no group work (`group_s` seconds in all).
+
+    A state's `reach` is the most uncovered traces it may have and still be
+    scanned: its parent's counting bound, carried down.  A root state
+    carries len(trace_masks), which closes nothing.  A state past its reach
+    is still popped and counted, so `limit` counts the same nodes as
+    without it."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
@@ -154,7 +164,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             return best, best_inc, nodes, LIMIT, skipped, group_s
         if deadline is not None and not nodes % 2048 and time.monotonic() > deadline:
             return best, best_inc, nodes, DEADLINE, skipped, group_s
-        inc, exc, cov, k, grp = pop()
+        inc, exc, cov, k, grp, reach = pop()
         nodes += 1
         if cov == full:
             if k < best:
@@ -163,13 +173,17 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                 if first_only:
                     break
             continue
+        rem = full ^ cov
+        nrem = bit_count(rem)
+        if nrem > reach:
+            continue  # closed by the parent's counting bound
+        need = best - k  # a better cover adds at most need - 1 points
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
         pack = 0
         acc = 0
         usable = 0
         sel_opts = 0
         sel_cnt = npoints + 1
-        rem = full ^ cov
         for ti in mask_bits(rem):
             opts = trace_masks[ti] & und
             if not opts:
@@ -178,21 +192,25 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             if not opts & acc:
                 acc |= opts
                 pack += 1
+                if pack >= need:
+                    break
             c = bit_count(opts)
             if c < sel_cnt:
                 sel_cnt = c
                 sel_opts = opts
-        # rem is not empty, so opts is set: 0 exactly when the loop broke
-        if not opts or k + pack >= best:
+        # rem is not empty, so opts is set: 0 exactly when the loop broke on
+        # a dead trace
+        if not opts or pack >= need:
             continue
-        # counting bound with the degree restricted to uncovered traces
-        delta = 1
-        for p in mask_bits(usable):
-            dc = bit_count(cover[p] & rem)
-            if dc > delta:
-                delta = dc
-        if k - (-bit_count(rem) // delta) >= best:
+        # counting bound: need - 1 points cover at most the need - 1 largest
+        # degrees, each counted in uncovered traces
+        degs = sorted([bit_count(cover[p] & rem) for p in mask_bits(usable)],
+                      reverse=True)
+        if sum(degs[:need - 1]) < nrem:
             continue
+        # a child has one point more and no larger degrees, so its own
+        # counting bound closes it when it has more uncovered traces than this
+        child_reach = sum(degs[:need - 2])
         pts = mask_bits(sel_opts)
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
@@ -214,7 +232,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             inc2 = inc | pb
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
                 push((inc2, exc | excl, cov | cover[p], k + 1,
-                      groups[i] if groups else None))
+                      groups[i] if groups else None, child_reach))
     return best, best_inc, nodes, None, skipped, group_s
 
 
@@ -291,7 +309,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
     cap = U if size_cap is None else min(size_cap, U)
-    cover = _cover_masks(len(trace_masks), trace_masks, U)
+    F = len(trace_masks)
+    cover = _cover_masks(F, trace_masks, U)
     if forb_masks:
         forb_at = [tuple(fi for fi, f in enumerate(forb_masks) if f >> p & 1)
                    for p in range(U)]
@@ -335,7 +354,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
 
     incidences = sum(m.bit_count() for m in trace_masks) + \
         sum(f.bit_count() for f in forb_masks)
-    stack = [(0, 0, 0, 0, None)]
+    stack = [(0, 0, 0, 0, None, F)]
     bound(_search(inst, stack, best, deadline, False, limit=incidences))
     if stack:  # the probe left open subtrees: restart with the group
         # imported here, not at the top: only a search past the probe needs
@@ -352,7 +371,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                "seconds": time.perf_counter() - t0}
         if deadline is not None and time.monotonic() > deadline:
             raise timeout()
-        stack = [(0, 0, 0, 0, group)]
+        stack = [(0, 0, 0, 0, group, F)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
             # the frontier: run a few nodes at a time until the open
             # subtrees are enough tasks for the pool, or none are left
@@ -389,8 +408,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             allowed = inc0 | (full_mask & ~((pb << 1) - 1))
             exc0 = full_mask & ~allowed
             cov0 = prefix_cov | cover[p]
-            _b, found = tally(_search(inst, [(inc0, exc0, cov0, pos + 1, None)],
-                                      best + 1, deadline, True))
+            state = (inc0, exc0, cov0, pos + 1, None, F)
+            _b, found = tally(_search(inst, [state], best + 1, deadline, True))
             if found is not None:
                 witness = sorted(_mask_bits(found))
                 break

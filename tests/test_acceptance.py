@@ -22,9 +22,11 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 restrict_blocking)
 from blocksets.braid import (braid_arrangement, braid_complement_points,
                              braid_existence, braid_transversal,
-                             escape_parameter, line_in_complement)
+                             escape_parameter)
 from blocksets.cli import main
 from blocksets.geometry import (AFFINE, PROJECTIVE, flats_within, span, space)
+
+from braid_reference import line_in_complement
 
 
 def _parse_pt(s):
@@ -195,6 +197,22 @@ def test_pg28_nontrivial_minimum():
                            time_budget=30.0)
     assert (res.verdict, res.size) == ("exists", 13)
     assert is_blocking(inst, res.witness) and is_nontrivial(inst, res.witness)
+    assert time.monotonic() - start < 30.0
+
+
+def test_pg29_nontrivial_minimum():
+    # a nontrivial blocking set of PG(2,q) has at least q + sqrt(q) + 1
+    # points, with equality exactly for a Baer subplane (Bruen, "Baer
+    # subplanes and blocking sets", Bull. AMS 76, 1970): 13 for q = 9
+    start = time.monotonic()
+    sp = space(PROJECTIVE, 2, 9)
+    inst = build_instance(sp, arrangement_make(sp, []), 1, "contained")
+    res = min_blocking_set(inst, require_nontrivial=True, time_budget=30.0)
+    assert (res.verdict, res.size) == ("exists", 13)
+    assert is_blocking(inst, res.witness) and is_nontrivial(inst, res.witness)
+    wit = set(res.witness)
+    for tr in inst.family:
+        assert len(wit & set(tr)) in (1, 4)  # Baer subplane pattern
     assert time.monotonic() - start < 30.0
 
 

@@ -239,7 +239,7 @@ def test_frontier_pass_stops_at_the_deadline():
     tmasks = solver._build_masks(inst.universe, inst.family)
     cover = solver._cover_masks(len(tmasks), tmasks, U)
     group = symmetry.automorphisms(U, tmasks, [])
-    root = (0, 0, 0, 0, group)
+    root = (0, 0, 0, 0, group, len(tmasks))
     stack = [root]
     result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
                             time.monotonic() - 1.0, False, limit=16)
@@ -254,11 +254,11 @@ def test_frontier_pass_stops_at_the_deadline():
 # before orbital branching, which names the row and bounds the new count.
 PINNED_NODES = [
     # kind, n, q, nontrivial, size, nodes without symmetry, nodes
-    (PROJECTIVE, 2, 5, True, 9, 20292, 783),
+    (PROJECTIVE, 2, 5, True, 9, 20292, 696),
     (AFFINE, 3, 3, False, 7, 9597, 410),
     (PROJECTIVE, 3, 3, True, 6, 17855, 1057),
     (PROJECTIVE, 4, 2, True, 5, 7465, 939),
-    (AFFINE, 2, 5, False, 9, 6046, 393),
+    (AFFINE, 2, 5, False, 9, 6046, 367),
 ]
 
 

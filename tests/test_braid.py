@@ -6,13 +6,14 @@ import pytest
 from blocksets.blocking import build_instance, is_blocking, is_minimal, min_blocking_set
 from blocksets.braid import (braid_arrangement,
                              braid_complement_points, braid_existence,
-                             braid_lines, braid_transversal, escape_parameter,
-                             line_in_complement)
+                             braid_lines, braid_transversal, escape_parameter)
 from blocksets.arrangement import complement, flats_in_complement
 from blocksets.errors import (BadChooser, DimensionMismatch, IdenticalPoints,
                               NotInUniverse)
 from blocksets.geometry import AFFINE, PROJECTIVE, Space, space
 from blocksets.gf import field_make
+
+from braid_reference import line_in_complement
 
 
 def test_braid_form_count_and_normalization():

@@ -122,15 +122,69 @@ def test_lazy_greedy_matches_full_scan(inst):
     assert solver._greedy_incumbent(*args) == reference_greedy(*args)
 
 
+@st.composite
+def uneven_instances(draw):
+    """(U, trace_masks, forb_masks, size_cap) with U up to 16 and no
+    geometry: a few hub points lie on many traces and the rest on few, so
+    point degrees are uneven.  The forbidden list may be empty and the cap
+    may be absent."""
+    U = draw(st.integers(1, 16))
+    point = st.integers(0, U - 1)
+    hubs = sorted(draw(st.sets(point, max_size=3)))
+    hub = st.sets(st.sampled_from(hubs)) if hubs else st.just(set())
+    trace = st.tuples(st.sets(point, min_size=1, max_size=4), hub).map(
+        lambda t: sum(1 << b for b in t[0] | t[1]))
+    traces = draw(st.lists(trace, min_size=1, max_size=24))
+    forb_mask = st.sets(point, min_size=1, max_size=3).map(
+        lambda bits: sum(1 << b for b in bits))
+    forb = draw(st.one_of(st.just([]), st.lists(forb_mask, max_size=6)))
+    cap = draw(st.one_of(st.none(), st.integers(0, U)))
+    return U, traces, forb, cap
+
+
+@settings(max_examples=500, deadline=None)
+@given(uneven_instances())
+def test_search_matches_oracle_on_uneven_degrees(inst):
+    """The counting bound sums the largest degrees, and a parent closes a
+    child past that sum: both prune soundly only if each sum takes enough
+    degrees, which uneven degrees expose."""
+    U, traces, forb, cap = inst
+    size, witness, _nodes = solver.solve_masks(U, traces, forb, size_cap=cap)
+    want, want_witness, _checked = solver.oracle_masks(U, traces, forb,
+                                                       size_cap=cap)
+    assert (size, witness) == (want, want_witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(uneven_instances(), st.integers(1, 8))
+def test_root_counting_bound_and_reach_are_the_stated_sums(inst, best0):
+    """A weaker counting bound or a looser reach changes no answer, only
+    the work: so pin both at the root, where every degree is a point's
+    number of traces.  The root closes when its need - 1 largest degrees
+    sum to less than the traces (need = best0 here), and each child it
+    pushes carries the sum of the need - 2 largest as its reach."""
+    U, traces, _forb, _cap = inst
+    cover = solver._cover_masks(len(traces), traces, U)
+    degs = sorted((c.bit_count() for c in cover), reverse=True)
+    need = best0
+    stack = [(0, 0, 0, 0, None, len(traces))]
+    solver._search((traces, cover, [], None, U), stack, best0, None, False,
+                   limit=1)
+    if sum(degs[:need - 1]) < len(traces):
+        assert stack == []
+    for state in stack:
+        assert state[5] == sum(degs[:need - 2])
+
+
 # Wide Bose-Burton rows: the minimum blocking set of the (n-t)-flats of
 # PG(n,q) is a t-flat.  Thousands of traces, few nodes: these pin the
 # search's per-node work on wide instances (trace scan, bounds, branching
 # order), where the narrow pinned rows of test_blocking.py barely reach.
 WIDE_PINNED = [
     # n, q, t, size, nodes
-    (3, 5, 2, 31, 37),
-    (3, 7, 2, 57, 65),
-    (4, 3, 3, 40, 53),
+    (3, 5, 2, 31, 31),
+    (3, 7, 2, 57, 57),
+    (4, 3, 3, 40, 49),
 ]
 
 

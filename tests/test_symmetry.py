@@ -199,8 +199,10 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
     inst = (tmasks, cover, fmasks, forb_at, U)
-    plain = solver._search(inst, [(0, 0, 0, 0, None)], cap + 1, None, False)
-    orbital = solver._search(inst, [(0, 0, 0, 0, group)], cap + 1, None, False)
+    plain = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
+                           cap + 1, None, False)
+    orbital = solver._search(inst, [(0, 0, 0, 0, group, len(tmasks))],
+                             cap + 1, None, False)
     assert orbital[0] == plain[0]
     assert orbital[2] <= plain[2] or group is None
     if orbital[1] is not None:
@@ -229,12 +231,14 @@ def _check_resume(U, tmasks, fmasks, cap):
     inst = (tmasks, cover, fmasks, forb_at, U)
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     orbital = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
-    opt = solver._search(inst, [(0, 0, 0, 0, None)], cap + 1, None, False)[0]
+    opt = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
+                         cap + 1, None, False)[0]
     for group in (None, orbital):
-        whole = solver._search(inst, [(0, 0, 0, 0, group)], opt, None, False)
+        whole = solver._search(inst, [(0, 0, 0, 0, group, len(tmasks))],
+                               opt, None, False)
         assert whole[1] is None and whole[3] is None
         for limit in RESUME_LIMITS:
-            stack = [(0, 0, 0, 0, group)]
+            stack = [(0, 0, 0, 0, group, len(tmasks))]
             cut = solver._search(inst, stack, opt, None, False, limit=limit)
             assert cut[3] == (solver.LIMIT if stack else None)
             assert cut[2] == (limit if stack else whole[2])
