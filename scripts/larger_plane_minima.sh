@@ -1,8 +1,10 @@
 #!/bin/bash
-# Nontrivial minima in the planes of order 4, 5, 7, 8, 9.  Order 4 is
-# cross-checked by capped enumeration; the order-7 and order-8 searches are
-# kept bounded with a cap of 2q, and take a few seconds together.  Order 9
-# runs with no cap: its minimum 13 is a Baer subplane (Bruen 1970).
+# Nontrivial minima in the planes of order 4, 5, 7, 8, 9, 11.  Order 4 is
+# cross-checked by capped enumeration; the order-7, order-8 and order-11
+# searches are kept bounded with a cap of 2q.  Order 9 runs with no cap: its
+# minimum 13 is a Baer subplane (Bruen 1970).  Order 11 takes about a
+# minute and gives 18 = 3(p+1)/2 (Blokhuis 1994); the rest take a few
+# seconds together.
 set -euo pipefail
 BS="python3 -m blocksets"
 
@@ -27,4 +29,8 @@ echo "q=8: nontrivial minimum 13 under cap 16"
 rep=$($BS --no-meta search --space pg --n 2 --q 9 --t 1 --convention nontrivial)
 grep -q '"size":13' <<<"$rep" || { echo "FAIL q=9" >&2; exit 1; }
 echo "q=9: nontrivial minimum 13"
+
+rep=$($BS --no-meta search --space pg --n 2 --q 11 --t 1 --convention nontrivial --cap 22)
+grep -q '"size":18' <<<"$rep" || { echo "FAIL q=11" >&2; exit 1; }
+echo "q=11: nontrivial minimum 18 under cap 22"
 echo "ok"

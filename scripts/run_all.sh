@@ -1,6 +1,6 @@
 #!/bin/bash
-# Runs every reproduction script plus the built-in selftest.  Expect a
-# minute or two.
+# Runs every reproduction script plus the built-in selftest.  Expect a few
+# minutes.
 set -euo pipefail
 here=$(dirname "$0")
 

@@ -13,9 +13,11 @@ as exclusions accumulate, which is what makes projective instances (where
 any two traces meet) tractable.  A parent hands each child the largest
 degree sum that child's counting bound could allow, so a child with more
 uncovered traces than that closes before any scan.
-A search that outgrows a probe also prunes by symmetry: children that an
-automorphism of the instance maps onto an earlier sibling are skipped
-(orbital branching, see symmetry.py).
+A search that outgrows a probe also prunes by symmetry (orbital
+branching, see symmetry.py): a node's group is the pointwise stabilizer of
+its included points, each branch excludes the whole orbits of the points
+tried before it, and a branch whose point lies in one of those orbits is
+skipped.  The subtrees then cover every solution up to an automorphism.
 
 A node costs time linear in its uncovered traces: they are listed from
 the binary digits of one mask (_mask_bits), and each point's cover mask is
@@ -122,21 +124,27 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     stop is DEADLINE or LIMIT when the search ended early, else None.
 
     A popped state is checked and, unless settled or pruned, replaced by
-    its children pushed in reverse, so they are visited in branching order
-    and child i carries the exclusions of children 0..i-1.  A search that
-    stops on `limit` nodes or the deadline leaves every state it has not
-    expanded on the stack.  Those are the open subtrees: disjoint, and
-    together they hold everything not yet settled, up to symmetry, so
-    running them, together or one by one, finishes the search.
+    its children pushed in reverse, so they are visited in branching order.
+    A search that stops on `limit` nodes or the deadline leaves every state
+    it has not expanded on the stack.  Those are the open subtrees: together
+    they hold everything not yet settled, up to symmetry, so running them,
+    together or one by one, finishes the search.
 
-    A state's `group` is the pointwise stabilizer of inc | exc in the
-    instance's automorphism group, as symmetry.branch takes it, or None.
-    At a node with a nontrivial group a child whose point shares an orbit
-    with an earlier sibling's point is skipped (`skipped` counts them):
-    the group maps its solutions onto solutions through that sibling,
-    which an earlier child covers, so the optimum is unchanged.  Each kept
-    child gets the stabilizer of its own decided points; once that is
-    trivial its subtree does no group work (`group_s` seconds in all).
+    A state's `group` is None or a group G, in the form symmetry.branch
+    takes, that fixes each included point and maps the excluded set onto
+    itself; under orbital branching it is the pointwise stabilizer of the
+    included points in the instance's automorphism group.  Child i
+    includes the branching trace's point p_i and excludes the G-orbits of
+    p_0..p_{i-1} (with no group, those points), and a child whose point
+    lies in one of them is skipped (`skipped` counts them).  Each kept
+    child carries Stab_G(p_i), so the invariant holds below it, and once
+    that is trivial its subtree does no group work (`group_s` seconds in
+    all).  No optimum is lost: a solution S of the node meets the branching
+    trace, so some g in G puts some p_j in g(S); take the least such j.
+    Then g(S), a solution of the node of the same size, meets none of the
+    orbits of p_0..p_{j-1}: if h(p_i) lay in it for some h in G and i < j,
+    h^-1 g would put p_i in its image of S, against the choice of j.  So
+    child j is kept and g(S) is a solution of it.
 
     A state's `reach` is the most uncovered traces it may have and still be
     scanned: its parent's counting bound, carried down.  A root state
@@ -214,19 +222,26 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         pts = mask_bits(sel_opts)
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
-        # child i excludes the points of children 0..i-1: walking backwards,
-        # excl drops each point's own bit just before its child is pushed
-        excl = sel_opts
-        keep = groups = None
-        if grp is not None:
+        # child i excludes the orbits of children 0..i-1 under the node's
+        # group (without a group, their points); orbits[i] is 0 for a child
+        # whose point lies in one of them.  Walking backwards, excl drops
+        # each kept child's orbit just before its child is pushed.
+        if grp is None:
+            orbits = groups = None
+            excl = sel_opts
+        else:
             t0 = time.perf_counter()
-            keep, groups = branch(grp, pts, npoints)
+            orbits, groups = branch(grp, pts)
             group_s += time.perf_counter() - t0
+            excl = sum(orbits)  # disjoint masks
         for i in range(len(pts) - 1, -1, -1):
             p = pts[i]
             pb = 1 << p
-            excl ^= pb
-            if keep is not None and not keep[i]:
+            if orbits is None:
+                excl ^= pb
+            elif orbits[i]:
+                excl ^= orbits[i]
+            else:
                 skipped += 1
                 continue
             inc2 = inc | pb
@@ -371,7 +386,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                "seconds": time.perf_counter() - t0}
         if deadline is not None and time.monotonic() > deadline:
             raise timeout()
-        stack = [(0, 0, 0, 0, group, F)]
+        stack = [(0, 0, 0, 0, symmetry.state_group(group, U), F)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
             # the frontier: run a few nodes at a time until the open
             # subtrees are enough tasks for the pool, or none are left

@@ -14,12 +14,18 @@ masks.  Any subgroup serves the search, so a generator search that runs
 out of its refinement allowance or the deadline returns what it has.
 
 `schreier_sims` builds a stabilizer chain for a group of known order.
-`branch` uses it at a search node: children whose points share an orbit of
-the node's group with an earlier sibling are skipped, and each kept child
-gets the pointwise stabilizer of its decided points.
+`branch` works at a search node whose group is the pointwise stabilizer of
+its included points: children whose points share an orbit of the node's
+group with an earlier sibling are skipped, each kept child excludes the
+orbits of its earlier siblings, and it gets the stabilizer of its one new
+point.  A `Group` builds one chain per orbit whose stabilizer is asked
+for, and keeps it: the stabilizer of any other point of the orbit is a
+conjugate, so a search state carries its group as a conjugate u H u^-1 of
+a cached Group H, and a child's group costs two permutation products.
 
-Permutations are tuples: g[x] is the image of position x.  A group is
-passed around as (generators, order); None stands for the trivial group.
+Permutations are tuples: g[x] is the image of position x.  `automorphisms`
+returns a group as (generators, order), a search state carries it as
+(H, u, v) (see `state_group`), and None stands for the trivial group.
 """
 
 import random
@@ -393,29 +399,114 @@ def schreier_sims(gens, n, order, prefix=()):
     return base, S, T
 
 
-def branch(group, pts, n):
-    """Orbital branching at a node whose decided points `group` fixes.
+class Group:
+    """A group of known order on the positions 0..n-1: its generators, its
+    orbits, and for each orbit, once asked for, the stabilizer of one point
+    of it with a transversal to the rest.
 
-    Returns (keep, children): keep[j] is False when pts[j] shares an orbit
-    with an earlier pts[i]; children[j] is the pointwise stabilizer of
-    pts[0..j] in the group, as (generators, order) or None when trivial."""
-    gens, order = group
-    orbits = _Orbits(n)
-    for g in gens:
-        orbits.add(g)
+    A stabilizer comes from a Schreier-Sims chain whose base starts in the
+    orbit; the stabilizer keeps the rest of that chain, so a later question
+    about the orbit of its own first base point needs no new chain.  Every
+    other point of an orbit has a conjugate stabilizer: if t takes the
+    orbit's representative r to a, then Stab(a) = t Stab(r) t^-1, so one
+    chain per orbit serves every point of it."""
+
+    __slots__ = ("gens", "order", "n", "chain", "orbit_of", "orbit_pts",
+                 "_stabs")
+
+    def __init__(self, gens, order, n, chain=None):
+        self.gens = gens
+        self.order = order
+        self.n = n
+        self.chain = chain  # (base, strong, transversals), complete, or None
+        orbit_of = [-1] * n
+        orbit_pts = []
+        for x in range(n):
+            if orbit_of[x] < 0:
+                o = len(orbit_pts)
+                orbit_of[x] = o
+                pts = [x]
+                for y in pts:
+                    for g in gens:
+                        z = g[y]
+                        if orbit_of[z] < 0:
+                            orbit_of[z] = o
+                            pts.append(z)
+                orbit_pts.append(pts)
+        self.orbit_of = orbit_of
+        self.orbit_pts = orbit_pts
+        self._stabs = {}
+
+    def __reduce__(self):
+        # a pool task builds the stabilizers it asks for, so its payload
+        # need not carry the ones found before it was sent
+        return Group, (self.gens, self.order, self.n, self.chain)
+
+    def stabilizer(self, a):
+        """(K, t, t^-1) with Stab(a) = t K t^-1: K is the stabilizer of the
+        representative of a's orbit as a Group, or None when it is trivial,
+        and t takes that representative to a."""
+        o = self.orbit_of[a]
+        entry = self._stabs.get(o)
+        if entry is None:
+            chain = self.chain
+            if chain is None or self.orbit_of[chain[0][0]] != o:
+                chain = schreier_sims(self.gens, self.n, self.order, (a,))
+            base, S, T = chain
+            rest = self.order // len(T[0])
+            K = None
+            if rest > 1:
+                K = Group(tuple(S[1]), rest, self.n, (base[1:], S[1:], T[1:]))
+            entry = self._stabs[o] = (K, T[0], {})
+        K, T0, inverses = entry
+        t = T0[a]
+        tinv = inverses.get(a)
+        if tinv is None:
+            tinv = inverses[a] = _inverse(t)
+        return K, t, tinv
+
+
+def state_group(group, n):
+    """The form in which a search state carries the group (generators,
+    order): None when the group is trivial, else (H, u, v), the group
+    u H u^-1 with H a Group and v = u^-1, here with u the identity."""
+    if group is None:
+        return None
+    ident = tuple(range(n))
+    return Group(group[0], group[1], n), ident, ident
+
+
+def branch(group, pts):
+    """Orbital branching at a node with group G = u H u^-1, given as
+    (H, u, v) with v = u^-1, whose included points G fixes and whose
+    excluded points G maps onto themselves.
+
+    Returns (orbits, children): orbits[j] is the mask of the G-orbit of
+    pts[j], or 0 when an earlier pts[i] lies in that orbit; children[j] is
+    Stab_G(pts[j]) in the same form, or None when trivial, for each j whose
+    orbit is not 0."""
+    H, u, v = group
+    orbit_of = H.orbit_of
     seen = set()
-    keep = []
-    for p in pts:
-        r = orbits.find(p)
-        keep.append(r not in seen)
-        seen.add(r)
-    base, S, T = schreier_sims(gens, n, order, pts)
+    orbits = []
     children = []
-    rest = order
-    for j in range(len(pts)):
-        rest //= len(T[j])
-        if rest == 1:
-            children.extend([None] * (len(pts) - j))
-            break
-        children.append((tuple(S[j + 1]), rest))
-    return keep, children
+    for p in pts:
+        a = v[p]
+        o = orbit_of[a]
+        if o in seen:
+            orbits.append(0)
+            children.append(None)
+            continue
+        seen.add(o)
+        members = H.orbit_pts[o]
+        if len(members) == 1:  # G fixes p: the child keeps G
+            orbits.append(1 << p)
+            children.append(group)
+            continue
+        m = 0
+        for x in members:
+            m |= 1 << u[x]
+        orbits.append(m)
+        K, t, tinv = H.stabilizer(a)
+        children.append(None if K is None else (K, _mul(t, u), _mul(v, tinv)))
+    return orbits, children

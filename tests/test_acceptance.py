@@ -216,6 +216,19 @@ def test_pg29_nontrivial_minimum():
     assert time.monotonic() - start < 30.0
 
 
+def test_braid_ag35_touching_plain_minimum():
+    # the lines of AG(3,5) that meet the braid complement (x1, x2, x3
+    # pairwise distinct) need 12 points to block; the search takes about
+    # 182,000 nodes, 823,575 without the orbit rule's exclusions
+    start = time.monotonic()
+    out = braid_existence(AFFINE, 3, 5, t=1, scope="touching",
+                          time_budget=30.0)
+    res = out.result
+    assert (out.verdict, res.size) == ("exists", 12)
+    assert is_blocking(out.instance, res.witness)
+    assert time.monotonic() - start < 30.0
+
+
 def _holds(inst, pts, nontrivial):
     """Re-check a witness from the raw traces, bypassing the predicates."""
     s = set(pts)

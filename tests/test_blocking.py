@@ -238,7 +238,7 @@ def test_frontier_pass_stops_at_the_deadline():
     U = len(inst.universe)
     tmasks = solver._build_masks(inst.universe, inst.family)
     cover = solver._cover_masks(len(tmasks), tmasks, U)
-    group = symmetry.automorphisms(U, tmasks, [])
+    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []), U)
     root = (0, 0, 0, 0, group, len(tmasks))
     stack = [root]
     result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
@@ -254,9 +254,9 @@ def test_frontier_pass_stops_at_the_deadline():
 # before orbital branching, which names the row and bounds the new count.
 PINNED_NODES = [
     # kind, n, q, nontrivial, size, nodes without symmetry, nodes
-    (PROJECTIVE, 2, 5, True, 9, 20292, 696),
-    (AFFINE, 3, 3, False, 7, 9597, 410),
-    (PROJECTIVE, 3, 3, True, 6, 17855, 1057),
+    (PROJECTIVE, 2, 5, True, 9, 20292, 502),
+    (AFFINE, 3, 3, False, 7, 9597, 404),
+    (PROJECTIVE, 3, 3, True, 6, 17855, 1056),
     (PROJECTIVE, 4, 2, True, 5, 7465, 939),
     (AFFINE, 2, 5, False, 9, 6046, 367),
 ]

@@ -117,28 +117,46 @@ def test_generator_search_gives_up_with_a_valid_subgroup():
         symmetry.automorphisms(U, tmasks, fmasks, limit=0)
 
 
+def _actual_gens(group, n):
+    """The generators of a search state's group u H u^-1, as permutations
+    of the positions: x -> u(h(v(x)))."""
+    H, u, v = group
+    return [tuple(u[h[v[x]]] for x in range(n)) for h in H.gens]
+
+
 def test_branch_orbits_and_stabilizers_match_sympy():
+    # walk down from the whole group of PG(2,4), each time into the child
+    # of the first point that its group moves: the children's groups are
+    # conjugates of cached stabilizers, and sympy checks each one afresh
     U, tmasks, _ = _masks(PROJECTIVE, 2, 4)
-    gens, order = symmetry.automorphisms(U, tmasks, [])
-    G = PermutationGroup([Permutation(list(g)) for g in gens])
+    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []), U)
     pts = [3, 0, 7, 20, 11, 5]
-    keep, children = symmetry.branch((gens, order), pts, U)
-    orbit_of = {}
-    for orb in G.orbits():
-        for x in orb:
-            orbit_of[x] = min(orb)
-    seen = set()
-    for p, kept in zip(pts, keep):
-        assert kept == (orbit_of[p] not in seen)
-        seen.add(orbit_of[p])
-    for j, child in enumerate(children):
-        want = G.pointwise_stabilizer(pts[:j + 1]).order()
-        if child is None:
-            assert want == 1
-        else:
-            cgens, corder = child
-            assert corder == want == _sympy_order(cgens)
-            assert all(g[p] == p for g in cgens for p in pts[:j + 1])
+    depth = 0
+    while group is not None:
+        G = PermutationGroup([Permutation(list(g)) for g in _actual_gens(group, U)])
+        assert G.order() == group[0].order
+        orbits, children = symmetry.branch(group, pts)
+        seen = set()
+        nxt = None
+        for p, orbit, child in zip(pts, orbits, children):
+            orb = frozenset(G.orbit(p))
+            if orb in seen:
+                assert orbit == 0
+                continue
+            seen.add(orb)
+            assert orbit == sum(1 << x for x in orb)
+            want = G.stabilizer(p).order()
+            if child is None:
+                assert want == 1
+                continue
+            cgens = _actual_gens(child, U)
+            assert child[0].order == want == _sympy_order(cgens)
+            assert all(g[p] == p for g in cgens)
+            if nxt is None and len(orb) > 1:
+                nxt = child
+        group = nxt
+        depth += 1
+    assert depth >= 3
 
 
 def test_schreier_sims_base_starts_with_the_prefix():
@@ -197,7 +215,8 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     cap = U if U <= 16 else CAP
     # the generator search gets the allowance solve_masks gives it
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
-    group = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
+    group = symmetry.state_group(
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
     inst = (tmasks, cover, fmasks, forb_at, U)
     plain = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                            cap + 1, None, False)
@@ -217,6 +236,57 @@ def test_orbital_search_reaches_the_plain_optimum(case):
         assert (size if size is not None else cap + 1) == orbital[0]
 
 
+class _Recorder(list):
+    """A search stack that keeps every state pushed onto it."""
+
+    def __init__(self, states):
+        super().__init__(states)
+        self.pushed = list(states)
+
+    def append(self, state):
+        self.pushed.append(state)
+        super().append(state)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_instances())
+def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
+    # the invariant the orbit rule rests on: a state's group fixes each of
+    # its included points and maps its excluded set onto itself
+    kind, n, q, rows, t, scope, convention = case
+    sp = space(kind, n, q)
+    try:
+        arr = arrangement_make(sp, [tuple(r) for r in rows])
+    except BlocksetsError:
+        return  # a repeated or degenerate hyperplane
+    inst = build_instance(sp, arr, t, scope)
+    if not inst.family:
+        return
+    U = len(inst.universe)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = []
+    if convention == "nontrivial":
+        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    cover = solver._cover_masks(len(tmasks), tmasks, U)
+    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
+               for p in range(U)] if fmasks else None
+    incidences = sum(m.bit_count() for m in tmasks + fmasks)
+    group = symmetry.state_group(
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
+    stack = _Recorder([(0, 0, 0, 0, group, len(tmasks))])
+    solver._search((tmasks, cover, fmasks, forb_at, U), stack,
+                   (U if U <= 16 else CAP) + 1, None, False)
+    for inc, exc, _cov, _k, grp, _reach in stack.pushed:
+        if grp is None:
+            continue
+        inc_pts = [x for x in range(U) if inc >> x & 1]
+        exc_pts = [x for x in range(U) if exc >> x & 1]
+        for g in _actual_gens(grp, U):
+            assert all(g[x] == x for x in inc_pts)
+            assert sorted(g[x] for x in exc_pts) == exc_pts
+
+
 # A search cut at L nodes leaves its open subtrees on the stack; finishing
 # each of them on its own must visit exactly the nodes the uncut run
 # visits.  The incumbent is the optimum from the start, so no prune depends
@@ -230,7 +300,8 @@ def _check_resume(U, tmasks, fmasks, cap):
                for p in range(U)] if fmasks else None
     inst = (tmasks, cover, fmasks, forb_at, U)
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
-    orbital = symmetry.automorphisms(U, tmasks, fmasks, limit=incidences)
+    orbital = symmetry.state_group(
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
     opt = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                          cap + 1, None, False)[0]
     for group in (None, orbital):
