@@ -1,13 +1,15 @@
 #!/bin/bash
 # Prints five sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
-# complements, instance traces in both scopes, the braid lines and a
-# contained search.  The second runs over the extension fields GF(8) and
-# GF(9), so every report in it goes through the field tables of a
-# non-prime field: point lists, contained lines of braid complements,
-# escape parameters (division and subtraction), arrangements re-read in
-# another dimension, and a scan with a cap and two workers.  The third
-# runs the solver on wide instances, thousands of traces or points:
+# complements, instance traces in both scopes, the braid lines, braid
+# existence where the contained lines are one parallel class (AG(m,q) at
+# t = m-1, capped and not) and a contained search.  The second runs over
+# the extension fields GF(8) and GF(9), so every report in it goes through
+# the field tables of a non-prime field: point lists, contained lines of
+# braid complements, escape parameters (division and subtraction),
+# arrangements re-read in another dimension, and a scan with a cap and
+# two workers.  The third runs the solver on wide instances, thousands of
+# traces or points:
 # Bose-Burton minima in PG(3,q) and PG(4,3), and AG(9,2) and AG(10,2) at
 # the point level under the nontrivial convention, where the greedy walks
 # every point before the whole space is forbidden.  The fourth lists the
@@ -66,6 +68,9 @@ printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
     $BS instance "$tmp/ag3-3.minus-2-planes.txt" --t 2 --scope touching --traces
     $BS braid --lines --q 4
     $BS braid --lines --q 5
+    $BS braid --q 4 --t 3
+    $BS braid --q 5 --t 4 --convention minimal --cap 3
+    $BS braid --n 3 --q 7 --t 2
     $BS search "$tmp/ag3-3.minus-plane.txt" --t 2
     $BS search "$tmp/ag3-5.braid.txt" --t 2 --convention nontrivial
     $BS search "$tmp/ag3-4.braid.txt" --t 2

@@ -26,10 +26,6 @@ class HyperplaneForm:
     kind: str
     coeffs: tuple
 
-    @property
-    def nvars(self):
-        return len(self.coeffs) if self.kind == PROJECTIVE else len(self.coeffs) - 1
-
     def __repr__(self):
         return "HyperplaneForm(%s, %s)" % (self.kind, self.coeffs)
 
@@ -43,8 +39,7 @@ def normalize_form(sp, coeffs):
     for c in coeffs:
         if not isinstance(c, int) or not 0 <= c < sp.q:
             raise InvalidForm("coefficient %r is not a GF(%d) code" % (c, sp.q))
-    nvars = sp.n + 1 if sp.kind == PROJECTIVE else sp.n
-    lead = next((c for c in coeffs[:nvars] if c), None)
+    lead = next((c for c in coeffs[:sp.ncoords] if c), None)
     if lead is None:
         raise InvalidForm("all variable coefficients are zero")
     if lead != 1:
@@ -254,11 +249,8 @@ def parse_arrangement_text(text):
     return sp, arrangement_make(sp, rows)
 
 
-def emit_arrangement_text(arr, note=None):
-    lines = []
-    if note:
-        lines.append("# %s" % note)
-    lines.append("%s %d %d" % (arr.kind, arr.n, arr.q))
+def emit_arrangement_text(arr):
+    lines = ["%s %d %d" % (arr.kind, arr.n, arr.q)]
     for form in arr.forms:
         lines.append(" ".join(str(c) for c in form.coeffs))
     return "\n".join(lines) + "\n"

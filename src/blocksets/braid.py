@@ -4,8 +4,10 @@ Its complement is the set of points with pairwise distinct coordinates, so
 everything here has a combinatorial shadow: affine complements count
 falling factorials q(q-1)...(q-m+1), the contained lines all run in the
 all-ones direction and partition the complement into (q-1)(q-2)...(q-m+1)
-parallel classes, and picking one point per class gives a minimal blocking
-set for the line family without any search.
+parallel classes.  One point per class (braid_transversal) is a minimum
+blocking set for the line family; braid_existence still decides that
+shape, like every other, by the exact search, whose lexicographically
+least minimum is that transversal.
 
 escape_parameter is the constructive heart: for two complement points
 whose joining line leaves the complement, it produces the parameter and
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .arrangement import Arrangement, arrangement_make
-from .blocking import (CONTAINED, MINIMAL, PLAIN, build_instance,
-                       is_blocking, is_minimal, solve_instance)
-from .errors import (BadChooser, DimensionMismatch, IdenticalPoints, InternalError,
+from .blocking import CONTAINED, PLAIN, build_instance, solve_instance
+from .errors import (DimensionMismatch, IdenticalPoints, InternalError,
                      NotInUniverse)
 from .geometry import AFFINE, span, space
 from .solver import SearchResult
@@ -136,36 +137,11 @@ def braid_lines(sp):
     return out
 
 
-def braid_transversal(sp, chooser=None):
-    """One point per contained line.  The lines are parallel, hence
-    pairwise disjoint, so the result blocks the line family minimally:
-    every chosen point keeps its own line as a private trace.
-
-    chooser may be None (lex-least point of each line), a callable taking
-    the line, or a sequence giving one pick per line in braid_lines order;
-    picks may be indices or coordinate tuples and must lie on their line.
-    """
-    lines = braid_lines(sp)
-    picks = None
-    if chooser is not None and not callable(chooser):
-        picks = list(chooser)
-        if len(picks) != len(lines):
-            raise BadChooser("need one pick per line: %d picks for %d lines"
-                             % (len(picks), len(lines)))
-    picked = []
-    for k, fl in enumerate(lines):
-        if chooser is None:
-            p = fl.points[0]
-        elif picks is not None:
-            p = picks[k]
-        else:
-            p = chooser(fl)
-        if not isinstance(p, int):
-            p = sp.index_of(p)
-        if p not in fl.points:
-            raise BadChooser("pick %r is not on its line %r" % (p, fl.points))
-        picked.append(p)
-    return tuple(sorted(set(picked)))
+def braid_transversal(sp):
+    """The least point of each contained line, sorted.  The lines are
+    parallel, hence pairwise disjoint, so the result blocks the line family
+    minimally: every chosen point keeps its own line as a private trace."""
+    return tuple(sorted(fl.points[0] for fl in braid_lines(sp)))
 
 
 @dataclass
@@ -182,40 +158,14 @@ class BraidOutcome:
     instance: object = None
 
 
-def _transversal_result(sp, inst, convention, size_cap):
-    """Constructive answer for the parallel line family: the lines are
-    pairwise disjoint, so any blocking set needs one point per line and
-    the transversal meets that bound exactly.  Returns None whenever the
-    family is not precisely the full parallel class (then the counting
-    argument does not apply and the search decides)."""
-    lines = braid_lines(sp)
-    traces = set(tuple(fl.points) for fl in lines)
-    if traces != set(inst.family):
-        return None
-    sets = [set(tr) for tr in traces]
-    for a in range(len(sets)):
-        for b in range(a + 1, len(sets)):
-            if sets[a] & sets[b]:
-                return None
-    witness = braid_transversal(sp)
-    if size_cap is not None and len(witness) > size_cap:
-        return SearchResult("not-exists", nodes=0)
-    if not is_blocking(inst, witness):
-        raise InternalError("braid transversal %r does not block" % (witness,))
-    if convention == MINIMAL and not is_minimal(inst, witness):
-        raise InternalError("braid transversal %r is not minimal" % (witness,))
-    return SearchResult("exists", len(witness), witness, 0, 0.0)
-
-
 def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
                     size_cap=None, time_budget=None, workers=1):
     """Decide blocking-set existence for the braid complement.
 
     The projective complement is empty as soon as n > q - 1 (n + 1 coords
-    cannot stay distinct), which gets its own verdict.  When the family is
-    the affine parallel line class the answer is constructive (transversal
-    plus the disjointness bound, re-verified); every other shape goes to
-    the exact search.  Under the contained scope the family can come out
+    cannot stay distinct), which gets its own verdict.  Every other shape
+    goes to the exact search (solve_instance), which re-checks its witness
+    before it returns.  Under the contained scope the family can come out
     empty; that is existence with the empty witness, flagged so callers
     can tell it apart from a substantive one.
     """
@@ -225,12 +175,6 @@ def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
         return BraidOutcome(sp, arr, t, scope, convention, "empty",
                             False, 0)
     inst = build_instance(sp, arr, t, scope)
-    if (sp.kind == AFFINE and scope == CONTAINED and t == sp.n - 1
-            and convention in (PLAIN, MINIMAL) and inst.family):
-        res = _transversal_result(sp, inst, convention, size_cap)
-        if res is not None:
-            return BraidOutcome(sp, arr, t, scope, convention, res.verdict,
-                                False, len(inst.universe), res, inst)
     res = solve_instance(inst, convention, size_cap=size_cap,
                          time_budget=time_budget, workers=workers)
     return BraidOutcome(sp, arr, t, scope, convention, res.verdict,

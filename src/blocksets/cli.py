@@ -78,6 +78,7 @@ def _instance_block(inst):
 
 
 def _search_stats(res):
+    """The stats block of a SearchResult, or of a SearchTimeout."""
     stats = {"nodes": res.nodes, "elapsed": res.elapsed}
     if res.symmetry is not None:
         stats["symmetry"] = res.symmetry
@@ -233,8 +234,7 @@ def cmd_search(args):
                              time_budget=args.budget, workers=args.workers)
     except SearchTimeout as exc:
         payload["result"] = {"verdict": "timeout", "size": None, "witness": None}
-        _emit(args, "search", payload,
-              stats={"nodes": exc.nodes, "elapsed": exc.elapsed})
+        _emit(args, "search", payload, stats=_search_stats(exc))
         return 3
     payload["result"] = _result_block(sp, res)
     if res.verdict == "vacuous":

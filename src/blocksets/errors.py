@@ -78,18 +78,17 @@ class PreconditionFailed(BlocksetsError):
     """A constructive operation's input fails its blocking precondition."""
 
 
-class BadChooser(BlocksetsError):
-    """Transversal chooser returned a point off its line or off the line list."""
-
-
 class IdenticalPoints(BlocksetsError):
     """Escape parameter requested for x == y."""
 
 
 class SearchTimeout(BlocksetsError):
-    """Search exceeded its time budget before reaching a verdict."""
+    """Search exceeded its time budget before reaching a verdict.  Carries
+    the search's symmetry record when it computed the group (as
+    SearchResult.symmetry), else None."""
 
-    def __init__(self, message, nodes=0, elapsed=0.0):
+    def __init__(self, message, nodes=0, elapsed=0.0, symmetry=None):
         super().__init__(message)
         self.nodes = nodes
         self.elapsed = elapsed
+        self.symmetry = symmetry

@@ -319,7 +319,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     force).  Only a search that needs more than that pays for the
     automorphism group: it restarts from the root with orbital branching,
     keeping the probe's incumbent, and `stats` (a dict, when given) gets
-    a "symmetry" record.  The witness phase never uses the group."""
+    a "symmetry" record, which a SearchTimeout raised after the group is
+    computed carries too.  The witness phase never uses the group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -337,7 +338,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
 
     def timeout():
         return SearchTimeout("search exceeded its time budget",
-                             nodes=nodes, elapsed=time.monotonic() - start)
+                             nodes=nodes, elapsed=time.monotonic() - start,
+                             symmetry=sym)
 
     def tally(result):
         """Counts a search's nodes; raises if it ran out of time."""

@@ -13,6 +13,7 @@ from itertools import combinations
 
 import pytest
 
+from blocksets import solver
 from blocksets.arrangement import (arrangement_make, complement,
                                    evaluate_form, flats_in_complement)
 from blocksets.blocking import (BlockingInstance, build_instance,
@@ -349,9 +350,21 @@ def test_join_across_a_hyperplane():
     assert time.monotonic() - start < 120.0
 
 
-def test_worker_count_leaves_reports_unchanged(capsys, tmp_path):
+def test_worker_count_leaves_reports_unchanged(capsys, tmp_path, monkeypatch):
+    class CountingPool(solver.ProcessPoolExecutor):
+        """Counts the tasks the search hands the pool."""
+        tasks = 0
+
+        def map(self, fn, payloads, **kwargs):
+            payloads = list(payloads)
+            CountingPool.tasks += len(payloads)
+            return super().map(fn, payloads, **kwargs)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", CountingPool)
     one_line = tmp_path / "one-line.txt"
     one_line.write_text("projective 2 3\n1 0 0\n")
+    two_lines = tmp_path / "two-lines.txt"
+    two_lines.write_text("projective 2 7\n1 0 0\n0 1 0\n")
     runs = [
         ("search", str(one_line), "--t", "1", "--scope", "touching",
          "--convention", "nontrivial"),
@@ -364,11 +377,19 @@ def test_worker_count_leaves_reports_unchanged(capsys, tmp_path):
          "--t", "1", "--convention", "nontrivial"),
         ("search", "--space", "pg", "--n", "2", "--q", "7",
          "--t", "1", "--convention", "nontrivial", "--cap", "14"),
+        ("search", str(two_lines), "--t", "1", "--scope", "touching"),
     ]
+    handed = {}  # pool tasks at two workers, per run
     for argv in runs:
         outs = []
-        for workers in ("1", "8"):
+        for workers in ("1", "2", "8"):
+            CountingPool.tasks = 0
             code = main(["--no-meta", *argv, "--workers", workers])
             assert code == 0
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1], argv
+            if workers == "2":
+                handed[argv] = CountingPool.tasks
+        assert outs[0] == outs[1] == outs[2], argv
+    # at two workers both PG(2,7) searches hand the pool tasks, so the
+    # comparison covers reports whose bound phase ran in worker processes
+    assert handed[runs[-2]] > 0 and handed[runs[-1]] > 0

@@ -3,13 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from blocksets.blocking import build_instance, is_blocking, is_minimal, min_blocking_set
+from blocksets.blocking import build_instance, is_blocking, is_minimal
 from blocksets.braid import (braid_arrangement,
                              braid_complement_points, braid_existence,
                              braid_lines, braid_transversal, escape_parameter)
 from blocksets.arrangement import complement, flats_in_complement
-from blocksets.errors import (BadChooser, DimensionMismatch, IdenticalPoints,
-                              NotInUniverse)
+from blocksets.errors import DimensionMismatch, IdenticalPoints, NotInUniverse
 from blocksets.geometry import AFFINE, PROJECTIVE, Space, space
 from blocksets.gf import field_make
 
@@ -152,36 +151,36 @@ def test_transversal_blocks_minimally(q):
     assert is_minimal(inst, tv)
 
 
-def test_transversal_choosers():
+def test_transversal_is_least_point_per_line():
     sp = space(AFFINE, 3, 3)
     lines = braid_lines(sp)
     assert braid_transversal(sp) == tuple(fl.points[0] for fl in lines)
-    assert braid_transversal(sp, lambda fl: fl.points[-1]) == \
-        tuple(sorted(fl.points[-1] for fl in lines))
-    picks = [lines[0].points[1], lines[1].points[0]]
-    assert braid_transversal(sp, picks) == tuple(sorted(picks))
-    with pytest.raises(BadChooser):
-        braid_transversal(sp, [lines[0].points[0]])  # wrong length
-    with pytest.raises(BadChooser):
-        # both picks from the first line: the second is off its own line
-        braid_transversal(sp, [lines[0].points[0], lines[0].points[1]])
-    with pytest.raises(BadChooser):
-        braid_transversal(sp, lambda fl: 0)
 
 
-def test_constructive_path_matches_search():
-    out = braid_existence(AFFINE, 3, 3, t=2)
-    assert out.verdict == "exists"
-    assert out.result.nodes == 0  # no search happened
-    sp = space(AFFINE, 3, 3)
-    inst = build_instance(sp, braid_arrangement(sp), 2, "contained")
-    res = min_blocking_set(inst)
-    assert (res.size, res.witness) == (out.result.size, out.result.witness)
+# AG(m,q) for q <= 7 and 2 <= m <= min(5, q), where the contained lines at
+# t = m - 1 are one nonempty parallel class.  AG(5,7) is left out: its
+# instance build alone takes about 8 s.
+TRANSVERSAL_GRID = [(m, q) for q in (2, 3, 4, 5, 7)
+                    for m in range(2, min(5, q) + 1) if (m, q) != (5, 7)]
 
 
-def test_constructive_path_respects_cap():
-    out = braid_existence(AFFINE, 3, 3, t=2, size_cap=1)
-    assert out.verdict == "not-exists"
+@pytest.mark.parametrize("m,q", TRANSVERSAL_GRID)
+def test_existence_witness_is_the_transversal(m, q):
+    sp = space(AFFINE, m, q)
+    tv = braid_transversal(sp)
+    for convention in ("plain", "minimal"):
+        out = braid_existence(AFFINE, m, q, t=m - 1, convention=convention)
+        assert out.verdict == "exists"
+        assert (out.result.size, out.result.witness) == (len(tv), tv)
+
+
+@pytest.mark.parametrize("m,q", TRANSVERSAL_GRID)
+def test_existence_respects_cap_below_transversal(m, q):
+    size = len(braid_transversal(space(AFFINE, m, q)))
+    for convention in ("plain", "minimal"):
+        out = braid_existence(AFFINE, m, q, t=m - 1, convention=convention,
+                              size_cap=size - 1)
+        assert out.verdict == "not-exists"
 
 
 def test_projective_dichotomy_small():

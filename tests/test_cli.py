@@ -142,6 +142,19 @@ def test_timeout_exit_code(capsys):
     assert rep["result"]["verdict"] == "timeout"
 
 
+def test_timeout_keeps_the_symmetry_record(capsys):
+    # AG(2,9) plain outruns a 1 s budget long after its group is computed
+    argv = ("search", "--space", "ag", "--n", "2", "--q", "9", "--t", "1",
+            "--budget", "1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    stats = json.loads(out)["stats"]
+    assert stats["symmetry"]["order"] == 933120
+    assert stats["nodes"] >= stats["symmetry"]["probe_nodes"]
+    code, out, _ = run(capsys, "--no-meta", *argv)
+    assert code == 3 and "stats" not in json.loads(out)
+
+
 def test_budget_reaches_the_oracle(capsys):
     # the search proves in well under a second that no nontrivial blocking
     # set of PG(2,7) fits in 11 points; the oracle would list every subset
