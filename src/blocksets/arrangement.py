@@ -158,9 +158,9 @@ def complement(sp, arr):
         raise DimensionMismatch("arrangement over %s applied to %s" % (arr.space, sp))
     members = []
     forms = arr.forms
-    for i, pt in enumerate(sp.points):
+    for i in range(len(sp.points)):
         for form in forms:
-            if evaluate_form(sp, form, pt) == 0:
+            if evaluate_form(sp, form, i) == 0:
                 break
         else:
             members.append(i)

@@ -373,7 +373,7 @@ class SubspaceCertificate:
     convention: str
 
 
-def nonexistence_by_subspace(inst, convention=PLAIN, max_universe=ORACLE_FULL_CAP):
+def nonexistence_by_subspace(inst, convention=PLAIN):
     """Search for a nonexistence certificate among flats inside the
     universe, dimensions ascending from blocked_dim to n, flats in
     canonical order.  A flat certifies when its sub-instance has a
@@ -392,7 +392,7 @@ def nonexistence_by_subspace(inst, convention=PLAIN, max_universe=ORACLE_FULL_CA
             sub = induced_subinstance(inst, fl)
             if not sub.family:
                 continue
-            if len(sub.universe) > max_universe:
+            if len(sub.universe) > ORACLE_FULL_CAP:
                 continue
             res = exhaustive_oracle(sub, require_nontrivial=req)
             if res.verdict == "not-exists":

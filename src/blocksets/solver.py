@@ -382,13 +382,12 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         # incidence, the allowance the probe had in nodes
         group = symmetry.automorphisms(U, trace_masks, forb_masks, deadline,
                                        incidences)
-        sym = {"order": group[1] if group else 1,
-               "generators": len(group[0]) if group else 0,
+        sym = {"order": group.order if group else 1,
+               "generators": len(group.gens) if group else 0,
                "probe_nodes": nodes, "skipped": 0,
                "seconds": time.perf_counter() - t0}
-        if deadline is not None and time.monotonic() > deadline:
-            raise timeout()
-        stack = [(0, 0, 0, 0, symmetry.state_group(group, U), F)]
+        # a deadline that passed meanwhile stops the restart at its first node
+        stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
             # the frontier: run a few nodes at a time until the open
             # subtrees are enough tasks for the pool, or none are left
@@ -410,13 +409,12 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         return None, None, nodes
 
     # Lexicographic refinement: fix witness elements smallest-first.
-    witness = sorted(_mask_bits(incumbent))
+    witness = _mask_bits(incumbent)
     full_mask = (1 << U) - 1
-    prefix_mask = 0
+    prefix_mask = 0  # witness[:pos], which every later witness starts with
     prefix_cov = 0
-    prefix = []
     for pos in range(best):
-        lo = prefix[-1] + 1 if prefix else 0
+        lo = witness[pos - 1] + 1 if pos else 0
         for p in range(lo, witness[pos]):
             pb = 1 << p
             inc0 = prefix_mask | pb
@@ -428,15 +426,11 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             state = (inc0, exc0, cov0, pos + 1, None, F)
             _b, found = tally(_search(inst, [state], best + 1, deadline, True))
             if found is not None:
-                witness = sorted(_mask_bits(found))
+                witness = _mask_bits(found)
                 break
-        prefix.append(witness[pos])
         prefix_mask |= 1 << witness[pos]
         prefix_cov |= cover[witness[pos]]
-    wmask = 0
-    for p in witness:
-        wmask |= 1 << p
-    return best, wmask, nodes
+    return best, prefix_mask, nodes
 
 
 def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,

@@ -24,8 +24,8 @@ conjugate, so a search state carries its group as a conjugate u H u^-1 of
 a cached Group H, and a child's group costs two permutation products.
 
 Permutations are tuples: g[x] is the image of position x.  `automorphisms`
-returns a group as (generators, order), a search state carries it as
-(H, u, v) (see `state_group`), and None stands for the trivial group.
+returns a Group, a search state carries one as (H, u, v) (see
+`state_group`), and None stands for the trivial group.
 """
 
 import random
@@ -48,10 +48,8 @@ def _inverse(g):
 
 def _map_mask(g, mask):
     out = 0
-    while mask:
-        b = mask & -mask
-        out |= 1 << g[b.bit_length() - 1]
-        mask ^= b
+    for x in _mask_bits(mask):
+        out |= 1 << g[x]
     return out
 
 
@@ -214,33 +212,31 @@ def _target(pcells):
     return best
 
 
-class _Orbits:
-    """Union-find over the points, merged along each generator added."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def add(self, g):
-        for x, y in enumerate(g):
-            rx, ry = self.find(x), self.find(y)
-            if rx != ry:
-                if rx < ry:
-                    self.parent[ry] = rx
-                else:
-                    self.parent[rx] = ry
+def _orbits(gens, n):
+    """The orbits of the group spanned by gens on 0..n-1, as (orbit_of,
+    orbit_pts): orbit_of[x] is the index of x's orbit, orbit_pts lists the
+    points of each, and orbits are numbered by their least point."""
+    orbit_of = [-1] * n
+    orbit_pts = []
+    for x in range(n):
+        if orbit_of[x] < 0:
+            o = len(orbit_pts)
+            orbit_of[x] = o
+            pts = [x]
+            for y in pts:
+                for g in gens:
+                    z = g[y]
+                    if orbit_of[z] < 0:
+                        orbit_of[z] = o
+                        pts.append(z)
+            orbit_pts.append(pts)
+    return orbit_of, orbit_pts
 
 
 def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
                   limit=None):
-    """The automorphism group of the instance as (generators, order), or
-    None when it is trivial; every generator is checked against the masks.
+    """The automorphism group of the instance as a Group, or None when it
+    is trivial; every generator is checked against the masks.
 
     The first path individualizes the least point of the first largest
     non-singleton cell until the partition is discrete; its base points
@@ -272,7 +268,7 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
         invs.append(inv)
     m = len(base)
     gens = []
-    orbits = _Orbits(npoints)
+    orbit_of, orbit_pts = _orbits(gens, npoints)
     stop = None  # the refinement count at which the current level gives up
 
     def spent():
@@ -310,24 +306,24 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
             stop = ref.refinements + limit
         failed = []
         for w in _mask_bits(path[level][0][ci]):
-            rw = orbits.find(w)
-            if rw == orbits.find(b) or any(orbits.find(f) == rw for f in failed):
+            ow = orbit_of[w]
+            if ow == orbit_of[b] or any(orbit_of[f] == ow for f in failed):
                 continue
             g = find(level, w)
             if g is not None:
                 gens.append(g)
-                orbits.add(g)
+                orbit_of, orbit_pts = _orbits(gens, npoints)
             elif spent():
                 # the levels below are settled: their group, of known order
-                return (tuple(gens[:settled]), order) if order > 1 else None
+                return (Group(tuple(gens[:settled]), order, npoints)
+                        if order > 1 else None)
             else:
                 failed.append(w)
         # every candidate was settled, so this is b's full orbit under the
         # stabilizer of the base points above it
-        rb = orbits.find(b)
-        order *= sum(1 for x in range(npoints) if orbits.find(x) == rb)
+        order *= len(orbit_pts[orbit_of[b]])
         settled = len(gens)
-    return (tuple(gens), order) if order > 1 else None
+    return Group(tuple(gens), order, npoints) if order > 1 else None
 
 
 def schreier_sims(gens, n, order, prefix=()):
@@ -419,22 +415,7 @@ class Group:
         self.order = order
         self.n = n
         self.chain = chain  # (base, strong, transversals), complete, or None
-        orbit_of = [-1] * n
-        orbit_pts = []
-        for x in range(n):
-            if orbit_of[x] < 0:
-                o = len(orbit_pts)
-                orbit_of[x] = o
-                pts = [x]
-                for y in pts:
-                    for g in gens:
-                        z = g[y]
-                        if orbit_of[z] < 0:
-                            orbit_of[z] = o
-                            pts.append(z)
-                orbit_pts.append(pts)
-        self.orbit_of = orbit_of
-        self.orbit_pts = orbit_pts
+        self.orbit_of, self.orbit_pts = _orbits(gens, n)
         self._stabs = {}
 
     def __reduce__(self):
@@ -466,14 +447,14 @@ class Group:
         return K, t, tinv
 
 
-def state_group(group, n):
-    """The form in which a search state carries the group (generators,
-    order): None when the group is trivial, else (H, u, v), the group
-    u H u^-1 with H a Group and v = u^-1, here with u the identity."""
+def state_group(group):
+    """A Group, or None for the trivial group, in the form a search state
+    carries it: (H, u, v) stands for u H u^-1 with v = u^-1, and here H is
+    the group itself and u the identity."""
     if group is None:
         return None
-    ident = tuple(range(n))
-    return Group(group[0], group[1], n), ident, ident
+    ident = tuple(range(group.n))
+    return group, ident, ident
 
 
 def branch(group, pts):

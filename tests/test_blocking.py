@@ -238,7 +238,7 @@ def test_frontier_pass_stops_at_the_deadline():
     U = len(inst.universe)
     tmasks = solver._build_masks(inst.universe, inst.family)
     cover = solver._cover_masks(len(tmasks), tmasks, U)
-    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []), U)
+    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []))
     root = (0, 0, 0, 0, group, len(tmasks))
     stack = [root]
     result = solver._search((tmasks, cover, [], None, U), stack, U + 1,

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import blocksets
-from blocksets import cli, solver
+from blocksets import cli, solver, symmetry
+from blocksets.braid import braid_existence
 from blocksets.cli import main
+from blocksets.geometry import AFFINE
 
 
 def run(capsys, *argv):
@@ -69,14 +71,6 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
              "--scope", "touching")
     assert run_json(capsys, *braid)["stats"]["symmetry"]["skipped"] > 0
     assert "stats" not in run_json(capsys, "--no-meta", *braid)
-
-
-def test_worker_count_does_not_change_report(capsys):
-    base = ("--no-meta", "search", "--space", "pg", "--n", "2", "--q", "3",
-            "--t", "1", "--convention", "nontrivial")
-    _, serial, _ = run(capsys, *base, "--workers", "1")
-    _, pooled, _ = run(capsys, *base, "--workers", "8")
-    assert serial == pooled
 
 
 def test_search_pinned_minimum(capsys):
@@ -155,6 +149,47 @@ def test_timeout_keeps_the_symmetry_record(capsys):
     assert code == 3 and "stats" not in json.loads(out)
 
 
+def test_deadline_passing_during_the_group_computation(capsys, monkeypatch):
+    # the group is computed within the budget but returned only after the
+    # deadline: the search stops before its first orbital node, with the
+    # probe's nodes and the symmetry record
+    real = symmetry.automorphisms
+
+    def late(npoints, trace_masks, forb_masks, deadline, limit):
+        group = real(npoints, trace_masks, forb_masks, deadline, limit)
+        while time.monotonic() <= deadline:
+            time.sleep(0.01)
+        return group
+
+    monkeypatch.setattr(symmetry, "automorphisms", late)
+    code, out, _ = run(capsys, "search", "--space", "pg", "--n", "2",
+                       "--q", "5", "--t", "1", "--convention", "nontrivial",
+                       "--budget", "1")
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["result"]["verdict"] == "timeout"
+    stats = rep["stats"]
+    assert stats["symmetry"]["order"] == 372000
+    assert stats["nodes"] == stats["symmetry"]["probe_nodes"]
+
+
+def test_braid_timeout_is_an_error_object(capsys):
+    code, out, err = run(capsys, "braid", "--kind", "ag", "--n", "3",
+                         "--q", "5", "--scope", "touching", "--budget", "0.05")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["type"] == "SearchTimeout"
+
+
+def test_search_vacuous_family(capsys, tmp_path):
+    # every line of PG(2,3) meets the removed line, so none is contained
+    src = tmp_path / "line.txt"
+    src.write_text("projective 2 3\n1 0 0\n")
+    rep = run_json(capsys, "--no-meta", "search", str(src), "--t", "1")
+    assert rep["instance"]["family_size"] == 0
+    assert rep["result"] == {"verdict": "vacuous", "vacuous_family": True,
+                             "size": 0, "witness": []}
+
+
 def test_budget_reaches_the_oracle(capsys):
     # the search proves in well under a second that no nontrivial blocking
     # set of PG(2,7) fits in 11 points; the oracle would list every subset
@@ -204,6 +239,9 @@ def test_bad_inputs_exit_two(capsys):
         ("verify", "--space", "pg", "--n", "2", "--q", "3",
          "--set", "9,9,9"),
         ("search", "--space", "pg", "--n", "2", "--q", "6"),
+        # 31 points, past the oracle's reach without --cap
+        ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
+         "--oracle"),
         ("scan", "--q", "3", "--nmax", "2", "--kind", "affine-classical",
          "--family", "braid"),
         ("braid", "--q", "3", "--escape", "0,0,1", "1,0,2"),  # off the complement
@@ -435,6 +473,16 @@ def test_scan_affine_classical(capsys):
     assert [r["verdict"] for r in rep["rows"]] == ["not-exists", "not-exists"]
     assert rep["threshold"] is None
     assert "note" in rep
+
+
+def test_scan_braid_family_matches_braid_existence(capsys):
+    rep = run_json(capsys, "--no-meta", "scan", "--family", "braid",
+                   "--kind", "ag", "--q", "3", "--nmax", "3")
+    assert [r["n"] for r in rep["rows"]] == [1, 2, 3]
+    for row in rep["rows"]:
+        out = braid_existence(AFFINE, row["n"], 3)
+        assert row["verdict"] == out.verdict
+        assert row["size"] == out.result.size
 
 
 def test_scan_projective_threshold(capsys):

@@ -71,9 +71,9 @@ def test_group_order_matches_formula_and_sympy(kind, n, q, order):
     U, tmasks, fmasks = _masks(kind, n, q)
     formula = _pgaml(n, q) if kind == PROJECTIVE else _agaml(n, q)
     assert formula == order
-    gens, got = symmetry.automorphisms(U, tmasks, fmasks)
-    assert got == order
-    assert _sympy_order(gens) == order
+    group = symmetry.automorphisms(U, tmasks, fmasks)
+    assert group.order == order
+    assert _sympy_order(group.gens) == order
 
 
 @pytest.mark.parametrize("kind,n,q,t,rows,scope,nontrivial,order", [
@@ -89,13 +89,12 @@ def test_generators_preserve_family_and_forbidden(kind, n, q, t, rows, scope,
                                                   nontrivial, order):
     U, tmasks, fmasks = _masks(kind, n, q, t, rows, scope, nontrivial)
     group = symmetry.automorphisms(U, tmasks, fmasks)
-    gens, got = group
-    for g in gens:
+    for g in group.gens:
         assert sorted(g) == list(range(U))
         assert _maps_onto(g, tmasks) and _maps_onto(g, fmasks)
-    assert _sympy_order(gens) == got
+    assert _sympy_order(group.gens) == group.order
     if order is not None:
-        assert got == order
+        assert group.order == order
 
 
 def test_generator_search_gives_up_with_a_valid_subgroup():
@@ -106,15 +105,18 @@ def test_generator_search_gives_up_with_a_valid_subgroup():
         if group is None:
             orders.append(1)
             continue
-        gens, order = group
-        assert all(_maps_onto(g, tmasks) for g in gens)
-        assert order == _sympy_order(gens)
-        orders.append(order)
+        assert all(_maps_onto(g, tmasks) for g in group.gens)
+        assert group.order == _sympy_order(group.gens)
+        orders.append(group.order)
     assert all(372000 % o == 0 for o in orders)
     assert orders[0] < orders[-1] == 372000
-    assert symmetry.automorphisms(U, tmasks, fmasks,
-                                  deadline=time.monotonic() - 1.0) == \
-        symmetry.automorphisms(U, tmasks, fmasks, limit=0)
+
+    def key(group):
+        return group and (group.gens, group.order)
+
+    assert key(symmetry.automorphisms(U, tmasks, fmasks,
+                                      deadline=time.monotonic() - 1.0)) == \
+        key(symmetry.automorphisms(U, tmasks, fmasks, limit=0))
 
 
 def _actual_gens(group, n):
@@ -129,7 +131,7 @@ def test_branch_orbits_and_stabilizers_match_sympy():
     # of the first point that its group moves: the children's groups are
     # conjugates of cached stabilizers, and sympy checks each one afresh
     U, tmasks, _ = _masks(PROJECTIVE, 2, 4)
-    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []), U)
+    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []))
     pts = [3, 0, 7, 20, 11, 5]
     depth = 0
     while group is not None:
@@ -161,10 +163,11 @@ def test_branch_orbits_and_stabilizers_match_sympy():
 
 def test_schreier_sims_base_starts_with_the_prefix():
     U, tmasks, _ = _masks(AFFINE, 2, 3)
-    gens, order = symmetry.automorphisms(U, tmasks, [])
-    base, strong, trans = symmetry.schreier_sims(gens, U, order, prefix=(4, 2))
+    group = symmetry.automorphisms(U, tmasks, [])
+    base, strong, trans = symmetry.schreier_sims(group.gens, U, group.order,
+                                                 prefix=(4, 2))
     assert base[:2] == [4, 2]
-    assert prod(len(t) for t in trans) == order
+    assert prod(len(t) for t in trans) == group.order
     for i, t in enumerate(trans):
         for x, u in t.items():
             assert u[base[i]] == x
@@ -216,7 +219,7 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     # the generator search gets the allowance solve_masks gives it
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
     inst = (tmasks, cover, fmasks, forb_at, U)
     plain = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                            cap + 1, None, False)
@@ -273,7 +276,7 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
                for p in range(U)] if fmasks else None
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
     stack = _Recorder([(0, 0, 0, 0, group, len(tmasks))])
     solver._search((tmasks, cover, fmasks, forb_at, U), stack,
                    (U if U <= 16 else CAP) + 1, None, False)
@@ -301,7 +304,7 @@ def _check_resume(U, tmasks, fmasks, cap):
     inst = (tmasks, cover, fmasks, forb_at, U)
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     orbital = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences), U)
+        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
     opt = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                          cap + 1, None, False)[0]
     for group in (None, orbital):
