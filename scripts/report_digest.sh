@@ -17,9 +17,12 @@
 # the traces of PG(3,4) and AG(4,3) at each level, of the braid
 # complements of AG(4,5) and AG(3,7), and the planes of PG(3,8).  The
 # fifth runs the subset oracle: the `search --oracle` rows of
-# oracle_agreement.sh (nontrivial and capped among them), two
+# oracle_agreement.sh (nontrivial and capped among them), four
 # `search --certificate` instances with no blocking set, whose reports
-# carry the oracle's subset count, and the selftest.  Two
+# carry the oracle's subset count, and the selftest.  Two of those certify
+# at once, at d = n; AG(4,2) walks up from its 3-flats to the whole space,
+# and PG(3,2) minus a plane (touching) walks up and finds no flat inside
+# its universe, so its certificate is null.  Two
 # versions of the package that build the same flats, compute the same
 # field elements and search alike print the same digests, so comparing
 # them across checkouts shows whether a change altered any report:
@@ -48,6 +51,7 @@ printf 'affine 3 9\n5 1 0 2\n0 4 0 3\n' > "$tmp/ag3-9.two-planes.txt"
 printf 'affine 4 5\n1 4 0 0 0\n1 0 4 0 0\n1 0 0 4 0\n0 1 4 0 0\n0 1 0 4 0\n0 0 1 4 0\n' \
     > "$tmp/ag4-5.braid.txt"
 printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
+printf 'projective 3 2\n1 0 0 0\n' > "$tmp/pg3-2.minus-plane.txt"
 
 {
     $BS complement --space pg --n 3 --q 3 --flats 1
@@ -130,5 +134,8 @@ printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
     done
     $BS search --space pg --n 2 --q 2 --t 1 --convention nontrivial --certificate
     $BS search --space ag --n 3 --q 2 --t 2 --convention nontrivial --certificate
+    $BS search --space ag --n 4 --q 2 --t 1 --convention nontrivial --certificate
+    $BS search "$tmp/pg3-2.minus-plane.txt" --t 1 --scope touching \
+        --convention nontrivial --certificate
     $BS selftest
 } | sha256sum | sed 's/-$/oracle-heavy commands/'

@@ -177,9 +177,9 @@ def flats_in_complement(comp, d):
 
 
 def touching_traces(comp, d):
-    """(flat, trace) for every d-flat meeting the complement; the trace is
-    the sorted tuple of complement points on the flat.  Equal traces from
-    different flats are kept once per originating flat."""
+    """The trace of every d-flat meeting the complement, in canonical flat
+    order; a trace is the sorted tuple of complement points on the flat.
+    Equal traces from different flats are kept once per originating flat."""
     sp = comp.space
     if flat_count(sp.kind, sp.n, d, sp.q) > ENUM_GUARD:
         raise TooLarge("trace enumeration at d=%d in %s exceeds the guard" % (d, sp))
@@ -188,9 +188,9 @@ def touching_traces(comp, d):
     for fl in iter_flats(sp, d):
         trace = tuple(p for p in fl.points if p in mem)
         if trace:
-            out.append((fl, trace))
-    out.sort(key=lambda pair: pair[0].sort_key())
-    return out
+            out.append((fl.sort_key(), trace))
+    out.sort()
+    return [trace for _, trace in out]
 
 
 def max_flat_dimension(comp):
@@ -199,12 +199,10 @@ def max_flat_dimension(comp):
         return None
     if len(comp.members) == comp.space.npoints:
         return comp.space.n
-    best = 0
+    # short of the whole space, no n-flat lies inside, so the loop returns
     for d in range(1, comp.space.n + 1):
         if not flats_in_complement(comp, d):
-            return best
-        best = d
-    return best
+            return d - 1
 
 
 # -- text format -----------------------------------------------------------

@@ -46,22 +46,22 @@ class BlockingInstance:
     """A hitting problem over a complement.
 
     universe and every trace are sorted tuples of point indices into the
-    space's canonical enumeration.  family_flats, when present, aligns
-    with family and names the flat each trace came from; same for the
-    forbidden side.  t is the level the instance was built at (restriction
-    can push it to 0 or below; blocked_dim stays the ambient n - t and is
-    what the traces actually mean).
+    space's canonical enumeration, traces in canonical order of the flats
+    they come from.  region is the point set a restriction lives in (None
+    for the whole space): the traces are those of the flats inside it.  t
+    is the level the instance was built at (restriction can push it to 0
+    or below; blocked_dim stays the ambient n - t and is what the traces
+    actually mean).
     """
     space: Space
     t: int
     universe: tuple
     family: tuple
     forbidden: tuple = ()
-    family_flats: tuple = None
-    forbidden_flats: tuple = None
     arrangement: Arrangement = None
     scope: str = "custom"
     blocked_dim: int = None
+    region: frozenset = None
 
     def __post_init__(self):
         npts = self.space.npoints
@@ -112,19 +112,12 @@ def build_instance(sp, arr, t, scope=CONTAINED):
     d = sp.n - t
     if scope == CONTAINED:
         # both calls read the levels of one growth pass kept on comp
-        fam_flats = tuple(flats_in_complement(comp, d))
-        family = tuple(fl.points for fl in fam_flats)
-        forb_flats = tuple(flats_in_complement(comp, t))
-        forbidden = tuple(fl.points for fl in forb_flats)
+        family = tuple(fl.points for fl in flats_in_complement(comp, d))
+        forbidden = tuple(fl.points for fl in flats_in_complement(comp, t))
     else:
-        pairs = touching_traces(comp, d)
-        fam_flats = tuple(fl for fl, _ in pairs)
-        family = tuple(tr for _, tr in pairs)
-        fpairs = touching_traces(comp, t)
-        forb_flats = tuple(fl for fl, _ in fpairs)
-        forbidden = tuple(tr for _, tr in fpairs)
+        family = touching_traces(comp, d)
+        forbidden = touching_traces(comp, t)
     return BlockingInstance(sp, t, comp.members, family, forbidden,
-                            family_flats=fam_flats, forbidden_flats=forb_flats,
                             arrangement=arr, scope=scope, blocked_dim=d)
 
 
@@ -273,33 +266,32 @@ def solve_instance(inst, convention=PLAIN, size_cap=None, time_budget=None,
 
 def induced_subinstance(inst, flat):
     """Sub-instance inside a flat: keep the universe points lying in the
-    flat and exactly those family/forbidden traces whose originating flat
-    is contained in it.  Blocked dimension is unchanged (the kept traces
-    still come from ambient (n-t)-flats); the level is re-expressed
-    relative to the flat and may reach 0 or below, in which case the
-    family side simply cannot be nonempty."""
-    if inst.family_flats is None:
-        raise ValueError("instance carries no flat provenance, cannot restrict")
-    fset = set(flat.points)
-    sub_universe = tuple(p for p in inst.universe if p in fset)
-    fam_flats = []
-    family = []
-    for fl, tr in zip(inst.family_flats, inst.family):
-        if set(fl.points) <= fset:
-            fam_flats.append(fl)
-            family.append(tr)
-    forb_flats = []
-    forbidden = []
-    for fl, tr in zip(inst.forbidden_flats or (), inst.forbidden):
-        if set(fl.points) <= fset:
-            forb_flats.append(fl)
-            forbidden.append(tr)
-    t_sub = inst.t - (inst.space.n - flat.d)
-    return BlockingInstance(inst.space, t_sub, sub_universe, family, forbidden,
-                            family_flats=tuple(fam_flats),
-                            forbidden_flats=tuple(forb_flats),
+    flat, and the traces of exactly those family/forbidden flats that lie
+    inside both the flat and the instance's region, found by the
+    instance's scope rule on the kept points.  Blocked dimension is
+    unchanged (the kept traces still come from ambient (n-t)-flats); the
+    level is re-expressed relative to the flat and may reach 0 or below,
+    in which case the family side simply cannot be nonempty."""
+    if inst.scope not in SCOPES:
+        raise ValueError("instance has no geometric scope, cannot restrict")
+    sp = inst.space
+    region = frozenset(flat.points)
+    if inst.region is not None:
+        region &= inst.region
+    sub_universe = tuple(p for p in inst.universe if p in region)
+    keep = frozenset(sub_universe)
+    # contained flats lie inside the kept points, touching ones only meet them
+    inside = FlatGrowth(sp, keep if inst.scope == CONTAINED else region)
+
+    def traces(d):
+        found = (tuple(p for p in fl.points if p in keep) for fl in inside.flats(d))
+        return tuple(tr for tr in found if tr)
+
+    t_sub = inst.t - (sp.n - flat.d)
+    return BlockingInstance(sp, t_sub, sub_universe, traces(inst.blocked_dim),
+                            traces(sp.n - inst.blocked_dim),
                             arrangement=inst.arrangement, scope=inst.scope,
-                            blocked_dim=inst.blocked_dim)
+                            blocked_dim=inst.blocked_dim, region=region)
 
 
 def restrict_blocking(inst, candidate, flat):
@@ -336,7 +328,7 @@ def join_blocking(c_complement, c_hyperplane, hyperplane, sp, t=1):
     form = arr.forms[0]
     inst = build_instance(sp, arr, t, scope=TOUCHING)
     b1 = _as_pointset(inst, c_complement)
-    for fl, tr in zip(inst.family_flats, inst.family):
+    for tr in inst.family:
         if not any(p in b1 for p in tr):
             raise PreconditionFailed(
                 "complement part misses the trace of a flat, e.g. %r" % (tr[:4],))
@@ -375,28 +367,28 @@ class SubspaceCertificate:
 
 def nonexistence_by_subspace(inst, convention=PLAIN):
     """Search for a nonexistence certificate among flats inside the
-    universe, dimensions ascending from blocked_dim to n, flats in
-    canonical order.  A flat certifies when its sub-instance has a
-    nonempty family, a universe small enough for the oracle, and the
-    oracle says not-exists.  Returns None when nothing certifies (in
-    particular whenever the ambient instance does have a blocking set)."""
+    universe, dimensions ascending from blocked_dim (and above t) to n.  A
+    flat certifies when its universe is small enough for the oracle and
+    the oracle says not-exists on its sub-instance.  A d-flat inside the
+    universe keeps every one of its own (n-t)- and t-subflats, whole, so
+    all d-flats inside give isomorphic sub-instances and the first one in
+    canonical order stands for its dimension.  Returns None when nothing
+    certifies (in particular whenever the ambient instance does have a
+    blocking set)."""
     if convention not in CONVENTIONS:
         raise ValueError("convention must be one of %s" % (CONVENTIONS,))
     req = convention == NONTRIVIAL
     sp = inst.space
     inside = FlatGrowth(sp, inst.universe_set)
-    for d in range(max(inst.blocked_dim, 0), sp.n + 1):
-        if d <= inst.t:
-            continue
-        for fl in inside.flats(d):
-            sub = induced_subinstance(inst, fl)
-            if not sub.family:
-                continue
-            if len(sub.universe) > ORACLE_FULL_CAP:
-                continue
-            res = exhaustive_oracle(sub, require_nontrivial=req)
-            if res.verdict == "not-exists":
-                return SubspaceCertificate(fl, sub, res, convention)
+    for d in range(max(inst.blocked_dim, inst.t + 1, 0), sp.n + 1):
+        flats = inside.flats(d)
+        # a larger flat holds a smaller one and has more points
+        if not flats or len(flats[0].points) > ORACLE_FULL_CAP:
+            return None
+        sub = induced_subinstance(inst, flats[0])
+        res = exhaustive_oracle(sub, require_nontrivial=req)
+        if res.verdict == "not-exists":
+            return SubspaceCertificate(flats[0], sub, res, convention)
     return None
 
 

@@ -196,7 +196,7 @@ def cmd_complement(args):
         payload["contained_flats"] = {"d": args.flats, "count": len(flats)}
     if args.touching is not None:
         traces = touching_traces(comp, args.touching)
-        sizes = sorted(len(tr) for _, tr in traces)
+        sizes = sorted(len(tr) for tr in traces)
         payload["touching_traces"] = {
             "d": args.touching, "count": len(traces),
             "trace_sizes": {"min": sizes[0] if sizes else None,

@@ -328,10 +328,10 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
 
 def schreier_sims(gens, n, order, prefix=()):
     """Stabilizer chain of the group of the given order spanned by gens.
-    Returns (base, strong, transversals): the base starts with `prefix`,
-    strong[i] lists the strong generators fixing base[:i], and
+    Returns (base, strong, transversals, inverses): the base starts with
+    `prefix`, strong[i] lists the strong generators fixing base[:i],
     transversals[i] maps each point x of base[i]'s orbit under them to an
-    element taking base[i] to x.
+    element taking base[i] to x, and inverses[i] maps x to its inverse.
 
     Group elements come from a product-replacement walk over the
     generators (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)
@@ -344,7 +344,7 @@ def schreier_sims(gens, n, order, prefix=()):
     base = list(prefix)
     S = [[] for _ in base]
     T = [{b: ident} for b in base]
-    Tinv = [{b: ident} for b in base]  # inverses, for sifting
+    Tinv = [{b: ident} for b in base]  # sifts, and serves Group.stabilizer
     size = 1
     rng = random.Random(0)
     state = list(gens) * (-(-10 // len(gens)))
@@ -392,7 +392,7 @@ def schreier_sims(gens, n, order, prefix=()):
         size = 1
         for t in T:
             size *= len(t)
-    return base, S, T
+    return base, S, T, Tinv
 
 
 class Group:
@@ -414,7 +414,7 @@ class Group:
         self.gens = gens
         self.order = order
         self.n = n
-        self.chain = chain  # (base, strong, transversals), complete, or None
+        self.chain = chain  # a complete schreier_sims chain, or None
         self.orbit_of, self.orbit_pts = _orbits(gens, n)
         self._stabs = {}
 
@@ -433,18 +433,15 @@ class Group:
             chain = self.chain
             if chain is None or self.orbit_of[chain[0][0]] != o:
                 chain = schreier_sims(self.gens, self.n, self.order, (a,))
-            base, S, T = chain
+            base, S, T, Tinv = chain
             rest = self.order // len(T[0])
             K = None
             if rest > 1:
-                K = Group(tuple(S[1]), rest, self.n, (base[1:], S[1:], T[1:]))
-            entry = self._stabs[o] = (K, T[0], {})
-        K, T0, inverses = entry
-        t = T0[a]
-        tinv = inverses.get(a)
-        if tinv is None:
-            tinv = inverses[a] = _inverse(t)
-        return K, t, tinv
+                K = Group(tuple(S[1]), rest, self.n,
+                          (base[1:], S[1:], T[1:], Tinv[1:]))
+            entry = self._stabs[o] = (K, T[0], Tinv[0])
+        K, T0, Tinv0 = entry
+        return K, T0[a], Tinv0[a]
 
 
 def state_group(group):

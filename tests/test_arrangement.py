@@ -170,22 +170,22 @@ def test_touching_traces_pg23_minus_line():
     comp = complement(sp, one_line(sp))
     traces = touching_traces(comp, 1)
     assert len(traces) == 12
-    assert all(len(tr) == 3 for _, tr in traces)
+    assert all(len(tr) == 3 for tr in traces)
 
 
 def test_touching_traces_d0_are_singletons():
     sp = space(PROJECTIVE, 2, 3)
     comp = complement(sp, one_line(sp))
     traces = touching_traces(comp, 0)
-    assert sorted(tr[0] for _, tr in traces) == list(comp.members)
-    assert all(len(tr) == 1 for _, tr in traces)
+    assert sorted(tr[0] for tr in traces) == list(comp.members)
+    assert all(len(tr) == 1 for tr in traces)
 
 
 def test_touching_traces_empty_arrangement_are_full_flats():
     sp = space(AFFINE, 2, 3)
     comp = complement(sp, arrangement_make(sp, []))
     traces = touching_traces(comp, 1)
-    assert sorted(tr for _, tr in traces) == sorted(
+    assert sorted(tr for tr in traces) == sorted(
         fl.points for fl in enumerate_flats(sp, 1))
 
 
@@ -197,7 +197,7 @@ def test_touching_hyperplane_traces_match_classical_affine():
         comp = complement(sp, one_line(sp))
         traces = touching_traces(comp, n - 1)
         assert len(traces) == flat_count(AFFINE, n, n - 1, q)
-        assert all(len(tr) == q ** (n - 1) for _, tr in traces)
+        assert all(len(tr) == q ** (n - 1) for tr in traces)
 
 
 def test_max_flat_dimension():

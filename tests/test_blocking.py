@@ -64,8 +64,6 @@ def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows,
     members = complement(sp, arr).member_set
     fam = flats_within(sp, members, n - t)
     forb = flats_within(sp, members, t)
-    assert [fl.key() for fl in inst.family_flats] == [fl.key() for fl in fam]
-    assert [fl.key() for fl in inst.forbidden_flats] == [fl.key() for fl in forb]
     assert inst.family == tuple(fl.points for fl in fam)
     assert inst.forbidden == tuple(fl.points for fl in forb)
 
@@ -399,6 +397,85 @@ def test_induced_subinstance_filters_both_families():
         assert set(tr) <= pts
     for tr in sub.forbidden:
         assert set(tr) <= pts
+
+
+def _restricted_traces(inst, region):
+    """The definition restriction stands for: the flats of the ambient
+    instance under its scope rule, in canonical order, kept when they lie
+    inside `region`; their traces on the universe."""
+    sp, uni = inst.space, inst.universe_set
+
+    def traces(d):
+        out = []
+        for fl in enumerate_flats(sp, d):
+            pts = set(fl.points)
+            if inst.scope == "contained" and not pts <= uni:
+                continue
+            if inst.scope == "touching" and not pts & uni:
+                continue
+            if pts <= region:
+                out.append(tuple(p for p in fl.points if p in uni))
+        return tuple(out)
+
+    return traces(inst.blocked_dim), traces(sp.n - inst.blocked_dim)
+
+
+@pytest.mark.parametrize("scope", ["contained", "touching"])
+@pytest.mark.parametrize("kind,n,q,rows", [
+    (PROJECTIVE, 3, 2, [(1, 0, 0, 0), (0, 1, 1, 0)]),
+    (AFFINE, 3, 3, [(1, 2, 0, 0), (1, 0, 2, 0), (0, 1, 2, 0)]),  # braid
+])
+@pytest.mark.parametrize("t", [1, 2])
+def test_induced_subinstance_matches_its_definition(kind, n, q, rows, t, scope):
+    sp = space(kind, n, q)
+    inst = build_instance(sp, arrangement_make(sp, rows), t, scope)
+    for d in range(t + 1, n + 1):
+        for fl in enumerate_flats(sp, d):
+            sub = induced_subinstance(inst, fl)
+            pts = set(fl.points)
+            assert sub.universe == tuple(p for p in inst.universe if p in pts)
+            assert (sub.family, sub.forbidden) == _restricted_traces(inst, pts)
+
+
+def test_touching_restriction_of_a_restriction_keeps_flats_inside_both():
+    sp = space(AFFINE, 3, 3)
+    inst = build_instance(sp, braid_arrangement(sp), 1, "touching")
+    first, *others = enumerate_flats(sp, 2)
+    sub = induced_subinstance(inst, first)
+    # a plane that leaves the first one, whose own traces differ from the
+    # traces of the flats inside both
+    inner = set(first.points)
+    second = next(fl for fl in others
+                  if _restricted_traces(inst, inner & set(fl.points))
+                  != _restricted_traces(sub, set(fl.points)))
+    both = inner & set(second.points)
+    subsub = induced_subinstance(sub, second)
+    assert subsub.region == both
+    assert subsub.universe == tuple(p for p in inst.universe if p in both)
+    assert (subsub.family, subsub.forbidden) == _restricted_traces(inst, both)
+
+
+@pytest.mark.parametrize("kind,n,q,rows,scope,checked", [
+    (AFFINE, 4, 2, [], "contained", 31),
+    (AFFINE, 3, 2, [], "contained", 15),
+    # no line of PG(3,2) misses a plane: no flat of dimension > t is inside
+    (PROJECTIVE, 3, 2, [(1, 0, 0, 0)], "touching", 0),
+])
+def test_flats_inside_the_universe_of_one_dimension_agree(kind, n, q, rows,
+                                                          scope, checked):
+    # the reason nonexistence_by_subspace tests one flat per dimension
+    sp = space(kind, n, q)
+    inst = build_instance(sp, arrangement_make(sp, rows), 1, scope)
+    seen = 0
+    for d in range(max(inst.blocked_dim, inst.t + 1), n + 1):
+        verdicts = []
+        for fl in flats_within(sp, inst.universe_set, d):
+            res = exhaustive_oracle(induced_subinstance(inst, fl),
+                                    require_nontrivial=True)
+            verdicts.append((res.verdict, res.size))
+        assert verdicts == verdicts[:1] * len(verdicts)
+        seen += len(verdicts)
+    assert seen == checked
 
 
 def test_join_one_point_of_the_removed_line():

@@ -164,13 +164,15 @@ def test_branch_orbits_and_stabilizers_match_sympy():
 def test_schreier_sims_base_starts_with_the_prefix():
     U, tmasks, _ = _masks(AFFINE, 2, 3)
     group = symmetry.automorphisms(U, tmasks, [])
-    base, strong, trans = symmetry.schreier_sims(group.gens, U, group.order,
-                                                 prefix=(4, 2))
+    base, strong, trans, inv = symmetry.schreier_sims(
+        group.gens, U, group.order, prefix=(4, 2))
     assert base[:2] == [4, 2]
     assert prod(len(t) for t in trans) == group.order
     for i, t in enumerate(trans):
+        assert inv[i].keys() == t.keys()
         for x, u in t.items():
             assert u[base[i]] == x
+            assert symmetry._mul(u, inv[i][x]) == tuple(range(U))
 
 
 # Universes past 16 points are searched under this cap (answers above it
