@@ -12,16 +12,15 @@ from .blocking import (BlockingInstance, ClassificationResult, ScanReport,
                        ScanRow, SubspaceCertificate, build_instance,
                        classify_arrangement, exhaustive_oracle,
                        guaranteed_existence_check, induced_subinstance,
-                       is_blocking, is_minimal, is_nontrivial, join_blocking,
-                       min_blocking_set, minimalize,
-                       nonexistence_by_subspace, restrict_blocking,
+                       is_blocking, is_minimal, is_nontrivial,
+                       min_blocking_set, minimalize, nonexistence_by_subspace,
                        solve_instance, threshold_scan)
 from .braid import (BraidOutcome, braid_arrangement,
                     braid_complement_points, braid_existence, braid_lines,
                     braid_transversal, escape_parameter)
 from .errors import BlocksetsError, SearchTimeout
 from .geometry import (AFFINE, PROJECTIVE, Flat, Space, enumerate_flats,
-                       flat_count, flat_size, flats_within, gaussian_binomial,
-                       in_flat, iter_flats, span, space)
+                       flat_count, flat_size, gaussian_binomial, iter_flats,
+                       span, space)
 from .gf import FieldSpec, field_make
 from .solver import SearchResult

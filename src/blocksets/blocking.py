@@ -19,14 +19,11 @@ import time
 from dataclasses import dataclass
 
 from . import solver
-from .arrangement import (Arrangement, HyperplaneForm, arrangement_make,
-                          complement, evaluate_form, flats_in_complement,
-                          touching_traces)
-from .errors import (DimensionOutOfRange, DimensionTooSmall,
-                     FlatDisjointFromUniverse, FlatNotContained,
-                     InternalError, NotBlocking, NotInUniverse, PreconditionFailed,
-                     SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import Flat, FlatGrowth, Space, flats_within
+from .arrangement import (Arrangement, arrangement_make, complement,
+                          flats_in_complement, touching_traces)
+from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
+                     NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
+from .geometry import Flat, FlatGrowth, Space
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -292,59 +289,6 @@ def induced_subinstance(inst, flat):
                             traces(sp.n - inst.blocked_dim),
                             arrangement=inst.arrangement, scope=inst.scope,
                             blocked_dim=inst.blocked_dim, region=region)
-
-
-def restrict_blocking(inst, candidate, flat):
-    """Cut a blocking set down to a flat.  The intersection blocks the
-    induced sub-instance; that postcondition is checked, not hoped for."""
-    pts = _as_pointset(inst, candidate)
-    if not is_blocking(inst, pts):
-        raise NotBlocking("restriction needs a blocking set to start from")
-    if flat.d <= inst.t:
-        raise DimensionTooSmall(
-            "flat dimension %d must exceed the level t=%d" % (flat.d, inst.t))
-    fset = set(flat.points)
-    if inst.scope == CONTAINED:
-        if not fset <= inst.universe_set:
-            raise FlatNotContained("flat leaves the complement")
-    else:
-        if not fset & inst.universe_set:
-            raise FlatDisjointFromUniverse("flat misses the universe entirely")
-    sub = induced_subinstance(inst, flat)
-    part = tuple(sorted(pts & fset))
-    if not is_blocking(sub, part):
-        raise InternalError("restriction %r does not block the sub-instance"
-                            % (part,))
-    return sub, part
-
-
-def join_blocking(c_complement, c_hyperplane, hyperplane, sp, t=1):
-    """Glue a blocking set of the one-hyperplane complement (touching
-    scope) to a set inside the hyperplane that hits every (n-t)-flat the
-    hyperplane contains.  The union blocks the whole space at level t;
-    checked against the empty-arrangement instance before returning."""
-    row = hyperplane.coeffs if isinstance(hyperplane, HyperplaneForm) else tuple(hyperplane)
-    arr = arrangement_make(sp, [row])
-    form = arr.forms[0]
-    inst = build_instance(sp, arr, t, scope=TOUCHING)
-    b1 = _as_pointset(inst, c_complement)
-    for tr in inst.family:
-        if not any(p in b1 for p in tr):
-            raise PreconditionFailed(
-                "complement part misses the trace of a flat, e.g. %r" % (tr[:4],))
-    hset = set(i for i in range(sp.npoints) if evaluate_form(sp, form, i) == 0)
-    b2 = set(p if isinstance(p, int) else sp.index_of(p) for p in c_hyperplane)
-    if not b2 <= hset:
-        raise PreconditionFailed("hyperplane part has points off the hyperplane")
-    for fl in flats_within(sp, hset, sp.n - t):
-        if not b2 & set(fl.points):
-            raise PreconditionFailed(
-                "hyperplane part misses a %d-flat inside the hyperplane" % (sp.n - t,))
-    union = b1 | b2
-    full = build_instance(sp, arrangement_make(sp, []), t, scope=CONTAINED)
-    if not is_blocking(full, union):
-        raise InternalError("joined set does not block the whole space")
-    return tuple(sorted(union))
 
 
 def guaranteed_existence_check(n, q, t=1):

@@ -62,22 +62,6 @@ class UniverseTooLarge(BlocksetsError):
     """Exhaustive enumeration requested for a universe that is too big."""
 
 
-class FlatDisjointFromUniverse(BlocksetsError):
-    """Restriction flat misses the instance universe."""
-
-
-class FlatNotContained(BlocksetsError):
-    """Contained-scope restriction to a flat that leaves the complement."""
-
-
-class DimensionTooSmall(BlocksetsError):
-    """Restriction flat too small to induce a meaningful sub-instance."""
-
-
-class PreconditionFailed(BlocksetsError):
-    """A constructive operation's input fails its blocking precondition."""
-
-
 class IdenticalPoints(BlocksetsError):
     """Escape parameter requested for x == y."""
 

@@ -371,15 +371,6 @@ def span(sp, pts):
     return _flat(sp, *_canonical(sp, origin, vecs))
 
 
-def in_flat(sp, flat, point):
-    """Membership test from the canonical basis, no point list needed."""
-    v = sp.points[point] if isinstance(point, int) else sp.normalize(point)
-    if flat.kind == AFFINE:
-        v = _vec_sub(v, flat.base, sp.field)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in flat.rows]
-    return not any(_reduce_by_rows(v, pivots, flat.rows, sp.field))
-
-
 def _fillings(sp, vec, cols):
     """The vector `vec` with every choice of codes in the columns `cols`,
     the last column varying fastest."""
@@ -528,9 +519,3 @@ class FlatGrowth:
                         grown[key] = _flat(sp, *key)
         return sorted(grown.values(), key=Flat.sort_key)
 
-
-def flats_within(sp, members, d):
-    """All d-flats whose point set lies inside `members` (a set of point
-    indices), grown from lower-dimensional flats by spanning.  Avoids
-    enumerating the whole flat population when `members` is small."""
-    return FlatGrowth(sp, members).flats(d)

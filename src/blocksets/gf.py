@@ -123,10 +123,6 @@ class FieldSpec:
     inv_table: list = field(default=None, repr=False)
     neg_table: list = field(default=None, repr=False)
 
-    def _check(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError("element code %r outside 0..%d" % (a, self.q - 1))
-
     # -- operations -----------------------------------------------------
 
     def add(self, a, b):
@@ -148,19 +144,6 @@ class FieldSpec:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        self._check(a)
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
 
     # -- misc -------------------------------------------------------------
 

@@ -420,8 +420,10 @@ class Group:
 
     def __reduce__(self):
         # a pool task builds the stabilizers it asks for, so its payload
-        # need not carry the ones found before it was sent
-        return Group, (self.gens, self.order, self.n, self.chain)
+        # need not carry the ones found before it was sent, nor the chain's
+        # inverse transversals, which it rebuilds from the transversals
+        chain = self.chain and self.chain[:3]
+        return _unpickle_group, (self.gens, self.order, self.n, chain)
 
     def stabilizer(self, a):
         """(K, t, t^-1) with Stab(a) = t K t^-1: K is the stabilizer of the
@@ -442,6 +444,14 @@ class Group:
             entry = self._stabs[o] = (K, T[0], Tinv[0])
         K, T0, Tinv0 = entry
         return K, T0[a], Tinv0[a]
+
+
+def _unpickle_group(gens, order, n, chain):
+    if chain is not None:
+        base, S, T = chain
+        Tinv = [{x: _inverse(t) for x, t in level.items()} for level in T]
+        chain = base, S, T, Tinv
+    return Group(gens, order, n, chain)
 
 
 def state_group(group):

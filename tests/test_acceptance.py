@@ -18,14 +18,13 @@ from blocksets.arrangement import (arrangement_make, complement,
                                    evaluate_form, flats_in_complement)
 from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
-                                is_blocking, is_minimal, is_nontrivial,
-                                join_blocking, min_blocking_set, minimalize,
-                                restrict_blocking)
+                                induced_subinstance, is_blocking, is_minimal,
+                                is_nontrivial, min_blocking_set, minimalize)
 from blocksets.braid import (braid_arrangement, braid_complement_points,
                              braid_existence, braid_transversal,
                              escape_parameter)
 from blocksets.cli import main
-from blocksets.geometry import (AFFINE, PROJECTIVE, flats_within, span, space)
+from blocksets.geometry import AFFINE, PROJECTIVE, FlatGrowth, span, space
 
 from braid_reference import line_in_complement
 
@@ -297,11 +296,12 @@ def test_restriction_keeps_blocking_property():
             cand = set(minimalize(inst, cand))
         dims = [d for d in range(t + 1, sp.n + 1)]
         d = rng.choice(dims)
-        flats = flats_within(sp, range(sp.npoints), d)
+        flats = FlatGrowth(sp, range(sp.npoints)).flats(d)
         fl = rng.choice(flats)
+        assert is_blocking(inst, cand)
         try:
-            sub, part = restrict_blocking(inst, cand, fl)
-            if not is_blocking(sub, part):
+            sub = induced_subinstance(inst, fl)
+            if not is_blocking(sub, cand & set(fl.points)):
                 failures.append((case, sp, t, fl.key()))
         except AssertionError:
             failures.append((case, sp, t, fl.key()))
@@ -337,12 +337,11 @@ def test_join_across_a_hyperplane():
             k = rng.randint(1, 3)
             c2 = set(rng.sample(sorted(hset), min(k, len(hset))))
         else:
-            lines = flats_within(sp, hset, 1)
+            lines = FlatGrowth(sp, hset).flats(1)
             c2 = set(rng.choice(lines).points)
         try:
-            union = join_blocking(c1, c2, row, sp, t=t)
             full = build_instance(sp, arrangement_make(sp, []), t, "contained")
-            if not is_blocking(full, union):
+            if not is_blocking(full, c1 | c2):
                 failures.append((case, n, q, t))
         except AssertionError:
             failures.append((case, n, q, t))

@@ -9,17 +9,15 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
                                 guaranteed_existence_check, induced_subinstance,
                                 is_blocking, is_minimal, is_nontrivial,
-                                join_blocking, min_blocking_set,
-                                minimalize, nonexistence_by_subspace,
-                                restrict_blocking, solve_instance,
+                                min_blocking_set, minimalize,
+                                nonexistence_by_subspace, solve_instance,
                                 threshold_scan)
 from blocksets.braid import braid_arrangement
-from blocksets.errors import (DimensionOutOfRange, DimensionTooSmall,
-                              FlatNotContained, InternalError, NotBlocking,
-                              NotInUniverse, PreconditionFailed, SearchTimeout,
-                              TooLarge, UniverseTooLarge)
+from blocksets.errors import (DimensionOutOfRange, InternalError, NotBlocking,
+                              NotInUniverse, SearchTimeout, TooLarge,
+                              UniverseTooLarge)
 from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth, enumerate_flats,
-                                flat_size, flats_within, space, span)
+                                flat_size, space, span)
 
 
 def empty_instance(kind, n, q, t=1, scope="contained"):
@@ -62,8 +60,9 @@ def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows,
         assert grown == list(range(1, max(n - t, t) + 1))
     monkeypatch.undo()
     members = complement(sp, arr).member_set
-    fam = flats_within(sp, members, n - t)
-    forb = flats_within(sp, members, t)
+    growth = FlatGrowth(sp, members)
+    fam = growth.flats(n - t)
+    forb = growth.flats(t)
     assert inst.family == tuple(fl.points for fl in fam)
     assert inst.forbidden == tuple(fl.points for fl in forb)
 
@@ -358,8 +357,8 @@ def test_restriction_to_a_plane():
     inst = empty_instance(PROJECTIVE, 3, 2)
     res = min_blocking_set(inst)
     plane = enumerate_flats(inst.space, 2)[0]
-    sub, part = restrict_blocking(inst, res.witness, plane)
-    assert part == tuple(p for p in res.witness if p in plane.points)
+    sub = induced_subinstance(inst, plane)
+    part = set(res.witness) & set(plane.points)
     assert is_blocking(sub, part)
     assert set(sub.universe) <= set(plane.points)
 
@@ -367,24 +366,10 @@ def test_restriction_to_a_plane():
 def test_restriction_of_full_universe():
     inst = empty_instance(PROJECTIVE, 3, 2)
     plane = enumerate_flats(inst.space, 2)[3]
-    sub, part = restrict_blocking(inst, inst.universe, plane)
-    assert part == plane.points
-
-
-def test_restriction_guards():
-    inst = empty_instance(PROJECTIVE, 3, 2)
-    line = enumerate_flats(inst.space, 1)[0]
-    with pytest.raises(DimensionTooSmall):
-        restrict_blocking(inst, inst.universe, line)
-    with pytest.raises(NotBlocking):
-        restrict_blocking(inst, (0,), enumerate_flats(inst.space, 2)[0])
-    sp = space(PROJECTIVE, 3, 2)
-    row = (1, 0, 0, 0)
-    covered = build_instance(sp, arrangement_make(sp, [row]), 1, "contained")
-    outside = enumerate_flats(sp, 2)[0]
-    if not set(outside.points) <= set(covered.universe):
-        with pytest.raises(FlatNotContained):
-            restrict_blocking(covered, covered.universe, outside)
+    sub = induced_subinstance(inst, plane)
+    part = set(inst.universe) & set(plane.points)
+    assert tuple(sorted(part)) == plane.points
+    assert is_blocking(sub, part)
 
 
 def test_induced_subinstance_filters_both_families():
@@ -469,7 +454,7 @@ def test_flats_inside_the_universe_of_one_dimension_agree(kind, n, q, rows,
     seen = 0
     for d in range(max(inst.blocked_dim, inst.t + 1), n + 1):
         verdicts = []
-        for fl in flats_within(sp, inst.universe_set, d):
+        for fl in FlatGrowth(sp, inst.universe_set).flats(d):
             res = exhaustive_oracle(induced_subinstance(inst, fl),
                                     require_nontrivial=True)
             verdicts.append((res.verdict, res.size))
@@ -484,7 +469,8 @@ def test_join_one_point_of_the_removed_line():
     inst = build_instance(sp, arrangement_make(sp, [row]), 1, "touching")
     c1 = min_blocking_set(inst).witness
     hpoints = [p for p in range(sp.npoints) if p not in inst.universe_set]
-    union = join_blocking(c1, hpoints[:1], row, sp)
+    union = set(c1) | set(hpoints[:1])
+    assert is_blocking(empty_instance(PROJECTIVE, 2, 3), union)
     lines = enumerate_flats(sp, 1)
     assert all(set(fl.points) & set(union) for fl in lines)
 
@@ -494,22 +480,9 @@ def test_join_whole_space_degenerate():
     row = (1, 0, 0)
     inst = build_instance(sp, arrangement_make(sp, [row]), 1, "touching")
     hpoints = [p for p in range(sp.npoints) if p not in inst.universe_set]
-    union = join_blocking(tuple(inst.universe), hpoints, row, sp)
+    union = set(inst.universe) | set(hpoints)
     assert len(union) == 13
-
-
-def test_join_preconditions():
-    sp = space(PROJECTIVE, 2, 3)
-    row = (1, 0, 0)
-    inst = build_instance(sp, arrangement_make(sp, [row]), 1, "touching")
-    hpoints = [p for p in range(sp.npoints) if p not in inst.universe_set]
-    with pytest.raises(PreconditionFailed):
-        join_blocking((), hpoints[:1], row, sp)  # empty affine part
-    c1 = min_blocking_set(inst).witness
-    with pytest.raises(PreconditionFailed):
-        join_blocking(c1, [inst.universe[0]], row, sp)  # off the hyperplane
-    with pytest.raises(PreconditionFailed):
-        join_blocking(c1, [], row, sp)
+    assert is_blocking(empty_instance(PROJECTIVE, 2, 3), union)
 
 
 def test_join_level_two():
@@ -518,12 +491,14 @@ def test_join_level_two():
     inst = build_instance(sp, arrangement_make(sp, [row]), 2, "touching")
     c1 = min_blocking_set(inst).witness
     hset = [p for p in range(sp.npoints) if p not in inst.universe_set]
-    # at t=2 the hyperplane part must hit every line inside the hyperplane
-    hflat = span(sp, hset)
-    hsub = [p for p in hset]
-    union = join_blocking(c1, hsub, row, sp, t=2)
-    for fl in enumerate_flats(sp, 1):
-        assert set(fl.points) & set(union)
+    # at t=2 the hyperplane part must hit every line inside the hyperplane:
+    # the whole removed plane does, and so does any one line of it
+    full = empty_instance(PROJECTIVE, 3, 2, t=2)
+    for c2 in [hset] + [fl.points for fl in FlatGrowth(sp, set(hset)).flats(1)]:
+        union = set(c1) | set(c2)
+        assert is_blocking(full, union)
+        for fl in enumerate_flats(sp, 1):
+            assert set(fl.points) & union
 
 
 # -- existence helpers -------------------------------------------------------

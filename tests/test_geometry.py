@@ -9,8 +9,9 @@ from blocksets import geometry
 from blocksets.errors import DimensionOutOfRange, InternalError, SpaceTooLarge
 from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth,
                                 enumerate_flats, flat_count, flat_size,
-                                flats_within, gaussian_binomial, in_flat,
-                                space, span)
+                                gaussian_binomial, space, span)
+
+from geometry_reference import in_flat
 
 
 def test_point_counts():
@@ -144,15 +145,15 @@ def test_in_flat_agrees_with_point_list():
 def test_flats_within_subset():
     sp = space(PROJECTIVE, 2, 3)
     line = enumerate_flats(sp, 1)[0]
-    inside = flats_within(sp, set(line.points), 1)
+    inside = FlatGrowth(sp, set(line.points)).flats(1)
     assert [fl.key() for fl in inside] == [line.key()]
-    assert flats_within(sp, set(line.points[:-1]), 1) == []
+    assert FlatGrowth(sp, set(line.points[:-1])).flats(1) == []
 
 
 def test_flats_within_full_universe_matches_enumeration():
     sp = space(AFFINE, 2, 3)
     allpts = set(range(sp.npoints))
-    assert ([fl.key() for fl in flats_within(sp, allpts, 1)]
+    assert ([fl.key() for fl in FlatGrowth(sp, allpts).flats(1)]
             == [fl.key() for fl in enumerate_flats(sp, 1)])
 
 
@@ -164,7 +165,7 @@ def _all_flats(kind, n, q, d):
 def _check_flats_within(sp, members, d):
     want = [fl for fl in _all_flats(sp.kind, sp.n, sp.q, d)
             if set(fl.points) <= members]
-    got = flats_within(sp, members, d)
+    got = FlatGrowth(sp, members).flats(d)
     assert ([(fl.key(), fl.points) for fl in got]
             == [(fl.key(), fl.points) for fl in want])
     for fl in got:
@@ -295,7 +296,7 @@ def test_flats_within_projective_hyperplane(n, q):
     for hyp in (hyps[0], hyps[-1]):
         members = set(hyp.points)
         for d in range(n + 1):
-            got = flats_within(sp, members, d)
+            got = FlatGrowth(sp, members).flats(d)
             want = [fl for fl in _all_flats(PROJECTIVE, n, q, d)
                     if members.issuperset(fl.points)]
             assert ([(fl.key(), fl.points) for fl in got]

@@ -5,6 +5,7 @@ sympy's own Schreier-Sims; every generator is mapped over the masks by
 hand; orbital branching must reach the optimum the plain search reaches,
 and the subset oracle's where the universe is small enough."""
 
+import pickle
 import time
 from math import prod
 
@@ -159,6 +160,26 @@ def test_branch_orbits_and_stabilizers_match_sympy():
         group = nxt
         depth += 1
     assert depth >= 3
+
+
+def test_pickled_stabilizers_rebuild_their_inverse_transversals():
+    # PG(2,7) minus two lines, touching: the --workers payloads carry each
+    # chain's base, strong generators and transversals, not the inverses
+    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
+                               scope="touching", nontrivial=True)
+    group = symmetry.automorphisms(U, tmasks, fmasks)
+    assert group.order == 3528
+    stabs = [group.stabilizer(a)[0] for a in range(U)]
+    assert sum(len(pickle.dumps(K)) for K in stabs) <= 90000
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy.chain == group.chain
+    for a in range(U):
+        K, t, tinv = group.stabilizer(a)
+        K2, t2, tinv2 = copy.stabilizer(a)
+        assert (t2, tinv2) == (t, tinv)
+        assert (K2 is None) == (K is None)
+        if K is not None:
+            assert (K2.gens, K2.order, K2.chain) == (K.gens, K.order, K.chain)
 
 
 def test_schreier_sims_base_starts_with_the_prefix():
