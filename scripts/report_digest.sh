@@ -10,7 +10,8 @@
 # arrangements re-read in another dimension, and a scan with a cap and
 # two workers.  The third runs the solver on wide instances, thousands of
 # traces or points:
-# Bose-Burton minima in PG(3,q) and PG(4,3), and AG(9,2) and AG(10,2) at
+# Bose-Burton minima in PG(3,q) and PG(4,3) (at t = 2, 863 nodes that
+# each pack before they scan), and AG(9,2) and AG(10,2) at
 # the point level under the nontrivial convention, where the greedy walks
 # every point before the whole space is forbidden.  The fourth lists the
 # flats of wide instances, so it fingerprints the point lists themselves:
@@ -98,6 +99,7 @@ printf 'projective 3 2\n1 0 0 0\n' > "$tmp/pg3-2.minus-plane.txt"
     $BS search --space pg --n 3 --q 5 --t 2
     $BS search --space pg --n 3 --q 7 --t 2
     $BS search --space pg --n 3 --q 9 --t 2
+    $BS search --space pg --n 4 --q 3 --t 2
     $BS search --space pg --n 4 --q 3 --t 3
     $BS search --space ag --n 9 --q 2 --t 9 --convention nontrivial
     $BS search --space ag --n 10 --q 2 --t 10 --convention nontrivial

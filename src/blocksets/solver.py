@@ -19,10 +19,20 @@ its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
 skipped.  The subtrees then cover every solution up to an automorphism.
 
-A node costs time linear in its uncovered traces: they are listed from
-the binary digits of one mask (_mask_bits), and each point's cover mask is
-built once, before the search.  The incumbent it starts from is a lazy
-greedy cover that picks the same points as a full rescan would.
+A node with more uncovered traces than undecided points first finds its
+packing by jumping: it packs the lowest uncovered trace, drops every trace
+through one of that trace's undecided points (the union of their cover
+masks), and packs the lowest trace left.  The scan packs a trace exactly
+when it meets none of the points packed before it, so the jumps build the
+scan's packing, trace for trace; and since packed point sets are disjoint
+they touch each undecided point at most once, where the scan touches every
+uncovered trace.  A dead trace or a packing of need traces closes the node
+there; a node the jumps leave open scans as before.  A narrower node seldom
+closes on its packing, so it goes straight to the scan.  The scan costs
+time linear in the node's uncovered traces: they are listed from the
+binary digits of one mask (_mask_bits), and each point's cover mask is
+built once, before the search.  The incumbent the search starts from is a
+lazy greedy cover that picks the same points as a full rescan would.
 
 The search runs on an explicit stack of open subtrees, and a run cut short
 by a node limit leaves the rest on it.  That is how `--workers` splits the
@@ -71,7 +81,9 @@ def _mask_bits(mask):
     """The set bit positions of a nonnegative mask, ascending.  The scan
     runs in C over the binary digits, so it costs time linear in the width
     of the mask; peeling the lowest bit off a wide int instead copies the
-    int once per bit."""
+    int once per bit.  A sparse mask is cheaper to peel: a trace has few
+    undecided points, and bin() would pay for every point of the
+    universe."""
     flags = bin(mask)[:1:-1].encode().translate(_BIN_FLAGS)
     return list(compress(range(len(flags)), flags))
 
@@ -187,6 +199,31 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             continue  # closed by the parent's counting bound
         need = best - k  # a better cover adds at most need - 1 points
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
+        if nrem > bit_count(und):
+            # the scan's first-fit packing, found by jumping: the next
+            # packed trace is the lowest one through none of the packed
+            # points, so each packed trace drops every trace through its
+            # own points.  Packed point sets are disjoint, so this touches
+            # each undecided point at most once, fewer than the traces the
+            # scan would touch.
+            free = rem
+            pack = 0
+            while free:
+                low = free & -free
+                opts = trace_masks[low.bit_length() - 1] & und
+                if not opts:
+                    break  # a dead trace: free keeps it until it is lowest
+                pack += 1
+                if pack >= need:
+                    break
+                hit = 0
+                while opts:
+                    b = opts & -opts
+                    hit |= cover[b.bit_length() - 1]
+                    opts ^= b
+                free ^= free & hit
+            if free:
+                continue  # dead trace or packing closes the node
         pack = 0
         acc = 0
         usable = 0

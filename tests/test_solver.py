@@ -3,6 +3,7 @@ checked against a plain reference on drawn masks, and wide instances with
 pinned node counts."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,69 @@ def test_root_counting_bound_and_reach_are_the_stated_sums(inst, best0):
         assert state[5] == sum(degs[:need - 2])
 
 
+@st.composite
+def wide_nodes(draw):
+    """(U, trace_masks, inc, exc, k, best0): more traces than points, each
+    of at most four points, so packings of several traces occur, and one
+    search state over them whose included and excluded points are drawn
+    freely, so dead traces occur too."""
+    U = draw(st.integers(3, 12))
+    point = st.integers(0, U - 1)
+    trace = st.sets(point, min_size=1, max_size=4).map(
+        lambda bits: sum(1 << b for b in bits))
+    most = min(3 * U, sum(comb(U, i) for i in range(1, 5)))
+    traces = draw(st.lists(trace, min_size=U + 1, max_size=most, unique=True))
+    role = draw(st.lists(st.sampled_from("ixuuu"), min_size=U, max_size=U))
+    inc = sum(1 << p for p, r in enumerate(role) if r == "i")
+    exc = sum(1 << p for p, r in enumerate(role) if r == "x")
+    k = draw(st.integers(0, U))
+    best0 = draw(st.integers(1, U + 2))
+    return U, traces, inc, exc, k, best0
+
+
+def reference_node_closes(traces, cover, inc, exc, k, best0, U):
+    """Whether a search node with these included and excluded points, k
+    points counted and incumbent best0 pushes no child: it is a cover, an
+    uncovered trace has no undecided point, a first-fit packing over every
+    uncovered trace in index order reaches need = best0 - k disjoint
+    traces, or need - 1 points cannot cover the uncovered traces even
+    with the largest degrees."""
+    cov = union_cover(cover, inc)
+    rem = [ti for ti in range(len(traces)) if not cov >> ti & 1]
+    if not rem:
+        return True
+    und = ((1 << U) - 1) & ~(inc | exc)
+    if any(not traces[ti] & und for ti in rem):
+        return True
+    need = best0 - k
+    acc = pack = 0
+    for ti in rem:
+        if not traces[ti] & und & acc:
+            acc |= traces[ti] & und
+            pack += 1
+    if pack >= need:
+        return True
+    rem_mask = sum(1 << ti for ti in rem)
+    degs = sorted(((cover[p] & rem_mask).bit_count() for p in peel_bits(und)),
+                  reverse=True)
+    return sum(degs[:need - 1]) < len(rem)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_nodes())
+def test_node_closes_exactly_on_the_stated_bounds(node):
+    """One node, wherever it finds its packing, closes on a dead trace, on
+    the index-order first-fit packing or on the counting bound, and on
+    nothing else: a node that the reference keeps open pushes children."""
+    U, traces, inc, exc, k, best0 = node
+    cover = solver._cover_masks(len(traces), traces, U)
+    stack = [(inc, exc, union_cover(cover, inc), k, None, len(traces))]
+    solver._search((traces, cover, [], None, U), stack, best0, None, False,
+                   limit=1)
+    assert (stack == []) == reference_node_closes(traces, cover, inc, exc, k,
+                                                  best0, U)
+
+
 # Wide Bose-Burton rows: the minimum blocking set of the (n-t)-flats of
 # PG(n,q) is a t-flat.  Thousands of traces, few nodes: these pin the
 # search's per-node work on wide instances (trace scan, bounds, branching
@@ -184,6 +248,8 @@ WIDE_PINNED = [
     # n, q, t, size, nodes
     (3, 5, 2, 31, 31),
     (3, 7, 2, 57, 57),
+    (3, 9, 2, 91, 91),
+    (4, 3, 2, 13, 863),
     (4, 3, 3, 40, 49),
 ]
 
