@@ -1,5 +1,5 @@
 #!/bin/bash
-# Prints five sha256 digests over the --no-meta reports of fixed lists of
+# Prints six sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines, braid
 # existence where the contained lines are one parallel class (AG(m,q) at
@@ -23,7 +23,10 @@
 # carry the oracle's subset count, and the selftest.  Two of those certify
 # at once, at d = n; AG(4,2) walks up from its 3-flats to the whole space,
 # and PG(3,2) minus a plane (touching) walks up and finds no flat inside
-# its universe, so its certificate is null.  Two
+# its universe, so its certificate is null.  The sixth lists complement
+# members point by point: forms whose last coefficient is not 1 over
+# GF(9), an affine constant, the braid complement over GF(8) and a
+# projective plane minus a line.  Two
 # versions of the package that build the same flats, compute the same
 # field elements and search alike print the same digests, so comparing
 # them across checkouts shows whether a change altered any report:
@@ -141,3 +144,10 @@ printf 'projective 3 2\n1 0 0 0\n' > "$tmp/pg3-2.minus-plane.txt"
         --convention nontrivial --certificate
     $BS selftest
 } | sha256sum | sed 's/-$/oracle-heavy commands/'
+
+{
+    $BS complement "$tmp/pg2-9.two-lines.txt" --members
+    $BS complement "$tmp/ag3-9.two-planes.txt" --members
+    $BS complement "$tmp/ag3-8.braid.txt" --members
+    $BS complement "$tmp/pg2-5.minus-line.txt" --members
+} | sha256sum | sed 's/-$/complement-member commands/'

@@ -9,25 +9,19 @@ A hyperplane form is a coefficient tuple over GF(q):
 Forms are normalized so the first nonzero variable coefficient is 1, which
 makes the solution set the identity of the form; the same hyperplane given
 twice (up to scaling) is rejected.  The complement of an arrangement is the
-set of points on none of its hyperplanes.
+space with each hyperplane's points struck out: a form's zero set is a
+flat whose canonical basis is read off the form itself, so its points come
+by index arithmetic, with no point table and no evaluation of the form.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 
 from .errors import (CoefficientLoss, DimensionMismatch, DuplicateForm,
                      InvalidForm, TooLarge)
 from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, FlatGrowth, Space,
-                       flat_count, iter_flats, space)
-
-
-@dataclass(frozen=True)
-class HyperplaneForm:
-    kind: str
-    coeffs: tuple
-
-    def __repr__(self):
-        return "HyperplaneForm(%s, %s)" % (self.kind, self.coeffs)
+                       _flat, flat_count, iter_flats, space)
 
 
 def normalize_form(sp, coeffs):
@@ -45,41 +39,16 @@ def normalize_form(sp, coeffs):
     if lead != 1:
         f = sp.field.inv(lead)
         coeffs = tuple(sp.field.mul(f, c) for c in coeffs)
-    return HyperplaneForm(sp.kind, coeffs)
-
-
-def evaluate_form(sp, form, point):
-    """Value of the form at a point (index or coordinate tuple)."""
-    coords = sp.points[point] if isinstance(point, int) else sp.normalize(point)
-    fq = sp.field
-    acc = 0
-    for c, x in zip(form.coeffs, coords):
-        if c and x:
-            acc = fq.add(acc, fq.mul(c, x))
-    if sp.kind == AFFINE:
-        acc = fq.add(acc, form.coeffs[-1])
-    return acc
+    return coeffs
 
 
 @dataclass(frozen=True)
 class Arrangement:
-    """An ordered set of distinct normalized hyperplane forms over one space."""
+    """An ordered set of distinct normalized forms (coefficient tuples)
+    over one space."""
 
-    kind: str
-    n: int
-    q: int
+    space: Space
     forms: tuple
-
-    @property
-    def space(self):
-        return space(self.kind, self.n, self.q)
-
-    def __len__(self):
-        return len(self.forms)
-
-    def __repr__(self):
-        return "Arrangement(%s, n=%d, q=%d, %d forms)" % (
-            self.kind, self.n, self.q, len(self.forms))
 
 
 def arrangement_make(sp, coeff_rows):
@@ -88,26 +57,25 @@ def arrangement_make(sp, coeff_rows):
     seen = set()
     for row in coeff_rows:
         form = normalize_form(sp, row)
-        if form.coeffs in seen:
+        if form in seen:
             raise DuplicateForm("hyperplane %s appears twice (after normalization)"
-                                % (form.coeffs,))
-        seen.add(form.coeffs)
+                                % (form,))
+        seen.add(form)
         forms.append(form)
-    return Arrangement(sp.kind, sp.n, sp.q, tuple(forms))
+    return Arrangement(sp, tuple(forms))
 
 
 def corresponding_arrangement(arr, k):
     """The same equations re-read in dimension k: zero-padded upward, or
     truncated downward when the dropped columns carry no coefficient."""
-    n = arr.n
+    kind, n = arr.space.kind, arr.space.n
     if k < 1:
         raise DimensionMismatch("target dimension %d must be >= 1" % k)
     if k == n:
         return arr
     rows = []
-    for form in arr.forms:
-        c = form.coeffs
-        if arr.kind == PROJECTIVE:
+    for c in arr.forms:
+        if kind == PROJECTIVE:
             if k > n:
                 rows.append(c + (0,) * (k - n))
             else:
@@ -124,7 +92,7 @@ def corresponding_arrangement(arr, k):
                     raise CoefficientLoss(
                         "form %s has a nonzero coefficient beyond position %d" % (c, k))
                 rows.append(var[:k] + (const,))
-    return arrangement_make(space(arr.kind, k, arr.q), rows)
+    return arrangement_make(space(kind, k, arr.space.q), rows)
 
 
 @dataclass(eq=False)
@@ -145,26 +113,43 @@ class ComplementSet:
         asked of this set."""
         return FlatGrowth(self.space, self.member_set)
 
-    def __len__(self):
-        return len(self.members)
-
     def __repr__(self):
         return "ComplementSet(%r, %d forms, %d points)" % (
-            self.space, len(self.arrangement), len(self.members))
+            self.space, len(self.arrangement.forms), len(self.members))
+
+
+def hyperplane_flat(sp, form):
+    """The zero set of a normalized form, as a flat.  With l the last
+    coordinate the form reads, every other coordinate k is a pivot with row
+    e_k - (c_k/c_l) e_l, and in AG(n,q) the base is -(c/c_l) e_l, c the
+    constant: the rows are in reduced echelon form and the base is zero in
+    their pivot columns, so the basis is canonical as it stands."""
+    fq, m = sp.field, sp.ncoords
+    last = max(k for k in range(m) if form[k])
+    f = fq.neg(fq.inv(form[last]))
+    rows = []
+    for k in range(m):
+        if k != last:
+            row = [0] * m
+            row[k], row[last] = 1, fq.mul(f, form[k])
+            rows.append(tuple(row))
+    base = None
+    if sp.kind == AFFINE:
+        base = [0] * m
+        base[last] = fq.mul(f, form[-1])
+    return _flat(sp, base, rows)
 
 
 def complement(sp, arr):
-    if (arr.kind, arr.n, arr.q) != (sp.kind, sp.n, sp.q):
+    """The space with each hyperplane's points struck out."""
+    if arr.space != sp:
         raise DimensionMismatch("arrangement over %s applied to %s" % (arr.space, sp))
-    members = []
-    forms = arr.forms
-    for i in range(len(sp.points)):
-        for form in forms:
-            if evaluate_form(sp, form, i) == 0:
-                break
-        else:
-            members.append(i)
-    return ComplementSet(sp, arr, tuple(members))
+    sp.check_enumerable()
+    alive = bytearray([1]) * sp.npoints
+    for form in arr.forms:
+        for p in hyperplane_flat(sp, form).points:
+            alive[p] = 0
+    return ComplementSet(sp, arr, tuple(compress(range(sp.npoints), alive)))
 
 
 def flats_in_complement(comp, d):
@@ -248,7 +233,8 @@ def parse_arrangement_text(text):
 
 
 def emit_arrangement_text(arr):
-    lines = ["%s %d %d" % (arr.kind, arr.n, arr.q)]
+    sp = arr.space
+    lines = ["%s %d %d" % (sp.kind, sp.n, sp.q)]
     for form in arr.forms:
-        lines.append(" ".join(str(c) for c in form.coeffs))
+        lines.append(" ".join(str(c) for c in form))
     return "\n".join(lines) + "\n"

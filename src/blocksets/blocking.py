@@ -447,7 +447,7 @@ def classify_arrangement(sp, arr, t=1, scope=CONTAINED, convention=PLAIN,
     forms = list(arr.forms)
     for i in range(len(forms)):
         rest = forms[:i] + forms[i + 1:]
-        sub_arr = Arrangement(arr.kind, arr.n, arr.q, tuple(rest))
+        sub_arr = Arrangement(arr.space, tuple(rest))
         if same_category(sub_arr):
             minimal = False
             break

@@ -1,13 +1,14 @@
 """The braid arrangement: one hyperplane x_i = x_j per coordinate pair.
 
-Its complement is the set of points with pairwise distinct coordinates, so
-everything here has a combinatorial shadow: affine complements count
-falling factorials q(q-1)...(q-m+1), the contained lines all run in the
-all-ones direction and partition the complement into (q-1)(q-2)...(q-m+1)
-parallel classes.  One point per class (braid_transversal) is a minimum
-blocking set for the line family; braid_existence still decides that
-shape, like every other, by the exact search, whose lexicographically
-least minimum is that transversal.
+Its complement, built like any other as the space minus the hyperplanes'
+flats, is the set of points with pairwise distinct coordinates.  So it is
+empty exactly when a point has more coordinates than the field has
+elements, affine complements count falling factorials q(q-1)...(q-m+1),
+and the contained lines all run in the all-ones direction and partition
+the complement into (q-1)(q-2)...(q-m+1) parallel classes.  One point per
+class (braid_transversal) is a minimum blocking set for the line family;
+braid_existence still decides that shape, like every other, by the exact
+search, whose lexicographically least minimum is that transversal.
 
 escape_parameter is the constructive heart: for two complement points
 whose joining line leaves the complement, it produces the parameter and
@@ -41,35 +42,6 @@ def braid_arrangement(sp):
                 row[-1] = 0  # constant slot stays empty
             rows.append(tuple(row))
     return arrangement_make(sp, rows)
-
-
-def _injective_ranks(m, q):
-    # affine points enumerate in coordinate-lex order, so a tuple's index
-    # is its base-q value; injective tuples come straight from permutations
-    out = []
-    for tup in permutations(range(q), m):
-        r = 0
-        for c in tup:
-            r = r * q + c
-        out.append(r)
-    out.sort()
-    return tuple(out)
-
-
-def braid_complement_points(sp):
-    """Complement members by the distinct-coordinates test alone, no form
-    evaluation.  Affine members are generated directly as injective
-    coordinate tuples and ranked, never by filtering the full point list,
-    so the empty regime m > q costs nothing at any size.  Projective
-    representatives are filtered: scaling preserves coordinate collisions,
-    so the test is well defined on normalized representatives."""
-    if sp.kind == AFFINE:
-        return _injective_ranks(sp.ncoords, sp.q)
-    out = []
-    for i, pt in enumerate(sp.points):
-        if len(set(pt)) == len(pt):
-            out.append(i)
-    return tuple(out)
 
 
 def escape_parameter(sp, x, y):
@@ -115,23 +87,20 @@ def escape_parameter(sp, x, y):
 
 
 def braid_lines(sp):
-    """The lines contained in the affine braid complement: one per
-    representative with first coordinate 0, all running in the all-ones
-    direction.  Empty when m > q (no injective tuples at all)."""
+    """The lines contained in the affine braid complement: one through
+    each tuple of distinct coordinates with first coordinate 0, all running
+    in the all-ones direction.  Empty when m > q (no such tuples)."""
     if sp.kind != AFFINE:
         raise DimensionMismatch("contained braid lines are affine")
-    members = set(braid_complement_points(sp))
-    ones = (1,) * sp.ncoords
     fq = sp.field
     out = []
-    for idx in sorted(members):
-        pt = sp.points[idx]
-        if pt[0] != 0:
-            continue
-        other = tuple(fq.add(a, b) for a, b in zip(pt, ones))
-        fl = span(sp, [pt, other])
-        if not members.issuperset(fl.points):
-            raise InternalError("braid line %r leaves the complement" % (fl.points,))
+    for rest in permutations(range(1, sp.q), sp.ncoords - 1):
+        pt = (0,) + rest
+        fl = span(sp, [pt, tuple(fq.add(a, 1) for a in pt)])
+        for p in fl.points:
+            if len(set(sp.points[p])) != sp.ncoords:
+                raise InternalError("braid line %r leaves the complement"
+                                    % (fl.points,))
         out.append(fl)
     out.sort(key=lambda fl: fl.sort_key())
     return out
@@ -162,16 +131,18 @@ def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
                     size_cap=None, time_budget=None, workers=1):
     """Decide blocking-set existence for the braid complement.
 
-    The projective complement is empty as soon as n > q - 1 (n + 1 coords
-    cannot stay distinct), which gets its own verdict.  Every other shape
-    goes to the exact search (solve_instance), which re-checks its witness
-    before it returns.  Under the contained scope the family can come out
-    empty; that is existence with the empty witness, flagged so callers
-    can tell it apart from a substantive one.
+    The complement is empty exactly when a point has more coordinates than
+    the field has elements (m > q in AG(m,q), n + 1 > q in PG(n,q)): no
+    such tuple keeps its coordinates distinct.  That case gets its own
+    verdict before anything is built.  Every other shape goes to the exact
+    search (solve_instance), which re-checks its witness before it
+    returns.  Under the contained scope the family can come out empty;
+    that is existence with the empty witness, flagged so callers can tell
+    it apart from a substantive one.
     """
     sp = space(kind, n, q)
     arr = braid_arrangement(sp)
-    if not braid_complement_points(sp):
+    if sp.ncoords > q:
         return BraidOutcome(sp, arr, t, scope, convention, "empty",
                             False, 0)
     inst = build_instance(sp, arr, t, scope)

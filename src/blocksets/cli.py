@@ -33,7 +33,6 @@ from .braid import (braid_arrangement, braid_existence, braid_lines,
 from .errors import BlocksetsError, InternalError, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
-from .solver import ORACLE_FULL_CAP
 
 
 def _kind(token):
@@ -170,14 +169,14 @@ def cmd_arrangement(args):
     sp, arr = _load_source(args)
     payload = {"space": _space_block(sp),
                "arrangement": {"count": len(arr.forms),
-                               "forms": [list(f.coeffs) for f in arr.forms]}}
+                               "forms": [list(f) for f in arr.forms]}}
     if args.emit:
         payload["text"] = emit_arrangement_text(arr)
     if args.correspond is not None:
         other = corresponding_arrangement(arr, args.correspond)
         payload["correspond"] = {
-            "n": other.n,
-            "forms": [list(f.coeffs) for f in other.forms],
+            "n": other.space.n,
+            "forms": [list(f) for f in other.forms],
             "text": emit_arrangement_text(other)}
     _emit(args, "arrangement", payload)
     return 0
@@ -250,8 +249,6 @@ def cmd_search(args):
                 "sub_universe": len(cert.sub.universe),
                 "subsets_checked": cert.result.nodes}
     if args.oracle:
-        if len(inst.universe) > ORACLE_FULL_CAP and args.cap is None:
-            raise ValueError("universe too large for --oracle without --cap")
         # the oracle gets what the search and the certificate left of --budget
         budget = None if args.budget is None else \
             args.budget - (time.monotonic() - start)
@@ -422,7 +419,7 @@ def cmd_classify(args):
                                workers=args.workers)
     payload = {"space": _space_block(sp),
                "arrangement": {"count": len(arr.forms),
-                               "forms": [list(f.coeffs) for f in arr.forms]},
+                               "forms": [list(f) for f in arr.forms]},
                "t": args.t, "scope": args.scope, "convention": args.convention,
                "category": cls.category,
                "minimal": cls.minimal,

@@ -98,13 +98,17 @@ class Space:
     def npoints(self):
         return flat_size(self.kind, self.n, self.q)
 
-    @cached_property
-    def points(self):
-        """All points, lexicographically ordered normalized tuples."""
+    def check_enumerable(self):
+        """Raises SpaceTooLarge when the points are too many to list."""
         if self.npoints > ENUM_GUARD:
             raise SpaceTooLarge(
                 "%s has %d points, beyond the enumeration guard %d"
                 % (self, self.npoints, ENUM_GUARD))
+
+    @cached_property
+    def points(self):
+        """All points, lexicographically ordered normalized tuples."""
+        self.check_enumerable()
         if self.kind == AFFINE:
             pts = [t for t in product(range(self.q), repeat=self.n)]
         else:

@@ -1,5 +1,6 @@
-"""Reference helper for the braid tests: the contained-line test by its
-defining property, independent of braid.escape_parameter."""
+"""Reference helpers for the braid tests: the complement and the
+contained-line test by their defining properties, independent of
+arrangement.complement and braid.escape_parameter."""
 
 from blocksets.errors import DimensionMismatch, IdenticalPoints
 from blocksets.geometry import AFFINE
@@ -17,3 +18,8 @@ def line_in_complement(sp, x, y):
         raise IdenticalPoints("need two distinct points")
     d = [fq.sub(a, b) for a, b in zip(xc, yc)]
     return all(v == d[0] for v in d)
+
+
+def distinct_coordinate_points(sp):
+    """Indices of the points whose coordinates are pairwise distinct."""
+    return tuple(i for i, pt in enumerate(sp.points) if len(set(pt)) == len(pt))

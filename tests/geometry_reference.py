@@ -1,5 +1,7 @@
-"""Reference helper for the geometry tests: flat membership from the
-canonical basis alone, independent of how geometry lists a flat's points."""
+"""Reference helpers for the geometry tests: flat membership from the
+canonical basis alone, independent of how geometry lists a flat's points,
+and the value of a hyperplane form at a point, independent of how
+arrangement lists a hyperplane's points."""
 
 from blocksets.geometry import AFFINE
 
@@ -17,3 +19,17 @@ def in_flat(sp, flat, point):
         if c:
             v = tuple(fq.sub(x, fq.mul(c, y)) for x, y in zip(v, row))
     return not any(v)
+
+
+def form_value(sp, form, point):
+    """Value of a normalized form (a coefficient tuple, affine constant
+    last) at a point (index or coordinate tuple), summed term by term with
+    the field's own operations."""
+    fq = sp.field
+    coords = sp.points[point] if isinstance(point, int) else sp.normalize(point)
+    acc = 0
+    for c, x in zip(form, coords):
+        acc = fq.add(acc, fq.mul(c, x))
+    if sp.kind == AFFINE:
+        acc = fq.add(acc, form[-1])
+    return acc

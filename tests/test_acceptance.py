@@ -15,18 +15,18 @@ import pytest
 
 from blocksets import solver
 from blocksets.arrangement import (arrangement_make, complement,
-                                   evaluate_form, flats_in_complement)
+                                   flats_in_complement)
 from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
                                 induced_subinstance, is_blocking, is_minimal,
                                 is_nontrivial, min_blocking_set, minimalize)
-from blocksets.braid import (braid_arrangement, braid_complement_points,
-                             braid_existence, braid_transversal,
-                             escape_parameter)
+from blocksets.braid import (braid_arrangement, braid_existence,
+                             braid_transversal, escape_parameter)
 from blocksets.cli import main
 from blocksets.geometry import AFFINE, PROJECTIVE, FlatGrowth, span, space
 
-from braid_reference import line_in_complement
+from braid_reference import distinct_coordinate_points, line_in_complement
+from geometry_reference import form_value
 
 
 def _parse_pt(s):
@@ -61,7 +61,9 @@ def test_escape_parameter_biconditional_exhaustive():
     for q in (3, 4):
         sp = space(AFFINE, q, q)
         fq = sp.field
-        members = [sp.points[i] for i in braid_complement_points(sp)]
+        members = complement(sp, braid_arrangement(sp)).members
+        assert members == distinct_coordinate_points(sp)
+        members = [sp.points[i] for i in members]
         for x, y in combinations(members, 2):
             hit = escape_parameter(sp, x, y)
             contained = line_in_complement(sp, x, y)
@@ -324,7 +326,7 @@ def test_join_across_a_hyperplane():
         arr = arrangement_make(sp, [row])
         form = arr.forms[0]
         hset = set(i for i in range(sp.npoints)
-                   if evaluate_form(sp, form, i) == 0)
+                   if form_value(sp, form, i) == 0)
         inst = build_instance(sp, arr, t, "touching")
         order = list(inst.universe)
         rng.shuffle(order)

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 from blocksets.arrangement import (arrangement_make, complement,
                                    corresponding_arrangement,
                                    emit_arrangement_text, flats_in_complement,
-                                   max_flat_dimension, normalize_form,
-                                   parse_arrangement_text, touching_traces)
+                                   hyperplane_flat, max_flat_dimension,
+                                   normalize_form, parse_arrangement_text,
+                                   touching_traces)
 from blocksets.braid import braid_arrangement
 from blocksets.errors import (BlocksetsError, CoefficientLoss,
-                              DimensionMismatch, DuplicateForm, InvalidForm)
-from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
-                                flat_count, space)
+                              DimensionMismatch, DuplicateForm, InvalidForm,
+                              SpaceTooLarge)
+from blocksets.geometry import (AFFINE, PROJECTIVE, Space, enumerate_flats,
+                                flat_count, flat_size, span, space)
+from blocksets.gf import field_make
+
+from geometry_reference import form_value
 
 
 def one_line(sp):
@@ -22,13 +27,13 @@ def one_line(sp):
 
 def test_normalize_form_scales_leading_coefficient():
     sp = space(PROJECTIVE, 2, 3)
-    assert normalize_form(sp, (2, 1, 0)).coeffs == (1, 2, 0)
-    assert normalize_form(sp, (0, 2, 2)).coeffs == (0, 1, 1)
+    assert normalize_form(sp, (2, 1, 0)) == (1, 2, 0)
+    assert normalize_form(sp, (0, 2, 2)) == (0, 1, 1)
 
 
 def test_normalize_form_affine_constant_scales_too():
     sp = space(AFFINE, 2, 3)
-    assert normalize_form(sp, (2, 0, 1)).coeffs == (1, 0, 2)
+    assert normalize_form(sp, (2, 0, 1)) == (1, 0, 2)
 
 
 def test_duplicate_after_scaling_rejected():
@@ -42,6 +47,20 @@ def test_zero_variable_part_rejected():
         arrangement_make(space(PROJECTIVE, 2, 3), [(0, 0, 0)])
     with pytest.raises(InvalidForm):
         arrangement_make(space(AFFINE, 2, 3), [(0, 0, 1)])
+    for bad in (3, -1, 1.0):
+        with pytest.raises(InvalidForm, match="is not a GF\\(3\\) code"):
+            normalize_form(space(PROJECTIVE, 2, 3), (1, bad, 0))
+
+
+def test_complement_builds_no_point_table_and_keeps_the_guard():
+    sp = Space(AFFINE, 3, field_make(3))
+    assert len(complement(sp, braid_arrangement(sp)).members) == 6
+    assert "points" not in vars(sp)
+    big = Space(PROJECTIVE, 24, field_make(2))
+    with pytest.raises(SpaceTooLarge, match="^PG\\(24,2\\) has 33554431 points, "
+                       "beyond the enumeration guard 16777216$"):
+        complement(big, arrangement_make(big, []))
+    assert not {"points", "_index_tables"} & set(vars(big))
 
 
 def test_complement_empty_arrangement_is_everything():
@@ -69,24 +88,43 @@ def test_complement_plus_union_covers_space():
     sp = space(PROJECTIVE, 2, 4)
     arr = braid_arrangement(sp)
     comp = complement(sp, arr)
-    union = set()
-    for fl in enumerate_flats(sp, sp.n - 1):
-        key = tuple(fl.rows)
-        # match flats to arrangement forms by testing every point
-        union.update(p for p in fl.points
-                     if all_zero_on_some_form(sp, arr, p))
-    union = {p for p in range(sp.npoints) if not all_nonzero(sp, arr, p)}
+    union = {p for p in range(sp.npoints)
+             if any(form_value(sp, f, p) == 0 for f in arr.forms)}
     assert len(comp.members) + len(union) == sp.npoints
     assert set(comp.members).isdisjoint(union)
 
 
-def all_nonzero(sp, arr, p):
-    from blocksets.arrangement import evaluate_form
-    return all(evaluate_form(sp, f, p) != 0 for f in arr.forms)
+# every field up to GF(9), GF(4), GF(8) and GF(9) among them, in spaces of
+# at most about a thousand points
+DRAWN_SPACES = [(kind, n, q) for kind in (PROJECTIVE, AFFINE)
+                for n in (1, 2, 3, 4) for q in (2, 3, 4, 5, 7, 8, 9)
+                if flat_size(kind, n, q) <= 1000]
 
 
-def all_zero_on_some_form(sp, arr, p):
-    return not all_nonzero(sp, arr, p)
+@st.composite
+def arrangements(draw):
+    kind, n, q = draw(st.sampled_from(DRAWN_SPACES))
+    sp = space(kind, n, q)
+    row = st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row.filter(lambda r: any(r[:sp.ncoords])),
+                         max_size=4))
+    return sp, arrangement_make(sp, sorted({normalize_form(sp, r) for r in rows}))
+
+
+@settings(deadline=None, max_examples=150)
+@given(arrangements())
+def test_complement_is_where_no_form_vanishes(case):
+    sp, arr = case
+    comp = complement(sp, arr)
+    assert comp.members == tuple(
+        p for p in range(sp.npoints)
+        if all(form_value(sp, f, p) for f in arr.forms))
+    for f in arr.forms:
+        fl = hyperplane_flat(sp, f)
+        assert fl.d == sp.n - 1
+        assert fl.points == tuple(p for p in range(sp.npoints)
+                                  if form_value(sp, f, p) == 0)
+        assert fl.key() == span(sp, list(fl.points)).key()  # canonical
 
 
 @settings(deadline=None, max_examples=50)
@@ -125,16 +163,20 @@ def test_corresponding_pads_upward():
     sp = space(PROJECTIVE, 2, 3)
     arr = braid_arrangement(sp)
     up = corresponding_arrangement(arr, 3)
-    assert up.n == 3
-    assert all(f.coeffs[-1] == 0 for f in up.forms)
-    assert [f.coeffs[:3] for f in up.forms] == [f.coeffs for f in arr.forms]
+    assert up.space.n == 3
+    assert all(f[-1] == 0 for f in up.forms)
+    assert [f[:3] for f in up.forms] == list(arr.forms)
 
 
 def test_corresponding_round_trip():
     sp = space(AFFINE, 2, 3)
     arr = braid_arrangement(sp)
     back = corresponding_arrangement(corresponding_arrangement(arr, 4), 2)
-    assert [f.coeffs for f in back.forms] == [f.coeffs for f in arr.forms]
+    assert back.forms == arr.forms
+    sp = space(PROJECTIVE, 2, 3)
+    arr = braid_arrangement(sp)
+    down = corresponding_arrangement(corresponding_arrangement(arr, 4), 2)
+    assert (down.space, down.forms) == (sp, arr.forms)
 
 
 def test_corresponding_coefficient_loss():
@@ -143,6 +185,11 @@ def test_corresponding_coefficient_loss():
     arr = arrangement_make(sp, [(1, 0, 0, fq.neg(1))])  # uses x3
     with pytest.raises(CoefficientLoss):
         corresponding_arrangement(arr, 2)
+    ag = space(AFFINE, 3, 3)
+    with pytest.raises(CoefficientLoss):  # uses x3
+        corresponding_arrangement(arrangement_make(ag, [(0, 0, 1, 2)]), 2)
+    with pytest.raises(DimensionMismatch, match="must be >= 1"):
+        corresponding_arrangement(arr, 0)
 
 
 def test_flats_in_complement_projective_dies_with_any_hyperplane():
@@ -231,7 +278,7 @@ def test_text_round_trip():
     text = emit_arrangement_text(arr)
     sp2, arr2 = parse_arrangement_text(text)
     assert sp2 == sp
-    assert [f.coeffs for f in arr2.forms] == [f.coeffs for f in arr.forms]
+    assert arr2.forms == arr.forms
     assert emit_arrangement_text(arr2) == text
 
 
@@ -249,3 +296,10 @@ def test_text_bad_inputs():
         parse_arrangement_text("pg 2 3\n1 0\n")  # wrong coefficient count
     with pytest.raises(DuplicateForm):
         parse_arrangement_text("pg 2 3\n1 0 0\n2 0 0\n")
+    for text, error in (("pg 2\n1 0 0\n", "line 1: header must be 'kind n q'"),
+                        ("pg two 3\n", "line 1: n and q must be integers"),
+                        ("pg 2 3\n1 0 x\n", "line 2: coefficients must be integers"),
+                        ("# no header\n\n", "missing 'kind n q' header line")):
+        with pytest.raises(InvalidForm) as exc:
+            parse_arrangement_text(text)
+        assert str(exc.value) == error

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 
@@ -13,6 +14,7 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 nonexistence_by_subspace, solve_instance,
                                 threshold_scan)
 from blocksets.braid import braid_arrangement
+from blocksets.cli import main
 from blocksets.errors import (DimensionOutOfRange, InternalError, NotBlocking,
                               NotInUniverse, SearchTimeout, TooLarge,
                               UniverseTooLarge)
@@ -267,12 +269,30 @@ def test_serial_node_counts_are_pinned(kind, n, q, nontrivial, size, before, nod
     assert nodes < before
 
 
-def test_witness_recheck_raises_internal_error(monkeypatch):
-    def one_point(universe_size, trace_masks, forb_masks, **kw):
-        return 1, 1, 0  # a single point blocks no projective plane
-    monkeypatch.setattr(solver, "solve_masks", one_point)
-    with pytest.raises(InternalError):
-        min_blocking_set(empty_instance(PROJECTIVE, 2, 3))
+# witnesses in PG(2,3), every point in the universe: a single point blocks
+# no line; a whole line blocks but swallows the forbidden trace it is; a
+# line and one more point blocks but is not minimal
+RECHECKS = {"point": ("plain", "does not block"),
+            "line": ("nontrivial", "swallows a forbidden trace"),
+            "line+point": ("minimal", "is not minimal")}
+
+
+@pytest.mark.parametrize("witness", sorted(RECHECKS))
+def test_witness_recheck_raises_internal_error(monkeypatch, capsys, witness):
+    convention, match = RECHECKS[witness]
+    sp = space(PROJECTIVE, 2, 3)
+    line = enumerate_flats(sp, 1)[0].points
+    off = min(set(range(sp.npoints)) - set(line))
+    pts = {"point": (0,), "line": line, "line+point": line + (off,)}[witness]
+    mask = sum(1 << p for p in pts)
+    monkeypatch.setattr(solver, "solve_masks",
+                        lambda universe_size, *a, **kw: (len(pts), mask, 0))
+    with pytest.raises(InternalError, match=match):
+        solve_instance(empty_instance(PROJECTIVE, 2, 3), convention)
+    assert main(["search", "--space", "pg", "--n", "2", "--q", "3", "--t",
+                 "1", "--convention", convention]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "InternalError" and match in err["error"]
 
 
 def test_universe_guard(monkeypatch):

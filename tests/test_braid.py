@@ -3,16 +3,20 @@ from itertools import combinations
 
 import pytest
 
+from blocksets import braid
 from blocksets.blocking import build_instance, is_blocking, is_minimal
-from blocksets.braid import (braid_arrangement,
-                             braid_complement_points, braid_existence,
-                             braid_lines, braid_transversal, escape_parameter)
+from blocksets.braid import (braid_arrangement, braid_existence, braid_lines,
+                             braid_transversal, escape_parameter)
 from blocksets.arrangement import complement, flats_in_complement
 from blocksets.errors import DimensionMismatch, IdenticalPoints, NotInUniverse
 from blocksets.geometry import AFFINE, PROJECTIVE, Space, space
 from blocksets.gf import field_make
 
-from braid_reference import line_in_complement
+from braid_reference import distinct_coordinate_points, line_in_complement
+
+
+def braid_complement(sp):
+    return complement(sp, braid_arrangement(sp)).members
 
 
 def test_braid_form_count_and_normalization():
@@ -20,38 +24,33 @@ def test_braid_form_count_and_normalization():
     arr = braid_arrangement(sp)
     assert len(arr.forms) == 3  # one per coordinate pair
     for f in arr.forms:
-        lead = next(c for c in f.coeffs if c)
+        lead = next(c for c in f if c)
         assert lead == 1
 
 
 def test_affine_complement_is_injective_tuples():
     sp = space(AFFINE, 3, 3)
-    members = braid_complement_points(sp)
+    members = braid_complement(sp)
     assert len(members) == 6
-    byfilter = tuple(i for i, pt in enumerate(sp.points)
-                     if len(set(pt)) == len(pt))
-    assert members == byfilter
-    viaforms = complement(sp, braid_arrangement(sp)).members
-    assert members == viaforms
+    assert members == distinct_coordinate_points(sp)
 
 
 def test_projective_complement_matches_form_route():
     for n, q in [(1, 3), (2, 4), (2, 5), (3, 5)]:
         sp = space(PROJECTIVE, n, q)
-        direct = braid_complement_points(sp)
-        viaforms = complement(sp, braid_arrangement(sp)).members
-        assert direct == viaforms
+        assert braid_complement(sp) == distinct_coordinate_points(sp)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
-def test_falling_factorial_complement_sizes(q):
-    for m in range(2, q + 2):
-        got = len(braid_complement_points(space(AFFINE, m, q)))
+def test_falling_factorial_complement_sizes(q, monkeypatch):
+    for m in range(2, q + 1):
+        got = len(braid_complement(Space(AFFINE, m, field_make(q))))
         assert got == math.perm(q, m)
-    # the zero case m = q + 1 is computed without building the point table
+    # the zero case m = q + 1 is decided without building the point table
     sp = Space(AFFINE, q + 1, field_make(q))
-    assert braid_complement_points(sp) == ()
-    assert "points" not in vars(sp)
+    monkeypatch.setattr(braid, "space", lambda kind, n, q: sp)
+    assert braid_existence(AFFINE, q + 1, q).verdict == "empty"
+    assert "points" not in vars(sp) and "_index_tables" not in vars(sp)
 
 
 def test_line_in_complement_direction_test():
@@ -72,7 +71,8 @@ def test_escape_parameter_frozen_example():
 
 def test_escape_parameter_biconditional_q3():
     sp = space(AFFINE, 3, 3)
-    members = braid_complement_points(sp)
+    members = braid_complement(sp)
+    assert members == distinct_coordinate_points(sp)
     for x, y in combinations(members, 2):
         hit = escape_parameter(sp, x, y)
         assert (hit is None) == line_in_complement(sp, x, y)
@@ -88,6 +88,8 @@ def test_escape_parameter_needs_complement_points():
         escape_parameter(sp, (0, 0, 1), (1, 0, 2))
     with pytest.raises(NotInUniverse):
         escape_parameter(sp, (0, 1, 2), (0, 1, 1))
+    with pytest.raises(IdenticalPoints):
+        escape_parameter(sp, (0, 1, 2), (0, 1, 2))
 
 
 def test_escape_parameter_checks_coordinate_tuples():
@@ -105,6 +107,8 @@ def test_escape_parameter_affine_only():
         escape_parameter(space(PROJECTIVE, 2, 3), (1, 0, 2), (0, 1, 2))
     with pytest.raises(DimensionMismatch, match="affine space"):
         escape_parameter(space(PROJECTIVE, 2, 3), (0, 1), (0, 1, 2))
+    with pytest.raises(DimensionMismatch, match="lines are affine"):
+        braid_lines(space(PROJECTIVE, 2, 3))
 
 
 @pytest.mark.parametrize("q,count", [(3, 2), (4, 6), (5, 24)])
@@ -132,7 +136,8 @@ def test_lines_equal_contained_flat_enumeration(q):
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_lines_partition_the_complement(q):
     sp = space(AFFINE, q, q)
-    members = braid_complement_points(sp)
+    members = braid_complement(sp)
+    assert members == distinct_coordinate_points(sp)
     seen = {}
     for k, fl in enumerate(braid_lines(sp)):
         for p in fl.points:

@@ -190,6 +190,18 @@ def test_search_vacuous_family(capsys, tmp_path):
                              "size": 0, "witness": []}
 
 
+def test_oracle_answers_a_vacuous_family_past_its_universe_cap(capsys, tmp_path):
+    # 25 points, past the oracle's 22, but no trace to hit: the oracle
+    # answers at once, and the bad-input row on all of PG(2,5) still exits 2
+    src = tmp_path / "line.txt"
+    src.write_text("projective 2 5\n1 0 0\n")
+    rep = run_json(capsys, "--no-meta", "search", str(src), "--t", "1",
+                   "--oracle")
+    assert rep["instance"]["universe_size"] == 25
+    assert rep["oracle_agrees"] is True
+    assert rep["oracle"] == {"verdict": "vacuous", "size": 0, "witness": []}
+
+
 def test_budget_reaches_the_oracle(capsys):
     # the search proves in well under a second that no nontrivial blocking
     # set of PG(2,7) fits in 11 points; the oracle would list every subset
@@ -238,6 +250,8 @@ def test_bad_inputs_exit_two(capsys):
         ("search", "/nonexistent/arrangement.txt"),
         ("verify", "--space", "pg", "--n", "2", "--q", "3",
          "--set", "9,9,9"),
+        ("verify", "--space", "pg", "--n", "2", "--q", "3",
+         "--set", "0,0,0"),                                # the zero vector
         ("search", "--space", "pg", "--n", "2", "--q", "6"),
         # 31 points, past the oracle's reach without --cap
         ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
@@ -491,6 +505,33 @@ def test_scan_projective_threshold(capsys):
     assert rep["threshold"] == 2
     assert rep["rows"][-1]["size"] == 6
     assert rep["guaranteed_from_field_size"] == {"1": True, "2": False}
+
+
+def test_scan_reports_a_space_past_the_guard_as_skipped(capsys):
+    code, out, _ = run(capsys, "--no-meta", "scan", "--q", "2", "--t", "24",
+                       "--nmax", "24")
+    assert code == 0
+    assert out == (
+        '{"command":"scan","convention":"plain","family":"empty",'
+        '"guaranteed_from_field_size":{"24":false},"kind":"projective",'
+        '"monotone":true,"q":2,"rows":[{"n":24,"note":"PG(24,2) has '
+        '33554431 points, beyond the enumeration guard 16777216",'
+        '"size":null,"verdict":"skipped"}],"scope":"contained","t":24,'
+        '"threshold":null,"version":"%s"}\n' % blocksets.__version__)
+
+
+def test_verify_reports_normalized_points(capsys):
+    # (0,2,2) is the projective point (0,1,1) scaled by 2
+    rep = run_json(capsys, "--no-meta", "verify", "--space", "pg", "--n", "2",
+                   "--q", "3", "--set", "0,2,2", "1,0,0")
+    assert rep["set"] == ["0,1,1", "1,0,0"]
+
+
+def test_braid_escape_on_a_contained_line(capsys):
+    # (1,2,0) - (0,1,2) is all-ones, so the line never leaves
+    rep = run_json(capsys, "braid", "--q", "3", "--escape", "0,1,2", "1,2,0")
+    assert rep["escape"] is None
+    assert rep["line_contained"] is True
 
 
 def test_scan_table_output(capsys):

@@ -38,6 +38,8 @@ def test_not_prime_power():
         field_make(12)
     with pytest.raises((NotPrimePower, ValueError)):
         field_make(1)
+    with pytest.raises(NotPrimePower, match="q must be an integer"):
+        field_make("4")
 
 
 def test_order_cap():
