@@ -1,5 +1,5 @@
 #!/bin/bash
-# Prints six sha256 digests over the --no-meta reports of fixed lists of
+# Prints seven sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines, braid
 # existence where the contained lines are one parallel class (AG(m,q) at
@@ -26,7 +26,11 @@
 # its universe, so its certificate is null.  The sixth lists complement
 # members point by point: forms whose last coefficient is not 1 over
 # GF(9), an affine constant, the braid complement over GF(8) and a
-# projective plane minus a line.  Two
+# projective plane minus a line.  The seventh runs searches that outgrow
+# the probe, so they compute the automorphism group and branch on its
+# orbits: PG(2,7) minus two lines (touching, plain) in two labellings, and
+# braid AG(3,5) touching plain, whose dependent forms give the generator
+# search no collineations to start from.  Two
 # versions of the package that build the same flats, compute the same
 # field elements and search alike print the same digests, so comparing
 # them across checkouts shows whether a change altered any report:
@@ -56,6 +60,8 @@ printf 'affine 4 5\n1 4 0 0 0\n1 0 4 0 0\n1 0 0 4 0\n0 1 4 0 0\n0 1 0 4 0\n0 0 1
     > "$tmp/ag4-5.braid.txt"
 printf 'affine 3 7\n1 6 0 0\n1 0 6 0\n0 1 6 0\n' > "$tmp/ag3-7.braid.txt"
 printf 'projective 3 2\n1 0 0 0\n' > "$tmp/pg3-2.minus-plane.txt"
+printf 'projective 2 7\n1 0 0\n0 1 0\n' > "$tmp/pg2-7.two-lines.txt"
+printf 'projective 2 7\n1 2 3\n0 1 5\n' > "$tmp/pg2-7.two-other-lines.txt"
 
 {
     $BS complement --space pg --n 3 --q 3 --flats 1
@@ -151,3 +157,9 @@ printf 'projective 3 2\n1 0 0 0\n' > "$tmp/pg3-2.minus-plane.txt"
     $BS complement "$tmp/ag3-8.braid.txt" --members
     $BS complement "$tmp/pg2-5.minus-line.txt" --members
 } | sha256sum | sed 's/-$/complement-member commands/'
+
+{
+    $BS search "$tmp/pg2-7.two-lines.txt" --t 1 --scope touching
+    $BS search "$tmp/pg2-7.two-other-lines.txt" --t 1 --scope touching
+    $BS braid --kind ag --n 3 --q 5 --t 1 --scope touching
+} | sha256sum | sed 's/-$/generator-search commands/'

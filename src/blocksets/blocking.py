@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from . import solver
 from .arrangement import (Arrangement, arrangement_make, complement,
-                          flats_in_complement, touching_traces)
+                          fixing_collineations, flats_in_complement,
+                          touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
 from .geometry import Flat, FlatGrowth, Space
@@ -188,6 +189,23 @@ def _masks(inst, require_nontrivial):
     return tmasks, fmasks
 
 
+def _seeds(inst):
+    """For an instance that build_instance made, a function returning the
+    collineations that fix each hyperplane of its arrangement, in the form
+    symmetry.automorphisms takes as seeds, or None; None for any other
+    instance.  Such a collineation maps the complement onto itself and
+    flats onto flats of the same dimension, so it maps the traces of either
+    scope onto themselves."""
+    if inst.scope not in SCOPES or inst.region is not None \
+            or inst.arrangement is None:
+        return None
+
+    def seeds():
+        found = fixing_collineations(inst.arrangement)
+        return found and found + (inst.universe,)
+    return seeds
+
+
 def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
                      time_budget=None, workers=1):
     """Exact minimum blocking set.
@@ -208,7 +226,7 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
     size, wmask, nodes = solver.solve_masks(
         len(inst.universe), tmasks, fmasks,
         size_cap=size_cap, time_budget=time_budget, workers=workers,
-        stats=stats)
+        stats=stats, seeds=_seeds(inst))
     elapsed = time.monotonic() - start
     sym = stats.get("symmetry")
     if size is None:

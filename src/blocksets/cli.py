@@ -33,6 +33,7 @@ from .braid import (braid_arrangement, braid_existence, braid_lines,
 from .errors import BlocksetsError, InternalError, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
+from .solver import check_oracle_universe
 
 
 def _kind(token):
@@ -227,6 +228,9 @@ def cmd_search(args):
                "arrangement": {"count": len(arr.forms)},
                "instance": _instance_block(inst),
                "convention": args.convention}
+    if args.oracle and inst.family:
+        # the oracle's own refusal, before the search rather than after it
+        check_oracle_universe(len(inst.universe), args.cap)
     start = time.monotonic()
     try:
         res = solve_instance(inst, args.convention, size_cap=args.cap,

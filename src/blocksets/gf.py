@@ -122,6 +122,7 @@ class FieldSpec:
     mul_table: list = field(default=None, repr=False)
     inv_table: list = field(default=None, repr=False)
     neg_table: list = field(default=None, repr=False)
+    primitive: int = None  # the smallest element whose powers are GF(q)*
 
     # -- operations -----------------------------------------------------
 
@@ -234,6 +235,7 @@ def _build_tables(fq):
     neg = [row.index(0) for row in add]
     inv = [None] + [row.index(1) for row in mul[1:]]
     fq.add_table, fq.neg_table, fq.mul_table, fq.inv_table = add, neg, mul, inv
+    fq.primitive = antilog[1] if q > 2 else 1
 
 
 def _validate_tables(fq):

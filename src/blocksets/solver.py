@@ -18,6 +18,9 @@ branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
 skipped.  The subtrees then cover every solution up to an automorphism.
+The group comes from symmetry.automorphisms, seeded with the collineations
+that the caller knows fix the instance (`solve_masks`' `seeds`), so the
+generator search only looks for what the geometry does not give.
 
 A node with more uncovered traces than undecided points first finds its
 packing by jumping: it packs the lowest uncovered trace, drops every trace
@@ -346,7 +349,7 @@ def _phase1_task(payload):
 
 
 def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
-                time_budget=None, workers=1, stats=None):
+                time_budget=None, workers=1, stats=None, seeds=None):
     """Exact minimum over masks.  Returns (size or None, witness_mask or
     None, nodes).  witness_mask is the lexicographically least optimum
     (smallest bit indices first); None size means nothing <= cap.
@@ -357,7 +360,11 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     automorphism group: it restarts from the root with orbital branching,
     keeping the probe's incumbent, and `stats` (a dict, when given) gets
     a "symmetry" record, which a SearchTimeout raised after the group is
-    computed carries too.  The witness phase never uses the group."""
+    computed carries too.  `seeds`, when given, is called then, and only
+    then: it returns automorphisms already known, in the form
+    symmetry.automorphisms takes them, or None.  They make the generator
+    search cheaper, and may let it settle a level it would otherwise give
+    up on.  The witness phase never uses the group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -415,14 +422,16 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         # it, and every process that imports the package would compile it
         from . import symmetry
         t0 = time.perf_counter()
+        seeds = seeds and seeds()
+        sym = {"probe_nodes": nodes, "skipped": 0,
+               "seed_order": seeds[1] if seeds else 1}
         # each level of the generator search gets one refinement per
         # incidence, the allowance the probe had in nodes
         group = symmetry.automorphisms(U, trace_masks, forb_masks, deadline,
-                                       incidences)
-        sym = {"order": group.order if group else 1,
-               "generators": len(group.gens) if group else 0,
-               "probe_nodes": nodes, "skipped": 0,
-               "seconds": time.perf_counter() - t0}
+                                       incidences, seeds, sym)
+        sym.update(order=group.order if group else 1,
+                   generators=len(group.gens) if group else 0,
+                   seconds=time.perf_counter() - t0)
         # a deadline that passed meanwhile stops the restart at its first node
         stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
@@ -470,6 +479,14 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     return best, prefix_mask, nodes
 
 
+def check_oracle_universe(universe_size, size_cap):
+    """Raises UniverseTooLarge where oracle_masks refuses: a universe past
+    ORACLE_FULL_CAP points with no size cap to bound the subsets."""
+    if size_cap is None and universe_size > ORACLE_FULL_CAP:
+        raise UniverseTooLarge("full enumeration over %d points; cap is %d"
+                               % (universe_size, ORACLE_FULL_CAP))
+
+
 def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                  time_budget=None):
     """Independent route: every subset in turn, sizes ascending and the
@@ -492,13 +509,8 @@ def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     _mask_bits the walk shares nothing with _search, so the two answers
     stay independent."""
     U = universe_size
-    if size_cap is None:
-        if U > ORACLE_FULL_CAP:
-            raise UniverseTooLarge(
-                "full enumeration over %d points; cap is %d" % (U, ORACLE_FULL_CAP))
-        cap = U
-    else:
-        cap = min(size_cap, U)
+    check_oracle_universe(U, size_cap)
+    cap = U if size_cap is None else min(size_cap, U)
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     if 0 in forb_masks:  # the empty trace lies in every subset

@@ -11,7 +11,14 @@ of the same size.  The solver uses the group for orbital branching
 point-trace incidence, the scheme of McKay's nauty without canonical
 labelling, and keeps a permutation only after checking it against the
 masks.  Any subgroup serves the search, so a generator search that runs
-out of its refinement allowance or the deadline returns what it has.
+out of its refinement allowance or the deadline returns what it has.  A
+refinement that is to match the first path stops at its first split that
+differs.  Automorphisms already known, such as the collineations that fix
+each hyperplane of the arrangement (arrangement.fixing_collineations),
+seed the search: a Schreier-Sims chain of theirs, based at the search's
+own base points, hands each level the generators it would otherwise find
+one refinement at a time.  The field automorphisms, and collineations
+that permute the hyperplanes, are still found by refinement.
 
 `schreier_sims` builds a stabilizer chain for a group of known order.
 `branch` works at a search node whose group is the pointwise stabilizer of
@@ -31,6 +38,7 @@ returns a Group, a search state carries one as (H, u, v) (see
 import random
 import time
 
+from .errors import InternalError
 from .solver import _cover_masks, _mask_bits
 
 
@@ -46,18 +54,22 @@ def _inverse(g):
     return tuple(inv)
 
 
-def _map_mask(g, mask):
-    out = 0
-    for x in _mask_bits(mask):
-        out |= 1 << g[x]
+def _mask_sets(*masks):
+    """Each list of masks as its set, paired with the positions of each
+    mask: what _preserves reads."""
+    out = []
+    for ms in masks:
+        have = set(ms)
+        out.append((have, [_mask_bits(m) for m in have]))
     return out
 
 
 def _preserves(g, mask_sets):
     """g maps each set of masks onto itself."""
-    for have in mask_sets:
-        for m in have:
-            if _map_mask(g, m) not in have:
+    bit = [1 << y for y in g]
+    for have, positions in mask_sets:
+        for pts in positions:
+            if sum(map(bit.__getitem__, pts)) not in have:
                 return False
     return True
 
@@ -104,9 +116,9 @@ class _Refiner:
         node = (pcells, pcell_of, tcells, tcell_of)
         return node, self._refine(node, queue)
 
-    def individualize(self, node, ci, v):
+    def individualize(self, node, ci, v, expect=None):
         """Child node with point v split off its cell ci, refined; returns
-        (node, invariant)."""
+        (node, invariant), the invariant None once it leaves `expect`."""
         pcells, pcell_of, tcells, tcell_of = node
         pcells = pcells[:]
         pcell_of = pcell_of[:]
@@ -117,9 +129,14 @@ class _Refiner:
         for p in _mask_bits(rest):
             pcell_of[p] = new
         child = (pcells, pcell_of, tcells[:], tcell_of[:])
-        return child, self._refine(child, [(0, ci)])
+        return child, self._refine(child, [(0, ci)], expect)
 
-    def _refine(self, node, queue):
+    def _refine(self, node, queue, expect=None):
+        """Refines node in place and returns its invariant, the splits in
+        the order made.  Given `expect`, the invariant of a node it is to
+        match, it stops at the first split that differs, or one too many,
+        and returns None: the invariants differ whatever the rest would
+        be."""
         self.refinements += 1
         pcells, pcell_of, tcells, tcell_of = node
         sides = ((pcells, pcell_of), (tcells, tcell_of))
@@ -173,7 +190,11 @@ class _Refiner:
                     continue
                 keys = sorted(frags)
                 sizes = [frags[k].bit_count() for k in keys]
-                invariant.append((side, wi, c, tuple(zip(keys, sizes))))
+                split = (side, wi, c, tuple(zip(keys, sizes)))
+                if expect is not None and (len(invariant) == len(expect) or
+                                           expect[len(invariant)] != split):
+                    return None
+                invariant.append(split)
                 idxs = [c]
                 cells[c] = frags[keys[0]]
                 for k in keys[1:]:
@@ -234,7 +255,7 @@ def _orbits(gens, n):
 
 
 def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
-                  limit=None):
+                  limit=None, seeds=None, stats=None):
     """The automorphism group of the instance as a Group, or None when it
     is trivial; every generator is checked against the masks.
 
@@ -250,8 +271,22 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
     that needs more than `limit` refinements, or the deadline, stops the
     search early; it then returns the generators of the levels already
     settled, which span the stabilizer of the base points above them,
-    with its order found the same way."""
-    mask_sets = (set(trace_masks), set(forb_masks))
+    with its order found the same way.
+
+    `seeds`, when given, is (gens, order, universe): automorphisms the
+    geometry already knows, as permutations of a larger point set on which
+    they form a group of that order, with universe[x] the point at
+    position x.  A Schreier-Sims chain of theirs, over the larger set where
+    the order is exact and with b_1..b_m first in its base, hands level i
+    its strong generators that fix b_1..b_{i-1}, restricted to the
+    positions, before any candidate is tried, so a candidate they already
+    reach costs no refinement.  Each seed is checked against the masks
+    first; one that fails is a fault in the program, not in the instance.
+    A search that settles every level finds the same group with or without
+    seeds, in fewer refinements with them; one that would run out of its
+    allowance may settle with them.  `stats`, a dict when given, gets the
+    number of refinements."""
+    mask_sets = _mask_sets(trace_masks, forb_masks)
     ref = _Refiner(npoints, trace_masks, forb_masks)
     node, inv0 = ref.initial()
     path = [node]
@@ -268,12 +303,18 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
         invs.append(inv)
     m = len(base)
     gens = []
+    strong = _seed_strong(seeds, mask_sets, [b for _ci, b in base]) if m else None
     orbit_of, orbit_pts = _orbits(gens, npoints)
     stop = None  # the refinement count at which the current level gives up
 
     def spent():
         return ((stop is not None and ref.refinements >= stop)
                 or (deadline is not None and time.monotonic() > deadline))
+
+    def done(gens, order):
+        if stats is not None:
+            stats["refinements"] = ref.refinements
+        return Group(tuple(gens), order, npoints) if order > 1 else None
 
     first = [cell.bit_length() - 1 for cell in path[m][0]]
 
@@ -283,7 +324,7 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
         stack = [(level, path[level], w)]
         while stack and not spent():
             lv, node, v = stack.pop()
-            child, inv = ref.individualize(node, base[lv][0], v)
+            child, inv = ref.individualize(node, base[lv][0], v, invs[lv + 1])
             if inv != invs[lv + 1] or len(child[0]) != len(path[lv + 1][0]):
                 continue
             if lv + 1 < m:
@@ -302,6 +343,9 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
     settled = 0  # gens[:settled] span the stabilizer of the base points above
     for level in reversed(range(m)):
         ci, b = base[level]
+        if strong and strong[level]:
+            gens += strong[level]
+            orbit_of, orbit_pts = _orbits(gens, npoints)
         if limit is not None:
             stop = ref.refinements + limit
         failed = []
@@ -315,15 +359,48 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
                 orbit_of, orbit_pts = _orbits(gens, npoints)
             elif spent():
                 # the levels below are settled: their group, of known order
-                return (Group(tuple(gens[:settled]), order, npoints)
-                        if order > 1 else None)
+                return done(gens[:settled], order)
             else:
                 failed.append(w)
         # every candidate was settled, so this is b's full orbit under the
         # stabilizer of the base points above it
         order *= len(orbit_pts[orbit_of[b]])
         settled = len(gens)
-    return Group(tuple(gens), order, npoints) if order > 1 else None
+    return done(gens, order)
+
+
+def _seed_strong(seeds, mask_sets, base):
+    """Per level i of `base` (positions), the strong generators that the
+    seeds' chain adds at level i, which fix base[:i], restricted to the
+    positions, identities dropped; None without seeds.  Raises
+    InternalError when a seed does not map the positions onto themselves
+    or the masks onto the masks."""
+    if seeds is None:
+        return None
+    sgens, sorder, universe = seeds
+    pos = {p: x for x, p in enumerate(universe)}
+    ident = tuple(range(len(universe)))
+
+    def restrict(g):
+        return tuple(pos.get(g[p], -1) for p in universe)
+
+    for g in sgens:
+        r = restrict(g)
+        if -1 in r or not _preserves(r, mask_sets):
+            raise InternalError("a seed collineation is not an automorphism "
+                                "of the instance")
+    S = schreier_sims(sgens, len(sgens[0]), sorder,
+                      [universe[b] for b in base])[1]
+    strong = []
+    for i in range(len(base)):
+        below = set(S[i + 1]) if i + 1 < len(S) else set()
+        level = []
+        for g in S[i]:
+            r = restrict(g)
+            if g not in below and r != ident and r not in level:
+                level.append(r)
+        strong.append(level)
+    return strong
 
 
 def schreier_sims(gens, n, order, prefix=()):

@@ -62,8 +62,12 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
            "--convention", "nontrivial")
     rep = run_json(capsys, *big)
     sym = rep["stats"]["symmetry"]
-    assert set(sym) == {"order", "generators", "probe_nodes", "skipped", "seconds"}
+    assert set(sym) == {"order", "generators", "probe_nodes", "skipped", "seconds",
+                        "refinements", "seed_order"}
     assert sym["order"] == 372000 and sym["skipped"] > 0
+    # PG(2,5) with no hyperplane removed: the geometry hands over all of
+    # PGL(3,5), and only the failing candidates cost a refinement
+    assert sym["seed_order"] == 372000 and sym["refinements"] > 0
     assert sym["probe_nodes"] == 31 * 6 * 2  # one node per incidence
     assert rep["stats"]["nodes"] > sym["probe_nodes"]
     assert "stats" not in run_json(capsys, "--no-meta", *big)
@@ -155,8 +159,9 @@ def test_deadline_passing_during_the_group_computation(capsys, monkeypatch):
     # probe's nodes and the symmetry record
     real = symmetry.automorphisms
 
-    def late(npoints, trace_masks, forb_masks, deadline, limit):
-        group = real(npoints, trace_masks, forb_masks, deadline, limit)
+    def late(npoints, trace_masks, forb_masks, deadline, limit, seeds, stats):
+        group = real(npoints, trace_masks, forb_masks, deadline, limit, seeds,
+                     stats)
         while time.monotonic() <= deadline:
             time.sleep(0.01)
         return group
@@ -200,6 +205,20 @@ def test_oracle_answers_a_vacuous_family_past_its_universe_cap(capsys, tmp_path)
     assert rep["instance"]["universe_size"] == 25
     assert rep["oracle_agrees"] is True
     assert rep["oracle"] == {"verdict": "vacuous", "size": 0, "witness": []}
+
+
+def test_oracle_refuses_a_large_universe_before_the_search(capsys, monkeypatch):
+    # 31 points, no cap: the refusal needs only the universe size, so it
+    # comes before the search and prints the oracle's own error
+    def no_search(*args, **kw):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "solve_instance", no_search)
+    code, out, err = run(capsys, "search", "--space", "pg", "--n", "2",
+                         "--q", "5", "--t", "1", "--oracle")
+    assert (code, out) == (2, "")
+    assert err == ('{"error":"full enumeration over 31 points; cap is 22",'
+                   '"type":"UniverseTooLarge"}\n')
 
 
 def test_budget_reaches_the_oracle(capsys):

@@ -5,6 +5,7 @@ sympy's own Schreier-Sims; every generator is mapped over the masks by
 hand; orbital branching must reach the optimum the plain search reaches,
 and the subset oracle's where the universe is small enough."""
 
+import hashlib
 import pickle
 import time
 from math import prod
@@ -14,10 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from blocksets import solver, symmetry
-from blocksets.arrangement import arrangement_make
+from blocksets import blocking, solver, symmetry
+from blocksets.arrangement import arrangement_make, fixing_collineations
 from blocksets.blocking import build_instance
-from blocksets.errors import BlocksetsError
+from blocksets.errors import BlocksetsError, InternalError
 from blocksets.geometry import AFFINE, PROJECTIVE, space
 
 
@@ -194,6 +195,130 @@ def test_schreier_sims_base_starts_with_the_prefix():
         for x, u in t.items():
             assert u[base[i]] == x
             assert symmetry._mul(u, inv[i][x]) == tuple(range(U))
+
+
+@pytest.mark.parametrize("kind,n,q,rows", [
+    (PROJECTIVE, 2, 2, ()),
+    (PROJECTIVE, 2, 4, ()),
+    (PROJECTIVE, 3, 2, ()),
+    (PROJECTIVE, 2, 5, ((1, 0, 0),)),
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0))),
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    (PROJECTIVE, 3, 3, ((1, 2, 0, 1), (0, 0, 1, 2))),
+    (AFFINE, 2, 3, ()),
+    (AFFINE, 2, 4, ((1, 3, 2),)),
+    (AFFINE, 3, 2, ((1, 1, 0, 1),)),
+    (AFFINE, 3, 3, ((1, 0, 0, 0), (0, 1, 0, 0))),
+    (AFFINE, 2, 5, ((1, 2, 3), (0, 1, 4))),
+])
+def test_seed_order_formula_matches_sympy(kind, n, q, rows):
+    # a formula above the true order would keep schreier_sims sifting for
+    # ever, so each order is checked against sympy's own
+    sp = space(kind, n, q)
+    gens, order = fixing_collineations(arrangement_make(sp, list(rows)))
+    assert all(sorted(g) == list(range(sp.npoints)) for g in gens)
+    assert _sympy_order(gens) == order
+
+
+def test_empty_arrangement_seeds_are_the_linear_groups():
+    # k = 0 in PG(n,q) gives |PGL(n+1,q)|, k = 1 (only the hyperplane at
+    # infinity) in AG(n,q) gives |AGL(n,q)|
+    for n, q in ((2, 3), (2, 4), (3, 3), (4, 2)):
+        arr = arrangement_make(space(PROJECTIVE, n, q), [])
+        assert fixing_collineations(arr)[1] == _gl(n + 1, q) // (q - 1)
+        arr = arrangement_make(space(AFFINE, n, q), [])
+        assert fixing_collineations(arr)[1] == q ** n * _gl(n, q)
+
+
+def test_dependent_forms_get_no_seeds(capsys):
+    # the braid arrangement x1 = x2, x1 = x3, x2 = x3 of AG(3,5), and three
+    # lines of PG(2,7) through one point: each form is a combination of
+    # the others (in AG with the hyperplane at infinity)
+    braid = arrangement_make(space(AFFINE, 3, 5),
+                             [(1, 4, 0, 0), (1, 0, 4, 0), (0, 1, 4, 0)])
+    concurrent = arrangement_make(space(PROJECTIVE, 2, 7),
+                                  [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    # parallel planes: dependent only together with the plane at infinity
+    parallel = arrangement_make(space(AFFINE, 3, 3),
+                                [(1, 0, 0, 0), (1, 0, 0, 1)])
+    for arr in (braid, concurrent, parallel):
+        assert fixing_collineations(arr) is None
+    inst = build_instance(braid.space, braid, 1, "touching")
+    res = blocking.solve_instance(inst, time_budget=60)
+    assert res.size == 12 and res.symmetry["seed_order"] == 1
+
+
+def _seeds(kind, n, q, t, rows, scope):
+    sp = space(kind, n, q)
+    inst = build_instance(sp, arrangement_make(sp, list(rows)), t, scope)
+    seeds = blocking._seeds(inst)
+    return inst, seeds and seeds()
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_seeded_and_unseeded_groups_have_one_order(data):
+    kind = data.draw(st.sampled_from([PROJECTIVE, AFFINE]))
+    n = data.draw(st.integers(2, 3))
+    q = data.draw(st.sampled_from([2, 3, 4, 5]))
+    nvars = n + 1 if kind == PROJECTIVE else n
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+        .filter(lambda r: any(r[:nvars])), min_size=0, max_size=3))
+    t = data.draw(st.integers(1, n))
+    scope = data.draw(st.sampled_from(["contained", "touching"]))
+    convention = data.draw(st.sampled_from(["plain", "minimal", "nontrivial"]))
+    try:
+        inst, seeds = _seeds(kind, n, q, t, rows, scope)
+    except BlocksetsError:
+        return  # a repeated or degenerate hyperplane
+    if not inst.family:
+        return
+    U = len(inst.universe)
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    fmasks = []
+    if convention == "nontrivial":
+        fmasks = solver._build_masks(inst.universe, inst.forbidden)
+    plain = symmetry.automorphisms(U, tmasks, fmasks)
+    stats = {}
+    seeded = symmetry.automorphisms(U, tmasks, fmasks, seeds=seeds, stats=stats)
+    assert (plain and plain.order) == (seeded and seeded.order)
+    if seeded is not None:
+        assert all(_maps_onto(g, tmasks) and _maps_onto(g, fmasks)
+                   for g in seeded.gens)
+    assert stats["refinements"] >= 1
+
+
+def test_a_seed_that_is_no_automorphism_is_a_fault():
+    # swapping two points of PG(2,3) maps some line off the lines
+    U, tmasks, _ = _masks(PROJECTIVE, 2, 3)
+    swap = (1, 0) + tuple(range(2, U))
+    with pytest.raises(InternalError):
+        symmetry.automorphisms(U, tmasks, (), seeds=([swap], 2, tuple(range(U))))
+
+
+# The unseeded generator search on PG(2,7) minus x0 = 0 and x1 = 0 (touching,
+# plain) as it was before refinements stopped at their first differing
+# split: per refinement allowance, the group's order, a digest of its
+# generators, and the refinements made.  Stopping early changes none of them.
+EARLY_ABORT_PINNED = {
+    0: (1, None, 4),
+    336: (84, "e5008528622f", 411),  # one refinement per incidence
+    None: (3528, "da4bccfff223", 609),
+}
+
+
+@pytest.mark.parametrize("limit", list(EARLY_ABORT_PINNED))
+def test_refinement_stops_where_it_leaves_the_first_path(limit):
+    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
+                               scope="touching")
+    assert sum(m.bit_count() for m in tmasks) == 336
+    stats = {}
+    group = symmetry.automorphisms(U, tmasks, fmasks, limit=limit, stats=stats)
+    digest = group and hashlib.sha256(repr(group.gens).encode()).hexdigest()[:12]
+    assert ((group.order if group else 1), digest, stats["refinements"]) == \
+        EARLY_ABORT_PINNED[limit]
 
 
 # Universes past 16 points are searched under this cap (answers above it
