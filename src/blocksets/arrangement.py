@@ -21,7 +21,7 @@ from itertools import compress
 from .errors import (CoefficientLoss, DimensionMismatch, DuplicateForm,
                      InvalidForm, TooLarge)
 from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, FlatGrowth, Space,
-                       _flat, flat_count, iter_flats, rref, space)
+                       _flat, flat_count, iter_flats, space)
 
 
 def normalize_form(sp, coeffs):
@@ -150,84 +150,6 @@ def complement(sp, arr):
         for p in hyperplane_flat(sp, form).points:
             alive[p] = 0
     return ComplementSet(sp, arr, tuple(compress(range(sp.npoints), alive)))
-
-
-def fixing_collineations(arr):
-    """The collineations in PGL(n+1,q) that fix every hyperplane of arr, as
-    (generators, order): each generator is a permutation of the space's
-    point indices.  None when the forms are linearly dependent or the group
-    is trivial.
-
-    In AG(n,q) the point x is the projective point (x,1), and the hyperplane
-    at infinity, form (0,...,0,1), joins the forms: the group then lies in
-    AGL(n,q).  With the k forms independent, complete them to a basis of
-    the dual space and read each point in the coordinates y it gives, the
-    forms first.  A matrix fixes each y_i = 0, i < k, up to a scalar exactly
-    when its row i is a multiple of e_i, so the group is generated by the
-    diagonals, the transvections y_j += y_l with j >= k, and the
-    permutations of the coordinates >= k; modulo scalars its order is
-    (q-1)^(k-1) q^(k(m-k)) |GL(m-k,q)|, m = n+1.  Conjugating by those
-    permutations and diagonals turns y_k += y_l into every such
-    transvection, so one primitive diagonal per coordinate, y_k += y_l for
-    each l != k, a transposition and a cycle of the coordinates >= k
-    suffice.  The field automorphisms are left out."""
-    sp = arr.space
-    fq, q, m = sp.field, sp.q, sp.n + 1
-    add, mul, inv = fq.add_table, fq.mul_table, fq.inv_table
-    forms = list(arr.forms)
-    if sp.kind == AFFINE:
-        forms.append((0,) * sp.n + (1,))
-    k = len(forms)
-    pivots, _ = rref(forms, fq)
-    if len(pivots) < k:
-        return None
-    # the unit rows off the pivot columns complete the forms to a basis
-    basis = forms + [tuple(int(i == j) for i in range(m))
-                     for j in range(m) if j not in pivots]
-
-    def coords(x):
-        out = []
-        for row in basis:
-            s = 0
-            for a, b in zip(row, x):
-                if a and b:
-                    s = add[s][mul[a][b]]
-            out.append(s)
-        return out
-
-    def scalar_class(y):
-        lead = next(filter(None, y))
-        return tuple(y) if lead == 1 else tuple(mul[inv[lead]][c] for c in y)
-
-    ys = [coords(x + (1,) if sp.kind == AFFINE else x) for x in sp.points]
-    index = {scalar_class(y): i for i, y in enumerate(ys)}
-    w = fq.primitive
-
-    def diagonal(i):  # y_i -> w y_i
-        return lambda y: y[:i] + [mul[w][y[i]]] + y[i + 1:]
-
-    def transvection(l):  # y_k -> y_k + y_l
-        return lambda y: y[:k] + [add[y[k]][y[l]]] + y[k + 1:]
-
-    def permutation(src):  # y_i -> y_src[i]
-        return lambda y: [y[s] for s in src]
-
-    moves = [diagonal(i) for i in range(m)] if w != 1 else []
-    if k < m:
-        moves += [transvection(l) for l in range(m) if l != k]
-    if m - k > 1:  # a transposition and a cycle of the coordinates >= k
-        ident = list(range(m))
-        moves.append(permutation(ident[:k] + [k + 1, k] + ident[k + 2:]))
-        if m - k > 2:
-            moves.append(permutation(ident[:k] + [m - 1] + ident[k:m - 1]))
-    gens = [tuple(index[scalar_class(move(y))] for y in ys) for move in moves]
-    order = (q - 1) ** k * q ** (k * (m - k))
-    for i in range(m - k):
-        order *= q ** (m - k) - q ** i
-    order //= q - 1
-    if order == 1:
-        return None
-    return gens, order
 
 
 def flats_in_complement(comp, d):

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from . import solver
 from .arrangement import (Arrangement, arrangement_make, complement,
-                          fixing_collineations, flats_in_complement,
-                          touching_traces)
+                          flats_in_complement, touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
 from .geometry import Flat, FlatGrowth, Space
@@ -190,20 +189,15 @@ def _masks(inst, require_nontrivial):
 
 
 def _seeds(inst):
-    """For an instance that build_instance made, a function returning the
-    collineations that fix each hyperplane of its arrangement, in the form
-    symmetry.automorphisms takes as seeds, or None; None for any other
-    instance.  Such a collineation maps the complement onto itself and
-    flats onto flats of the same dimension, so it maps the traces of either
-    scope onto themselves."""
+    """For an instance that build_instance made, (arrangement, universe),
+    the form symmetry.automorphisms takes as seeds; None for any other
+    instance.  A collineation fixing each hyperplane of the arrangement
+    maps the complement onto itself and flats onto flats of the same
+    dimension, so it maps the traces of either scope onto themselves."""
     if inst.scope not in SCOPES or inst.region is not None \
             or inst.arrangement is None:
         return None
-
-    def seeds():
-        found = fixing_collineations(inst.arrangement)
-        return found and found + (inst.universe,)
-    return seeds
+    return inst.arrangement, inst.universe
 
 
 def min_blocking_set(inst, require_nontrivial=False, size_cap=None,

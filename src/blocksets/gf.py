@@ -163,12 +163,6 @@ class FieldSpec:
                 terms.append("x^%d" % d if c == 1 else "%dx^%d" % (c, d))
         return "+".join(terms) if terms else "0"
 
-    def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("FieldSpec", self.q))
-
     def __repr__(self):
         return "FieldSpec(q=%d, p=%d, e=%d, modulus=%s)" % (
             self.q, self.p, self.e, self.modulus_str())

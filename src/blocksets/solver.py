@@ -18,9 +18,11 @@ branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
 skipped.  The subtrees then cover every solution up to an automorphism.
-The group comes from symmetry.automorphisms, seeded with the collineations
-that the caller knows fix the instance (`solve_masks`' `seeds`), so the
-generator search only looks for what the geometry does not give.
+The group comes from symmetry.automorphisms, seeded from the arrangement
+the caller built the instance on (`solve_masks`' `seeds`, handed on
+unopened), so the generator search only looks for what the geometry does
+not give.  A node with no group branches as if its group were trivial,
+each point its own orbit, so one rule builds every child.
 
 A node with more uncovered traces than undecided points first finds its
 packing by jumping: it packs the lowest uncovered trace, drops every trace
@@ -51,7 +53,6 @@ phase happened to find.
 
 import heapq
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
@@ -148,18 +149,19 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     A state's `group` is None or a group G, in the form symmetry.branch
     takes, that fixes each included point and maps the excluded set onto
     itself; under orbital branching it is the pointwise stabilizer of the
-    included points in the instance's automorphism group.  Child i
+    included points in the instance's automorphism group, and None stands
+    for the trivial group, whose orbits are single points.  Child i
     includes the branching trace's point p_i and excludes the G-orbits of
-    p_0..p_{i-1} (with no group, those points), and a child whose point
-    lies in one of them is skipped (`skipped` counts them).  Each kept
-    child carries Stab_G(p_i), so the invariant holds below it, and once
-    that is trivial its subtree does no group work (`group_s` seconds in
-    all).  No optimum is lost: a solution S of the node meets the branching
-    trace, so some g in G puts some p_j in g(S); take the least such j.
-    Then g(S), a solution of the node of the same size, meets none of the
-    orbits of p_0..p_{j-1}: if h(p_i) lay in it for some h in G and i < j,
-    h^-1 g would put p_i in its image of S, against the choice of j.  So
-    child j is kept and g(S) is a solution of it.
+    p_0..p_{i-1}, and a child whose point lies in one of them is skipped
+    (`skipped` counts them).  Each kept child carries Stab_G(p_i), so the
+    invariant holds below it, and once that is trivial its subtree does no
+    group work (`group_s` seconds in all).  No optimum is lost: a solution
+    S of the node meets the branching trace, so some g in G puts some p_j
+    in g(S); take the least such j.  Then g(S), a solution of the node of
+    the same size, meets none of the orbits of p_0..p_{j-1}: if h(p_i) lay
+    in it for some h in G and i < j, h^-1 g would put p_i in its image of
+    S, against the choice of j.  So child j is kept and g(S) is a solution
+    of it.
 
     A state's `reach` is the most uncovered traces it may have and still be
     scanned: its parent's counting bound, carried down.  A root state
@@ -263,31 +265,28 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
         # child i excludes the orbits of children 0..i-1 under the node's
-        # group (without a group, their points); orbits[i] is 0 for a child
-        # whose point lies in one of them.  Walking backwards, excl drops
-        # each kept child's orbit just before its child is pushed.
+        # group; orbits[i] is 0 for a child whose point lies in one of them.
+        # Walking backwards, excl drops each kept child's orbit just before
+        # its child is pushed.
         if grp is None:
-            orbits = groups = None
-            excl = sel_opts
+            orbits = [1 << p for p in pts]
+            groups = [None] * len(pts)
         else:
             t0 = time.perf_counter()
             orbits, groups = branch(grp, pts)
             group_s += time.perf_counter() - t0
-            excl = sum(orbits)  # disjoint masks
+        excl = sum(orbits)  # disjoint masks
         for i in range(len(pts) - 1, -1, -1):
-            p = pts[i]
-            pb = 1 << p
-            if orbits is None:
-                excl ^= pb
-            elif orbits[i]:
-                excl ^= orbits[i]
-            else:
+            orbit = orbits[i]
+            if not orbit:
                 skipped += 1
                 continue
-            inc2 = inc | pb
+            excl ^= orbit
+            p = pts[i]
+            inc2 = inc | 1 << p
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-                push((inc2, exc | excl, cov | cover[p], k + 1,
-                      groups[i] if groups else None, child_reach))
+                push((inc2, exc | excl, cov | cover[p], k + 1, groups[i],
+                      child_reach))
     return best, best_inc, nodes, None, skipped, group_s
 
 
@@ -360,11 +359,10 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     automorphism group: it restarts from the root with orbital branching,
     keeping the probe's incumbent, and `stats` (a dict, when given) gets
     a "symmetry" record, which a SearchTimeout raised after the group is
-    computed carries too.  `seeds`, when given, is called then, and only
-    then: it returns automorphisms already known, in the form
-    symmetry.automorphisms takes them, or None.  They make the generator
-    search cheaper, and may let it settle a level it would otherwise give
-    up on.  The witness phase never uses the group."""
+    computed carries too.  `seeds`, when given, is handed to
+    symmetry.automorphisms as it is: the solver neither builds nor reads
+    it, and symmetry fills the record's group fields.  The witness phase
+    never uses the group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -422,16 +420,12 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         # it, and every process that imports the package would compile it
         from . import symmetry
         t0 = time.perf_counter()
-        seeds = seeds and seeds()
-        sym = {"probe_nodes": nodes, "skipped": 0,
-               "seed_order": seeds[1] if seeds else 1}
+        sym = {"probe_nodes": nodes, "skipped": 0}
         # each level of the generator search gets one refinement per
         # incidence, the allowance the probe had in nodes
         group = symmetry.automorphisms(U, trace_masks, forb_masks, deadline,
                                        incidences, seeds, sym)
-        sym.update(order=group.order if group else 1,
-                   generators=len(group.gens) if group else 0,
-                   seconds=time.perf_counter() - t0)
+        sym["seconds"] = time.perf_counter() - t0
         # a deadline that passed meanwhile stops the restart at its first node
         stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
@@ -444,6 +438,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
             payloads = [(inst, state, best, budget) for state in reversed(stack)]
+            # imported here for the same reason: it loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for result in pool.map(_phase1_task, payloads, chunksize=1):
                     bound(result)
@@ -454,26 +450,25 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     if best > cap:
         return None, None, nodes
 
-    # Lexicographic refinement: fix witness elements smallest-first.
+    # Lexicographic refinement: fix witness elements smallest-first.  At
+    # position pos, candidate p below the current witness's point keeps
+    # witness[:pos], takes p and excludes every other point below p; the
+    # search pops the lowest candidate first and stops at the first cover.
     witness = _mask_bits(incumbent)
-    full_mask = (1 << U) - 1
     prefix_mask = 0  # witness[:pos], which every later witness starts with
     prefix_cov = 0
     for pos in range(best):
         lo = witness[pos - 1] + 1 if pos else 0
-        for p in range(lo, witness[pos]):
+        stack = []
+        for p in range(witness[pos] - 1, lo - 1, -1):
             pb = 1 << p
             inc0 = prefix_mask | pb
-            if forb_at and _violates(inc0, forb_at[p], forb_masks):
-                continue
-            allowed = inc0 | (full_mask & ~((pb << 1) - 1))
-            exc0 = full_mask & ~allowed
-            cov0 = prefix_cov | cover[p]
-            state = (inc0, exc0, cov0, pos + 1, None, F)
-            _b, found = tally(_search(inst, [state], best + 1, deadline, True))
-            if found is not None:
-                witness = _mask_bits(found)
-                break
+            if not (forb_at and _violates(inc0, forb_at[p], forb_masks)):
+                stack.append((inc0, (pb - 1) ^ prefix_mask,
+                              prefix_cov | cover[p], pos + 1, None, F))
+        _b, found = tally(_search(inst, stack, best + 1, deadline, True))
+        if found is not None:
+            witness = _mask_bits(found)
         prefix_mask |= 1 << witness[pos]
         prefix_cov |= cover[witness[pos]]
     return best, prefix_mask, nodes

@@ -13,12 +13,14 @@ labelling, and keeps a permutation only after checking it against the
 masks.  Any subgroup serves the search, so a generator search that runs
 out of its refinement allowance or the deadline returns what it has.  A
 refinement that is to match the first path stops at its first split that
-differs.  Automorphisms already known, such as the collineations that fix
-each hyperplane of the arrangement (arrangement.fixing_collineations),
-seed the search: a Schreier-Sims chain of theirs, based at the search's
-own base points, hands each level the generators it would otherwise find
-one refinement at a time.  The field automorphisms, and collineations
-that permute the hyperplanes, are still found by refinement.
+differs.  The collineations that fix each hyperplane of the arrangement
+(`fixing_collineations`, in closed form from the forms) seed the search:
+a Schreier-Sims chain of theirs, based at the search's own base points,
+hands each level the generators it would otherwise find one refinement at
+a time.  The field automorphisms, and collineations that permute the
+hyperplanes, are still found by refinement.  This module is the only one
+that builds the seeds or fills the group's fields of the search's
+symmetry record; the solver imports it only past its probe.
 
 `schreier_sims` builds a stabilizer chain for a group of known order.
 `branch` works at a search node whose group is the pointwise stabilizer of
@@ -39,6 +41,7 @@ import random
 import time
 
 from .errors import InternalError
+from .geometry import AFFINE, rref
 from .solver import _cover_masks, _mask_bits
 
 
@@ -273,19 +276,27 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
     settled, which span the stabilizer of the base points above them,
     with its order found the same way.
 
-    `seeds`, when given, is (gens, order, universe): automorphisms the
-    geometry already knows, as permutations of a larger point set on which
-    they form a group of that order, with universe[x] the point at
-    position x.  A Schreier-Sims chain of theirs, over the larger set where
-    the order is exact and with b_1..b_m first in its base, hands level i
-    its strong generators that fix b_1..b_{i-1}, restricted to the
-    positions, before any candidate is tried, so a candidate they already
-    reach costs no refinement.  Each seed is checked against the masks
-    first; one that fails is a fault in the program, not in the instance.
-    A search that settles every level finds the same group with or without
-    seeds, in fewer refinements with them; one that would run out of its
-    allowance may settle with them.  `stats`, a dict when given, gets the
-    number of refinements."""
+    `seeds`, when given, is (arrangement, universe): the instance is built
+    on the complement of the arrangement, with universe[x] the point at
+    position x, so that every collineation fixing each of its hyperplanes
+    (fixing_collineations) is an automorphism.  Those collineations permute
+    the space's points and form a group of known order there.  A
+    Schreier-Sims chain of theirs, over the space where the order is exact
+    and with b_1..b_m first in its base, hands level i its strong
+    generators that fix b_1..b_{i-1}, restricted to the positions, before
+    any candidate is tried, so a candidate they already reach costs no
+    refinement.  Each seed is checked against the masks first; one that
+    fails is a fault in the program, not in the instance.  A search that
+    settles every level finds the same group with or without seeds, in
+    fewer refinements with them; one that would run out of its allowance
+    may settle with them.
+
+    `stats`, a dict when given, gets the seeds' order (`seed_order`, 1
+    with none), the number of refinements, and the group's `order` and
+    number of `generators` (1 and 0 when it is trivial)."""
+    collineations = seeds and fixing_collineations(seeds[0])
+    if stats is not None:
+        stats["seed_order"] = collineations[1] if collineations else 1
     mask_sets = _mask_sets(trace_masks, forb_masks)
     ref = _Refiner(npoints, trace_masks, forb_masks)
     node, inv0 = ref.initial()
@@ -303,7 +314,10 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
         invs.append(inv)
     m = len(base)
     gens = []
-    strong = _seed_strong(seeds, mask_sets, [b for _ci, b in base]) if m else None
+    strong = None
+    if m and collineations:
+        strong = _seed_strong(*collineations, seeds[1], mask_sets,
+                              [b for _ci, b in base])
     orbit_of, orbit_pts = _orbits(gens, npoints)
     stop = None  # the refinement count at which the current level gives up
 
@@ -313,7 +327,8 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
 
     def done(gens, order):
         if stats is not None:
-            stats["refinements"] = ref.refinements
+            stats.update(refinements=ref.refinements, order=order,
+                         generators=len(gens) if order > 1 else 0)
         return Group(tuple(gens), order, npoints) if order > 1 else None
 
     first = [cell.bit_length() - 1 for cell in path[m][0]]
@@ -369,15 +384,90 @@ def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
     return done(gens, order)
 
 
-def _seed_strong(seeds, mask_sets, base):
-    """Per level i of `base` (positions), the strong generators that the
-    seeds' chain adds at level i, which fix base[:i], restricted to the
-    positions, identities dropped; None without seeds.  Raises
-    InternalError when a seed does not map the positions onto themselves
-    or the masks onto the masks."""
-    if seeds is None:
+def fixing_collineations(arr):
+    """The collineations in PGL(n+1,q) that fix every hyperplane of arr, as
+    (generators, order): each generator is a permutation of the space's
+    point indices.  None when the forms are linearly dependent or the group
+    is trivial.
+
+    In AG(n,q) the point x is the projective point (x,1), and the hyperplane
+    at infinity, form (0,...,0,1), joins the forms: the group then lies in
+    AGL(n,q).  With the k forms independent, complete them to a basis of
+    the dual space and read each point in the coordinates y it gives, the
+    forms first.  A matrix fixes each y_i = 0, i < k, up to a scalar exactly
+    when its row i is a multiple of e_i, so the group is generated by the
+    diagonals, the transvections y_j += y_l with j >= k, and the
+    permutations of the coordinates >= k; modulo scalars its order is
+    (q-1)^(k-1) q^(k(m-k)) |GL(m-k,q)|, m = n+1.  Conjugating by those
+    permutations and diagonals turns y_k += y_l into every such
+    transvection, so one primitive diagonal per coordinate, y_k += y_l for
+    each l != k, a transposition and a cycle of the coordinates >= k
+    suffice.  The field automorphisms are left out."""
+    sp = arr.space
+    fq, q, m = sp.field, sp.q, sp.n + 1
+    add, mul, inv = fq.add_table, fq.mul_table, fq.inv_table
+    forms = list(arr.forms)
+    if sp.kind == AFFINE:
+        forms.append((0,) * sp.n + (1,))
+    k = len(forms)
+    pivots, _ = rref(forms, fq)
+    if len(pivots) < k:
         return None
-    sgens, sorder, universe = seeds
+    # the unit rows off the pivot columns complete the forms to a basis
+    basis = forms + [tuple(int(i == j) for i in range(m))
+                     for j in range(m) if j not in pivots]
+
+    def coords(x):
+        out = []
+        for row in basis:
+            s = 0
+            for a, b in zip(row, x):
+                if a and b:
+                    s = add[s][mul[a][b]]
+            out.append(s)
+        return out
+
+    def scalar_class(y):
+        lead = next(filter(None, y))
+        return tuple(y) if lead == 1 else tuple(mul[inv[lead]][c] for c in y)
+
+    ys = [coords(x + (1,) if sp.kind == AFFINE else x) for x in sp.points]
+    index = {scalar_class(y): i for i, y in enumerate(ys)}
+    w = fq.primitive
+
+    def diagonal(i):  # y_i -> w y_i
+        return lambda y: y[:i] + [mul[w][y[i]]] + y[i + 1:]
+
+    def transvection(l):  # y_k -> y_k + y_l
+        return lambda y: y[:k] + [add[y[k]][y[l]]] + y[k + 1:]
+
+    def permutation(src):  # y_i -> y_src[i]
+        return lambda y: [y[s] for s in src]
+
+    moves = [diagonal(i) for i in range(m)] if w != 1 else []
+    if k < m:
+        moves += [transvection(l) for l in range(m) if l != k]
+    if m - k > 1:  # a transposition and a cycle of the coordinates >= k
+        ident = list(range(m))
+        moves.append(permutation(ident[:k] + [k + 1, k] + ident[k + 2:]))
+        if m - k > 2:
+            moves.append(permutation(ident[:k] + [m - 1] + ident[k:m - 1]))
+    gens = [tuple(index[scalar_class(move(y))] for y in ys) for move in moves]
+    order = (q - 1) ** k * q ** (k * (m - k))
+    for i in range(m - k):
+        order *= q ** (m - k) - q ** i
+    order //= q - 1
+    if order == 1:
+        return None
+    return gens, order
+
+
+def _seed_strong(sgens, sorder, universe, mask_sets, base):
+    """Per level i of `base` (positions), the strong generators that the
+    chain of the seeds `sgens`, a group of order `sorder` on the space's
+    points, adds at level i, which fix base[:i], restricted to the
+    positions, identities dropped.  Raises InternalError when a seed does
+    not map the positions onto themselves or the masks onto the masks."""
     pos = {p: x for x, p in enumerate(universe)}
     ident = tuple(range(len(universe)))
 

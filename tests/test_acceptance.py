@@ -5,6 +5,7 @@ and asserts its own wall-clock budget so a regression in the search core
 shows up here and not only as a slow CI run.
 """
 
+import concurrent.futures
 import json
 import math
 import random
@@ -13,7 +14,6 @@ from itertools import combinations
 
 import pytest
 
-from blocksets import solver
 from blocksets.arrangement import (arrangement_make, complement,
                                    flats_in_complement)
 from blocksets.blocking import (BlockingInstance, build_instance,
@@ -352,7 +352,7 @@ def test_join_across_a_hyperplane():
 
 
 def test_worker_count_leaves_reports_unchanged(capsys, tmp_path, monkeypatch):
-    class CountingPool(solver.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         """Counts the tasks the search hands the pool."""
         tasks = 0
 
@@ -361,7 +361,7 @@ def test_worker_count_leaves_reports_unchanged(capsys, tmp_path, monkeypatch):
             CountingPool.tasks += len(payloads)
             return super().map(fn, payloads, **kwargs)
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     one_line = tmp_path / "one-line.txt"
     one_line.write_text("projective 2 3\n1 0 0\n")
     two_lines = tmp_path / "two-lines.txt"

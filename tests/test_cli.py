@@ -95,6 +95,19 @@ def test_search_not_exists_is_exit_zero(capsys):
     assert rep["certificate"]["flat_dim"] == 2
 
 
+def test_certificate_is_null_when_no_flat_inside_certifies(capsys, tmp_path):
+    # PG(3,2) minus a plane, touching: the 8 points left hold no nontrivial
+    # blocking set, but no plane lies inside them to certify it on, so the
+    # walk up from the blocked dimension ends with no certificate
+    src = tmp_path / "plane.txt"
+    src.write_text("projective 3 2\n1 0 0 0\n")
+    code, out, _ = run(capsys, "--no-meta", "search", str(src), "--t", "1",
+                       "--scope", "touching", "--convention", "nontrivial",
+                       "--certificate")
+    assert code == 0 and '"certificate":null' in out
+    assert json.loads(out)["result"]["verdict"] == "not-exists"
+
+
 def test_certificate_counts_every_subset_of_the_fano_plane(capsys):
     # no nontrivial blocking set in PG(2,2): the oracle on the 7-point
     # certifying plane counts each of its 2^7 - 1 nonempty subsets
@@ -297,6 +310,23 @@ def test_bad_inputs_exit_two(capsys):
         assert code == 2, argv
         assert out == ""
         assert "error" in json.loads(err)
+
+
+def test_input_checks_below_the_parser_exit_two(capsys, tmp_path):
+    # checks the parser cannot make: a point off the universe (verify's
+    # point lookup), a flat dimension past n (the contained flats' growth)
+    # and a touching instance with more flats than the trace guard allows
+    src = tmp_path / "line.txt"
+    src.write_text("projective 2 3\n1 0 0\n")
+    for argv, kind in (
+            (("verify", str(src), "--t", "1", "--set", "0,1,0"),
+             "NotInUniverse"),
+            (("complement", "--space", "pg", "--n", "2", "--q", "3",
+              "--flats", "3"), "DimensionOutOfRange"),
+            (("instance", "--space", "ag", "--n", "9", "--q", "3", "--t", "8",
+              "--scope", "touching"), "TooLarge")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, json.loads(err)["type"]) == (2, "", kind), argv
 
 
 def test_search_options_only_where_a_handler_reads_them(capsys):

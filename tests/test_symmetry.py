@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from blocksets import blocking, solver, symmetry
-from blocksets.arrangement import arrangement_make, fixing_collineations
+from blocksets.arrangement import arrangement_make
 from blocksets.blocking import build_instance
 from blocksets.errors import BlocksetsError, InternalError
 from blocksets.geometry import AFFINE, PROJECTIVE, space
+from blocksets.symmetry import fixing_collineations
 
 
 def _masks(kind, n, q, t=1, rows=(), scope="contained", nontrivial=False):
@@ -251,8 +252,7 @@ def test_dependent_forms_get_no_seeds(capsys):
 def _seeds(kind, n, q, t, rows, scope):
     sp = space(kind, n, q)
     inst = build_instance(sp, arrangement_make(sp, list(rows)), t, scope)
-    seeds = blocking._seeds(inst)
-    return inst, seeds and seeds()
+    return inst, blocking._seeds(inst)
 
 
 @settings(deadline=None, max_examples=60,
@@ -290,12 +290,15 @@ def test_seeded_and_unseeded_groups_have_one_order(data):
     assert stats["refinements"] >= 1
 
 
-def test_a_seed_that_is_no_automorphism_is_a_fault():
-    # swapping two points of PG(2,3) maps some line off the lines
+def test_a_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
+    # swapping two points of PG(2,3) maps some line off the lines; the
+    # swap stands in for the collineations of the empty arrangement
     U, tmasks, _ = _masks(PROJECTIVE, 2, 3)
     swap = (1, 0) + tuple(range(2, U))
+    monkeypatch.setattr(symmetry, "fixing_collineations", lambda arr: ([swap], 2))
+    arr = arrangement_make(space(PROJECTIVE, 2, 3), [])
     with pytest.raises(InternalError):
-        symmetry.automorphisms(U, tmasks, (), seeds=([swap], 2, tuple(range(U))))
+        symmetry.automorphisms(U, tmasks, (), seeds=(arr, tuple(range(U))))
 
 
 # The unseeded generator search on PG(2,7) minus x0 = 0 and x1 = 0 (touching,
