@@ -1,0 +1,70 @@
+#!/bin/bash
+# Compares the search node counts and group orders of this checkout's src/
+# with those of a git revision's (default HEAD).  It unpacks REF's src/
+# into a temporary directory with git archive, runs a fixed list of
+# searches once under each PYTHONPATH, prints `stats.nodes` and
+# `stats.symmetry.order` (1 when the search computed no group) per row
+# for both, and exits 1 when any of them differs.  The rows are the seven
+# `bound` rows of bench/workloads.py at seeds 1-4, and these:
+# PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
+# AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
+# touching plain.  A change that is to keep every search as it was passes
+# against its parent:
+#
+#   bash scripts/compare_counts.sh HEAD~1
+#
+# Expect about half a minute.  Not part of run_all.sh: it checks no
+# answer, it only compares two versions.
+set -euo pipefail
+ref=${1:-HEAD}
+root=$(cd "$(dirname "$0")/.." && pwd)
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+counts() {
+    python3 - "$root/bench" "$tmp" <<'PY'
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from workloads import make_cases
+from blocksets import cli
+
+rows = []
+for seed in range(1, 5):
+    for case in make_cases("bound", seed):
+        path = "%s/%s.%d.txt" % (sys.argv[2], case.name, seed)
+        with open(path, "w") as f:
+            f.write(case.arrangement_text())
+        # --no-meta would drop the stats
+        rows.append(("%s@%d" % (case.name, seed), case.argv(path)[1:]))
+reach = ["pg 2 7 nontrivial", "pg 2 9 nontrivial", "pg 2 8 nontrivial --cap 16",
+         "ag 2 7 plain", "ag 2 8 plain", "ag 3 4 plain", "ag 4 3 plain"]
+for row in reach:
+    kind, n, q, convention, *more = row.split()
+    rows.append((row, ["search", "--space", kind, "--n", n, "--q", q, "--t", "1",
+                       "--convention", convention] + more))
+rows.append(("braid ag 3 5 touching plain",
+             ["braid", "--kind", "ag", "--n", "3", "--q", "5", "--scope", "touching"]))
+for name, argv in rows:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    stats = json.loads(out.getvalue())["stats"]
+    print("%-50s nodes %9d  order %d" % (name, stats["nodes"],
+                                         stats.get("symmetry", {}).get("order", 1)))
+PY
+}
+
+source "$root/scripts/unpack_ref.sh"
+unpack_ref "$ref" "$tmp"
+PYTHONPATH="$tmp/src" counts > "$tmp/ref.txt"
+PYTHONPATH="$root/src" counts > "$tmp/tree.txt"
+echo "== $ref"
+cat "$tmp/ref.txt"
+echo "== working tree"
+cat "$tmp/tree.txt"
+if cmp -s "$tmp/ref.txt" "$tmp/tree.txt"; then
+    echo "all counts equal"
+else
+    echo "counts differ" >&2
+    exit 1
+fi

@@ -16,7 +16,8 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-git -C "$root" archive "$ref" src | tar -x -C "$tmp"
+source "$root/scripts/unpack_ref.sh"
+unpack_ref "$ref" "$tmp"
 PYTHONPATH="$tmp/src" bash "$root/scripts/report_digest.sh" > "$tmp/ref.txt"
 PYTHONPATH="$root/src" bash "$root/scripts/report_digest.sh" > "$tmp/tree.txt"
 echo "== $ref"

@@ -29,8 +29,8 @@
 # projective plane minus a line.  The seventh runs searches that outgrow
 # the probe, so they compute the automorphism group and branch on its
 # orbits: PG(2,7) minus two lines (touching, plain) in two labellings, and
-# braid AG(3,5) touching plain, whose dependent forms give the generator
-# search no collineations to start from.  Two
+# braid AG(3,5) touching plain, whose dependent forms still get the whole
+# set stabilizer of the braid planes and the plane at infinity.  Two
 # versions of the package that build the same flats, compute the same
 # field elements and search alike print the same digests, so comparing
 # them across checkouts shows whether a change altered any report:

@@ -190,10 +190,15 @@ def _masks(inst, require_nontrivial):
 
 def _seeds(inst):
     """For an instance that build_instance made, (arrangement, universe),
-    the form symmetry.automorphisms takes as seeds; None for any other
-    instance.  A collineation fixing each hyperplane of the arrangement
-    maps the complement onto itself and flats onto flats of the same
-    dimension, so it maps the traces of either scope onto themselves."""
+    what symmetry.automorphisms builds the group from; None for any other
+    instance, which is then searched without a group.  A collineation
+    that permutes the hyperplanes, the hyperplane at infinity H included
+    in AG, maps the complement onto itself and flats onto flats of the
+    same dimension, so it maps the touching traces onto themselves.  It
+    maps the contained traces onto themselves too, though in AG it may
+    move H: the closure of a flat inside the complement meets every
+    hyperplane of the arrangement and H in the same flat at infinity, so
+    the flat is its closure minus all of them."""
     if inst.scope not in SCOPES or inst.region is not None \
             or inst.arrangement is None:
         return None

@@ -18,11 +18,11 @@ branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
 skipped.  The subtrees then cover every solution up to an automorphism.
-The group comes from symmetry.automorphisms, seeded from the arrangement
-the caller built the instance on (`solve_masks`' `seeds`, handed on
-unopened), so the generator search only looks for what the geometry does
-not give.  A node with no group branches as if its group were trivial,
-each point its own orbit, so one rule builds every child.
+The group comes from symmetry.automorphisms, out of the arrangement the
+caller built the instance on (`solve_masks`' `seeds`, handed on
+unopened); an instance with no arrangement gets none.  A node with no
+group branches as if its group were trivial, each point its own orbit, so
+one rule builds every child.
 
 A node with more uncovered traces than undecided points first finds its
 packing by jumping: it packs the lowest uncovered trace, drops every trace
@@ -356,13 +356,15 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     The bound phase first runs the plain search with one node per
     incidence of the instance (trace points, family and forbidden in
     force).  Only a search that needs more than that pays for the
-    automorphism group: it restarts from the root with orbital branching,
-    keeping the probe's incumbent, and `stats` (a dict, when given) gets
-    a "symmetry" record, which a SearchTimeout raised after the group is
-    computed carries too.  `seeds`, when given, is handed to
-    symmetry.automorphisms as it is: the solver neither builds nor reads
-    it, and symmetry fills the record's group fields.  The witness phase
-    never uses the group."""
+    automorphism group, and only when `seeds` is given: it restarts from
+    the root with orbital branching, keeping the probe's incumbent, and
+    `stats` (a dict, when given) gets a "symmetry" record, which a
+    SearchTimeout raised after the group is computed carries too.  `seeds`
+    is handed to symmetry.automorphisms as it is: the solver neither
+    builds nor reads it, and symmetry fills the record's group fields.
+    With no seeds the search goes on from the probe's own stack, so its
+    nodes are the uncut plain search's.  The witness phase never uses the
+    group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -415,19 +417,18 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         sum(f.bit_count() for f in forb_masks)
     stack = [(0, 0, 0, 0, None, F)]
     bound(_search(inst, stack, best, deadline, False, limit=incidences))
-    if stack:  # the probe left open subtrees: restart with the group
-        # imported here, not at the top: only a search past the probe needs
-        # it, and every process that imports the package would compile it
+    if stack and seeds is not None:
+        # the probe left open subtrees: restart with the group.  Imported
+        # here, not at the top: only a search past the probe needs it, and
+        # every process that imports the package would compile it
         from . import symmetry
         t0 = time.perf_counter()
         sym = {"probe_nodes": nodes, "skipped": 0}
-        # each level of the generator search gets one refinement per
-        # incidence, the allowance the probe had in nodes
-        group = symmetry.automorphisms(U, trace_masks, forb_masks, deadline,
-                                       incidences, seeds, sym)
+        group = symmetry.automorphisms(seeds, trace_masks, forb_masks, sym)
         sym["seconds"] = time.perf_counter() - t0
         # a deadline that passed meanwhile stops the restart at its first node
         stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
+    if stack:
         if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
             # the frontier: run a few nodes at a time until the open
             # subtrees are enough tasks for the pool, or none are left

@@ -3,24 +3,21 @@
 An automorphism of a mask instance is a permutation of the universe
 positions that maps the family masks onto the family masks and the
 forbidden masks onto the forbidden masks; it maps solutions to solutions
-of the same size.  The solver uses the group for orbital branching
+of the same size.  The solver uses a group of them for orbital branching
 (Ostrowski, Linderoth, Rossi & Smriglio, "Orbital branching", Math. Prog.
 126, 2011; Margot, "Symmetry in integer linear programming", 2010).
 
-`automorphisms` finds generators by individualization and refinement on the
-point-trace incidence, the scheme of McKay's nauty without canonical
-labelling, and keeps a permutation only after checking it against the
-masks.  Any subgroup serves the search, so a generator search that runs
-out of its refinement allowance or the deadline returns what it has.  A
-refinement that is to match the first path stops at its first split that
-differs.  The collineations that fix each hyperplane of the arrangement
-(`fixing_collineations`, in closed form from the forms) seed the search:
-a Schreier-Sims chain of theirs, based at the search's own base points,
-hands each level the generators it would otherwise find one refinement at
-a time.  The field automorphisms, and collineations that permute the
-hyperplanes, are still found by refinement.  This module is the only one
-that builds the seeds or fills the group's fields of the search's
-symmetry record; the solver imports it only past its probe.
+The group comes from the geometry.  AG(n,q) is PG(n,q) minus the
+hyperplane at infinity H, so an instance that build_instance made lives
+on the complement of hyperplanes of PG(n,q), H added in AG, and the
+collineations that permute them map its traces onto themselves.
+`collineations` builds that set stabilizer in PGammaL(n+1,q) from the
+forms: the kernel fixing each hyperplane in closed form, and one map per
+permutation of them, with its field automorphism, that a collineation
+realizes.  `automorphisms` restricts it to the universe, with the order
+of that action, and checks each generator against the masks.  Only this
+module fills the group's fields of the search's symmetry record; the
+solver imports it only past its probe.
 
 `schreier_sims` builds a stabilizer chain for a group of known order.
 `branch` works at a search node whose group is the pointwise stabilizer of
@@ -38,11 +35,13 @@ returns a Group, a search state carries one as (H, u, v) (see
 """
 
 import random
-import time
+from functools import reduce
+from itertools import product
+from math import prod
 
 from .errors import InternalError
-from .geometry import AFFINE, rref
-from .solver import _cover_masks, _mask_bits
+from .geometry import AFFINE, PROJECTIVE, _reduce_by_rows, rref, space
+from .solver import _mask_bits
 
 
 def _mul(a, b):
@@ -57,183 +56,15 @@ def _inverse(g):
     return tuple(inv)
 
 
-def _mask_sets(*masks):
-    """Each list of masks as its set, paired with the positions of each
-    mask: what _preserves reads."""
-    out = []
-    for ms in masks:
-        have = set(ms)
-        out.append((have, [_mask_bits(m) for m in have]))
-    return out
-
-
 def _preserves(g, mask_sets):
-    """g maps each set of masks onto itself."""
+    """g maps each set of masks onto itself; mask_sets pairs each set with
+    the positions of each of its masks."""
     bit = [1 << y for y in g]
     for have, positions in mask_sets:
         for pts in positions:
             if sum(map(bit.__getitem__, pts)) not in have:
                 return False
     return True
-
-
-class _Refiner:
-    """Equitable refinement of ordered partitions of the points and the
-    distinct traces of one instance, the traces coloured by the sides
-    they are on (family, forbidden or both).
-
-    A node is (pcells, pcell_of, tcells, tcell_of): cells are bitmasks in a
-    fixed order, *_of gives each vertex's cell index.  Splitting keeps the
-    fragment with the smallest count at the old index and appends the
-    others in count order, so the partition and the recorded invariant
-    depend only on the structure, never on the labels: two nodes related
-    by an automorphism refine alike and record equal invariants."""
-
-    def __init__(self, npoints, trace_masks, forb_masks):
-        self.npoints = npoints
-        fam, forb = set(trace_masks), set(forb_masks)
-        colours = ([m for m in fam if m not in forb], list(fam & forb),
-                   [m for m in forb if m not in fam])
-        self.tmask = [m for c in colours for m in c]
-        self.colours = [len(c) for c in colours]
-        self.pcov = _cover_masks(len(self.tmask), self.tmask, npoints)
-        self.refinements = 0
-
-    def initial(self):
-        """The root partition: all points in one cell, the traces in one
-        cell per colour, refined."""
-        U, nt = self.npoints, len(self.tmask)
-        pcells = [(1 << U) - 1]
-        pcell_of = [0] * U
-        tcells = []
-        tcell_of = [0] * nt
-        lo = 0
-        for size in self.colours:
-            hi = lo + size
-            if hi > lo:
-                for ti in range(lo, hi):
-                    tcell_of[ti] = len(tcells)
-                tcells.append(((1 << hi) - 1) ^ ((1 << lo) - 1))
-            lo = hi
-        queue = [(0, 0)] + [(1, i) for i in range(len(tcells))]
-        node = (pcells, pcell_of, tcells, tcell_of)
-        return node, self._refine(node, queue)
-
-    def individualize(self, node, ci, v, expect=None):
-        """Child node with point v split off its cell ci, refined; returns
-        (node, invariant), the invariant None once it leaves `expect`."""
-        pcells, pcell_of, tcells, tcell_of = node
-        pcells = pcells[:]
-        pcell_of = pcell_of[:]
-        rest = pcells[ci] & ~(1 << v)
-        pcells[ci] = 1 << v
-        new = len(pcells)
-        pcells.append(rest)
-        for p in _mask_bits(rest):
-            pcell_of[p] = new
-        child = (pcells, pcell_of, tcells[:], tcell_of[:])
-        return child, self._refine(child, [(0, ci)], expect)
-
-    def _refine(self, node, queue, expect=None):
-        """Refines node in place and returns its invariant, the splits in
-        the order made.  Given `expect`, the invariant of a node it is to
-        match, it stops at the first split that differs, or one too many,
-        and returns None: the invariants differ whatever the rest would
-        be."""
-        self.refinements += 1
-        pcells, pcell_of, tcells, tcell_of = node
-        sides = ((pcells, pcell_of), (tcells, tcell_of))
-        vmask = (self.pcov, self.tmask)  # a vertex's neighbours
-        pending = set(queue)
-        invariant = []
-        head = 0
-        # once the points are discrete so is every leaf labelling; stopping
-        # there is the same step for nodes an automorphism relates
-        while head < len(queue) and len(pcells) < self.npoints:
-            side, wi = queue[head]
-            head += 1
-            pending.discard((side, wi))
-            # a cell on one side splits the cells of the other side by the
-            # number of neighbours each vertex has in it
-            W = sides[side][0][wi]
-            nbr = vmask[1 - side]
-            cells, cell_of = sides[1 - side]
-            own = vmask[side]
-            touched = 0
-            m = W
-            while m:
-                b = m & -m
-                touched |= own[b.bit_length() - 1]
-                m ^= b
-            counts = {}  # cell -> {neighbours in W: mask of its vertices}
-            m = touched
-            while m:
-                b = m & -m
-                m ^= b
-                y = b.bit_length() - 1
-                c = cell_of[y]
-                cell = cells[c]
-                if cell & (cell - 1):
-                    k = (nbr[y] & W).bit_count()
-                    byk = counts.get(c)
-                    if byk is None:
-                        counts[c] = {k: b}
-                    else:
-                        byk[k] = byk.get(k, 0) | b
-            other = 1 - side
-            for c in sorted(counts):
-                frags = counts[c]
-                cell = cells[c]
-                zero = cell
-                for fm in frags.values():
-                    zero &= ~fm
-                if zero:
-                    frags[0] = zero
-                if len(frags) == 1:
-                    continue
-                keys = sorted(frags)
-                sizes = [frags[k].bit_count() for k in keys]
-                split = (side, wi, c, tuple(zip(keys, sizes)))
-                if expect is not None and (len(invariant) == len(expect) or
-                                           expect[len(invariant)] != split):
-                    return None
-                invariant.append(split)
-                idxs = [c]
-                cells[c] = frags[keys[0]]
-                for k in keys[1:]:
-                    ni = len(cells)
-                    fm = frags[k]
-                    cells.append(fm)
-                    while fm:
-                        b = fm & -fm
-                        cell_of[b.bit_length() - 1] = ni
-                        fm ^= b
-                    idxs.append(ni)
-                if (other, c) in pending:
-                    add = idxs[1:]
-                else:
-                    # the old cell was already a splitter: all fragments but
-                    # one largest carry the same information
-                    big = sizes.index(max(sizes))
-                    add = idxs[:big] + idxs[big + 1:]
-                for ni in add:
-                    if (other, ni) not in pending:
-                        pending.add((other, ni))
-                        queue.append((other, ni))
-        return tuple(invariant)
-
-
-def _target(pcells):
-    """Index of the first largest non-singleton point cell: in a geometry
-    this puts the base points in general position, where refinement
-    separates most."""
-    best = None
-    size = 1
-    for i, m in enumerate(pcells):
-        c = m.bit_count()
-        if c > size:
-            best, size = i, c
-    return best
 
 
 def _orbits(gens, n):
@@ -257,240 +88,259 @@ def _orbits(gens, n):
     return orbit_of, orbit_pts
 
 
-def automorphisms(npoints, trace_masks, forb_masks=(), deadline=None,
-                  limit=None, seeds=None, stats=None):
-    """The automorphism group of the instance as a Group, or None when it
-    is trivial; every generator is checked against the masks.
-
-    The first path individualizes the least point of the first largest
-    non-singleton cell until the partition is discrete; its base points
-    b_1..b_m are then treated deepest first.  At level i every point w of
-    b_i's cell not yet in b_i's orbit under the generators found so far
-    (all of which fix b_1..b_{i-1}) is tried: a depth-first search under w,
-    pruned where the refinement invariants leave the first path's, looks
-    for a discrete leaf whose labelling against the first leaf is an
-    automorphism.  When every level is settled the generators are strong
-    for that base and the orbit lengths multiply to the order.  A level
-    that needs more than `limit` refinements, or the deadline, stops the
-    search early; it then returns the generators of the levels already
-    settled, which span the stabilizer of the base points above them,
-    with its order found the same way.
-
-    `seeds`, when given, is (arrangement, universe): the instance is built
-    on the complement of the arrangement, with universe[x] the point at
-    position x, so that every collineation fixing each of its hyperplanes
-    (fixing_collineations) is an automorphism.  Those collineations permute
-    the space's points and form a group of known order there.  A
-    Schreier-Sims chain of theirs, over the space where the order is exact
-    and with b_1..b_m first in its base, hands level i its strong
-    generators that fix b_1..b_{i-1}, restricted to the positions, before
-    any candidate is tried, so a candidate they already reach costs no
-    refinement.  Each seed is checked against the masks first; one that
-    fails is a fault in the program, not in the instance.  A search that
-    settles every level finds the same group with or without seeds, in
-    fewer refinements with them; one that would run out of its allowance
-    may settle with them.
-
-    `stats`, a dict when given, gets the seeds' order (`seed_order`, 1
-    with none), the number of refinements, and the group's `order` and
-    number of `generators` (1 and 0 when it is trivial)."""
-    collineations = seeds and fixing_collineations(seeds[0])
-    if stats is not None:
-        stats["seed_order"] = collineations[1] if collineations else 1
-    mask_sets = _mask_sets(trace_masks, forb_masks)
-    ref = _Refiner(npoints, trace_masks, forb_masks)
-    node, inv0 = ref.initial()
-    path = [node]
-    invs = [inv0]
-    base = []
-    while True:
-        ci = _target(node[0])
-        if ci is None:
-            break
-        v = (node[0][ci] & -node[0][ci]).bit_length() - 1
-        base.append((ci, v))
-        node, inv = ref.individualize(node, ci, v)
-        path.append(node)
-        invs.append(inv)
-    m = len(base)
-    gens = []
-    strong = None
-    if m and collineations:
-        strong = _seed_strong(*collineations, seeds[1], mask_sets,
-                              [b for _ci, b in base])
-    orbit_of, orbit_pts = _orbits(gens, npoints)
-    stop = None  # the refinement count at which the current level gives up
-
-    def spent():
-        return ((stop is not None and ref.refinements >= stop)
-                or (deadline is not None and time.monotonic() > deadline))
-
-    def done(gens, order):
-        if stats is not None:
-            stats.update(refinements=ref.refinements, order=order,
-                         generators=len(gens) if order > 1 else 0)
-        return Group(tuple(gens), order, npoints) if order > 1 else None
-
-    first = [cell.bit_length() - 1 for cell in path[m][0]]
-
-    def find(level, w):
-        """A verified automorphism fixing b_1..b_level and mapping
-        b_{level+1} to w, or None."""
-        stack = [(level, path[level], w)]
-        while stack and not spent():
-            lv, node, v = stack.pop()
-            child, inv = ref.individualize(node, base[lv][0], v, invs[lv + 1])
-            if inv != invs[lv + 1] or len(child[0]) != len(path[lv + 1][0]):
-                continue
-            if lv + 1 < m:
-                for v2 in reversed(_mask_bits(child[0][base[lv + 1][0]])):
-                    stack.append((lv + 1, child, v2))
-                continue
-            g = [0] * npoints
-            for x, cell in zip(first, child[0]):
-                g[x] = cell.bit_length() - 1
-            g = tuple(g)
-            if _preserves(g, mask_sets):
-                return g
-        return None
-
-    order = 1
-    settled = 0  # gens[:settled] span the stabilizer of the base points above
-    for level in reversed(range(m)):
-        ci, b = base[level]
-        if strong and strong[level]:
-            gens += strong[level]
-            orbit_of, orbit_pts = _orbits(gens, npoints)
-        if limit is not None:
-            stop = ref.refinements + limit
-        failed = []
-        for w in _mask_bits(path[level][0][ci]):
-            ow = orbit_of[w]
-            if ow == orbit_of[b] or any(orbit_of[f] == ow for f in failed):
-                continue
-            g = find(level, w)
-            if g is not None:
-                gens.append(g)
-                orbit_of, orbit_pts = _orbits(gens, npoints)
-            elif spent():
-                # the levels below are settled: their group, of known order
-                return done(gens[:settled], order)
-            else:
-                failed.append(w)
-        # every candidate was settled, so this is b's full orbit under the
-        # stabilizer of the base points above it
-        order *= len(orbit_pts[orbit_of[b]])
-        settled = len(gens)
-    return done(gens, order)
-
-
-def fixing_collineations(arr):
-    """The collineations in PGL(n+1,q) that fix every hyperplane of arr, as
-    (generators, order): each generator is a permutation of the space's
-    point indices.  None when the forms are linearly dependent or the group
-    is trivial.
-
-    In AG(n,q) the point x is the projective point (x,1), and the hyperplane
-    at infinity, form (0,...,0,1), joins the forms: the group then lies in
-    AGL(n,q).  With the k forms independent, complete them to a basis of
-    the dual space and read each point in the coordinates y it gives, the
-    forms first.  A matrix fixes each y_i = 0, i < k, up to a scalar exactly
-    when its row i is a multiple of e_i, so the group is generated by the
-    diagonals, the transvections y_j += y_l with j >= k, and the
-    permutations of the coordinates >= k; modulo scalars its order is
-    (q-1)^(k-1) q^(k(m-k)) |GL(m-k,q)|, m = n+1.  Conjugating by those
-    permutations and diagonals turns y_k += y_l into every such
-    transvection, so one primitive diagonal per coordinate, y_k += y_l for
-    each l != k, a transposition and a cycle of the coordinates >= k
-    suffice.  The field automorphisms are left out."""
+def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
+    """The collineations of the arrangement restricted to the positions,
+    as a Group, or None when that is trivial.  `seeds` is (arrangement,
+    universe), universe[x] being the point at position x.  The order is
+    the collineations' when only the identity fixes every universe point
+    (_faithful), else that of a Schreier-Sims chain on the closure based
+    at the universe.  A generator that fails the masks is a fault in the
+    program.  `stats`, a dict when given, gets the `order` and the number
+    of `generators` (1 and 0 for the trivial group)."""
+    arr, universe = seeds
     sp = arr.space
-    fq, q, m = sp.field, sp.q, sp.n + 1
-    add, mul, inv = fq.add_table, fq.mul_table, fq.inv_table
-    forms = list(arr.forms)
-    if sp.kind == AFFINE:
-        forms.append((0,) * sp.n + (1,))
-    k = len(forms)
-    pivots, _ = rref(forms, fq)
-    if len(pivots) < k:
-        return None
-    # the unit rows off the pivot columns complete the forms to a basis
-    basis = forms + [tuple(int(i == j) for i in range(m))
-                     for j in range(m) if j not in pivots]
-
-    def coords(x):
-        out = []
-        for row in basis:
-            s = 0
-            for a, b in zip(row, x):
-                if a and b:
-                    s = add[s][mul[a][b]]
-            out.append(s)
-        return out
-
-    def scalar_class(y):
-        lead = next(filter(None, y))
-        return tuple(y) if lead == 1 else tuple(mul[inv[lead]][c] for c in y)
-
-    ys = [coords(x + (1,) if sp.kind == AFFINE else x) for x in sp.points]
-    index = {scalar_class(y): i for i, y in enumerate(ys)}
-    w = fq.primitive
-
-    def diagonal(i):  # y_i -> w y_i
-        return lambda y: y[:i] + [mul[w][y[i]]] + y[i + 1:]
-
-    def transvection(l):  # y_k -> y_k + y_l
-        return lambda y: y[:k] + [add[y[k]][y[l]]] + y[k + 1:]
-
-    def permutation(src):  # y_i -> y_src[i]
-        return lambda y: [y[s] for s in src]
-
-    moves = [diagonal(i) for i in range(m)] if w != 1 else []
-    if k < m:
-        moves += [transvection(l) for l in range(m) if l != k]
-    if m - k > 1:  # a transposition and a cycle of the coordinates >= k
-        ident = list(range(m))
-        moves.append(permutation(ident[:k] + [k + 1, k] + ident[k + 2:]))
-        if m - k > 2:
-            moves.append(permutation(ident[:k] + [m - 1] + ident[k:m - 1]))
-    gens = [tuple(index[scalar_class(move(y))] for y in ys) for move in moves]
-    order = (q - 1) ** k * q ** (k * (m - k))
-    for i in range(m - k):
-        order *= q ** (m - k) - q ** i
-    order //= q - 1
-    if order == 1:
-        return None
-    return gens, order
-
-
-def _seed_strong(sgens, sorder, universe, mask_sets, base):
-    """Per level i of `base` (positions), the strong generators that the
-    chain of the seeds `sgens`, a group of order `sorder` on the space's
-    points, adds at level i, which fix base[:i], restricted to the
-    positions, identities dropped.  Raises InternalError when a seed does
-    not map the positions onto themselves or the masks onto the masks."""
-    pos = {p: x for x, p in enumerate(universe)}
-    ident = tuple(range(len(universe)))
-
-    def restrict(g):
-        return tuple(pos.get(g[p], -1) for p in universe)
-
-    for g in sgens:
-        r = restrict(g)
+    closure = space(PROJECTIVE, sp.n, sp.q)
+    at = [closure.index_of(sp.points[p] + (1,)) for p in universe] \
+        if sp.kind == AFFINE else list(universe)
+    pos = {c: x for x, c in enumerate(at)}
+    gens, order = collineations(arr)
+    mask_sets = [(set(ms), [_mask_bits(x) for x in set(ms)])
+                 for ms in (trace_masks, forb_masks)]
+    restricted = []
+    for g in gens:
+        r = tuple(pos.get(g[c], -1) for c in at)
         if -1 in r or not _preserves(r, mask_sets):
-            raise InternalError("a seed collineation is not an automorphism "
-                                "of the instance")
-    S = schreier_sims(sgens, len(sgens[0]), sorder,
-                      [universe[b] for b in base])[1]
-    strong = []
-    for i in range(len(base)):
-        below = set(S[i + 1]) if i + 1 < len(S) else set()
-        level = []
-        for g in S[i]:
-            r = restrict(g)
-            if g not in below and r != ident and r not in level:
-                level.append(r)
-        strong.append(level)
-    return strong
+            raise InternalError("a collineation is not an automorphism of "
+                                "the instance")
+        if r != tuple(range(len(at))) and r not in restricted:
+            restricted.append(r)
+    if restricted and not _faithful(sp.field, [closure.points[c] for c in at]):
+        transversals = schreier_sims(gens, closure.npoints, order, at)[2]
+        order = prod(len(t) for t in transversals[:len(at)])
+    order = order if restricted else 1
+    if stats is not None:
+        stats.update(order=order, generators=len(restricted))
+    return Group(tuple(restricted), order, len(at)) if order > 1 else None
+
+
+def _combine(coefs, rows, fq):
+    """The sum of c * row over the pairs, a list."""
+    add, mul = fq.add_table, fq.mul_table
+    acc = [0] * len(rows[0])
+    for c, row in zip(coefs, rows):
+        if c:
+            mc = mul[c]
+            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
+    return acc
+
+
+def _normalized(v, fq):
+    """A nonzero vector scaled to lead with 1, as a tuple."""
+    f = fq.mul_table[fq.inv_table[next(filter(None, v))]]
+    return tuple(f[c] for c in v)
+
+
+def _inverse_rows(rows, fq):
+    """The inverse of an invertible square matrix, as rows."""
+    k = len(rows)
+    _, red = rref([list(row) + [int(i == j) for j in range(k)]
+                   for i, row in enumerate(rows)], fq)
+    return [list(row[k:]) for row in red]
+
+
+def _frobenius(fq):
+    """Per s < e, q = p^e, the table of c -> c^(p^s)."""
+    tables = [list(range(fq.q))]
+    while len(tables) < fq.e:
+        tables.append([reduce(lambda x, _: fq.mul_table[x][c], range(fq.p - 1), c)
+                       for c in tables[-1]])
+    return tables
+
+
+def _independent(vectors, fq):
+    """A maximal independent subset of the vectors, taken in order."""
+    basis, spanned = [], ([], [])
+    for v in vectors:
+        if any(_reduce_by_rows(v, *spanned, fq)):
+            basis.append(v)
+            spanned = rref(basis, fq)
+    return basis
+
+
+class _Frame:
+    """An arrangement's forms on the closure PG(n,q), H = (0,...,0,1) added
+    in AG.  `rank` independent forms and unit rows make a basis of the
+    dual space: `ys` are each closure point's values of it (`index` maps
+    them back), `coeffs` each form's coefficients over the basis forms.
+    comp[i] names basis form i's component in the forms' matroid, which
+    fundamental circuits decide: a form's expansion joins its support."""
+
+    def __init__(self, arr):
+        sp = arr.space
+        fq = self.field = sp.field
+        m = self.m = sp.n + 1
+        forms = list(arr.forms) + [(0,) * sp.n + (1,)] * (sp.kind == AFFINE)
+        basis = _independent(forms, fq)
+        r = self.rank = len(basis)
+        pivots = rref(basis, fq)[0]
+        rows = basis + [tuple(int(i == j) for i in range(m))
+                        for j in range(m) if j not in pivots]
+        inv = _inverse_rows(rows, fq)
+        self.coeffs = [_combine(f, inv, fq)[:r] for f in forms]
+        self.comp = list(range(r))
+        for a in self.coeffs:
+            joined = {self.comp[j] for j, c in enumerate(a) if c}
+            self.comp = [min(joined) if c in joined else c for c in self.comp]
+        columns = list(zip(*rows))
+        self.ys = [_combine(x, columns, fq)
+                   for x in space(PROJECTIVE, sp.n, sp.q).points]
+        self.index = {_normalized(y, fq): i for i, y in enumerate(self.ys)}
+        self.frob = _frobenius(fq)
+
+    def permutation(self, A, s=0):
+        """The closure's points under y -> A y^sigma, sigma the field
+        automorphism c -> c^(p^s), as a permutation of their indices."""
+        columns = list(zip(*A))
+        frob = self.frob[s]
+        return tuple(self.index[_normalized(_combine([frob[c] for c in y], columns,
+                                                     self.field), self.field)]
+                     for y in self.ys)
+
+
+def fixing_collineations(frame):
+    """The collineations in PGL(n+1,q) that fix every hyperplane of the
+    frame's arrangement, with H added in AG, as (generators, order): each
+    generator permutes the points of the closure PG(n,q).
+
+    In _Frame's coordinates y (m = n+1), a matrix fixes every hyperplane
+    when row i < rank r is a multiple of e_i, one per component (only a
+    scalar fixes each form of a connected set), and its block on the
+    coordinates >= r is invertible: (q-1)^(c-1) q^(r(m-r)) |GL(m-r,q)| of
+    them modulo scalars, for c components.  A primitive diagonal per
+    component and per coordinate >= r, y_r += y_l for each l != r (which
+    they conjugate into every transvection into a coordinate >= r), and a
+    transposition and a cycle of the coordinates >= r generate them."""
+    fq, m, r, comp = frame.field, frame.m, frame.rank, frame.comp
+    q, w = fq.q, fq.primitive
+    ident = list(range(m))
+
+    def move(rows=(), src=ident):  # y_i -> y_src[i], then the given rows
+        rows = dict(rows)
+        return [rows.get(i) or [int(k == src[i]) for k in ident] for i in ident]
+
+    def scaled(i):
+        return i, [w if k == i else 0 for k in ident]
+
+    moves = []
+    if w != 1:
+        moves += [move(scaled(i) for i in range(r) if comp[i] == c)
+                  for c in sorted(set(comp))]
+        moves += [move([scaled(j)]) for j in range(r, m)]
+    moves += [move([(r, [int(k in (r, l)) for k in ident])])
+              for l in ident if r < m and l != r]
+    if m - r > 1:  # a transposition and a cycle of the coordinates >= r
+        moves.append(move(src=ident[:r] + [r + 1, r] + ident[r + 2:]))
+    if m - r > 2:
+        moves.append(move(src=ident[:r] + [m - 1] + ident[r:m - 1]))
+    order = (q - 1) ** len(set(comp)) * q ** (r * (m - r)) * \
+        prod(q ** (m - r) - q ** i for i in range(m - r)) // (q - 1)
+    return [frame.permutation(A) for A in moves], order
+
+
+def _form_permutations(frame):
+    """(moves, count): collineations realize `count` pairs (permutation of
+    the forms, field automorphism), and the moves, each (A, s) as in
+    _Frame.permutation, realize pairs that generate them all.  y -> A
+    y^sigma maps the form of coefficients a to a^sigma A^-1.  A backtrack
+    picks the image and scalar of each basis form in turn while every form
+    whose expansion is filled maps onto a form, no two onto one.  The first
+    basis form of a component takes the scalar 1, as the kernel scales
+    each component by its own, so each pair comes out once."""
+    fq, m, r, coeffs = frame.field, frame.m, frame.rank, frame.coeffs
+    keys = {_normalized(a, fq): i for i, a in enumerate(coeffs)}
+    due = [[] for _ in range(r)]  # the forms whose expansion ends at each
+    for i, a in enumerate(coeffs):
+        due[max(j for j, c in enumerate(a) if c)].append(i)
+    first = {frame.comp.index(c) for c in frame.comp}
+    images = [None] * r  # the scaled forms X maps the basis forms to
+    target = [None] * len(coeffs)
+    hit = set()
+
+    def extend(d, frob, found):
+        if d == r:
+            found.append((tuple(target), [row[:] for row in images]))
+            return
+        for g, a in enumerate(coeffs):
+            if g in hit:
+                continue
+            for lam in ((1,) if d in first else range(1, fq.q)):
+                images[d] = [fq.mul_table[lam][c] for c in a]
+                taken = []
+                for f in due[d]:
+                    img = _combine([frob[c] for c in coeffs[f]], images, fq)
+                    t = keys.get(_normalized(img, fq)) if any(img) else None
+                    if t is None or t in hit:
+                        break
+                    hit.add(t)
+                    taken.append(t)
+                    target[f] = t
+                else:
+                    extend(d + 1, frob, found)
+                hit.difference_update(taken)
+
+    moves = []
+    pairs = []
+    count = 0
+    reached = {(tuple(range(len(coeffs))), 0)}  # the pairs generated so far
+    for s, frob in enumerate(frame.frob):
+        found = []
+        extend(0, frob, found)
+        count += len(found)
+        for pi, X in found:
+            if (pi, s) in reached:
+                continue
+            A = [row + [0] * (m - r) for row in _inverse_rows(X, fq)]
+            moves.append((A + [[int(i == j) for j in range(m)]
+                               for i in range(r, m)], s))
+            pairs.append((pi, s))
+            frontier = list(reached)
+            for x, t in frontier:
+                for g, u in pairs:
+                    y = (tuple(g[i] for i in x), (t + u) % fq.e)
+                    if y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+    return moves, count
+
+
+def collineations(arr):
+    """The collineations of PG(n,q) that permute the hyperplanes of arr,
+    with H added in AG, as (generators, order), each generator permuting
+    the points of the closure PG(n,q)."""
+    frame = _Frame(arr)
+    gens, order = fixing_collineations(frame)
+    moves, count = _form_permutations(frame)
+    return gens + [frame.permutation(A, s) for A, s in moves], order * count
+
+
+def _faithful(fq, pts):
+    """True when only the identity among the collineations of PG(n,q)
+    fixes each point of pts (coordinate tuples), else False.  One that
+    fixes m = n+1 independent points of pts is c -> D c^sigma in their
+    coordinates, D diagonal and sigma a field automorphism: each is tried."""
+    basis = _independent(pts, fq)
+    if len(basis) < len(pts[0]):
+        return False
+    binv = _inverse_rows(basis, fq)
+    coords = [_normalized(_combine(x, binv, fq), fq) for x in pts]
+    mul = fq.mul_table
+    for s, frob in enumerate(_frobenius(fq)):
+        for d in product(range(1, fq.q), repeat=len(basis) - 1):
+            if (s or any(c != 1 for c in d)) and all(
+                    _normalized([mul[a][frob[c]] for a, c in zip((1,) + d, x)],
+                                fq) == x for x in coords):
+                return False
+    return True
 
 
 def schreier_sims(gens, n, order, prefix=()):

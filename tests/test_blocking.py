@@ -237,13 +237,36 @@ def test_frontier_pass_stops_at_the_deadline():
     U = len(inst.universe)
     tmasks = solver._build_masks(inst.universe, inst.family)
     cover = solver._cover_masks(len(tmasks), tmasks, U)
-    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []))
+    group = symmetry.state_group(
+        symmetry.automorphisms(blocking._seeds(inst), tmasks, []))
     root = (0, 0, 0, 0, group, len(tmasks))
     stack = [root]
     result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
                             time.monotonic() - 1.0, False, limit=16)
     assert result[3] == solver.DEADLINE
     assert (result[2], stack) == (0, [root])
+
+
+def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
+    # the lines of PG(2,5) as a custom instance, which has no arrangement
+    # and so no group: the search that outgrows its probe goes on from the
+    # probe's stack, and visits exactly the nodes of the uncut plain search.
+    # No 8 points block every line without swallowing one (the minimum is
+    # 9), so the bound phase is the whole search
+    inst = empty_instance(PROJECTIVE, 2, 5)
+    custom = BlockingInstance(inst.space, 1, inst.universe, inst.family,
+                              inst.forbidden)
+    U = len(custom.universe)
+    tmasks, fmasks = blocking._masks(custom, True)
+    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
+               for p in range(U)]
+    cover = solver._cover_masks(len(tmasks), tmasks, U)
+    plain = solver._search((tmasks, cover, fmasks, forb_at, U),
+                           [(0, 0, 0, 0, None, len(tmasks))], 9, None, False)
+    res = min_blocking_set(custom, require_nontrivial=True, size_cap=8)
+    assert (res.verdict, res.symmetry) == ("not-exists", None)
+    incidences = sum(m.bit_count() for m in tmasks + fmasks)
+    assert res.nodes == plain[2] > incidences
 
 
 # Serial node counts pin the branching rule (trace selection, point order,

@@ -62,12 +62,11 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
            "--convention", "nontrivial")
     rep = run_json(capsys, *big)
     sym = rep["stats"]["symmetry"]
-    assert set(sym) == {"order", "generators", "probe_nodes", "skipped", "seconds",
-                        "refinements", "seed_order"}
+    assert set(sym) == {"order", "generators", "probe_nodes", "skipped", "seconds"}
     assert sym["order"] == 372000 and sym["skipped"] > 0
-    # PG(2,5) with no hyperplane removed: the geometry hands over all of
-    # PGL(3,5), and only the failing candidates cost a refinement
-    assert sym["seed_order"] == 372000 and sym["refinements"] > 0
+    # PG(2,5) with no hyperplane removed: its group is PGL(3,5), from the
+    # geometry alone
+    assert sym["generators"] > 0
     assert sym["probe_nodes"] == 31 * 6 * 2  # one node per incidence
     assert rep["stats"]["nodes"] > sym["probe_nodes"]
     assert "stats" not in run_json(capsys, "--no-meta", *big)
@@ -172,9 +171,10 @@ def test_deadline_passing_during_the_group_computation(capsys, monkeypatch):
     # probe's nodes and the symmetry record
     real = symmetry.automorphisms
 
-    def late(npoints, trace_masks, forb_masks, deadline, limit, seeds, stats):
-        group = real(npoints, trace_masks, forb_masks, deadline, limit, seeds,
-                     stats)
+    def late(seeds, trace_masks, forb_masks, stats):
+        # the search's deadline, 1 s after it started, is past by then
+        deadline = time.monotonic() + 1.0
+        group = real(seeds, trace_masks, forb_masks, stats)
         while time.monotonic() <= deadline:
             time.sleep(0.01)
         return group

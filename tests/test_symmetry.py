@@ -1,13 +1,12 @@
 """The automorphism groups of mask instances and orbital branching.
 
-Group orders are checked against the classical formulas and against
-sympy's own Schreier-Sims; every generator is mapped over the masks by
+Group orders are checked against the classical formulas, against sympy's
+own Schreier-Sims and against a list of every collineation
+(collineation_reference); every generator is mapped over the masks by
 hand; orbital branching must reach the optimum the plain search reaches,
 and the subset oracle's where the universe is small enough."""
 
-import hashlib
 import pickle
-import time
 from math import prod
 
 import pytest
@@ -20,15 +19,18 @@ from blocksets.arrangement import arrangement_make
 from blocksets.blocking import build_instance
 from blocksets.errors import BlocksetsError, InternalError
 from blocksets.geometry import AFFINE, PROJECTIVE, space
-from blocksets.symmetry import fixing_collineations
+from blocksets.symmetry import _Frame, fixing_collineations
+from collineation_reference import restricted_order
 
 
 def _masks(kind, n, q, t=1, rows=(), scope="contained", nontrivial=False):
+    """The universe size, the family and forbidden masks, and the seeds
+    automorphisms builds the group from."""
     sp = space(kind, n, q)
     inst = build_instance(sp, arrangement_make(sp, list(rows)), t, scope)
     tmasks = solver._build_masks(inst.universe, inst.family)
     fmasks = solver._build_masks(inst.universe, inst.forbidden) if nontrivial else []
-    return len(inst.universe), tmasks, fmasks
+    return len(inst.universe), tmasks, fmasks, blocking._seeds(inst)
 
 
 def _gl(n, q):
@@ -71,10 +73,10 @@ def _maps_onto(g, masks):
 def test_group_order_matches_formula_and_sympy(kind, n, q, order):
     # the hyperplanes of PG(n,q) or AG(n,q), n >= 2: the group is the full
     # collineation group (fundamental theorem of projective geometry)
-    U, tmasks, fmasks = _masks(kind, n, q)
+    U, tmasks, fmasks, seeds = _masks(kind, n, q)
     formula = _pgaml(n, q) if kind == PROJECTIVE else _agaml(n, q)
     assert formula == order
-    group = symmetry.automorphisms(U, tmasks, fmasks)
+    group = symmetry.automorphisms(seeds, tmasks, fmasks)
     assert group.order == order
     assert _sympy_order(group.gens) == order
 
@@ -90,36 +92,14 @@ def test_group_order_matches_formula_and_sympy(kind, n, q, order):
 ])
 def test_generators_preserve_family_and_forbidden(kind, n, q, t, rows, scope,
                                                   nontrivial, order):
-    U, tmasks, fmasks = _masks(kind, n, q, t, rows, scope, nontrivial)
-    group = symmetry.automorphisms(U, tmasks, fmasks)
+    U, tmasks, fmasks, seeds = _masks(kind, n, q, t, rows, scope, nontrivial)
+    group = symmetry.automorphisms(seeds, tmasks, fmasks)
     for g in group.gens:
         assert sorted(g) == list(range(U))
         assert _maps_onto(g, tmasks) and _maps_onto(g, fmasks)
     assert _sympy_order(group.gens) == group.order
     if order is not None:
         assert group.order == order
-
-
-def test_generator_search_gives_up_with_a_valid_subgroup():
-    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 5)
-    orders = []
-    for limit in (0, 1, 5, 12, 40, None):
-        group = symmetry.automorphisms(U, tmasks, fmasks, limit=limit)
-        if group is None:
-            orders.append(1)
-            continue
-        assert all(_maps_onto(g, tmasks) for g in group.gens)
-        assert group.order == _sympy_order(group.gens)
-        orders.append(group.order)
-    assert all(372000 % o == 0 for o in orders)
-    assert orders[0] < orders[-1] == 372000
-
-    def key(group):
-        return group and (group.gens, group.order)
-
-    assert key(symmetry.automorphisms(U, tmasks, fmasks,
-                                      deadline=time.monotonic() - 1.0)) == \
-        key(symmetry.automorphisms(U, tmasks, fmasks, limit=0))
 
 
 def _actual_gens(group, n):
@@ -133,8 +113,8 @@ def test_branch_orbits_and_stabilizers_match_sympy():
     # walk down from the whole group of PG(2,4), each time into the child
     # of the first point that its group moves: the children's groups are
     # conjugates of cached stabilizers, and sympy checks each one afresh
-    U, tmasks, _ = _masks(PROJECTIVE, 2, 4)
-    group = symmetry.state_group(symmetry.automorphisms(U, tmasks, []))
+    U, tmasks, _, seeds = _masks(PROJECTIVE, 2, 4)
+    group = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, []))
     pts = [3, 0, 7, 20, 11, 5]
     depth = 0
     while group is not None:
@@ -167,9 +147,9 @@ def test_branch_orbits_and_stabilizers_match_sympy():
 def test_pickled_stabilizers_rebuild_their_inverse_transversals():
     # PG(2,7) minus two lines, touching: the --workers payloads carry each
     # chain's base, strong generators and transversals, not the inverses
-    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
-                               scope="touching", nontrivial=True)
-    group = symmetry.automorphisms(U, tmasks, fmasks)
+    U, tmasks, fmasks, seeds = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
+                                      scope="touching", nontrivial=True)
+    group = symmetry.automorphisms(seeds, tmasks, fmasks)
     assert group.order == 3528
     stabs = [group.stabilizer(a)[0] for a in range(U)]
     assert sum(len(pickle.dumps(K)) for K in stabs) <= 90000
@@ -185,8 +165,8 @@ def test_pickled_stabilizers_rebuild_their_inverse_transversals():
 
 
 def test_schreier_sims_base_starts_with_the_prefix():
-    U, tmasks, _ = _masks(AFFINE, 2, 3)
-    group = symmetry.automorphisms(U, tmasks, [])
+    U, tmasks, _, seeds = _masks(AFFINE, 2, 3)
+    group = symmetry.automorphisms(seeds, tmasks, [])
     base, strong, trans, inv = symmetry.schreier_sims(
         group.gens, U, group.order, prefix=(4, 2))
     assert base[:2] == [4, 2]
@@ -211,13 +191,21 @@ def test_schreier_sims_base_starts_with_the_prefix():
     (AFFINE, 3, 2, ((1, 1, 0, 1),)),
     (AFFINE, 3, 3, ((1, 0, 0, 0), (0, 1, 0, 0))),
     (AFFINE, 2, 5, ((1, 2, 3), (0, 1, 4))),
+    # dependent forms: the braid arrangement x1 = x2, x1 = x3, x2 = x3 of
+    # AG(3,5), three lines of PG(2,7) through one point, and two parallel
+    # planes of AG(3,3), dependent together with the plane at infinity
+    (AFFINE, 3, 5, ((1, 4, 0, 0), (1, 0, 4, 0), (0, 1, 4, 0))),
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (1, 1, 0))),
+    (AFFINE, 3, 3, ((1, 0, 0, 0), (1, 0, 0, 1))),
 ])
 def test_seed_order_formula_matches_sympy(kind, n, q, rows):
     # a formula above the true order would keep schreier_sims sifting for
-    # ever, so each order is checked against sympy's own
+    # ever, so each order is checked against sympy's own; the generators
+    # permute the points of the projective closure
     sp = space(kind, n, q)
-    gens, order = fixing_collineations(arrangement_make(sp, list(rows)))
-    assert all(sorted(g) == list(range(sp.npoints)) for g in gens)
+    gens, order = fixing_collineations(_Frame(arrangement_make(sp, list(rows))))
+    closure = space(PROJECTIVE, n, q)
+    assert all(sorted(g) == list(range(closure.npoints)) for g in gens)
     assert _sympy_order(gens) == order
 
 
@@ -226,102 +214,116 @@ def test_empty_arrangement_seeds_are_the_linear_groups():
     # infinity) in AG(n,q) gives |AGL(n,q)|
     for n, q in ((2, 3), (2, 4), (3, 3), (4, 2)):
         arr = arrangement_make(space(PROJECTIVE, n, q), [])
-        assert fixing_collineations(arr)[1] == _gl(n + 1, q) // (q - 1)
+        assert fixing_collineations(_Frame(arr))[1] == _gl(n + 1, q) // (q - 1)
         arr = arrangement_make(space(AFFINE, n, q), [])
-        assert fixing_collineations(arr)[1] == q ** n * _gl(n, q)
+        assert fixing_collineations(_Frame(arr))[1] == q ** n * _gl(n, q)
 
 
-def test_dependent_forms_get_no_seeds(capsys):
-    # the braid arrangement x1 = x2, x1 = x3, x2 = x3 of AG(3,5), and three
-    # lines of PG(2,7) through one point: each form is a combination of
-    # the others (in AG with the hyperplane at infinity)
-    braid = arrangement_make(space(AFFINE, 3, 5),
-                             [(1, 4, 0, 0), (1, 0, 4, 0), (0, 1, 4, 0)])
-    concurrent = arrangement_make(space(PROJECTIVE, 2, 7),
-                                  [(1, 0, 0), (0, 1, 0), (1, 1, 0)])
-    # parallel planes: dependent only together with the plane at infinity
-    parallel = arrangement_make(space(AFFINE, 3, 3),
-                                [(1, 0, 0, 0), (1, 0, 0, 1)])
-    for arr in (braid, concurrent, parallel):
-        assert fixing_collineations(arr) is None
-    inst = build_instance(braid.space, braid, 1, "touching")
-    res = blocking.solve_instance(inst, time_budget=60)
-    assert res.size == 12 and res.symmetry["seed_order"] == 1
+# Group orders of instances the search meets, computed without a search.
+# PGL(3,7) is transitive on line pairs and on non-concurrent line triples,
+# so the stabilizers have order 5630688 / (57*56/2) = 3528 and
+# 5630688 / (57*56*49/6) = 216.  The collineations that fix three
+# concurrent lines one by one fix every line through their common point,
+# 7^2 * 6 = 294 of them, times the 3! orders of the lines: 1764.  The braid
+# arrangement of AG(3,5) with the plane at infinity keeps 2,000
+# collineations that fix each plane and S3 on the three braid planes.
+# AG(2,8), AG(2,9) and PG(2,9) get their whole collineation groups, which
+# need the field automorphisms: 3 * 8^2 * |GL(2,8)|, 2 * 9^2 * |GL(2,9)|
+# and 2 * |PGL(3,9)|.
+PINNED_ORDERS = [
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0)), "touching", 3528),
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "touching", 216),
+    (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (1, 1, 0)), "touching", 1764),
+    (AFFINE, 3, 5, ((1, 4, 0, 0), (1, 0, 4, 0), (0, 1, 4, 0)), "touching", 12000),
+    (AFFINE, 2, 8, (), "contained", 677376),
+    (AFFINE, 2, 9, (), "contained", 933120),
+    (PROJECTIVE, 2, 9, (), "contained", 84913920),
+]
 
 
-def _seeds(kind, n, q, t, rows, scope):
+@pytest.mark.parametrize("kind,n,q,rows,scope,order", PINNED_ORDERS)
+def test_group_orders_are_pinned(kind, n, q, rows, scope, order):
+    U, tmasks, fmasks, seeds = _masks(kind, n, q, rows=rows, scope=scope,
+                                      nontrivial=True)
+    stats = {}
+    group = symmetry.automorphisms(seeds, tmasks, fmasks, stats)
+    assert group.order == stats["order"] == order
+    assert stats["generators"] == len(group.gens) > 0
+
+
+def _drawn(data, spaces, max_forms):
+    """A drawn instance from one of the spaces (kind, n, q), with 0 to
+    max_forms forms, as (inst, tmasks, fmasks, forbidden masks): fmasks are
+    the forbidden masks in force under the drawn convention.  None when a
+    form repeats or the family is empty."""
+    kind, n, q = data.draw(st.sampled_from(spaces))
+    nvars = n + 1 if kind == PROJECTIVE else n
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
+        .filter(lambda r: any(r[:nvars])), min_size=0, max_size=max_forms))
+    t = data.draw(st.integers(1, n))
+    scope = data.draw(st.sampled_from(["contained", "touching"]))
+    convention = data.draw(st.sampled_from(["plain", "minimal", "nontrivial"]))
     sp = space(kind, n, q)
-    inst = build_instance(sp, arrangement_make(sp, list(rows)), t, scope)
-    return inst, blocking._seeds(inst)
+    try:
+        inst = build_instance(sp, arrangement_make(sp, rows), t, scope)
+    except BlocksetsError:
+        return None  # a repeated or degenerate hyperplane
+    if not inst.family:
+        return None
+    tmasks = solver._build_masks(inst.universe, inst.family)
+    forbidden = solver._build_masks(inst.universe, inst.forbidden)
+    return inst, tmasks, forbidden if convention == "nontrivial" else [], forbidden
 
 
 @settings(deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(st.data())
-def test_seeded_and_unseeded_groups_have_one_order(data):
-    kind = data.draw(st.sampled_from([PROJECTIVE, AFFINE]))
-    n = data.draw(st.integers(2, 3))
-    q = data.draw(st.sampled_from([2, 3, 4, 5]))
-    nvars = n + 1 if kind == PROJECTIVE else n
-    rows = data.draw(st.lists(
-        st.lists(st.integers(0, q - 1), min_size=n + 1, max_size=n + 1)
-        .filter(lambda r: any(r[:nvars])), min_size=0, max_size=3))
-    t = data.draw(st.integers(1, n))
-    scope = data.draw(st.sampled_from(["contained", "touching"]))
-    convention = data.draw(st.sampled_from(["plain", "minimal", "nontrivial"]))
-    try:
-        inst, seeds = _seeds(kind, n, q, t, rows, scope)
-    except BlocksetsError:
-        return  # a repeated or degenerate hyperplane
-    if not inst.family:
+def test_group_order_is_the_order_its_generators_span(data):
+    drawn = _drawn(data, [(kind, n, q) for kind in (PROJECTIVE, AFFINE)
+                          for n in (2, 3) for q in (2, 3, 4, 5)], 3)
+    if drawn is None:
         return
-    U = len(inst.universe)
-    tmasks = solver._build_masks(inst.universe, inst.family)
-    fmasks = []
-    if convention == "nontrivial":
-        fmasks = solver._build_masks(inst.universe, inst.forbidden)
-    plain = symmetry.automorphisms(U, tmasks, fmasks)
+    inst, tmasks, fmasks, _ = drawn
     stats = {}
-    seeded = symmetry.automorphisms(U, tmasks, fmasks, seeds=seeds, stats=stats)
-    assert (plain and plain.order) == (seeded and seeded.order)
-    if seeded is not None:
-        assert all(_maps_onto(g, tmasks) and _maps_onto(g, fmasks)
-                   for g in seeded.gens)
-    assert stats["refinements"] >= 1
+    group = symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks, stats)
+    if group is None:
+        assert (stats["order"], stats["generators"]) == (1, 0)
+        return
+    assert _sympy_order(group.gens) == group.order == stats["order"]
+    assert all(_maps_onto(g, tmasks) and _maps_onto(g, fmasks)
+               for g in group.gens)
+
+
+@settings(deadline=None, max_examples=60,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_group_order_matches_the_collineation_reference(data):
+    # every collineation of the closure that maps the hyperplanes, the one
+    # at infinity included in AG, onto themselves, restricted to the
+    # universe: the group is all of them, with no more or fewer
+    drawn = _drawn(data, [(PROJECTIVE, 2, 2), (PROJECTIVE, 2, 3),
+                          (PROJECTIVE, 2, 4), (AFFINE, 2, 2), (AFFINE, 2, 3),
+                          (AFFINE, 2, 4), (PROJECTIVE, 3, 2)], 4)
+    if drawn is None:
+        return
+    inst, tmasks, fmasks, forbidden = drawn
+    group = symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks)
+    order = group.order if group else 1
+    assert order == restricted_order(inst.space, inst.arrangement.forms,
+                                     inst.universe)
+    for g in group.gens if group else ():
+        assert _maps_onto(g, tmasks) and _maps_onto(g, forbidden)
 
 
 def test_a_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
     # swapping two points of PG(2,3) maps some line off the lines; the
     # swap stands in for the collineations of the empty arrangement
-    U, tmasks, _ = _masks(PROJECTIVE, 2, 3)
+    U, tmasks, _, seeds = _masks(PROJECTIVE, 2, 3)
     swap = (1, 0) + tuple(range(2, U))
-    monkeypatch.setattr(symmetry, "fixing_collineations", lambda arr: ([swap], 2))
-    arr = arrangement_make(space(PROJECTIVE, 2, 3), [])
+    monkeypatch.setattr(symmetry, "collineations", lambda arr: ([swap], 2))
     with pytest.raises(InternalError):
-        symmetry.automorphisms(U, tmasks, (), seeds=(arr, tuple(range(U))))
-
-
-# The unseeded generator search on PG(2,7) minus x0 = 0 and x1 = 0 (touching,
-# plain) as it was before refinements stopped at their first differing
-# split: per refinement allowance, the group's order, a digest of its
-# generators, and the refinements made.  Stopping early changes none of them.
-EARLY_ABORT_PINNED = {
-    0: (1, None, 4),
-    336: (84, "e5008528622f", 411),  # one refinement per incidence
-    None: (3528, "da4bccfff223", 609),
-}
-
-
-@pytest.mark.parametrize("limit", list(EARLY_ABORT_PINNED))
-def test_refinement_stops_where_it_leaves_the_first_path(limit):
-    U, tmasks, fmasks = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
-                               scope="touching")
-    assert sum(m.bit_count() for m in tmasks) == 336
-    stats = {}
-    group = symmetry.automorphisms(U, tmasks, fmasks, limit=limit, stats=stats)
-    digest = group and hashlib.sha256(repr(group.gens).encode()).hexdigest()[:12]
-    assert ((group.order if group else 1), digest, stats["refinements"]) == \
-        EARLY_ABORT_PINNED[limit]
+        symmetry.automorphisms(seeds, tmasks, ())
 
 
 # Universes past 16 points are searched under this cap (answers above it
@@ -367,10 +369,8 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
                for p in range(U)] if fmasks else None
     cap = U if U <= 16 else CAP
-    # the generator search gets the allowance solve_masks gives it
-    incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
+        symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
     inst = (tmasks, cover, fmasks, forb_at, U)
     plain = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                            cap + 1, None, False)
@@ -425,9 +425,8 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
     cover = solver._cover_masks(len(tmasks), tmasks, U)
     forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
                for p in range(U)] if fmasks else None
-    incidences = sum(m.bit_count() for m in tmasks + fmasks)
     group = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
+        symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
     stack = _Recorder([(0, 0, 0, 0, group, len(tmasks))])
     solver._search((tmasks, cover, fmasks, forb_at, U), stack,
                    (U if U <= 16 else CAP) + 1, None, False)
@@ -448,14 +447,12 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
 RESUME_LIMITS = (1, 7, 50, 300)
 
 
-def _check_resume(U, tmasks, fmasks, cap):
+def _check_resume(U, tmasks, fmasks, seeds, cap):
     cover = solver._cover_masks(len(tmasks), tmasks, U)
     forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
                for p in range(U)] if fmasks else None
     inst = (tmasks, cover, fmasks, forb_at, U)
-    incidences = sum(m.bit_count() for m in tmasks + fmasks)
-    orbital = symmetry.state_group(
-        symmetry.automorphisms(U, tmasks, fmasks, limit=incidences))
+    orbital = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, fmasks))
     opt = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
                          cap + 1, None, False)[0]
     for group in (None, orbital):
@@ -481,9 +478,9 @@ def _check_resume(U, tmasks, fmasks, cap):
     (AFFINE, 3, 3, ((1, 1, 0, 0),), "touching", False),
 ])
 def test_resumed_search_visits_the_uncut_nodes(kind, n, q, rows, scope, nontrivial):
-    U, tmasks, fmasks = _masks(kind, n, q, rows=rows, scope=scope,
-                               nontrivial=nontrivial)
-    _check_resume(U, tmasks, fmasks, U)
+    U, tmasks, fmasks, seeds = _masks(kind, n, q, rows=rows, scope=scope,
+                                      nontrivial=nontrivial)
+    _check_resume(U, tmasks, fmasks, seeds, U)
 
 
 @settings(deadline=None, max_examples=40,
@@ -504,4 +501,5 @@ def test_resumed_search_visits_the_uncut_nodes_on_drawn_instances(case):
     fmasks = []
     if convention == "nontrivial":
         fmasks = solver._build_masks(inst.universe, inst.forbidden)
-    _check_resume(U, tmasks, fmasks, U if U <= 16 else CAP)
+    _check_resume(U, tmasks, fmasks, blocking._seeds(inst),
+                  U if U <= 16 else CAP)
