@@ -36,7 +36,6 @@ returns a Group, a search state carries one as (H, u, v) (see
 
 import random
 from functools import reduce
-from itertools import product
 from math import prod
 
 from .errors import InternalError
@@ -92,11 +91,11 @@ def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
     """The collineations of the arrangement restricted to the positions,
     as a Group, or None when that is trivial.  `seeds` is (arrangement,
     universe), universe[x] being the point at position x.  The order is
-    the collineations' when only the identity fixes every universe point
-    (_faithful), else that of a Schreier-Sims chain on the closure based
-    at the universe.  A generator that fails the masks is a fault in the
-    program.  `stats`, a dict when given, gets the `order` and the number
-    of `generators` (1 and 0 for the trivial group)."""
+    that of the action on the positions: a Schreier-Sims chain on the
+    closure whose base starts with them multiplies its first orbits to it.
+    A generator that fails the masks is a fault in the program.  `stats`,
+    a dict when given, gets the `order` and the number of `generators`
+    (1 and 0 for the trivial group)."""
     arr, universe = seeds
     sp = arr.space
     closure = space(PROJECTIVE, sp.n, sp.q)
@@ -114,10 +113,8 @@ def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
                                 "the instance")
         if r != tuple(range(len(at))) and r not in restricted:
             restricted.append(r)
-    if restricted and not _faithful(sp.field, [closure.points[c] for c in at]):
-        transversals = schreier_sims(gens, closure.npoints, order, at)[2]
-        order = prod(len(t) for t in transversals[:len(at)])
-    order = order if restricted else 1
+    order = prod(map(len, schreier_sims(gens, closure.npoints, order, at)[2][:len(at)])) \
+        if restricted else 1
     if stats is not None:
         stats.update(order=order, generators=len(restricted))
     return Group(tuple(restricted), order, len(at)) if order > 1 else None
@@ -323,26 +320,6 @@ def collineations(arr):
     return gens + [frame.permutation(A, s) for A, s in moves], order * count
 
 
-def _faithful(fq, pts):
-    """True when only the identity among the collineations of PG(n,q)
-    fixes each point of pts (coordinate tuples), else False.  One that
-    fixes m = n+1 independent points of pts is c -> D c^sigma in their
-    coordinates, D diagonal and sigma a field automorphism: each is tried."""
-    basis = _independent(pts, fq)
-    if len(basis) < len(pts[0]):
-        return False
-    binv = _inverse_rows(basis, fq)
-    coords = [_normalized(_combine(x, binv, fq), fq) for x in pts]
-    mul = fq.mul_table
-    for s, frob in enumerate(_frobenius(fq)):
-        for d in product(range(1, fq.q), repeat=len(basis) - 1):
-            if (s or any(c != 1 for c in d)) and all(
-                    _normalized([mul[a][frob[c]] for a, c in zip((1,) + d, x)],
-                                fq) == x for x in coords):
-                return False
-    return True
-
-
 def schreier_sims(gens, n, order, prefix=()):
     """Stabilizer chain of the group of the given order spanned by gens.
     Returns (base, strong, transversals, inverses): the base starts with
@@ -380,7 +357,8 @@ def schreier_sims(gens, n, order, prefix=()):
             u = Tinv[level].get(h[base[level]])
             if u is None:
                 break
-            h = _mul(h, u)
+            if u is not ident:  # h fixes base[level]
+                h = _mul(h, u)
             level += 1
         if h == ident:
             continue
