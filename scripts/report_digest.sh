@@ -26,14 +26,15 @@
 # its universe, so its certificate is null.  The sixth lists complement
 # members point by point: forms whose last coefficient is not 1 over
 # GF(9), an affine constant, the braid complement over GF(8) and a
-# projective plane minus a line.  The seventh runs searches that outgrow
-# the probe, so they compute the automorphism group and branch on its
-# orbits: PG(2,7) minus two lines (touching, plain) in two labellings, and
-# braid AG(3,5) touching plain, whose dependent forms still get the whole
-# set stabilizer of the braid planes and the plane at infinity.  Two
-# versions of the package that build the same flats, compute the same
-# field elements and search alike print the same digests, so comparing
-# them across checkouts shows whether a change altered any report:
+# projective plane minus a line.  The seventh runs orbital searches:
+# searches that outgrow the probe, so they compute the automorphism group
+# and branch on its orbits: PG(2,7) minus two lines (touching, plain) in
+# two labellings, and braid AG(3,5) touching plain, whose dependent forms
+# still get the whole set stabilizer of the braid planes and the plane at
+# infinity.  Two versions of the package that build the same flats,
+# compute the same field elements and search alike print the same
+# digests, so comparing them across checkouts shows whether a change
+# altered any report:
 #
 #   PYTHONPATH=src bash scripts/report_digest.sh
 #
@@ -162,4 +163,4 @@ printf 'projective 2 7\n1 2 3\n0 1 5\n' > "$tmp/pg2-7.two-other-lines.txt"
     $BS search "$tmp/pg2-7.two-lines.txt" --t 1 --scope touching
     $BS search "$tmp/pg2-7.two-other-lines.txt" --t 1 --scope touching
     $BS braid --kind ag --n 3 --q 5 --t 1 --scope touching
-} | sha256sum | sed 's/-$/generator-search commands/'
+} | sha256sum | sed 's/-$/orbital-search commands/'

@@ -161,13 +161,18 @@ def flats_in_complement(comp, d):
     return comp.contained.flats(d)
 
 
+def check_trace_enumeration(sp, d):
+    """Raises TooLarge when the d-flats are too many to list their traces."""
+    if flat_count(sp.kind, sp.n, d, sp.q) > ENUM_GUARD:
+        raise TooLarge("trace enumeration at d=%d in %s exceeds the guard" % (d, sp))
+
+
 def touching_traces(comp, d):
     """The trace of every d-flat meeting the complement, in canonical flat
     order; a trace is the sorted tuple of complement points on the flat.
     Equal traces from different flats are kept once per originating flat."""
     sp = comp.space
-    if flat_count(sp.kind, sp.n, d, sp.q) > ENUM_GUARD:
-        raise TooLarge("trace enumeration at d=%d in %s exceeds the guard" % (d, sp))
+    check_trace_enumeration(sp, d)
     mem = comp.member_set
     out = []
     for fl in iter_flats(sp, d):
@@ -176,6 +181,14 @@ def touching_traces(comp, d):
             out.append((fl.sort_key(), trace))
     out.sort()
     return [trace for _, trace in out]
+
+
+def touching_count(comp, d):
+    """len(touching_traces(comp, d)), counted without listing a trace."""
+    sp = comp.space
+    check_trace_enumeration(sp, d)
+    mem = comp.member_set
+    return sum(1 for fl in iter_flats(sp, d) if not mem.isdisjoint(fl.points))
 
 
 def max_flat_dimension(comp):

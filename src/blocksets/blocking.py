@@ -7,7 +7,9 @@ traces that must not be fully swallowed when the nontrivial convention is
 in force.  Two scopes build the family geometrically: "contained" takes
 the flats lying entirely inside the complement, "touching" takes the trace
 of every flat that meets it.  The blocked dimension is n - t throughout;
-forbidden traces come from dimension t.
+forbidden traces come from dimension t.  Only the nontrivial convention
+and the checks of a given set read the forbidden list, so build_instance
+lists it on first read and counts forbidden_size without listing it.
 
 Decision routes are deliberately redundant: the branch-and-bound engine in
 solver.py gives the fast exact answer, exhaustive_oracle re-derives it by
@@ -16,14 +18,17 @@ the fast route is re-checked here with direct set loops before it leaves.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import solver
-from .arrangement import (Arrangement, arrangement_make, complement,
-                          flats_in_complement, touching_traces)
+from .arrangement import (Arrangement, arrangement_make,
+                          check_trace_enumeration, complement,
+                          flats_in_complement, touching_count,
+                          touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import Flat, FlatGrowth, Space
+from .geometry import Flat, FlatGrowth, Space, flat_count, listable_flat_count
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -49,12 +54,16 @@ class BlockingInstance:
     is the level the instance was built at (restriction can push it to 0
     or below; blocked_dim stays the ambient n - t and is what the traces
     actually mean).
+
+    An instance that build_instance made lists its forbidden traces on
+    the first read of `forbidden`, with the same checks as a given list,
+    and counts `forbidden_size` without listing them.
     """
     space: Space
     t: int
     universe: tuple
     family: tuple
-    forbidden: tuple = ()
+    forbidden: tuple = field(default_factory=tuple)
     arrangement: Arrangement = None
     scope: str = "custom"
     blocked_dim: int = None
@@ -78,44 +87,90 @@ class BlockingInstance:
                 raise NotInUniverse("family trace point %r outside universe" % (p,))
             fam.append(tr)
         self.family = tuple(fam)
+        self.forbidden = self._checked_forbidden(self.forbidden)
+        if self.blocked_dim is None:
+            self.blocked_dim = self.space.n - self.t
+
+    def _checked_forbidden(self, traces):
         forb = []
-        for tr in self.forbidden:
+        for tr in traces:
             tr = tuple(sorted(set(tr)))
-            if not uset.issuperset(tr):
-                p = next(p for p in tr if p not in uset)
+            if not self.universe_set.issuperset(tr):
+                p = next(p for p in tr if p not in self.universe_set)
                 raise NotInUniverse("forbidden trace point %r outside universe" % (p,))
             if tr:
                 forb.append(tr)
-        self.forbidden = tuple(forb)
-        if self.blocked_dim is None:
-            self.blocked_dim = self.space.n - self.t
+        return tuple(forb)
+
+    def __getattr__(self, name):
+        # reached only for `forbidden` before its first read, on an
+        # instance that build_instance left the complement to list it from
+        comp = self.__dict__.get("_complement")
+        if name != "forbidden" or comp is None:
+            raise AttributeError(name)
+        self.forbidden = self._checked_forbidden(_traces(comp, self.t, self.scope))
+        return self.forbidden
+
+    @cached_property
+    def forbidden_size(self):
+        if "forbidden" in self.__dict__:
+            return len(self.forbidden)
+        return _trace_count(self._complement, self.t, self.scope)
 
     def __repr__(self):
         return ("BlockingInstance(%r, t=%d, scope=%s, |universe|=%d, "
                 "|family|=%d, |forbidden|=%d)" % (
                     self.space, self.t, self.scope, len(self.universe),
-                    len(self.family), len(self.forbidden)))
+                    len(self.family), self.forbidden_size))
+
+
+def _traces(comp, d, scope):
+    """The traces of the d-flats under scope, in canonical flat order."""
+    if scope == CONTAINED:
+        return tuple(fl.points for fl in flats_in_complement(comp, d))
+    return touching_traces(comp, d)
+
+
+def _check_listable(comp, d, scope):
+    """Raises the TooLarge that _traces(comp, d, scope) would raise."""
+    sp = comp.space
+    if scope == TOUCHING:
+        check_trace_enumeration(sp, d)
+    elif len(comp.members) == sp.npoints:
+        listable_flat_count(sp, d)  # the contained flats are all the flats
+
+
+def _trace_count(comp, d, scope):
+    """len(_traces(comp, d, scope)), without listing a trace."""
+    sp = comp.space
+    if len(comp.members) == sp.npoints:
+        return flat_count(sp.kind, sp.n, d, sp.q)
+    if scope == CONTAINED:
+        return len(flats_in_complement(comp, d))
+    return touching_count(comp, d)
 
 
 def build_instance(sp, arr, t, scope=CONTAINED):
     """Geometric constructor: universe = complement of arr in sp, family =
     traces of (n-t)-flats under the given scope, forbidden = traces of
-    t-flats under the same scope."""
+    t-flats under the same scope.  At t = n - t the forbidden list is the
+    family; otherwise it is listed on first read (its guard is checked
+    here, so a level too large to list still raises TooLarge at once)."""
     if scope not in SCOPES:
         raise ValueError("scope must be one of %s" % (SCOPES,))
     if not 1 <= t <= sp.n:
         raise DimensionOutOfRange("level t=%d outside 1..%d" % (t, sp.n))
     comp = complement(sp, arr)
     d = sp.n - t
-    if scope == CONTAINED:
-        # both calls read the levels of one growth pass kept on comp
-        family = tuple(fl.points for fl in flats_in_complement(comp, d))
-        forbidden = tuple(fl.points for fl in flats_in_complement(comp, t))
-    else:
-        family = touching_traces(comp, d)
-        forbidden = touching_traces(comp, t)
-    return BlockingInstance(sp, t, comp.members, family, forbidden,
+    inst = BlockingInstance(sp, t, comp.members, _traces(comp, d, scope),
                             arrangement=arr, scope=scope, blocked_dim=d)
+    if t == d:
+        inst.forbidden = inst.family
+    else:
+        _check_listable(comp, t, scope)
+        del inst.forbidden
+        inst._complement = comp
+    return inst
 
 
 def _as_pointset(inst, candidate):

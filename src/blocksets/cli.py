@@ -74,7 +74,7 @@ def _instance_block(inst):
     return {"t": inst.t, "scope": inst.scope, "blocked_dim": inst.blocked_dim,
             "universe_size": len(inst.universe),
             "family_size": len(inst.family),
-            "forbidden_size": len(inst.forbidden)}
+            "forbidden_size": inst.forbidden_size}
 
 
 def _search_stats(res):
@@ -211,12 +211,13 @@ def cmd_instance(args):
     sp, arr = _load_source(args)
     inst = build_instance(sp, arr, args.t, args.scope)
     payload = {"space": _space_block(sp),
-               "arrangement": {"count": len(arr.forms)},
-               "instance": _instance_block(inst)}
+               "arrangement": {"count": len(arr.forms)}}
     if args.traces:
         payload["family"] = [[_point_str(sp, p) for p in tr] for tr in inst.family]
         payload["forbidden"] = [[_point_str(sp, p) for p in tr]
                                 for tr in inst.forbidden]
+    # after any listing, so forbidden_size is read off the list, not counted
+    payload["instance"] = _instance_block(inst)
     _emit(args, "instance", payload)
     return 0
 
@@ -279,11 +280,12 @@ def cmd_verify(args):
     inst = build_instance(sp, arr, args.t, args.scope)
     cand = [_coords(tok, sp) for tok in args.set]
     blocking = is_blocking(inst, cand)
+    nontrivial = is_nontrivial(inst, cand)  # lists the forbidden traces
     payload = {"space": _space_block(sp),
                "instance": _instance_block(inst),
                "set": [_point_str(sp, p) for p in sorted(set(cand))],
                "blocking": blocking,
-               "nontrivial": is_nontrivial(inst, cand)}
+               "nontrivial": nontrivial}
     payload["minimal"] = is_minimal(inst, cand) if blocking else None
     if args.minimalize and blocking:
         payload["minimalized"] = [_point_str(sp, p) for p in minimalize(inst, cand)]

@@ -440,12 +440,18 @@ def _affine_flats(sp, d, i, bound, later, vspan):
                                      _widen(sp, vspan, row, p))
 
 
-def enumerate_flats(sp, d):
-    """All d-flats sorted by canonical basis; length matches flat_count."""
+def listable_flat_count(sp, d):
+    """The number of d-flats; raises TooLarge when they are too many to list."""
     expected = flat_count(sp.kind, sp.n, d, sp.q)
     if expected > ENUM_GUARD:
         raise TooLarge("enumerating %d flats of dimension %d in %s exceeds the guard"
                        % (expected, d, sp))
+    return expected
+
+
+def enumerate_flats(sp, d):
+    """All d-flats sorted by canonical basis; length matches flat_count."""
+    expected = listable_flat_count(sp, d)
     flats = sorted(iter_flats(sp, d), key=Flat.sort_key)
     if len(flats) != expected:
         raise InternalError("built %d flats of dimension %d in %s, expected %d"

@@ -1,11 +1,14 @@
 import json
 import random
+import re
 import time
 
 import pytest
 
-from blocksets import blocking, solver, symmetry
-from blocksets.arrangement import arrangement_make, complement
+from blocksets import arrangement, blocking, geometry, solver, symmetry
+from blocksets.arrangement import (arrangement_make, complement,
+                                   flats_in_complement, normalize_form,
+                                   touching_traces)
 from blocksets.blocking import (BlockingInstance, build_instance,
                                 classify_arrangement, exhaustive_oracle,
                                 guaranteed_existence_check, induced_subinstance,
@@ -13,7 +16,7 @@ from blocksets.blocking import (BlockingInstance, build_instance,
                                 min_blocking_set, minimalize,
                                 nonexistence_by_subspace, solve_instance,
                                 threshold_scan)
-from blocksets.braid import braid_arrangement
+from blocksets.braid import braid_arrangement, braid_existence
 from blocksets.cli import main
 from blocksets.errors import (DimensionOutOfRange, InternalError, NotBlocking,
                               NotInUniverse, SearchTimeout, TooLarge,
@@ -54,19 +57,26 @@ def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows,
 
     monkeypatch.setattr(FlatGrowth, "_grow", counted)
     inst = build_instance(sp, arr, t, "contained")
+    built = list(grown)
+    forbidden = inst.forbidden
     if kind == PROJECTIVE:
         # every flat of dimension >= 1 meets the removed hyperplane, so the
         # contained levels are known empty without growing them
         assert grown == []
     else:
+        # the build grows the family's levels only; the first read of the
+        # forbidden list grows the rest up to t, on the same growth
+        assert built == list(range(1, n - t + 1))
         assert grown == list(range(1, max(n - t, t) + 1))
+    read = list(grown)
+    assert inst.forbidden is forbidden and grown == read  # listed once
     monkeypatch.undo()
     members = complement(sp, arr).member_set
     growth = FlatGrowth(sp, members)
     fam = growth.flats(n - t)
     forb = growth.flats(t)
     assert inst.family == tuple(fl.points for fl in fam)
-    assert inst.forbidden == tuple(fl.points for fl in forb)
+    assert forbidden == tuple(fl.points for fl in forb)
 
 
 def test_build_empty_arrangement_pg23():
@@ -132,6 +142,131 @@ def test_instance_names_the_first_trace_point_outside_the_universe():
         BlockingInstance(sp, 1, universe=uni, family=((0,),), forbidden=((8, 1, 5),))
     with pytest.raises(ValueError, match="^empty trace in family$"):
         BlockingInstance(sp, 1, universe=uni, family=((0,), ()))
+
+
+# -- the forbidden side, listed on first read --------------------------------
+
+SMALL_SPACES = [(PROJECTIVE, 2, 2), (PROJECTIVE, 2, 3), (PROJECTIVE, 2, 4),
+                (AFFINE, 2, 3), (AFFINE, 2, 4), (AFFINE, 3, 2), (AFFINE, 3, 3),
+                (PROJECTIVE, 3, 2), (AFFINE, 4, 2)]
+
+
+def _drawn_arrangements(sp, rng):
+    """The empty arrangement, 1-3 drawn forms, and a pencil of hyperplanes
+    that covers the space (x_1 = c for every c in AG; in PG the q + 1
+    hyperplanes through x_0 = x_1 = 0), whose complement is empty."""
+    out = [arrangement_make(sp, [])]
+    for k in (1, 2, 3):
+        forms = set()
+        while len(forms) < k:
+            row = [rng.randrange(sp.q) for _ in range(sp.n + 1)]
+            if any(row[:sp.ncoords]):
+                forms.add(normalize_form(sp, row))
+        out.append(arrangement_make(sp, sorted(forms)))
+    zero = [0] * (sp.n - 1)
+    if sp.kind == AFFINE:
+        pencil = [[1] + zero + [c] for c in range(sp.q)]
+    else:
+        pencil = [[1, c] + zero for c in range(sp.q)] + [[0, 1] + zero]
+    out.append(arrangement_make(sp, pencil))
+    return out
+
+
+@pytest.mark.parametrize("kind,n,q", SMALL_SPACES)
+def test_forbidden_size_counts_the_listed_traces(kind, n, q):
+    sp = space(kind, n, q)
+    for arr in _drawn_arrangements(sp, random.Random("%s:%d:%d" % (kind, n, q))):
+        for t in range(1, n + 1):
+            for scope in ("contained", "touching"):
+                comp = complement(sp, arr)
+                if scope == "contained":
+                    want = tuple(fl.points for fl in flats_in_complement(comp, t))
+                else:
+                    want = tuple(touching_traces(comp, t))
+                inst = build_instance(sp, arr, t, scope)
+                assert inst.forbidden_size == len(want), (arr, t, scope)
+                assert inst.forbidden == want, (arr, t, scope)
+                assert inst.forbidden_size == len(inst.forbidden)
+
+
+def _recorded_levels(monkeypatch):
+    """The dimension of every touching_traces call and of every FlatGrowth
+    level grown, in order."""
+    dims = []
+    real_traces, real_grow = blocking.touching_traces, FlatGrowth._grow
+
+    def traces(comp, d):
+        dims.append(d)
+        return real_traces(comp, d)
+
+    def grow(self, current, level):
+        dims.append(level)
+        return real_grow(self, current, level)
+
+    monkeypatch.setattr(blocking, "touching_traces", traces)
+    monkeypatch.setattr(FlatGrowth, "_grow", grow)
+    return dims
+
+
+# contained rows have t > n - t, so the family's levels stop below t
+@pytest.mark.parametrize("kind,n,q,rows,t,scope", [
+    (AFFINE, 3, 3, [(1, 0, 0, 0)], 2, "contained"),
+    (AFFINE, 4, 2, [(1, 0, 0, 0, 0)], 3, "contained"),
+    (AFFINE, 3, 3, [(1, 0, 0, 0)], 1, "touching"),
+    (PROJECTIVE, 3, 2, [(1, 0, 0, 0)], 2, "touching"),
+])
+def test_plain_runs_never_enumerate_the_forbidden_level(monkeypatch, kind, n, q,
+                                                        rows, t, scope):
+    sp = space(kind, n, q)
+    arr = arrangement_make(sp, rows)
+    dims = _recorded_levels(monkeypatch)
+    for convention in ("plain", "minimal"):
+        solve_instance(build_instance(sp, arr, t, scope), convention)
+        classify_arrangement(sp, arr, t, scope, convention)
+    assert dims and all(d <= n - t for d in dims)
+    solve_instance(build_instance(sp, arr, t, scope), "nontrivial")
+    assert t in dims  # the nontrivial search does list them
+
+
+def test_plain_braid_never_enumerates_the_forbidden_level(monkeypatch):
+    dims = _recorded_levels(monkeypatch)
+    assert braid_existence(AFFINE, 3, 5, t=2, scope="contained").verdict == "exists"
+    assert braid_existence(AFFINE, 3, 3, t=1, scope="touching").verdict == "exists"
+    assert dims == [1, 2]
+
+
+def test_search_reports_forbidden_size_without_listing(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "ag3-3.minus-plane.txt"
+    path.write_text("affine 3 3\n1 0 0 0\n")
+    dims = _recorded_levels(monkeypatch)
+    assert main(["--no-meta", "search", str(path), "--t", "1",
+                 "--scope", "touching"]) == 0
+    assert dims == [2]
+    rep = json.loads(capsys.readouterr().out)
+    sp = space(AFFINE, 3, 3)
+    comp = complement(sp, arrangement_make(sp, [(1, 0, 0, 0)]))
+    # the 117 lines of AG(3,3) less the 12 inside the removed plane
+    assert rep["instance"]["forbidden_size"] == len(touching_traces(comp, 1)) == 105
+
+
+def test_forbidden_side_refusal_keeps_type_and_message(monkeypatch, capsys):
+    # PG(3,2) has 15 planes and 35 lines: a guard of 20 trips only the lines
+    sp = space(PROJECTIVE, 3, 2)
+    empty = arrangement_make(sp, [])
+    monkeypatch.setattr(arrangement, "ENUM_GUARD", 20)
+    msg = "trace enumeration at d=1 in PG(3,2) exceeds the guard"
+    with pytest.raises(TooLarge, match="^%s$" % re.escape(msg)):
+        build_instance(sp, empty, 1, "touching")
+    assert main(["instance", "--space", "pg", "--n", "3", "--q", "2",
+                 "--t", "1", "--scope", "touching"]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": msg, "type": "TooLarge"}
+    last = threshold_scan(PROJECTIVE, 2, t=1, n_max=3, scope="touching").rows[-1]
+    assert (last.n, last.verdict, last.note) == (3, "skipped", msg)
+    # the contained flats of the whole space are all of its flats
+    monkeypatch.setattr(geometry, "ENUM_GUARD", 20)
+    msg = "enumerating 35 flats of dimension 1 in PG(3,2) exceeds the guard"
+    with pytest.raises(TooLarge, match="^%s$" % re.escape(msg)):
+        build_instance(sp, empty, 1, "contained")
 
 
 # -- predicates --------------------------------------------------------------
