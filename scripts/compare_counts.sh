@@ -2,10 +2,13 @@
 # Compares the search node counts and group orders of this checkout's src/
 # with those of a git revision's (default HEAD).  It unpacks REF's src/
 # into a temporary directory with git archive, runs a fixed list of
-# searches once under each PYTHONPATH, prints `stats.nodes` and
-# `stats.symmetry.order` (1 when the search computed no group) per row
-# for both, and exits 1 when any of them differs.  The rows are the seven
-# `bound` rows of bench/workloads.py at seeds 1-4, and these:
+# searches once under each PYTHONPATH, prints `stats.nodes`,
+# `stats.symmetry.order` (1 when the search computed no group) and
+# `stats.elapsed` per row for both, and exits 1 when a node count or a
+# group order differs.  The times are for reading only: one run each,
+# unscaled, so they show a search change on the rows the benchmark does
+# not run (AG(2,8), AG(4,3), braid AG(3,5)) but decide nothing.  The rows
+# are the seven `bound` rows of bench/workloads.py at seeds 1-4, and these:
 # PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
 # AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
 # touching plain.  A change that is to keep every search as it was passes
@@ -49,8 +52,9 @@ for name, argv in rows:
     with contextlib.redirect_stdout(out):
         cli.main(argv)
     stats = json.loads(out.getvalue())["stats"]
-    print("%-50s nodes %9d  order %d" % (name, stats["nodes"],
-                                         stats.get("symmetry", {}).get("order", 1)))
+    print("%-50s nodes %9d  order %d  elapsed %.3f s" % (
+        name, stats["nodes"], stats.get("symmetry", {}).get("order", 1),
+        stats["elapsed"]))
 PY
 }
 
@@ -62,7 +66,9 @@ echo "== $ref"
 cat "$tmp/ref.txt"
 echo "== working tree"
 cat "$tmp/tree.txt"
-if cmp -s "$tmp/ref.txt" "$tmp/tree.txt"; then
+# the elapsed column is left out of the comparison
+if cmp -s <(sed 's/  elapsed .*//' "$tmp/ref.txt") \
+          <(sed 's/  elapsed .*//' "$tmp/tree.txt"); then
     echo "all counts equal"
 else
     echo "counts differ" >&2

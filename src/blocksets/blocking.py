@@ -291,7 +291,8 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
     if require_nontrivial and not is_nontrivial(inst, witness):
         raise InternalError("search witness %r swallows a forbidden trace"
                             % (witness,))
-    return SearchResult("exists", size, witness, nodes, elapsed, sym)
+    return SearchResult("exists", size, witness, nodes, elapsed, sym,
+                        stats.get("witness_nodes"))
 
 
 def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None,

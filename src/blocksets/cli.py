@@ -82,6 +82,10 @@ def _search_stats(res):
     stats = {"nodes": res.nodes, "elapsed": res.elapsed}
     if res.symmetry is not None:
         stats["symmetry"] = res.symmetry
+    # a SearchTimeout has no witness phase to count
+    witness_nodes = getattr(res, "witness_nodes", None)
+    if witness_nodes is not None:
+        stats["witness_nodes"] = witness_nodes
     return stats
 
 

@@ -24,16 +24,21 @@ unopened); an instance with no arrangement gets none.  A node with no
 group branches as if its group were trivial, each point its own orbit, so
 one rule builds every child.
 
-A node with more uncovered traces than undecided points first finds its
-packing by jumping: it packs the lowest uncovered trace, drops every trace
-through one of that trace's undecided points (the union of their cover
-masks), and packs the lowest trace left.  The scan packs a trace exactly
-when it meets none of the points packed before it, so the jumps build the
-scan's packing, trace for trace; and since packed point sets are disjoint
-they touch each undecided point at most once, where the scan touches every
+Each node runs its cheapest decisive test first.  With need = best - k,
+a better cover adds at most need - 1 points, so a node that is not a cover
+closes at need <= 1.  At need 2 the node is open exactly when one
+undecided point lies on every uncovered trace, hence on the lowest one,
+and it checks only that trace's points.  At need >= 3, a node with more
+uncovered traces than undecided points first finds its packing by
+jumping: it packs the lowest uncovered trace, drops every trace through
+one of that trace's undecided points (the union of their cover masks),
+and packs the lowest trace left.  The scan packs a trace exactly when it
+meets none of the points packed before it, so the jumps build the scan's
+packing, trace for trace; and since packed point sets are disjoint they
+touch each undecided point at most once, where the scan touches every
 uncovered trace.  A dead trace or a packing of need traces closes the node
-there; a node the jumps leave open scans as before.  A narrower node seldom
-closes on its packing, so it goes straight to the scan.  The scan costs
+there.  Then the counting bound runs, from the degrees of the undecided
+points, and only a node it leaves open scans its traces.  The scan costs
 time linear in the node's uncovered traces: they are listed from the
 binary digits of one mask (_mask_bits), and each point's cover mask is
 built once, before the search.  The incumbent the search starts from is a
@@ -73,6 +78,7 @@ class SearchResult:
     nodes: int = 0
     elapsed: float = 0.0
     symmetry: dict = None  # solve_masks' symmetry record, when it made one
+    witness_nodes: int = None  # nodes of the witness phase, when it ran
 
 
 # bin() digits as bytes 0 and 1, so that compress() keeps the set bits
@@ -167,7 +173,21 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     scanned: its parent's counting bound, carried down.  A root state
     carries len(trace_masks), which closes nothing.  A state past its reach
     is still popped and counted, so `limit` counts the same nodes as
-    without it."""
+    without it.
+
+    A node closes on a dead trace (an uncovered trace with no undecided
+    point), on a first-fit packing, in index order, of need = best - k
+    disjoint uncovered traces, or on the counting bound, and on nothing
+    else; the order of the tests changes only what a node costs.  At need
+    <= 1 the first uncovered trace is dead or packs alone.  At need 2 the
+    counting bound closes the node unless some undecided point has degree
+    nrem, that is, lies on every uncovered trace; and where such a point
+    is, no trace is dead and no two are disjoint.  So the node closes
+    exactly when no undecided point of the lowest uncovered trace lies on
+    all of them, it tests those points alone, and its children carry
+    reach 0.  At need >= 3 a wide node runs the jumps, then every node the
+    counting bound, then the scan, which finds the remaining dead traces
+    and packings and the trace to branch on."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
@@ -203,42 +223,69 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         if nrem > reach:
             continue  # closed by the parent's counting bound
         need = best - k  # a better cover adds at most need - 1 points
+        if need <= 1:
+            continue  # not a cover, and no point may be added
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
-        if nrem > bit_count(und):
-            # the scan's first-fit packing, found by jumping: the next
-            # packed trace is the lowest one through none of the packed
-            # points, so each packed trace drops every trace through its
-            # own points.  Packed point sets are disjoint, so this touches
-            # each undecided point at most once, fewer than the traces the
-            # scan would touch.
-            free = rem
-            pack = 0
-            while free:
-                low = free & -free
-                opts = trace_masks[low.bit_length() - 1] & und
-                if not opts:
-                    break  # a dead trace: free keeps it until it is lowest
-                pack += 1
-                if pack >= need:
+        if need == 2:
+            # one point more: the node is open exactly when an undecided
+            # point lies on every uncovered trace, so on the lowest one
+            opts = trace_masks[(rem & -rem).bit_length() - 1] & und
+            while opts:
+                b = opts & -opts
+                if cover[b.bit_length() - 1] & rem == rem:
                     break
-                hit = 0
-                while opts:
-                    b = opts & -opts
-                    hit |= cover[b.bit_length() - 1]
-                    opts ^= b
-                free ^= free & hit
-            if free:
-                continue  # dead trace or packing closes the node
+                opts ^= b
+            if not opts:
+                continue
+            child_reach = 0  # a child that is not a cover closes
+        else:
+            if nrem > bit_count(und):
+                # the scan's first-fit packing, found by jumping: the next
+                # packed trace is the lowest one through none of the packed
+                # points, so each packed trace drops every trace through
+                # its own points.  Packed point sets are disjoint, so this
+                # touches each undecided point at most once, fewer than
+                # the traces the scan would touch.
+                free = rem
+                pack = 0
+                while free:
+                    low = free & -free
+                    opts = trace_masks[low.bit_length() - 1] & und
+                    if not opts:
+                        break  # a dead trace: free keeps it until it is lowest
+                    pack += 1
+                    if pack >= need:
+                        break
+                    hit = 0
+                    while opts:
+                        b = opts & -opts
+                        hit |= cover[b.bit_length() - 1]
+                        opts ^= b
+                    free ^= free & hit
+                if free:
+                    continue  # dead trace or packing closes the node
+            # counting bound: need - 1 points cover at most the need - 1
+            # largest degrees, each counted in uncovered traces.  A point
+            # on no uncovered trace only pads the list with a 0
+            degs = sorted([bit_count(cover[p] & rem) for p in mask_bits(und)],
+                          reverse=True)
+            if sum(degs[:need - 1]) < nrem:
+                continue
+            # a child has one point more and no larger degrees, so its own
+            # counting bound closes it when it has more uncovered traces
+            # than this
+            child_reach = sum(degs[:need - 2])
+        # the scan: a dead trace or a packing of need traces closes the
+        # node, and the trace with the fewest undecided points is the one
+        # to branch on
         pack = 0
         acc = 0
-        usable = 0
         sel_opts = 0
         sel_cnt = npoints + 1
         for ti in mask_bits(rem):
             opts = trace_masks[ti] & und
             if not opts:
                 break  # some trace can no longer be hit
-            usable |= opts
             if not opts & acc:
                 acc |= opts
                 pack += 1
@@ -252,15 +299,6 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         # a dead trace
         if not opts or pack >= need:
             continue
-        # counting bound: need - 1 points cover at most the need - 1 largest
-        # degrees, each counted in uncovered traces
-        degs = sorted([bit_count(cover[p] & rem) for p in mask_bits(usable)],
-                      reverse=True)
-        if sum(degs[:need - 1]) < nrem:
-            continue
-        # a child has one point more and no larger degrees, so its own
-        # counting bound closes it when it has more uncovered traces than this
-        child_reach = sum(degs[:need - 2])
         pts = mask_bits(sel_opts)
         if len(pts) > 1:
             pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
@@ -359,7 +397,9 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     automorphism group, and only when `seeds` is given: it restarts from
     the root with orbital branching, keeping the probe's incumbent, and
     `stats` (a dict, when given) gets a "symmetry" record, which a
-    SearchTimeout raised after the group is computed carries too.  `seeds`
+    SearchTimeout raised after the group is computed carries too.  Once
+    an optimum is found, `stats` also gets "witness_nodes", the witness
+    phase's share of the nodes.  `seeds`
     is handed to symmetry.automorphisms as it is: the solver neither
     builds nor reads it, and symmetry fills the record's group fields.
     With no seeds the search goes on from the probe's own stack, so its
@@ -455,6 +495,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     # position pos, candidate p below the current witness's point keeps
     # witness[:pos], takes p and excludes every other point below p; the
     # search pops the lowest candidate first and stops at the first cover.
+    bound_nodes = nodes
     witness = _mask_bits(incumbent)
     prefix_mask = 0  # witness[:pos], which every later witness starts with
     prefix_cov = 0
@@ -472,6 +513,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             witness = _mask_bits(found)
         prefix_mask |= 1 << witness[pos]
         prefix_cov |= cover[witness[pos]]
+    if stats is not None:
+        stats["witness_nodes"] = nodes - bound_nodes
     return best, prefix_mask, nodes
 
 

@@ -57,7 +57,7 @@ def test_no_meta_is_reproducible(capsys):
 def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
     small = ("search", "--space", "pg", "--n", "2", "--q", "3", "--t", "1")
     rep = run_json(capsys, *small)
-    assert set(rep["stats"]) == {"nodes", "elapsed"}
+    assert set(rep["stats"]) == {"nodes", "elapsed", "witness_nodes"}
     big = ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
            "--convention", "nontrivial")
     rep = run_json(capsys, *big)
@@ -74,6 +74,21 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
              "--scope", "touching")
     assert run_json(capsys, *braid)["stats"]["symmetry"]["skipped"] > 0
     assert "stats" not in run_json(capsys, "--no-meta", *braid)
+
+
+def test_witness_phase_nodes_in_stats(capsys):
+    """stats.witness_nodes is the witness phase's share of stats.nodes, and
+    --no-meta drops it with the rest of stats.  AG(4,3) plain spends most
+    of its nodes there; a search that finds nothing within its cap has no
+    witness phase."""
+    argv = ("search", "--space", "ag", "--n", "4", "--q", "3", "--t", "1")
+    stats = run_json(capsys, *argv)["stats"]
+    assert (stats["witness_nodes"], stats["nodes"]) == (21178, 25260)
+    assert "stats" not in run_json(capsys, "--no-meta", *argv)
+    capped = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q",
+                      "3", "--t", "1", "--cap", "3")
+    assert capped["result"]["verdict"] == "not-exists"
+    assert "witness_nodes" not in capped["stats"]
 
 
 def test_search_pinned_minimum(capsys):
