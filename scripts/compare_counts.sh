@@ -3,11 +3,12 @@
 # with those of a git revision's (default HEAD).  It unpacks REF's src/
 # into a temporary directory with git archive, runs a fixed list of
 # searches once under each PYTHONPATH, prints `stats.nodes`,
-# `stats.symmetry.order` (1 when the search computed no group) and
-# `stats.elapsed` per row for both, and exits 1 when a node count or a
-# group order differs.  The times are for reading only: one run each,
-# unscaled, so they show a search change on the rows the benchmark does
-# not run (AG(2,8), AG(4,3), braid AG(3,5)) but decide nothing.  The rows
+# `stats.symmetry.order` (1 when the search computed no group),
+# `stats.elapsed` and `stats.symmetry.seconds` (0 with no group) per row
+# for both, and exits 1 when a node count or a group order differs.  The
+# times are for reading only: one run each, unscaled, so they show a
+# search or group change on the rows the benchmark does not run (AG(2,8),
+# AG(4,3), braid AG(3,5)) but decide nothing.  The rows
 # are the seven `bound` rows of bench/workloads.py at seeds 1-4, and these:
 # PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
 # AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
@@ -52,9 +53,10 @@ for name, argv in rows:
     with contextlib.redirect_stdout(out):
         cli.main(argv)
     stats = json.loads(out.getvalue())["stats"]
-    print("%-50s nodes %9d  order %d  elapsed %.3f s" % (
-        name, stats["nodes"], stats.get("symmetry", {}).get("order", 1),
-        stats["elapsed"]))
+    sym = stats.get("symmetry", {})
+    print("%-50s nodes %9d  order %d  elapsed %.3f s  group %.3f s" % (
+        name, stats["nodes"], sym.get("order", 1), stats["elapsed"],
+        sym.get("seconds", 0)))
 PY
 }
 
@@ -66,7 +68,7 @@ echo "== $ref"
 cat "$tmp/ref.txt"
 echo "== working tree"
 cat "$tmp/tree.txt"
-# the elapsed column is left out of the comparison
+# the elapsed and group columns are left out of the comparison
 if cmp -s <(sed 's/  elapsed .*//' "$tmp/ref.txt") \
           <(sed 's/  elapsed .*//' "$tmp/tree.txt"); then
     echo "all counts equal"

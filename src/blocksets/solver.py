@@ -468,24 +468,24 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         sym["seconds"] = time.perf_counter() - t0
         # a deadline that passed meanwhile stops the restart at its first node
         stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
-    if stack:
-        if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
-            # the frontier: run a few nodes at a time until the open
-            # subtrees are enough tasks for the pool, or none are left
-            target = workers * 8
-            while 0 < len(stack) < target:
-                bound(_search(inst, stack, best, deadline, False, limit=target))
+    if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
+        # the frontier: run a few nodes at a time until the open subtrees
+        # are enough tasks for the pool, or none are left
+        target = workers * 8
+        while 0 < len(stack) < target:
+            bound(_search(inst, stack, best, deadline, False, limit=target))
         if len(stack) > 1:
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
             payloads = [(inst, state, best, budget) for state in reversed(stack)]
+            stack = []
             # imported here for the same reason: it loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for result in pool.map(_phase1_task, payloads, chunksize=1):
                     bound(result)
-        else:
-            bound(_search(inst, stack, best, deadline, False))
+    # one serial search finishes what the stack still holds, if anything
+    bound(_search(inst, stack, best, deadline, False))
     if sym is not None and stats is not None:
         stats["symmetry"] = sym
     if best > cap:

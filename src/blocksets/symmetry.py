@@ -26,11 +26,13 @@ group with an earlier sibling are skipped, each kept child excludes the
 orbits of its earlier siblings, and it gets the stabilizer of its one new
 point.  A `Group` builds one chain per orbit whose stabilizer is asked
 for, and keeps it: the stabilizer of any other point of the orbit is a
-conjugate, so a search state carries its group as a conjugate u H u^-1 of
-a cached Group H, and a child's group costs two permutation products.
+conjugate, so a search state carries its group as a cached Group H with
+one map v, the conjugate v^-1 H v, and a child's group costs one
+permutation product.  A chain's maps run the same way: each takes a
+point back to its level's base point.
 
 Permutations are tuples: g[x] is the image of position x.  `automorphisms`
-returns a Group, a search state carries one as (H, u, v) (see
+returns a Group, a search state carries one as (H, v) (see
 `state_group`), and None stands for the trivial group.
 """
 
@@ -322,10 +324,10 @@ def collineations(arr):
 
 def schreier_sims(gens, n, order, prefix=()):
     """Stabilizer chain of the group of the given order spanned by gens.
-    Returns (base, strong, transversals, inverses): the base starts with
-    `prefix`, strong[i] lists the strong generators fixing base[:i],
+    Returns (base, strong, transversals): the base starts with `prefix`,
+    strong[i] lists the strong generators fixing base[:i], and
     transversals[i] maps each point x of base[i]'s orbit under them to an
-    element taking base[i] to x, and inverses[i] maps x to its inverse.
+    element taking x back to base[i], which is what a sift multiplies by.
 
     Group elements come from a product-replacement walk over the
     generators (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)
@@ -337,8 +339,8 @@ def schreier_sims(gens, n, order, prefix=()):
     ident = tuple(range(n))
     base = list(prefix)
     S = [[] for _ in base]
-    T = [{b: ident} for b in base]
-    Tinv = [{b: ident} for b in base]  # sifts, and serves Group.stabilizer
+    Sinv = [[] for _ in base]  # the inverses of S, which extend the orbits
+    W = [{b: ident} for b in base]
     size = 1
     rng = random.Random(0)
     state = list(gens) * (-(-10 // len(gens)))
@@ -354,11 +356,11 @@ def schreier_sims(gens, n, order, prefix=()):
             h = acc
         level = 0
         while level < len(base):
-            u = Tinv[level].get(h[base[level]])
-            if u is None:
+            w = W[level].get(h[base[level]])
+            if w is None:
                 break
-            if u is not ident:  # h fixes base[level]
-                h = _mul(h, u)
+            if w is not ident:  # h fixes base[level]
+                h = _mul(h, w)
             level += 1
         if h == ident:
             continue
@@ -366,41 +368,42 @@ def schreier_sims(gens, n, order, prefix=()):
             z = next(z for z in range(n) if h[z] != z)
             base.append(z)
             S.append([])
-            T.append({z: ident})
-            Tinv.append({z: ident})
+            Sinv.append([])
+            W.append({z: ident})
         # h fixes base[:level], so it joins every strong set down to there
+        hinv = _inverse(h)
         for l in range(level + 1):
             S[l].append(h)
-            t, tinv = T[l], Tinv[l]
-            frontier = list(t)
+            Sinv[l].append(hinv)
+            w = W[l]
+            frontier = list(w)
             while frontier:
                 nxt = []
                 for x in frontier:
-                    ux = t[x]
-                    for s in S[l]:
+                    wx = w[x]
+                    for s, s_inv in zip(S[l], Sinv[l]):
                         y = s[x]
-                        if y not in t:
-                            t[y] = _mul(ux, s)
-                            tinv[y] = _inverse(t[y])
+                        if y not in w:
+                            w[y] = _mul(s_inv, wx)
                             nxt.append(y)
                 frontier = nxt
         size = 1
-        for t in T:
-            size *= len(t)
-    return base, S, T, Tinv
+        for w in W:
+            size *= len(w)
+    return base, S, W
 
 
 class Group:
     """A group of known order on the positions 0..n-1: its generators, its
     orbits, and for each orbit, once asked for, the stabilizer of one point
-    of it with a transversal to the rest.
+    of it with the maps taking each other point of it there.
 
     A stabilizer comes from a Schreier-Sims chain whose base starts in the
     orbit; the stabilizer keeps the rest of that chain, so a later question
     about the orbit of its own first base point needs no new chain.  Every
-    other point of an orbit has a conjugate stabilizer: if t takes the
-    orbit's representative r to a, then Stab(a) = t Stab(r) t^-1, so one
-    chain per orbit serves every point of it."""
+    other point of an orbit has a conjugate stabilizer: if w takes a to the
+    orbit's representative r, then Stab(a) = w^-1 Stab(r) w, so one chain
+    per orbit serves every point of it."""
 
     __slots__ = ("gens", "order", "n", "chain", "orbit_of", "orbit_pts",
                  "_stabs")
@@ -415,61 +418,51 @@ class Group:
 
     def __reduce__(self):
         # a pool task builds the stabilizers it asks for, so its payload
-        # need not carry the ones found before it was sent, nor the chain's
-        # inverse transversals, which it rebuilds from the transversals
-        chain = self.chain and self.chain[:3]
-        return _unpickle_group, (self.gens, self.order, self.n, chain)
+        # need not carry the ones found before it was sent
+        return Group, (self.gens, self.order, self.n, self.chain)
 
     def stabilizer(self, a):
-        """(K, t, t^-1) with Stab(a) = t K t^-1: K is the stabilizer of the
-        representative of a's orbit as a Group, or None when it is trivial,
-        and t takes that representative to a."""
+        """(K, w): K is the stabilizer of the representative of a's orbit
+        as a Group, or None when it is trivial, and w takes a to that
+        representative, so Stab(a) is K conjugated by w."""
         o = self.orbit_of[a]
         entry = self._stabs.get(o)
         if entry is None:
             chain = self.chain
             if chain is None or self.orbit_of[chain[0][0]] != o:
                 chain = schreier_sims(self.gens, self.n, self.order, (a,))
-            base, S, T, Tinv = chain
-            rest = self.order // len(T[0])
+            base, S, W = chain
+            rest = self.order // len(W[0])
             K = None
             if rest > 1:
-                K = Group(tuple(S[1]), rest, self.n,
-                          (base[1:], S[1:], T[1:], Tinv[1:]))
-            entry = self._stabs[o] = (K, T[0], Tinv[0])
-        K, T0, Tinv0 = entry
-        return K, T0[a], Tinv0[a]
-
-
-def _unpickle_group(gens, order, n, chain):
-    if chain is not None:
-        base, S, T = chain
-        Tinv = [{x: _inverse(t) for x, t in level.items()} for level in T]
-        chain = base, S, T, Tinv
-    return Group(gens, order, n, chain)
+                K = Group(tuple(S[1]), rest, self.n, (base[1:], S[1:], W[1:]))
+            entry = self._stabs[o] = (K, W[0])
+        K, W0 = entry
+        return K, W0[a]
 
 
 def state_group(group):
     """A Group, or None for the trivial group, in the form a search state
-    carries it: (H, u, v) stands for u H u^-1 with v = u^-1, and here H is
-    the group itself and u the identity."""
+    carries it: (H, v) stands for the group of the maps x -> v^-1(h(v(x)))
+    for h in H, and here H is the group itself and v the identity."""
     if group is None:
         return None
-    ident = tuple(range(group.n))
-    return group, ident, ident
+    return group, tuple(range(group.n))
 
 
 def branch(group, pts):
-    """Orbital branching at a node with group G = u H u^-1, given as
-    (H, u, v) with v = u^-1, whose included points G fixes and whose
-    excluded points G maps onto themselves.
+    """Orbital branching at a node whose group G is given as (H, v), as in
+    `state_group`, and fixes the node's included points and maps its
+    excluded points onto themselves.
 
     Returns (orbits, children): orbits[j] is the mask of the G-orbit of
     pts[j], or 0 when an earlier pts[i] lies in that orbit; children[j] is
     Stab_G(pts[j]) in the same form, or None when trivial, for each j whose
-    orbit is not 0."""
-    H, u, v = group
+    orbit is not 0.  v takes p to v(p), whose stabilizer in H is K
+    conjugated by w, so the child's map is v then w."""
+    H, v = group
     orbit_of = H.orbit_of
+    u = None  # v^-1, which maps H's orbits back to G's
     seen = set()
     orbits = []
     children = []
@@ -486,10 +479,12 @@ def branch(group, pts):
             orbits.append(1 << p)
             children.append(group)
             continue
+        if u is None:
+            u = _inverse(v)
         m = 0
         for x in members:
             m |= 1 << u[x]
         orbits.append(m)
-        K, t, tinv = H.stabilizer(a)
-        children.append(None if K is None else (K, _mul(t, u), _mul(v, tinv)))
+        K, w = H.stabilizer(a)
+        children.append(None if K is None else (K, _mul(v, w)))
     return orbits, children

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 import re
@@ -402,6 +403,36 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
     assert (res.verdict, res.symmetry) == ("not-exists", None)
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     assert res.nodes == plain[2] > incidences
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a serial search started a process pool")
+
+
+@pytest.mark.parametrize("q,workers,size", [(5, 1, 9), (4, 2, 7)])
+def test_a_serial_search_starts_no_pool(monkeypatch, q, workers, size):
+    # the lines of PG(2,q) as a custom instance outgrow their probe, which
+    # leaves several open subtrees; with one worker, or on fewer than
+    # PARALLEL_MIN_UNIVERSE points, one serial search finishes them
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    inst = empty_instance(PROJECTIVE, 2, q)
+    custom = BlockingInstance(inst.space, 1, inst.universe, inst.family,
+                              inst.forbidden)
+    res = min_blocking_set(custom, require_nontrivial=True, workers=workers)
+    assert (res.verdict, res.size) == ("exists", size)
+
+
+def test_a_small_universe_starts_no_pool(monkeypatch):
+    # 400 drawn traces of 5 to 8 of 23 points, below PARALLEL_MIN_UNIVERSE:
+    # a --workers 2 frontier here would reach its 16 open subtrees and
+    # start a pool, so only the universe's size keeps the search serial
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    rng = random.Random(20)
+    traces = [sum(1 << p for p in rng.sample(range(23), rng.randint(5, 8)))
+              for _ in range(400)]
+    serial = solver.solve_masks(23, traces, [])
+    assert solver.solve_masks(23, traces, [], workers=2) == serial
+    assert serial[0] == 9
 
 
 # Serial node counts pin the branching rule (trace selection, point order,

@@ -103,18 +103,23 @@ def test_generators_preserve_family_and_forbidden(kind, n, q, t, rows, scope,
 
 
 def _actual_gens(group, n):
-    """The generators of a search state's group u H u^-1, as permutations
-    of the positions: x -> u(h(v(x)))."""
-    H, u, v = group
+    """The generators of a search state's group (H, v), as permutations of
+    the positions: x -> v^-1(h(v(x)))."""
+    H, v = group
+    u = symmetry._inverse(v)
     return [tuple(u[h[v[x]]] for x in range(n)) for h in H.gens]
 
 
 def test_branch_orbits_and_stabilizers_match_sympy():
-    # walk down from the whole group of PG(2,4), each time into the child
-    # of the first point that its group moves: the children's groups are
-    # conjugates of cached stabilizers, and sympy checks each one afresh
+    # walk down from a conjugate of the whole group of PG(2,4), each time
+    # into the child of the first point that its group moves: the
+    # children's groups are conjugates of cached stabilizers, and sympy
+    # checks each kept child afresh.  The walk starts from a map that is
+    # not the identity, so a child's map composed in the wrong order gives
+    # a group that is not Stab_G(p)
     U, tmasks, _, seeds = _masks(PROJECTIVE, 2, 4)
-    group = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, []))
+    H = symmetry.automorphisms(seeds, tmasks, [])
+    group = (H, tuple(range(U - 1, -1, -1)))
     pts = [3, 0, 7, 20, 11, 5]
     depth = 0
     while group is not None:
@@ -136,7 +141,9 @@ def test_branch_orbits_and_stabilizers_match_sympy():
                 continue
             cgens = _actual_gens(child, U)
             assert child[0].order == want == _sympy_order(cgens)
-            assert all(g[p] == p for g in cgens)
+            # a subgroup of G that fixes p and has its order is Stab_G(p)
+            assert all(g[p] == p and G.contains(Permutation(list(g)))
+                       for g in cgens)
             if nxt is None and len(orb) > 1:
                 nxt = child
         group = nxt
@@ -144,9 +151,10 @@ def test_branch_orbits_and_stabilizers_match_sympy():
     assert depth >= 3
 
 
-def test_pickled_stabilizers_rebuild_their_inverse_transversals():
+def test_unpickled_group_gives_equal_stabilizers_and_maps():
     # PG(2,7) minus two lines, touching: the --workers payloads carry each
-    # chain's base, strong generators and transversals, not the inverses
+    # chain's base, strong generators and transversals, and a copy built
+    # from them answers every stabilizer question as the original does
     U, tmasks, fmasks, seeds = _masks(PROJECTIVE, 2, 7, rows=[(1, 0, 0), (0, 1, 0)],
                                       scope="touching", nontrivial=True)
     group = symmetry.automorphisms(seeds, tmasks, fmasks)
@@ -156,26 +164,28 @@ def test_pickled_stabilizers_rebuild_their_inverse_transversals():
     copy = pickle.loads(pickle.dumps(group))
     assert copy.chain == group.chain
     for a in range(U):
-        K, t, tinv = group.stabilizer(a)
-        K2, t2, tinv2 = copy.stabilizer(a)
-        assert (t2, tinv2) == (t, tinv)
+        K, w = group.stabilizer(a)
+        K2, w2 = copy.stabilizer(a)
+        assert w2 == w
         assert (K2 is None) == (K is None)
         if K is not None:
             assert (K2.gens, K2.order, K2.chain) == (K.gens, K.order, K.chain)
 
 
 def test_schreier_sims_base_starts_with_the_prefix():
+    # each level keeps one map per orbit point: it fixes the earlier base
+    # points and takes its point back to the level's base point
     U, tmasks, _, seeds = _masks(AFFINE, 2, 3)
     group = symmetry.automorphisms(seeds, tmasks, [])
-    base, strong, trans, inv = symmetry.schreier_sims(
+    base, strong, trans = symmetry.schreier_sims(
         group.gens, U, group.order, prefix=(4, 2))
     assert base[:2] == [4, 2]
     assert prod(len(t) for t in trans) == group.order
     for i, t in enumerate(trans):
-        assert inv[i].keys() == t.keys()
-        for x, u in t.items():
-            assert u[base[i]] == x
-            assert symmetry._mul(u, inv[i][x]) == tuple(range(U))
+        assert base[i] in t
+        for x, w in t.items():
+            assert w[x] == base[i]
+            assert all(w[b] == b for b in base[:i])
 
 
 @pytest.mark.parametrize("kind,n,q,rows", [
