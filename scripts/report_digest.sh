@@ -11,9 +11,13 @@
 # two workers.  The third runs the solver on wide instances, thousands of
 # traces or points:
 # Bose-Burton minima in PG(3,q) and PG(4,3) (at t = 2, 863 nodes that
-# each pack before they scan), and AG(9,2) and AG(10,2) at
+# each pack before they scan), AG(9,2) and AG(10,2) at
 # the point level under the nontrivial convention, where the greedy walks
-# every point before the whole space is forbidden.  The fourth lists the
+# every point before the whole space is forbidden, and the braid
+# arrangement of AG(4,5) touching at t = 1 under the nontrivial
+# convention, whose 12,174 forbidden traces are listed before their
+# count is reported and turned into per-point tables (one node, no
+# blocking set).  The fourth lists the
 # flats of wide instances, so it fingerprints the point lists themselves:
 # the traces of PG(3,4) and AG(4,3) at each level, of the braid
 # complements of AG(4,5) and AG(3,7), and the planes of PG(3,8).  The
@@ -113,6 +117,7 @@ printf 'projective 2 7\n1 2 3\n0 1 5\n' > "$tmp/pg2-7.two-other-lines.txt"
     $BS search --space pg --n 4 --q 3 --t 3
     $BS search --space ag --n 9 --q 2 --t 9 --convention nontrivial
     $BS search --space ag --n 10 --q 2 --t 10 --convention nontrivial
+    $BS search "$tmp/ag4-5.braid.txt" --t 1 --scope touching --convention nontrivial
 } | sha256sum | sed 's/-$/wide-solver commands/'
 
 {

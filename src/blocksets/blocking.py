@@ -8,8 +8,9 @@ in force.  Two scopes build the family geometrically: "contained" takes
 the flats lying entirely inside the complement, "touching" takes the trace
 of every flat that meets it.  The blocked dimension is n - t throughout;
 forbidden traces come from dimension t.  Only the nontrivial convention
-and the checks of a given set read the forbidden list, so build_instance
-lists it on first read and counts forbidden_size without listing it.
+and the checks of a given set read the forbidden list, so an instance
+that build_instance made keeps its complement and lists the list from it
+on first read; forbidden_size counts it only while nothing has listed it.
 
 Decision routes are deliberately redundant: the branch-and-bound engine in
 solver.py gives the fast exact answer, exhaustive_oracle re-derives it by
@@ -18,7 +19,7 @@ the fast route is re-checked here with direct set loops before it leaves.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import solver
@@ -28,7 +29,7 @@ from .arrangement import (Arrangement, arrangement_make,
                           touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import Flat, FlatGrowth, Space, flat_count, listable_flat_count
+from .geometry import Flat, FlatGrowth, flat_count, listable_flat_count
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -43,7 +44,6 @@ CONVENTIONS = (PLAIN, MINIMAL, NONTRIVIAL)
 SEARCH_UNIVERSE_CAP = 1 << 20  # bitmask width guard for the exact search
 
 
-@dataclass(eq=False)
 class BlockingInstance:
     """A hitting problem over a complement.
 
@@ -55,30 +55,27 @@ class BlockingInstance:
     or below; blocked_dim stays the ambient n - t and is what the traces
     actually mean).
 
-    An instance that build_instance made lists its forbidden traces on
-    the first read of `forbidden`, with the same checks as a given list,
-    and counts `forbidden_size` without listing them.
+    complement is the Complement an instance was built on, which only
+    build_instance gives.  With forbidden None, the t-level traces of the
+    complement under the scope are listed on the first read of
+    `forbidden`, with the same checks as a given list, and
+    `forbidden_size` counts them until then.
     """
-    space: Space
-    t: int
-    universe: tuple
-    family: tuple
-    forbidden: tuple = field(default_factory=tuple)
-    arrangement: Arrangement = None
-    scope: str = "custom"
-    blocked_dim: int = None
-    region: frozenset = None
 
-    def __post_init__(self):
-        npts = self.space.npoints
-        for p in self.universe:
+    def __init__(self, space, t, universe, family, forbidden=(),
+                 arrangement=None, scope="custom", blocked_dim=None,
+                 region=None, complement=None):
+        npts = space.npoints
+        for p in universe:
             if not isinstance(p, int) or not 0 <= p < npts:
-                raise NotInUniverse("%r is not a point index of %r" % (p, self.space))
-        self.universe = tuple(sorted(set(self.universe)))
+                raise NotInUniverse("%r is not a point index of %r" % (p, space))
+        self.space = space
+        self.t = t
+        self.universe = tuple(sorted(set(universe)))
         uset = frozenset(self.universe)
         self.universe_set = uset
         fam = []
-        for tr in self.family:
+        for tr in family:
             tr = tuple(sorted(set(tr)))
             if not tr:
                 raise ValueError("empty trace in family")
@@ -87,9 +84,13 @@ class BlockingInstance:
                 raise NotInUniverse("family trace point %r outside universe" % (p,))
             fam.append(tr)
         self.family = tuple(fam)
-        self.forbidden = self._checked_forbidden(self.forbidden)
-        if self.blocked_dim is None:
-            self.blocked_dim = self.space.n - self.t
+        self.arrangement = arrangement
+        self.scope = scope
+        self.blocked_dim = space.n - t if blocked_dim is None else blocked_dim
+        self.region = region
+        self.complement = complement
+        if forbidden is not None:
+            self.forbidden = self._checked_forbidden(forbidden)
 
     def _checked_forbidden(self, traces):
         forb = []
@@ -102,20 +103,15 @@ class BlockingInstance:
                 forb.append(tr)
         return tuple(forb)
 
-    def __getattr__(self, name):
-        # reached only for `forbidden` before its first read, on an
-        # instance that build_instance left the complement to list it from
-        comp = self.__dict__.get("_complement")
-        if name != "forbidden" or comp is None:
-            raise AttributeError(name)
-        self.forbidden = self._checked_forbidden(_traces(comp, self.t, self.scope))
-        return self.forbidden
-
     @cached_property
+    def forbidden(self):
+        return self._checked_forbidden(_traces(self.complement, self.t, self.scope))
+
+    @property
     def forbidden_size(self):
         if "forbidden" in self.__dict__:
             return len(self.forbidden)
-        return _trace_count(self._complement, self.t, self.scope)
+        return _trace_count(self.complement, self.t, self.scope)
 
     def __repr__(self):
         return ("BlockingInstance(%r, t=%d, scope=%s, |universe|=%d, "
@@ -162,14 +158,13 @@ def build_instance(sp, arr, t, scope=CONTAINED):
         raise DimensionOutOfRange("level t=%d outside 1..%d" % (t, sp.n))
     comp = complement(sp, arr)
     d = sp.n - t
-    inst = BlockingInstance(sp, t, comp.members, _traces(comp, d, scope),
-                            arrangement=arr, scope=scope, blocked_dim=d)
+    inst = BlockingInstance(sp, t, comp.members, _traces(comp, d, scope), None,
+                            arrangement=arr, scope=scope, blocked_dim=d,
+                            complement=comp)
     if t == d:
         inst.forbidden = inst.family
     else:
         _check_listable(comp, t, scope)
-        del inst.forbidden
-        inst._complement = comp
     return inst
 
 
@@ -244,8 +239,9 @@ def _masks(inst, require_nontrivial):
 
 
 def _seeds(inst):
-    """For an instance that build_instance made, (arrangement, universe),
-    what symmetry.automorphisms builds the group from; None for any other
+    """For an instance that keeps its complement (every one that
+    build_instance made), (arrangement, universe), what
+    symmetry.automorphisms builds the group from; None for any other
     instance, which is then searched without a group.  A collineation
     that permutes the hyperplanes, the hyperplane at infinity H included
     in AG, maps the complement onto itself and flats onto flats of the
@@ -254,8 +250,7 @@ def _seeds(inst):
     move H: the closure of a flat inside the complement meets every
     hyperplane of the arrangement and H in the same flat at infinity, so
     the flat is its closure minus all of them."""
-    if inst.scope not in SCOPES or inst.region is not None \
-            or inst.arrangement is None:
+    if inst.complement is None:
         return None
     return inst.arrangement, inst.universe
 

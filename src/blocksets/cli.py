@@ -220,7 +220,6 @@ def cmd_instance(args):
         payload["family"] = [[_point_str(sp, p) for p in tr] for tr in inst.family]
         payload["forbidden"] = [[_point_str(sp, p) for p in tr]
                                 for tr in inst.forbidden]
-    # after any listing, so forbidden_size is read off the list, not counted
     payload["instance"] = _instance_block(inst)
     _emit(args, "instance", payload)
     return 0
@@ -231,7 +230,6 @@ def cmd_search(args):
     inst = build_instance(sp, arr, args.t, args.scope)
     payload = {"space": _space_block(sp),
                "arrangement": {"count": len(arr.forms)},
-               "instance": _instance_block(inst),
                "convention": args.convention}
     if args.oracle and inst.family:
         # the oracle's own refusal, before the search rather than after it
@@ -242,6 +240,7 @@ def cmd_search(args):
                              time_budget=args.budget, workers=args.workers)
     except SearchTimeout as exc:
         payload["result"] = {"verdict": "timeout", "size": None, "witness": None}
+        payload["instance"] = _instance_block(inst)
         _emit(args, "search", payload, stats=_search_stats(exc))
         return 3
     payload["result"] = _result_block(sp, res)
@@ -269,12 +268,14 @@ def cmd_search(args):
             payload["oracle"] = {"verdict": "timeout", "size": None, "witness": None}
             stats = _search_stats(res)
             stats["oracle"] = {"subsets": exc.nodes, "elapsed": exc.elapsed}
+            payload["instance"] = _instance_block(inst)
             _emit(args, "search", payload, stats=stats)
             return 3
         payload["oracle"] = _result_block(sp, ores)
         payload["oracle_agrees"] = (ores.verdict == res.verdict
                                     and ores.size == res.size
                                     and ores.witness == res.witness)
+    payload["instance"] = _instance_block(inst)
     _emit(args, "search", payload, stats=_search_stats(res))
     return 0
 
@@ -284,15 +285,14 @@ def cmd_verify(args):
     inst = build_instance(sp, arr, args.t, args.scope)
     cand = [_coords(tok, sp) for tok in args.set]
     blocking = is_blocking(inst, cand)
-    nontrivial = is_nontrivial(inst, cand)  # lists the forbidden traces
     payload = {"space": _space_block(sp),
-               "instance": _instance_block(inst),
                "set": [_point_str(sp, p) for p in sorted(set(cand))],
                "blocking": blocking,
-               "nontrivial": nontrivial}
+               "nontrivial": is_nontrivial(inst, cand)}
     payload["minimal"] = is_minimal(inst, cand) if blocking else None
     if args.minimalize and blocking:
         payload["minimalized"] = [_point_str(sp, p) for p in minimalize(inst, cand)]
+    payload["instance"] = _instance_block(inst)
     _emit(args, "verify", payload)
     return 0
 

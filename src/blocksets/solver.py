@@ -394,28 +394,25 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     The bound phase first runs the plain search with one node per
     incidence of the instance (trace points, family and forbidden in
     force).  Only a search that needs more than that pays for the
-    automorphism group, and only when `seeds` is given: it restarts from
-    the root with orbital branching, keeping the probe's incumbent, and
-    `stats` (a dict, when given) gets a "symmetry" record, which a
-    SearchTimeout raised after the group is computed carries too.  Once
-    an optimum is found, `stats` also gets "witness_nodes", the witness
-    phase's share of the nodes.  `seeds`
-    is handed to symmetry.automorphisms as it is: the solver neither
-    builds nor reads it, and symmetry fills the record's group fields.
-    With no seeds the search goes on from the probe's own stack, so its
-    nodes are the uncut plain search's.  The witness phase never uses the
-    group."""
+    automorphism group, and only when `seeds` is given: `stats` (a dict,
+    when given) gets a "symmetry" record, which a SearchTimeout raised
+    after the group is computed carries too, and a nontrivial group
+    restarts the search from the root with orbital branching, keeping the
+    probe's incumbent.  Once an optimum is found, `stats` also gets
+    "witness_nodes", the witness phase's share of the nodes.  `seeds` is
+    handed to symmetry.automorphisms as it is: the solver neither builds
+    nor reads it, and symmetry fills the record's group fields.  With no
+    seeds, or a trivial group, the search goes on from the probe's own
+    stack, so its nodes are the uncut plain search's.  The witness phase
+    never uses the group."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
     cap = U if size_cap is None else min(size_cap, U)
     F = len(trace_masks)
     cover = _cover_masks(F, trace_masks, U)
-    if forb_masks:
-        forb_at = [tuple(fi for fi, f in enumerate(forb_masks) if f >> p & 1)
-                   for p in range(U)]
-    else:
-        forb_at = None
+    forb_at = [_mask_bits(c) for c in _cover_masks(len(forb_masks), forb_masks, U)] \
+        if forb_masks else None
     inst = (trace_masks, cover, forb_masks, forb_at, U)
     nodes = 0
     sym = None
@@ -458,16 +455,18 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     stack = [(0, 0, 0, 0, None, F)]
     bound(_search(inst, stack, best, deadline, False, limit=incidences))
     if stack and seeds is not None:
-        # the probe left open subtrees: restart with the group.  Imported
-        # here, not at the top: only a search past the probe needs it, and
-        # every process that imports the package would compile it
+        # the probe left open subtrees: compute the group.  Imported here,
+        # not at the top: only a search past the probe needs it, and every
+        # process that imports the package would compile it
         from . import symmetry
         t0 = time.perf_counter()
         sym = {"probe_nodes": nodes, "skipped": 0}
         group = symmetry.automorphisms(seeds, trace_masks, forb_masks, sym)
         sym["seconds"] = time.perf_counter() - t0
-        # a deadline that passed meanwhile stops the restart at its first node
-        stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
+        if group is not None:
+            # restart with the group; a deadline that passed meanwhile
+            # stops it at its first node
+            stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
     if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
         # the frontier: run a few nodes at a time until the open subtrees
         # are enough tasks for the pool, or none are left

@@ -250,6 +250,42 @@ def test_search_reports_forbidden_size_without_listing(monkeypatch, capsys, tmp_
     assert rep["instance"]["forbidden_size"] == len(touching_traces(comp, 1)) == 105
 
 
+def _recorded_walks(monkeypatch):
+    """The dimension of every touching_count and touching_traces call, as
+    ("count", d) and ("list", d), in order."""
+    calls = []
+    real_count, real_traces = blocking.touching_count, blocking.touching_traces
+
+    def count(comp, d):
+        calls.append(("count", d))
+        return real_count(comp, d)
+
+    def traces(comp, d):
+        calls.append(("list", d))
+        return real_traces(comp, d)
+
+    monkeypatch.setattr(blocking, "touching_count", count)
+    monkeypatch.setattr(blocking, "touching_traces", traces)
+    return calls
+
+
+@pytest.mark.parametrize("convention,walks", [
+    ("nontrivial", [("list", 2), ("list", 1)]),
+    ("plain", [("list", 2), ("count", 1)]),
+])
+def test_search_walks_the_forbidden_level_once(monkeypatch, capsys, tmp_path,
+                                               convention, walks):
+    # a nontrivial search lists the t-level and reads forbidden_size off the
+    # list; a plain one only counts it
+    path = tmp_path / "ag3-3.minus-plane.txt"
+    path.write_text("affine 3 3\n1 0 0 0\n")
+    calls = _recorded_walks(monkeypatch)
+    assert main(["--no-meta", "search", str(path), "--t", "1",
+                 "--scope", "touching", "--convention", convention]) == 0
+    assert calls == walks
+    assert json.loads(capsys.readouterr().out)["instance"]["forbidden_size"] == 105
+
+
 def test_forbidden_side_refusal_keeps_type_and_message(monkeypatch, capsys):
     # PG(3,2) has 15 planes and 35 lines: a guard of 20 trips only the lines
     sp = space(PROJECTIVE, 3, 2)
@@ -403,6 +439,31 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
     assert (res.verdict, res.symmetry) == ("not-exists", None)
     incidences = sum(m.bit_count() for m in tmasks + fmasks)
     assert res.nodes == plain[2] > incidences
+
+
+def test_a_trivial_group_goes_on_from_the_probe():
+    # PG(2,7) minus six lines has 22 points and a trivial group: the search
+    # outgrows its 176-node probe, computes the group, and goes on from the
+    # probe's stack instead of spending those nodes again from the root, so
+    # its bound phase visits exactly the nodes of the uncut plain search
+    sp = space(PROJECTIVE, 2, 7)
+    arr = arrangement_make(sp, [(0, 0, 1), (0, 1, 0), (0, 1, 5), (1, 2, 2),
+                                (1, 5, 2), (1, 6, 5)])
+    inst = build_instance(sp, arr, 1, "touching")
+    res = solve_instance(inst, "plain")
+    assert (len(inst.universe), res.verdict, res.size) == (22, "exists", 11)
+    sym = {k: res.symmetry[k] for k in ("order", "generators", "probe_nodes",
+                                         "skipped")}
+    assert sym == {"order": 1, "generators": 0, "probe_nodes": 176,
+                   "skipped": 0}
+    assert (res.nodes, res.witness_nodes) == (362, 73)
+    U = len(inst.universe)
+    tmasks, _ = blocking._masks(inst, False)
+    plain_inst = (tmasks, solver._cover_masks(len(tmasks), tmasks, U), [], None, U)
+    best0 = solver._greedy_incumbent(*plain_inst).bit_count()
+    plain = solver._search(plain_inst, [(0, 0, 0, 0, None, len(tmasks))],
+                           best0, None, False)
+    assert res.nodes - res.witness_nodes == plain[2]
 
 
 def _no_pool(*args, **kwargs):

@@ -165,6 +165,9 @@ def test_timeout_exit_code(capsys):
     assert code == 3
     rep = json.loads(out)
     assert rep["result"]["verdict"] == "timeout"
+    built = run_json(capsys, "instance", "--space", "pg", "--n", "2",
+                     "--q", "7", "--t", "1")
+    assert rep["instance"] == built["instance"]
 
 
 def test_timeout_keeps_the_symmetry_record(capsys):
