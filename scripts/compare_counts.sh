@@ -12,7 +12,10 @@
 # are the seven `bound` rows of bench/workloads.py at seeds 1-4, and these:
 # PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
 # AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
-# touching plain.  A change that is to keep every search as it was passes
+# and of AG(4,4) touching plain.  The braid AG(4,4) universe lies in a
+# hyperplane, so its group order comes from the Schreier-Sims chain over
+# the closure; on every other row only the identity fixes each point of
+# the universe, and the order is the closed form.  A change that is to keep every search as it was passes
 # against its parent:
 #
 #   bash scripts/compare_counts.sh HEAD~1
@@ -46,8 +49,9 @@ for row in reach:
     kind, n, q, convention, *more = row.split()
     rows.append((row, ["search", "--space", kind, "--n", n, "--q", q, "--t", "1",
                        "--convention", convention] + more))
-rows.append(("braid ag 3 5 touching plain",
-             ["braid", "--kind", "ag", "--n", "3", "--q", "5", "--scope", "touching"]))
+for n, q in (("3", "5"), ("4", "4")):
+    rows.append(("braid ag %s %s touching plain" % (n, q),
+                 ["braid", "--kind", "ag", "--n", n, "--q", q, "--scope", "touching"]))
 for name, argv in rows:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

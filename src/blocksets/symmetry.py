@@ -15,9 +15,13 @@ collineations that permute them map its traces onto themselves.
 forms: the kernel fixing each hyperplane in closed form, and one map per
 permutation of them, with its field automorphism, that a collineation
 realizes.  `automorphisms` restricts it to the universe, with the order
-of that action, and checks each generator against the masks.  Only this
-module fills the group's fields of the search's symmetry record; the
-solver imports it only past its probe.
+of that action, and checks each generator against the masks.  When only
+the identity fixes every point of the universe (`_rigid`), the action is
+faithful: the generators are computed on the universe alone and the order
+is the closed form.  Otherwise they permute the closure, whose
+Schreier-Sims chain gives the order on the universe.  Only this module
+fills the group's fields of the search's symmetry record; the solver
+imports it only past its probe.
 
 `schreier_sims` builds a stabilizer chain for a group of known order.
 `branch` works at a search node whose group is the pointwise stabilizer of
@@ -93,33 +97,95 @@ def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
     """The collineations of the arrangement restricted to the positions,
     as a Group, or None when that is trivial.  `seeds` is (arrangement,
     universe), universe[x] being the point at position x.  The order is
-    that of the action on the positions: a Schreier-Sims chain on the
-    closure whose base starts with them multiplies its first orbits to it.
-    A generator that fails the masks is a fault in the program.  `stats`,
-    a dict when given, gets the `order` and the number of `generators`
-    (1 and 0 for the trivial group)."""
+    that of the action on the positions.  When only the identity fixes
+    every point of the universe (`_rigid`), the action is faithful: the
+    generators permute the universe alone and the order is the whole
+    group's closed form.  Otherwise they permute the closure PG(n,q), and a
+    Schreier-Sims chain on it whose base starts with the universe
+    multiplies its first orbits to the order.  A generator that fails the
+    masks is a fault in the program.  `stats`, a dict when given, gets the
+    `order` and the number of `generators` (1 and 0 for the trivial
+    group)."""
     arr, universe = seeds
     sp = arr.space
-    closure = space(PROJECTIVE, sp.n, sp.q)
-    at = [closure.index_of(sp.points[p] + (1,)) for p in universe] \
-        if sp.kind == AFFINE else list(universe)
-    pos = {c: x for x, c in enumerate(at)}
-    gens, order = collineations(arr)
+    pts = [sp.points[p] + (1,) for p in universe] if sp.kind == AFFINE \
+        else [sp.points[p] for p in universe]
+    at = None  # the universe's closure indices, on the closure's path
+    if _rigid(pts, sp.field):
+        gens, order = collineations(arr, pts)
+    else:
+        closure = space(PROJECTIVE, sp.n, sp.q)
+        at = [closure.index_of(x) for x in pts]
+        pos = {c: x for x, c in enumerate(at)}
+        gens, order = collineations(arr)
     mask_sets = [(set(ms), [_mask_bits(x) for x in set(ms)])
                  for ms in (trace_masks, forb_masks)]
     restricted = []
     for g in gens:
-        r = tuple(pos.get(g[c], -1) for c in at)
+        r = g if at is None else tuple(pos.get(g[c], -1) for c in at)
         if -1 in r or not _preserves(r, mask_sets):
             raise InternalError("a collineation is not an automorphism of "
                                 "the instance")
-        if r != tuple(range(len(at))) and r not in restricted:
+        if r != tuple(range(len(pts))) and r not in restricted:
             restricted.append(r)
-    order = prod(map(len, schreier_sims(gens, closure.npoints, order, at)[2][:len(at)])) \
-        if restricted else 1
+    if at is not None:
+        order = prod(map(len, schreier_sims(gens, closure.npoints, order, at)[2][:len(at)])) \
+            if restricted else 1
     if stats is not None:
         stats.update(order=order, generators=len(restricted))
-    return Group(tuple(restricted), order, len(at)) if order > 1 else None
+    return Group(tuple(restricted), order, len(pts)) if order > 1 else None
+
+
+def _rigid(points, fq):
+    """Whether only the identity of PGammaL(m,q) fixes each of the points,
+    vectors of length m, decided exactly.
+
+    Points inside a hyperplane are fixed by the transvections whose axis it
+    is.  Otherwise a basis B drawn from them is fixed too, so in the
+    coordinates c over B a collineation that fixes them all is c -> D c^sigma
+    for a diagonal D and a field automorphism sigma (the fundamental
+    theorem of projective geometry), and it fixes the point c exactly when
+    d_i = t c_i / sigma(c_i) over the support of c, for one scalar t: each
+    point ties together the d_i of its support.  Over GF(2), D is 1.  Over
+    a larger field, supports that leave the coordinates in two parts let
+    one part's d be scaled apart, a D other than a scalar; supports that
+    connect them all decide D from sigma up to a scalar, and only the
+    identity fixes every point when no sigma but the identity lets every
+    point agree.  A frame (a basis and one point off each hyperplane that
+    m-1 of it span) connects every coordinate, so a set that holds one
+    passes when its coordinates over the frame generate GF(q): for q = p^e,
+    when some lies outside GF(p^(e/l)) for each prime l dividing e."""
+    m = len(points[0])
+    basis = _independent(points, fq)
+    if len(basis) < m or fq.q == 2:  # GF(2) has no scalar but 1
+        return len(basis) == m
+    to_basis = _inverse_rows(basis, fq)
+    coords = [_combine(x, to_basis, fq) for x in points]
+    mul, inv = fq.mul_table, fq.inv_table
+    for s, frob in enumerate(_frobenius(fq)):
+        ratios = [[(i, mul[c][inv[frob[c]]]) for i, c in enumerate(y) if c]
+                  for y in coords]
+        d = [0] * m
+        d[ratios[0][0][0]] = 1
+        agree = grown = True
+        while agree and grown:  # spread d over the supports; each point checks it
+            grown = False
+            for pairs in ratios:
+                known = next(((i, r) for i, r in pairs if d[i]), None)
+                if known is None:
+                    continue
+                t = mul[d[known[0]]][inv[known[1]]]
+                for i, r in pairs:
+                    if not d[i]:
+                        d[i] = mul[t][r]
+                        grown = True
+                    elif d[i] != mul[t][r]:
+                        agree = False
+        if not s and not all(d):  # the supports leave a coordinate apart
+            return False
+        if s and agree:  # a sigma other than the identity fixes every point
+            return False
+    return True
 
 
 def _combine(coefs, rows, fq):
@@ -162,19 +228,24 @@ def _independent(vectors, fq):
     for v in vectors:
         if any(_reduce_by_rows(v, *spanned, fq)):
             basis.append(v)
+            if len(basis) == len(v):
+                break
             spanned = rref(basis, fq)
     return basis
 
 
 class _Frame:
     """An arrangement's forms on the closure PG(n,q), H = (0,...,0,1) added
-    in AG.  `rank` independent forms and unit rows make a basis of the
-    dual space: `ys` are each closure point's values of it (`index` maps
-    them back), `coeffs` each form's coefficients over the basis forms.
-    comp[i] names basis form i's component in the forms' matroid, which
-    fundamental circuits decide: a form's expansion joins its support."""
+    in AG, and the points whose images it computes: `points`, vectors of
+    the closure that the collineations permuting the forms map onto
+    themselves, every point of the closure by default.  `rank` independent
+    forms and unit rows make a basis of the dual space: `ys` are each
+    point's values of it (`index` maps them back to positions), `coeffs`
+    each form's coefficients over the basis forms.  comp[i] names basis
+    form i's component in the forms' matroid, which fundamental circuits
+    decide: a form's expansion joins its support."""
 
-    def __init__(self, arr):
+    def __init__(self, arr, points=None):
         sp = arr.space
         fq = self.field = sp.field
         m = self.m = sp.n + 1
@@ -191,34 +262,52 @@ class _Frame:
             joined = {self.comp[j] for j, c in enumerate(a) if c}
             self.comp = [min(joined) if c in joined else c for c in self.comp]
         columns = list(zip(*rows))
-        self.ys = [_combine(x, columns, fq)
-                   for x in space(PROJECTIVE, sp.n, sp.q).points]
-        self.index = {_normalized(y, fq): i for i, y in enumerate(self.ys)}
+        if points is None:
+            points = space(PROJECTIVE, sp.n, sp.q).points
+        self.ys = [_combine(x, columns, fq) for x in points]
+        self.index = {tuple(f[c] for c in y): i for i, y in enumerate(self.ys)
+                      for f in fq.mul_table[1:]}  # each point's every multiple
         self.frob = _frobenius(fq)
 
     def permutation(self, A, s=0):
-        """The closure's points under y -> A y^sigma, sigma the field
-        automorphism c -> c^(p^s), as a permutation of their indices."""
-        columns = list(zip(*A))
-        frob = self.frob[s]
-        return tuple(self.index[_normalized(_combine([frob[c] for c in y], columns,
-                                                     self.field), self.field)]
-                     for y in self.ys)
+        """The points under y -> A y^sigma, sigma the field automorphism
+        c -> c^(p^s), as a permutation of their positions: -1 marks an
+        image that is not one of them, which only a fault can give."""
+        add, index = self.field.add_table, self.index
+        # each column of A times each scalar
+        scaled = [[[f[a] for a in col] for f in self.field.mul_table]
+                  for col in zip(*A)]
+        ys = self.ys if not s else ([self.frob[s][c] for c in y] for y in self.ys)
+        images = []
+        for y in ys:
+            acc = None
+            for col, c in zip(scaled, y):
+                if c:
+                    acc = col[c] if acc is None else [add[x][z] for x, z in zip(acc, col[c])]
+            images.append(index.get(tuple(acc), -1))
+        return tuple(images)
 
 
 def fixing_collineations(frame):
     """The collineations in PGL(n+1,q) that fix every hyperplane of the
     frame's arrangement, with H added in AG, as (generators, order): each
-    generator permutes the points of the closure PG(n,q).
+    generator permutes the frame's points, as _Frame.permutation does.
 
     In _Frame's coordinates y (m = n+1), a matrix fixes every hyperplane
     when row i < rank r is a multiple of e_i, one per component (only a
     scalar fixes each form of a connected set), and its block on the
     coordinates >= r is invertible: (q-1)^(c-1) q^(r(m-r)) |GL(m-r,q)| of
-    them modulo scalars, for c components.  A primitive diagonal per
-    component and per coordinate >= r, y_r += y_l for each l != r (which
-    they conjugate into every transvection into a coordinate >= r), and a
-    transposition and a cycle of the coordinates >= r generate them."""
+    them modulo scalars, for c components.  The generators are a primitive
+    diagonal per component and one at coordinate r, the transvections
+    y_r += y_l for l < r and for l = r+1, and a transposition and a cycle
+    of the coordinates >= r.  The two permutations span every permutation
+    of those coordinates, which conjugate the diagonal at r into one at
+    each of them, and the transvections into y_j += y_l for every j >= r
+    and l < r, and into every y_j += y_k with j != k both >= r; the
+    diagonals scale these into every elementary transvection.  The
+    elementary transvections and the diagonals on the coordinates >= r
+    span the GL(m-r,q) block and the q^(r(m-r)) transvections out of the
+    first r coordinates, and the component diagonals the rest."""
     fq, m, r, comp = frame.field, frame.m, frame.rank, frame.comp
     q, w = fq.q, fq.primitive
     ident = list(range(m))
@@ -234,9 +323,11 @@ def fixing_collineations(frame):
     if w != 1:
         moves += [move(scaled(i) for i in range(r) if comp[i] == c)
                   for c in sorted(set(comp))]
-        moves += [move([scaled(j)]) for j in range(r, m)]
-    moves += [move([(r, [int(k in (r, l)) for k in ident])])
-              for l in ident if r < m and l != r]
+    if r < m:
+        if w != 1:
+            moves.append(move([scaled(r)]))
+        moves += [move([(r, [int(k in (r, l)) for k in ident])])
+                  for l in list(range(r)) + [r + 1] * (m - r > 1)]
     if m - r > 1:  # a transposition and a cycle of the coordinates >= r
         moves.append(move(src=ident[:r] + [r + 1, r] + ident[r + 2:]))
     if m - r > 2:
@@ -312,11 +403,13 @@ def _form_permutations(frame):
     return moves, count
 
 
-def collineations(arr):
+def collineations(arr, points=None):
     """The collineations of PG(n,q) that permute the hyperplanes of arr,
     with H added in AG, as (generators, order), each generator permuting
-    the points of the closure PG(n,q)."""
-    frame = _Frame(arr)
+    the positions of `points` as _Frame.permutation does: vectors of the
+    closure PG(n,q) that the group maps onto themselves, every point of
+    the closure by default."""
+    frame = _Frame(arr, points)
     gens, order = fixing_collineations(frame)
     moves, count = _form_permutations(frame)
     return gens + [frame.permutation(A, s) for A, s in moves], order * count
@@ -332,6 +425,9 @@ def schreier_sims(gens, n, order, prefix=()):
     Group elements come from a product-replacement walk over the
     generators (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)
     and are sifted through the chain; a residue becomes a strong generator.
+    Each orbit it joins is already closed under the other strong
+    generators, so it grows from the images of its points under the new
+    one alone, and only the points that adds go through all of them.
     The orbit lengths multiply to the order exactly when the chain is
     complete, so the walk only decides how soon that happens, never the
     chain's groups or orbits.  The walk follows a fixed seed, so runs
@@ -370,13 +466,20 @@ def schreier_sims(gens, n, order, prefix=()):
             S.append([])
             Sinv.append([])
             W.append({z: ident})
-        # h fixes base[:level], so it joins every strong set down to there
+        # h fixes base[:level], so it joins every strong set down to there.
+        # Only h can take an orbit point out of its orbit; the points it
+        # adds go through every strong generator
         hinv = _inverse(h)
         for l in range(level + 1):
             S[l].append(h)
             Sinv[l].append(hinv)
             w = W[l]
-            frontier = list(w)
+            frontier = []
+            for x, wx in list(w.items()):
+                y = h[x]
+                if y not in w:
+                    w[y] = _mul(hinv, wx)
+                    frontier.append(y)
             while frontier:
                 nxt = []
                 for x in frontier:

@@ -2,11 +2,14 @@
 
 Group orders are checked against the classical formulas, against sympy's
 own Schreier-Sims and against a list of every collineation
-(collineation_reference); every generator is mapped over the masks by
+(collineation_reference), which also decides which point sets only the
+identity fixes, the test that lets an order be the closed form; every
+generator is mapped over the masks by
 hand; orbital branching must reach the optimum the plain search reaches,
 and the subset oracle's where the universe is small enough."""
 
 import pickle
+from functools import reduce
 from math import prod
 
 import pytest
@@ -17,10 +20,11 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from blocksets import blocking, solver, symmetry
 from blocksets.arrangement import arrangement_make
 from blocksets.blocking import build_instance
+from blocksets.braid import braid_arrangement
 from blocksets.errors import BlocksetsError, InternalError
 from blocksets.geometry import AFFINE, PROJECTIVE, space
 from blocksets.symmetry import _Frame, fixing_collineations
-from collineation_reference import restricted_order
+from collineation_reference import all_collineations, restricted_order
 
 
 def _masks(kind, n, q, t=1, rows=(), scope="contained", nontrivial=False):
@@ -229,6 +233,13 @@ def test_empty_arrangement_seeds_are_the_linear_groups():
         assert fixing_collineations(_Frame(arr))[1] == q ** n * _gl(n, q)
 
 
+# The braid arrangement x_i = x_j of AG(4,4).  Its universe, the points
+# with four distinct coordinates, lies in x1 + x2 + x3 + x4 = 0 (the four
+# elements of GF(4) sum to 0), so no frame of it fixes only the identity.
+BRAID_AG44 = ((1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0),
+              (0, 1, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 1, 0))
+
+
 # Group orders of instances the search meets, computed without a search.
 # PGL(3,7) is transitive on line pairs and on non-concurrent line triples,
 # so the stabilizers have order 5630688 / (57*56/2) = 3528 and
@@ -239,7 +250,10 @@ def test_empty_arrangement_seeds_are_the_linear_groups():
 # collineations that fix each plane and S3 on the three braid planes.
 # AG(2,8), AG(2,9) and PG(2,9) get their whole collineation groups, which
 # need the field automorphisms: 3 * 8^2 * |GL(2,8)|, 2 * 9^2 * |GL(2,9)|
-# and 2 * |PGL(3,9)|.
+# and 2 * |PGL(3,9)|.  Braid AG(4,4), touching, whose universe lies in a
+# hyperplane, takes its order from the closure's chain: 6,912, the order
+# sympy finds for its generators, 1/16 of the 110,592 collineations that
+# permute the hyperplanes (16 of them fix every point of the universe).
 PINNED_ORDERS = [
     (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0)), "touching", 3528),
     (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "touching", 216),
@@ -248,6 +262,7 @@ PINNED_ORDERS = [
     (AFFINE, 2, 8, (), "contained", 677376),
     (AFFINE, 2, 9, (), "contained", 933120),
     (PROJECTIVE, 2, 9, (), "contained", 84913920),
+    (AFFINE, 4, 4, BRAID_AG44, "touching", 6912),
 ]
 
 
@@ -259,6 +274,22 @@ def test_group_orders_are_pinned(kind, n, q, rows, scope, order):
     group = symmetry.automorphisms(seeds, tmasks, fmasks, stats)
     assert group.order == stats["order"] == order
     assert stats["generators"] == len(group.gens) > 0
+
+
+def test_wide_braid_order_is_pinned():
+    # braid AG(4,7), touching: 840 points that hold a frame, so the order
+    # is the closed form, 6^2 * 7^4 * 4!: the collineations that fix each
+    # hyperplane (two components, the braid forms and the one at
+    # infinity), times S4 on the coordinates.  The forbidden masks are
+    # left out, 112,484 of them under nontrivial
+    sp = space(AFFINE, 4, 7)
+    U, tmasks, _, seeds = _masks(AFFINE, 4, 7, rows=braid_arrangement(sp).forms,
+                                 scope="touching")
+    stats = {}
+    group = symmetry.automorphisms(seeds, tmasks, (), stats)
+    assert group.order == stats["order"] == 2074464 == 6 ** 2 * 7 ** 4 * 24
+    assert U == 840 and symmetry._rigid([sp.points[p] + (1,) for p in seeds[1]],
+                                        sp.field)
 
 
 def _drawn(data, spaces, max_forms):
@@ -331,9 +362,74 @@ def test_a_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
     # swap stands in for the collineations of the empty arrangement
     U, tmasks, _, seeds = _masks(PROJECTIVE, 2, 3)
     swap = (1, 0) + tuple(range(2, U))
-    monkeypatch.setattr(symmetry, "collineations", lambda arr: ([swap], 2))
+    monkeypatch.setattr(symmetry, "collineations",
+                        lambda arr, points=None: ([swap], 2))
     with pytest.raises(InternalError):
         symmetry.automorphisms(seeds, tmasks, ())
+
+
+def test_a_closure_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
+    # the same on the closure's path: braid AG(4,4), touching, whose
+    # universe holds no frame, so the seeds permute the points of PG(4,4);
+    # the swap exchanges the first two points of the universe there
+    U, tmasks, _, seeds = _masks(AFFINE, 4, 4, rows=BRAID_AG44, scope="touching")
+    closure = space(PROJECTIVE, 4, 4)
+    sp = seeds[0].space
+    a, b = (closure.index_of(sp.points[p] + (1,)) for p in seeds[1][:2])
+    swap = list(range(closure.npoints))
+    swap[a], swap[b] = b, a
+
+    def swapped(arr, points=None):
+        assert points is None
+        return [tuple(swap)], 2
+
+    monkeypatch.setattr(symmetry, "collineations", swapped)
+    with pytest.raises(InternalError):
+        symmetry.automorphisms(seeds, tmasks, ())
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_a_rigid_point_set_is_fixed_by_one_collineation(data):
+    # the test against every collineation of the space: it accepts a set
+    # exactly when the identity alone fixes each of its points
+    n, q = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]))
+    sp = space(PROJECTIVE, n, q)
+    pts = data.draw(st.lists(st.integers(0, sp.npoints - 1), min_size=1,
+                             unique=True))
+    G = all_collineations(n, q)
+    fixing = (G[:, pts] == pts).all(axis=1).sum()
+    assert symmetry._rigid([sp.points[p] for p in pts], sp.field) == (fixing == 1)
+
+
+def test_the_whole_space_is_rigid():
+    for n, q in ((2, 2), (2, 3), (2, 4), (3, 2)):
+        sp = space(PROJECTIVE, n, q)
+        assert symmetry._rigid(list(sp.points), sp.field)
+
+
+def test_a_frame_over_the_prime_field_is_not_rigid_over_gf4():
+    # the 7 points of PG(2,2) inside PG(2,4) hold a frame, but every
+    # coordinate lies in GF(2), so the Frobenius fixes each point
+    sp = space(PROJECTIVE, 2, 4)
+    pts = [p for p, x in enumerate(sp.points) if max(x) <= 1]
+    assert len(pts) == 7
+    assert not symmetry._rigid([sp.points[p] for p in pts], sp.field)
+    G = all_collineations(2, 4)
+    assert (G[:, pts] == pts).all(axis=1).sum() == 2
+
+
+def test_a_universe_in_a_hyperplane_is_not_rigid():
+    U, _, _, (arr, universe) = _masks(AFFINE, 4, 4, rows=BRAID_AG44,
+                                      scope="touching")
+    sp = arr.space
+    fq = sp.field
+    pts = [sp.points[p] + (1,) for p in universe]
+    assert U == 24 and all(reduce(fq.add, x[:4]) == 0 for x in pts)
+    assert not symmetry._rigid(pts, fq)
+    # one hyperplane of PG(3,3) by hand
+    sp = space(PROJECTIVE, 3, 3)
+    assert not symmetry._rigid([x for x in sp.points if x[0] == 0], sp.field)
 
 
 # Universes past 16 points are searched under this cap (answers above it
