@@ -13,9 +13,10 @@
 # PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
 # AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
 # and of AG(4,4) touching plain.  The braid AG(4,4) universe lies in a
-# hyperplane, so its group order comes from the Schreier-Sims chain over
-# the closure; on every other row only the identity fixes each point of
-# the universe, and the order is the closed form.  A change that is to keep every search as it was passes
+# hyperplane, so its group order, from the Schreier-Sims chain on the
+# universe, falls short of the closed form; on every other row only the
+# identity fixes each point of the universe, and the chain reaches the
+# closed form.  A change that is to keep every search as it was passes
 # against its parent:
 #
 #   bash scripts/compare_counts.sh HEAD~1

@@ -14,16 +14,16 @@ collineations that permute them map its traces onto themselves.
 `collineations` builds that set stabilizer in PGammaL(n+1,q) from the
 forms: the kernel fixing each hyperplane in closed form, and one map per
 permutation of them, with its field automorphism, that a collineation
-realizes.  `automorphisms` restricts it to the universe, with the order
-of that action, and checks each generator against the masks.  When only
-the identity fixes every point of the universe (`_rigid`), the action is
-faithful: the generators are computed on the universe alone and the order
-is the closed form.  Otherwise they permute the closure, whose
-Schreier-Sims chain gives the order on the universe.  Only this module
+realizes.  `automorphisms` computes its generators on the universe alone
+and checks each against the masks; the group's closed-form order bounds
+that of its action there, which a Schreier-Sims chain on the universe
+gives exactly (a universe inside a hyperplane, as braid AG(4,4)'s, is
+fixed pointwise by more than the identity).  Only this module
 fills the group's fields of the search's symmetry record; the solver
 imports it only past its probe.
 
-`schreier_sims` builds a stabilizer chain for a group of known order.
+`schreier_sims` builds a stabilizer chain for a group given an upper
+bound on its order, and proves it complete.
 `branch` works at a search node whose group is the pointwise stabilizer of
 its included points: children whose points share an orbit of the node's
 group with an earlier sibling are skipped, each kept child excludes the
@@ -45,7 +45,7 @@ from functools import reduce
 from math import prod
 
 from .errors import InternalError
-from .geometry import AFFINE, PROJECTIVE, _reduce_by_rows, rref, space
+from .geometry import AFFINE, _reduce_by_rows, rref
 from .solver import _mask_bits
 
 
@@ -96,96 +96,34 @@ def _orbits(gens, n):
 def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
     """The collineations of the arrangement restricted to the positions,
     as a Group, or None when that is trivial.  `seeds` is (arrangement,
-    universe), universe[x] being the point at position x.  The order is
-    that of the action on the positions.  When only the identity fixes
-    every point of the universe (`_rigid`), the action is faithful: the
-    generators permute the universe alone and the order is the whole
-    group's closed form.  Otherwise they permute the closure PG(n,q), and a
-    Schreier-Sims chain on it whose base starts with the universe
-    multiplies its first orbits to the order.  A generator that fails the
-    masks is a fault in the program.  `stats`, a dict when given, gets the
-    `order` and the number of `generators` (1 and 0 for the trivial
-    group)."""
+    universe), universe[x] being the point at position x.  The generators
+    permute the universe alone, and a Schreier-Sims chain on it, whose
+    base starts at position 0, gives the order of that action: the whole
+    group's closed form bounds it, and is reached when only the identity
+    fixes every point of the universe.  The Group keeps the chain.  A
+    generator that fails the masks, or takes a point off the universe, is
+    a fault in the program.  `stats`, a dict when given, gets the `order`
+    and the number of `generators` (1 and 0 for the trivial group)."""
     arr, universe = seeds
     sp = arr.space
     pts = [sp.points[p] + (1,) for p in universe] if sp.kind == AFFINE \
         else [sp.points[p] for p in universe]
-    at = None  # the universe's closure indices, on the closure's path
-    if _rigid(pts, sp.field):
-        gens, order = collineations(arr, pts)
-    else:
-        closure = space(PROJECTIVE, sp.n, sp.q)
-        at = [closure.index_of(x) for x in pts]
-        pos = {c: x for x, c in enumerate(at)}
-        gens, order = collineations(arr)
+    gens, bound = collineations(arr, pts)
     mask_sets = [(set(ms), [_mask_bits(x) for x in set(ms)])
                  for ms in (trace_masks, forb_masks)]
+    ident = tuple(range(len(pts)))
     restricted = []
     for g in gens:
-        r = g if at is None else tuple(pos.get(g[c], -1) for c in at)
-        if -1 in r or not _preserves(r, mask_sets):
+        if -1 in g or not _preserves(g, mask_sets):
             raise InternalError("a collineation is not an automorphism of "
                                 "the instance")
-        if r != tuple(range(len(pts))) and r not in restricted:
-            restricted.append(r)
-    if at is not None:
-        order = prod(map(len, schreier_sims(gens, closure.npoints, order, at)[2][:len(at)])) \
-            if restricted else 1
+        if g != ident and g not in restricted:
+            restricted.append(g)
+    chain = schreier_sims(restricted, len(pts), bound, (0,)) if restricted else None
+    order = prod(map(len, chain[2])) if chain else 1
     if stats is not None:
         stats.update(order=order, generators=len(restricted))
-    return Group(tuple(restricted), order, len(pts)) if order > 1 else None
-
-
-def _rigid(points, fq):
-    """Whether only the identity of PGammaL(m,q) fixes each of the points,
-    vectors of length m, decided exactly.
-
-    Points inside a hyperplane are fixed by the transvections whose axis it
-    is.  Otherwise a basis B drawn from them is fixed too, so in the
-    coordinates c over B a collineation that fixes them all is c -> D c^sigma
-    for a diagonal D and a field automorphism sigma (the fundamental
-    theorem of projective geometry), and it fixes the point c exactly when
-    d_i = t c_i / sigma(c_i) over the support of c, for one scalar t: each
-    point ties together the d_i of its support.  Over GF(2), D is 1.  Over
-    a larger field, supports that leave the coordinates in two parts let
-    one part's d be scaled apart, a D other than a scalar; supports that
-    connect them all decide D from sigma up to a scalar, and only the
-    identity fixes every point when no sigma but the identity lets every
-    point agree.  A frame (a basis and one point off each hyperplane that
-    m-1 of it span) connects every coordinate, so a set that holds one
-    passes when its coordinates over the frame generate GF(q): for q = p^e,
-    when some lies outside GF(p^(e/l)) for each prime l dividing e."""
-    m = len(points[0])
-    basis = _independent(points, fq)
-    if len(basis) < m or fq.q == 2:  # GF(2) has no scalar but 1
-        return len(basis) == m
-    to_basis = _inverse_rows(basis, fq)
-    coords = [_combine(x, to_basis, fq) for x in points]
-    mul, inv = fq.mul_table, fq.inv_table
-    for s, frob in enumerate(_frobenius(fq)):
-        ratios = [[(i, mul[c][inv[frob[c]]]) for i, c in enumerate(y) if c]
-                  for y in coords]
-        d = [0] * m
-        d[ratios[0][0][0]] = 1
-        agree = grown = True
-        while agree and grown:  # spread d over the supports; each point checks it
-            grown = False
-            for pairs in ratios:
-                known = next(((i, r) for i, r in pairs if d[i]), None)
-                if known is None:
-                    continue
-                t = mul[d[known[0]]][inv[known[1]]]
-                for i, r in pairs:
-                    if not d[i]:
-                        d[i] = mul[t][r]
-                        grown = True
-                    elif d[i] != mul[t][r]:
-                        agree = False
-        if not s and not all(d):  # the supports leave a coordinate apart
-            return False
-        if s and agree:  # a sigma other than the identity fixes every point
-            return False
-    return True
+    return Group(tuple(restricted), order, len(pts), chain) if chain else None
 
 
 def _combine(coefs, rows, fq):
@@ -238,14 +176,14 @@ class _Frame:
     """An arrangement's forms on the closure PG(n,q), H = (0,...,0,1) added
     in AG, and the points whose images it computes: `points`, vectors of
     the closure that the collineations permuting the forms map onto
-    themselves, every point of the closure by default.  `rank` independent
+    themselves, such as an instance's universe.  `rank` independent
     forms and unit rows make a basis of the dual space: `ys` are each
     point's values of it (`index` maps them back to positions), `coeffs`
     each form's coefficients over the basis forms.  comp[i] names basis
     form i's component in the forms' matroid, which fundamental circuits
     decide: a form's expansion joins its support."""
 
-    def __init__(self, arr, points=None):
+    def __init__(self, arr, points):
         sp = arr.space
         fq = self.field = sp.field
         m = self.m = sp.n + 1
@@ -262,8 +200,6 @@ class _Frame:
             joined = {self.comp[j] for j, c in enumerate(a) if c}
             self.comp = [min(joined) if c in joined else c for c in self.comp]
         columns = list(zip(*rows))
-        if points is None:
-            points = space(PROJECTIVE, sp.n, sp.q).points
         self.ys = [_combine(x, columns, fq) for x in points]
         self.index = {tuple(f[c] for c in y): i for i, y in enumerate(self.ys)
                       for f in fq.mul_table[1:]}  # each point's every multiple
@@ -403,24 +339,30 @@ def _form_permutations(frame):
     return moves, count
 
 
-def collineations(arr, points=None):
+def collineations(arr, points):
     """The collineations of PG(n,q) that permute the hyperplanes of arr,
     with H added in AG, as (generators, order), each generator permuting
     the positions of `points` as _Frame.permutation does: vectors of the
-    closure PG(n,q) that the group maps onto themselves, every point of
-    the closure by default."""
+    closure PG(n,q) that the group maps onto themselves.  The order is the
+    whole group's, an upper bound on that of its action on the points."""
     frame = _Frame(arr, points)
     gens, order = fixing_collineations(frame)
     moves, count = _form_permutations(frame)
     return gens + [frame.permutation(A, s) for A, s in moves], order * count
 
 
+# Walk elements that sift to the identity in a row before schreier_sims
+# tests its chain by Schreier's lemma: it sets only how soon the test runs
+_QUIET = 30
+
+
 def schreier_sims(gens, n, order, prefix=()):
-    """Stabilizer chain of the group of the given order spanned by gens.
-    Returns (base, strong, transversals): the base starts with `prefix`,
-    strong[i] lists the strong generators fixing base[:i], and
-    transversals[i] maps each point x of base[i]'s orbit under them to an
-    element taking x back to base[i], which is what a sift multiplies by.
+    """Stabilizer chain of the group spanned by gens, whose order is at
+    most `order`.  Returns (base, strong, transversals): the base starts
+    with `prefix`, strong[i] lists the strong generators fixing base[:i],
+    and transversals[i] maps each point x of base[i]'s orbit under them to
+    an element taking x back to base[i], which is what a sift multiplies
+    by.  The orbit lengths multiply to the group's order.
 
     Group elements come from a product-replacement walk over the
     generators (Celler, Leedham-Green, Murray, Niemeyer & O'Brien, 1995)
@@ -428,10 +370,17 @@ def schreier_sims(gens, n, order, prefix=()):
     Each orbit it joins is already closed under the other strong
     generators, so it grows from the images of its points under the new
     one alone, and only the points that adds go through all of them.
-    The orbit lengths multiply to the order exactly when the chain is
-    complete, so the walk only decides how soon that happens, never the
-    chain's groups or orbits.  The walk follows a fixed seed, so runs
-    repeat."""
+    The orbit lengths never multiply past the group's order, so the chain
+    is complete once they reach `order`.  Short of that, once _QUIET walk
+    elements in a row sift to the identity, every Schreier generator is
+    sifted, the bottom level first: t_x s t_s(x)^-1 for each point x of a
+    level's orbit and each strong generator s of the level, t_x being the
+    inverse of x's map.  By Schreier's lemma (Sims 1970; Seress,
+    "Permutation Group Algorithms", 2003) the chain is complete when every
+    one of them sifts to the identity; a residue joins the chain as a
+    walk element does, and the walk goes on.  The walk and the test only
+    decide how soon the chain is complete, and the walk follows a fixed
+    seed, so runs repeat."""
     ident = tuple(range(n))
     base = list(prefix)
     S = [[] for _ in base]
@@ -442,14 +391,10 @@ def schreier_sims(gens, n, order, prefix=()):
     state = list(gens) * (-(-10 // len(gens)))
     acc = ident
     pending = list(gens)  # the generators themselves are sifted first
-    while size < order:
-        if pending:
-            h = pending.pop()
-        else:
-            i, j = rng.sample(range(len(state)), 2)
-            state[i] = _mul(state[i], state[j])
-            acc = _mul(acc, state[i])
-            h = acc
+    quiet = 0  # walk elements in a row that sifted to the identity
+
+    def sift(h):
+        """h's residue, and the level where its sift stopped."""
         level = 0
         while level < len(base):
             w = W[level].get(h[base[level]])
@@ -458,8 +403,36 @@ def schreier_sims(gens, n, order, prefix=()):
             if w is not ident:  # h fixes base[level]
                 h = _mul(h, w)
             level += 1
-        if h == ident:
-            continue
+        return h, level
+
+    def schreier_generators():
+        for l in reversed(range(len(base))):
+            w = W[l]
+            for x, wx in w.items():
+                tx = _inverse(wx)
+                for s in S[l]:
+                    yield _mul(_mul(tx, s), w[s[x]])
+
+    while size < order:
+        if pending or quiet < _QUIET:
+            if pending:
+                h = pending.pop()
+            else:
+                i, j = rng.sample(range(len(state)), 2)
+                state[i] = _mul(state[i], state[j])
+                acc = _mul(acc, state[i])
+                h = acc
+            h, level = sift(h)
+            if h == ident:
+                quiet += 1
+                continue
+        else:
+            residue = next((r for r in map(sift, schreier_generators())
+                            if r[0] != ident), None)
+            if residue is None:
+                break
+            h, level = residue
+        quiet = 0
         if level == len(base):
             z = next(z for z in range(n) if h[z] != z)
             base.append(z)

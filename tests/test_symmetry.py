@@ -2,14 +2,11 @@
 
 Group orders are checked against the classical formulas, against sympy's
 own Schreier-Sims and against a list of every collineation
-(collineation_reference), which also decides which point sets only the
-identity fixes, the test that lets an order be the closed form; every
-generator is mapped over the masks by
+(collineation_reference); every generator is mapped over the masks by
 hand; orbital branching must reach the optimum the plain search reaches,
 and the subset oracle's where the universe is small enough."""
 
 import pickle
-from functools import reduce
 from math import prod
 
 import pytest
@@ -24,7 +21,7 @@ from blocksets.braid import braid_arrangement
 from blocksets.errors import BlocksetsError, InternalError
 from blocksets.geometry import AFFINE, PROJECTIVE, space
 from blocksets.symmetry import _Frame, fixing_collineations
-from collineation_reference import all_collineations, restricted_order
+from collineation_reference import restricted_order
 
 
 def _masks(kind, n, q, t=1, rows=(), scope="contained", nontrivial=False):
@@ -213,12 +210,12 @@ def test_schreier_sims_base_starts_with_the_prefix():
     (AFFINE, 3, 3, ((1, 0, 0, 0), (1, 0, 0, 1))),
 ])
 def test_seed_order_formula_matches_sympy(kind, n, q, rows):
-    # a formula above the true order would keep schreier_sims sifting for
-    # ever, so each order is checked against sympy's own; the generators
-    # permute the points of the projective closure
+    # on the points of the projective closure the kernel acts faithfully,
+    # so its closed form is its order there, which sympy's own checks
     sp = space(kind, n, q)
-    gens, order = fixing_collineations(_Frame(arrangement_make(sp, list(rows))))
     closure = space(PROJECTIVE, n, q)
+    gens, order = fixing_collineations(_Frame(arrangement_make(sp, list(rows)),
+                                              closure.points))
     assert all(sorted(g) == list(range(closure.npoints)) for g in gens)
     assert _sympy_order(gens) == order
 
@@ -227,17 +224,23 @@ def test_empty_arrangement_seeds_are_the_linear_groups():
     # k = 0 in PG(n,q) gives |PGL(n+1,q)|, k = 1 (only the hyperplane at
     # infinity) in AG(n,q) gives |AGL(n,q)|
     for n, q in ((2, 3), (2, 4), (3, 3), (4, 2)):
+        closure = space(PROJECTIVE, n, q).points
         arr = arrangement_make(space(PROJECTIVE, n, q), [])
-        assert fixing_collineations(_Frame(arr))[1] == _gl(n + 1, q) // (q - 1)
+        assert fixing_collineations(_Frame(arr, closure))[1] == _gl(n + 1, q) // (q - 1)
         arr = arrangement_make(space(AFFINE, n, q), [])
-        assert fixing_collineations(_Frame(arr))[1] == q ** n * _gl(n, q)
+        assert fixing_collineations(_Frame(arr, closure))[1] == q ** n * _gl(n, q)
 
 
-# The braid arrangement x_i = x_j of AG(4,4).  Its universe, the points
-# with four distinct coordinates, lies in x1 + x2 + x3 + x4 = 0 (the four
-# elements of GF(4) sum to 0), so no frame of it fixes only the identity.
+# The braid arrangements x_i = x_j of AG(4,4) and AG(5,5).  Their
+# universes, the points with n distinct coordinates, lie in
+# x1 + ... + xn = 0 (the elements of GF(q) sum to 0), so more than the
+# identity fixes each of their points.
 BRAID_AG44 = ((1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0),
               (0, 1, 1, 0, 0), (0, 1, 0, 1, 0), (0, 0, 1, 1, 0))
+BRAID_AG55 = ((1, 4, 0, 0, 0, 0), (1, 0, 4, 0, 0, 0), (1, 0, 0, 4, 0, 0),
+              (1, 0, 0, 0, 4, 0), (0, 1, 4, 0, 0, 0), (0, 1, 0, 4, 0, 0),
+              (0, 1, 0, 0, 4, 0), (0, 0, 1, 4, 0, 0), (0, 0, 1, 0, 4, 0),
+              (0, 0, 0, 1, 4, 0))
 
 
 # Group orders of instances the search meets, computed without a search.
@@ -250,10 +253,12 @@ BRAID_AG44 = ((1, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 0, 0, 1, 0),
 # collineations that fix each plane and S3 on the three braid planes.
 # AG(2,8), AG(2,9) and PG(2,9) get their whole collineation groups, which
 # need the field automorphisms: 3 * 8^2 * |GL(2,8)|, 2 * 9^2 * |GL(2,9)|
-# and 2 * |PGL(3,9)|.  Braid AG(4,4), touching, whose universe lies in a
-# hyperplane, takes its order from the closure's chain: 6,912, the order
-# sympy finds for its generators, 1/16 of the 110,592 collineations that
-# permute the hyperplanes (16 of them fix every point of the universe).
+# and 2 * |PGL(3,9)|.  The braid universes lie in a hyperplane, so their
+# orders fall short of the closed form: braid AG(4,4), touching, has
+# 6,912, the order sympy finds for its generators, 1/16 of the 110,592
+# collineations that permute the hyperplanes (16 of them fix every point
+# of the universe); braid AG(5,5), touching, 120 points, has 1,200,000,
+# the order a Schreier-Sims chain over all of PG(5,5) gives as well.
 PINNED_ORDERS = [
     (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0)), "touching", 3528),
     (PROJECTIVE, 2, 7, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), "touching", 216),
@@ -263,6 +268,7 @@ PINNED_ORDERS = [
     (AFFINE, 2, 9, (), "contained", 933120),
     (PROJECTIVE, 2, 9, (), "contained", 84913920),
     (AFFINE, 4, 4, BRAID_AG44, "touching", 6912),
+    (AFFINE, 5, 5, BRAID_AG55, "touching", 1200000),
 ]
 
 
@@ -277,19 +283,18 @@ def test_group_orders_are_pinned(kind, n, q, rows, scope, order):
 
 
 def test_wide_braid_order_is_pinned():
-    # braid AG(4,7), touching: 840 points that hold a frame, so the order
-    # is the closed form, 6^2 * 7^4 * 4!: the collineations that fix each
-    # hyperplane (two components, the braid forms and the one at
-    # infinity), times S4 on the coordinates.  The forbidden masks are
-    # left out, 112,484 of them under nontrivial
+    # braid AG(4,7), touching: 840 points that only the identity fixes
+    # one by one, so the order is the closed form, 6^2 * 7^4 * 4!: the
+    # collineations that fix each hyperplane (two components, the braid
+    # forms and the one at infinity), times S4 on the coordinates.  The
+    # forbidden masks are left out, 112,484 of them under nontrivial
     sp = space(AFFINE, 4, 7)
     U, tmasks, _, seeds = _masks(AFFINE, 4, 7, rows=braid_arrangement(sp).forms,
                                  scope="touching")
     stats = {}
     group = symmetry.automorphisms(seeds, tmasks, (), stats)
     assert group.order == stats["order"] == 2074464 == 6 ** 2 * 7 ** 4 * 24
-    assert U == 840 and symmetry._rigid([sp.points[p] + (1,) for p in seeds[1]],
-                                        sp.field)
+    assert U == 840
 
 
 def _drawn(data, spaces, max_forms):
@@ -368,68 +373,64 @@ def test_a_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
         symmetry.automorphisms(seeds, tmasks, ())
 
 
-def test_a_closure_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
-    # the same on the closure's path: braid AG(4,4), touching, whose
-    # universe holds no frame, so the seeds permute the points of PG(4,4);
-    # the swap exchanges the first two points of the universe there
+def test_a_hyperplane_universe_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
+    # the same on braid AG(4,4), touching, whose universe lies in a
+    # hyperplane: a swap of its first two points, and a map that takes its
+    # first point off the universe (an image of -1), each stand in for the
+    # collineations of the arrangement
     U, tmasks, _, seeds = _masks(AFFINE, 4, 4, rows=BRAID_AG44, scope="touching")
-    closure = space(PROJECTIVE, 4, 4)
-    sp = seeds[0].space
-    a, b = (closure.index_of(sp.points[p] + (1,)) for p in seeds[1][:2])
-    swap = list(range(closure.npoints))
-    swap[a], swap[b] = b, a
-
-    def swapped(arr, points=None):
-        assert points is None
-        return [tuple(swap)], 2
-
-    monkeypatch.setattr(symmetry, "collineations", swapped)
-    with pytest.raises(InternalError):
-        symmetry.automorphisms(seeds, tmasks, ())
+    for g in ((1, 0) + tuple(range(2, U)), (-1,) + tuple(range(1, U))):
+        monkeypatch.setattr(symmetry, "collineations",
+                            lambda arr, points, g=g: ([g], 110592))
+        with pytest.raises(InternalError):
+            symmetry.automorphisms(seeds, tmasks, ())
 
 
-@settings(deadline=None, max_examples=80)
+@pytest.mark.parametrize("factor", [2, 3, 7])
+def test_schreier_sims_completes_under_an_order_above_the_groups(factor):
+    # the order is only an upper bound: AG(2,3)'s group, 432, still gets
+    # its complete chain when handed a multiple of it
+    U, tmasks, _, seeds = _masks(AFFINE, 2, 3)
+    group = symmetry.automorphisms(seeds, tmasks, [])
+    assert group.order == 432
+    base, strong, trans = symmetry.schreier_sims(group.gens, U, factor * 432)
+    assert prod(len(t) for t in trans) == 432
+
+
+@settings(deadline=None, max_examples=60)
 @given(st.data())
-def test_a_rigid_point_set_is_fixed_by_one_collineation(data):
-    # the test against every collineation of the space: it accepts a set
-    # exactly when the identity alone fixes each of its points
-    n, q = data.draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]))
-    sp = space(PROJECTIVE, n, q)
-    pts = data.draw(st.lists(st.integers(0, sp.npoints - 1), min_size=1,
-                             unique=True))
-    G = all_collineations(n, q)
-    fixing = (G[:, pts] == pts).all(axis=1).sum()
-    assert symmetry._rigid([sp.points[p] for p in pts], sp.field) == (fixing == 1)
+def test_schreier_lemma_completes_the_chain(data):
+    # with no walk elements first (quiet = 0) the chain is complete by the
+    # test alone, and the walk only decides how soon: either way drawn
+    # groups on up to 10 points, handed n! as the bound, get sympy's order
+    n = data.draw(st.integers(2, 10))
+    gens = data.draw(st.lists(st.permutations(range(n)).map(tuple),
+                              min_size=1, max_size=3))
+    gens = [g for g in gens if g != tuple(range(n))]
+    if not gens:
+        return
+    prefix = data.draw(st.sampled_from([(), (0,)]))
+    quiet = data.draw(st.sampled_from([0, symmetry._QUIET]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_QUIET", quiet)
+        base, strong, trans = symmetry.schreier_sims(gens, n, prod(range(1, n + 1)),
+                                                     prefix)
+    assert base[:len(prefix)] == list(prefix)
+    assert prod(len(t) for t in trans) == _sympy_order(gens)
 
 
-def test_the_whole_space_is_rigid():
-    for n, q in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        sp = space(PROJECTIVE, n, q)
-        assert symmetry._rigid(list(sp.points), sp.field)
-
-
-def test_a_frame_over_the_prime_field_is_not_rigid_over_gf4():
-    # the 7 points of PG(2,2) inside PG(2,4) hold a frame, but every
-    # coordinate lies in GF(2), so the Frobenius fixes each point
-    sp = space(PROJECTIVE, 2, 4)
-    pts = [p for p, x in enumerate(sp.points) if max(x) <= 1]
-    assert len(pts) == 7
-    assert not symmetry._rigid([sp.points[p] for p in pts], sp.field)
-    G = all_collineations(2, 4)
-    assert (G[:, pts] == pts).all(axis=1).sum() == 2
-
-
-def test_a_universe_in_a_hyperplane_is_not_rigid():
-    U, _, _, (arr, universe) = _masks(AFFINE, 4, 4, rows=BRAID_AG44,
-                                      scope="touching")
+def test_schreier_sims_finds_the_order_below_the_closed_form():
+    # braid AG(4,4), touching: the closed form of the collineations that
+    # permute its hyperplanes is 110,592, their action on the universe 6,912
+    U, tmasks, _, (arr, universe) = _masks(AFFINE, 4, 4, rows=BRAID_AG44,
+                                           scope="touching")
     sp = arr.space
-    fq = sp.field
-    pts = [sp.points[p] + (1,) for p in universe]
-    assert U == 24 and all(reduce(fq.add, x[:4]) == 0 for x in pts)
-    assert not symmetry._rigid(pts, fq)
-    # one hyperplane of PG(3,3) by hand
-    sp = space(PROJECTIVE, 3, 3)
-    assert not symmetry._rigid([x for x in sp.points if x[0] == 0], sp.field)
+    gens, bound = symmetry.collineations(arr, [sp.points[p] + (1,) for p in universe])
+    assert bound == 110592
+    ident = tuple(range(U))
+    restricted = [g for g in gens if g != ident]
+    base, strong, trans = symmetry.schreier_sims(restricted, U, bound)
+    assert prod(len(t) for t in trans) == 6912 == _sympy_order(restricted)
 
 
 # Universes past 16 points are searched under this cap (answers above it
