@@ -3,7 +3,10 @@
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines, braid
 # existence where the contained lines are one parallel class (AG(m,q) at
-# t = m-1, capped and not) and a contained search.  The second runs over
+# t = m-1, capped and not), a contained search, and two wide contained
+# instances whose flats are cosets of the forms' common direction: AG(4,5)
+# minus the hyperplane x1 = 0 at t = 1 and the braid arrangement of
+# AG(5,7) at t = 4.  The second runs over
 # the extension fields GF(8) and GF(9), so every report in it goes through
 # the field tables of a non-prime field: point lists, contained lines of
 # braid complements, escape parameters (division and subtraction),
@@ -50,6 +53,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 printf 'projective 2 5\n1 0 0\n' > "$tmp/pg2-5.minus-line.txt"
 printf 'affine 3 3\n1 0 0 0\n' > "$tmp/ag3-3.minus-plane.txt"
+printf 'affine 4 5\n1 0 0 0 0\n' > "$tmp/ag4-5.minus-hyperplane.txt"
 printf 'affine 3 3\n1 0 0 0\n0 1 0 0\n' > "$tmp/ag3-3.minus-2-planes.txt"
 # braid arrangements x1 = x2, x1 = x3, x2 = x3 over GF(5) and GF(4)
 printf 'affine 3 5\n1 4 0 0\n1 0 4 0\n0 1 4 0\n' > "$tmp/ag3-5.braid.txt"
@@ -93,6 +97,8 @@ printf 'projective 2 7\n1 2 3\n0 1 5\n' > "$tmp/pg2-7.two-other-lines.txt"
     $BS search "$tmp/ag3-3.minus-plane.txt" --t 2
     $BS search "$tmp/ag3-5.braid.txt" --t 2 --convention nontrivial
     $BS search "$tmp/ag3-4.braid.txt" --t 2
+    $BS instance "$tmp/ag4-5.minus-hyperplane.txt" --t 1 --scope contained
+    $BS braid --kind ag --n 5 --q 7 --t 4 --scope contained
 } | sha256sum | sed 's/-$/flat-heavy commands/'
 
 {

@@ -20,8 +20,9 @@ from itertools import compress
 
 from .errors import (CoefficientLoss, DimensionMismatch, DuplicateForm,
                      InvalidForm, TooLarge)
-from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, FlatGrowth, Space,
-                       _flat, flat_count, iter_flats, space)
+from .geometry import (AFFINE, ENUM_GUARD, PROJECTIVE, Space, _flat,
+                       flat_count, flats_avoiding, form_kernel,
+                       gaussian_binomial, iter_flats, space)
 
 
 def normalize_form(sp, coeffs):
@@ -107,12 +108,6 @@ class ComplementSet:
     def member_set(self):
         return frozenset(self.members)
 
-    @cached_property
-    def contained(self):
-        """The flats inside the complement, grown once for all dimensions
-        asked of this set."""
-        return FlatGrowth(self.space, self.member_set)
-
     def __repr__(self):
         return "ComplementSet(%r, %d forms, %d points)" % (
             self.space, len(self.arrangement.forms), len(self.members))
@@ -153,12 +148,23 @@ def complement(sp, arr):
 
 
 def flats_in_complement(comp, d):
-    """All d-flats entirely inside the complement, canonically ordered.
-    Later calls on the same complement reuse the levels already grown."""
+    """All d-flats entirely inside the complement, canonically ordered."""
+    return flats_avoiding(comp.space, comp.arrangement.forms, d, comp.members)
+
+
+def contained_count(comp, d):
+    """len(flats_in_complement(comp, d)), by formula.  In AG(n,q) each
+    d-subspace V of W (the directions every form vanishes on, of
+    dimension w) splits the complement into cosets of q^d points, so there
+    are [w choose d]_q |complement| / q^d.  In PG(n,q) a hyperplane meets
+    every flat of dimension >= 1, which leaves the complement's points."""
     sp = comp.space
-    if sp.kind == PROJECTIVE and comp.arrangement.forms and 1 <= d <= sp.n:
-        return []  # in PG(n,q) every flat of dimension >= 1 meets every hyperplane
-    return comp.contained.flats(d)
+    if len(comp.members) == sp.npoints:
+        return flat_count(sp.kind, sp.n, d, sp.q)
+    if sp.kind == PROJECTIVE:
+        return len(comp.members) if d == 0 else 0
+    w = len(form_kernel(sp, comp.arrangement.forms))
+    return gaussian_binomial(w, d, sp.q) * len(comp.members) // sp.q ** d
 
 
 def check_trace_enumeration(sp, d):
@@ -192,15 +198,17 @@ def touching_count(comp, d):
 
 
 def max_flat_dimension(comp):
-    """Largest d with a d-flat inside the complement; None when empty."""
+    """Largest d with a d-flat inside the complement; None when empty.
+    Short of the whole space, that is 0 in PG(n,q) and dim W in AG(n,q)
+    (see contained_count)."""
+    sp = comp.space
     if not comp.members:
         return None
-    if len(comp.members) == comp.space.npoints:
-        return comp.space.n
-    # short of the whole space, no n-flat lies inside, so the loop returns
-    for d in range(1, comp.space.n + 1):
-        if not flats_in_complement(comp, d):
-            return d - 1
+    if len(comp.members) == sp.npoints:
+        return sp.n
+    if sp.kind == PROJECTIVE:
+        return 0
+    return len(form_kernel(sp, comp.arrangement.forms))
 
 
 # -- text format -----------------------------------------------------------

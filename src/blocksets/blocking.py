@@ -25,11 +25,12 @@ from functools import cached_property
 from . import solver
 from .arrangement import (Arrangement, arrangement_make,
                           check_trace_enumeration, complement,
-                          flats_in_complement, touching_count,
-                          touching_traces)
+                          contained_count, flats_in_complement,
+                          touching_count, touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import Flat, FlatGrowth, flat_count, listable_flat_count
+from .geometry import (Flat, flat_count, flats_avoiding, listable_flat_count,
+                       span)
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -142,7 +143,7 @@ def _trace_count(comp, d, scope):
     if len(comp.members) == sp.npoints:
         return flat_count(sp.kind, sp.n, d, sp.q)
     if scope == CONTAINED:
-        return len(flats_in_complement(comp, d))
+        return contained_count(comp, d)
     return touching_count(comp, d)
 
 
@@ -329,27 +330,46 @@ def solve_instance(inst, convention=PLAIN, size_cap=None, time_budget=None,
     return res
 
 
+def _geometric_forms(inst):
+    """The forms an instance's flats are built from; an instance with no
+    arrangement or scope rule has none to restrict by."""
+    if inst.scope not in SCOPES or inst.arrangement is None:
+        raise ValueError("instance has no geometric scope, cannot restrict")
+    return inst.arrangement.forms
+
+
+def _region_flat(sp, region):
+    """The flat whose points are `region` (an intersection of flats), None
+    for the whole space or for an empty region."""
+    return span(sp, sorted(region)) if region else None
+
+
 def induced_subinstance(inst, flat):
     """Sub-instance inside a flat: keep the universe points lying in the
     flat, and the traces of exactly those family/forbidden flats that lie
     inside both the flat and the instance's region, found by the
-    instance's scope rule on the kept points.  Blocked dimension is
-    unchanged (the kept traces still come from ambient (n-t)-flats); the
-    level is re-expressed relative to the flat and may reach 0 or below,
-    in which case the family side simply cannot be nonempty."""
-    if inst.scope not in SCOPES:
-        raise ValueError("instance has no geometric scope, cannot restrict")
+    instance's scope rule: contained flats miss the arrangement, touching
+    ones need only lie in the region.  Blocked dimension is unchanged (the
+    kept traces still come from ambient (n-t)-flats); the level is
+    re-expressed relative to the flat and may reach 0 or below, in which
+    case the family side simply cannot be nonempty."""
+    forms = _geometric_forms(inst)
     sp = inst.space
     region = frozenset(flat.points)
+    within = flat
     if inst.region is not None:
         region &= inst.region
+        within = _region_flat(sp, region)
     sub_universe = tuple(p for p in inst.universe if p in region)
     keep = frozenset(sub_universe)
-    # contained flats lie inside the kept points, touching ones only meet them
-    inside = FlatGrowth(sp, keep if inst.scope == CONTAINED else region)
+    if inst.scope == CONTAINED:
+        members = sub_universe
+    else:
+        forms, members = (), sorted(region)
 
     def traces(d):
-        found = (tuple(p for p in fl.points if p in keep) for fl in inside.flats(d))
+        found = (tuple(p for p in fl.points if p in keep)
+                 for fl in flats_avoiding(sp, forms, d, members, within))
         return tuple(tr for tr in found if tr)
 
     t_sub = inst.t - (sp.n - flat.d)
@@ -389,11 +409,12 @@ def nonexistence_by_subspace(inst, convention=PLAIN):
     blocking set)."""
     if convention not in CONVENTIONS:
         raise ValueError("convention must be one of %s" % (CONVENTIONS,))
+    forms = _geometric_forms(inst)
     req = convention == NONTRIVIAL
     sp = inst.space
-    inside = FlatGrowth(sp, inst.universe_set)
+    within = None if inst.region is None else _region_flat(sp, inst.region)
     for d in range(max(inst.blocked_dim, inst.t + 1, 0), sp.n + 1):
-        flats = inside.flats(d)
+        flats = flats_avoiding(sp, forms, d, inst.universe, within)
         # a larger flat holds a smaller one and has more points
         if not flats or len(flats[0].points) > ORACLE_FULL_CAP:
             return None

@@ -23,15 +23,16 @@ A flat's points are listed by index arithmetic, never by building a
 coordinate tuple and looking it up: the index is a weighted sum of the
 coordinate codes (in PG(n,q) after an offset for the lead column), so the
 points of x + span(rows) are a few list additions over one table row per
-column (`_coset`, the only path that lists points).  The flats inside a
-point set are grown by counting cosets (`FlatGrowth`).
+column (`_coset`, the only path that lists points).  The flats that miss
+a set of hyperplanes are built from the hyperplanes' forms, as the cosets
+of the subspaces of the directions every form vanishes on
+(`flats_avoiding`).
 """
 
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (DimensionMismatch, DimensionOutOfRange, InternalError,
                      SpaceTooLarge, TooLarge)
@@ -327,6 +328,14 @@ def _widen(sp, vspan, row, p):
     return nsums, nfree, nzero
 
 
+def _direction(sp, rows):
+    """The span of canonical echelon `rows`, as `_coset` reads it."""
+    vspan = _zero_span(sp)
+    for row in reversed(rows):
+        vspan = _widen(sp, vspan, row, row.index(1))
+    return vspan
+
+
 def _flat(sp, base, rows):
     """The flat with canonical echelon `rows`: projective when `base` is
     None, else the affine flat through `base`.
@@ -338,13 +347,11 @@ def _flat(sp, base, rows):
     row's points have larger indices than those of the rows after it, so
     the pieces come out in order."""
     tables = sp._index_tables
+    if base is not None:
+        return Flat(AFFINE, len(rows), tuple(base), tuple(rows),
+                    tuple(_coset(tables, base, _direction(sp, rows))))
     vspan = _zero_span(sp)
     pivots = [row.index(1) for row in rows]
-    if base is not None:
-        for row, p in zip(reversed(rows), reversed(pivots)):
-            vspan = _widen(sp, vspan, row, p)
-        return Flat(AFFINE, len(rows), tuple(base), tuple(rows),
-                    tuple(_coset(tables, base, vspan)))
     pts = []
     for i in range(len(rows) - 1, -1, -1):
         pts += _coset(tables, rows[i], vspan, pivots[i])
@@ -459,73 +466,109 @@ def enumerate_flats(sp, d):
     return flats
 
 
-class FlatGrowth:
-    """The flats lying inside a fixed set of point indices, grown one
-    dimension at a time from the points up and kept, so that asking for
-    several dimensions grows each level once.
+# -- flats that miss a set of hyperplanes ------------------------------------
+#
+# An affine flat x + V misses the hyperplane a.y + c = 0 exactly when
+# a.v = 0 for every v in V and a.x + c != 0.  So the d-flats inside a flat
+# F with the hyperplanes struck out are the cosets x + V over the
+# d-subspaces V of W, the directions of F on which every form's variable
+# part a vanishes, and the points x of F that lie on no hyperplane: such a
+# coset lies wholly off the hyperplanes or wholly on one.
 
-    Level k+1 comes from every k-flat F by counting cosets.  Each member p
-    above F's least point and off F names span(F + p) by a canonical id:
-    p (in AG, p - base) reduced by F's echelon rows and scaled to lead 1.
-    The span lies inside the set with least point min F exactly when its
-    id is counted |span| - |F| times, and only those spans are built.
-    Each (k+1)-flat inside the set contains a k-flat through its least
-    point, so none is missed."""
 
-    def __init__(self, sp, members):
-        self.space = sp
-        self.members = frozenset(members)
-        self.order = sorted(self.members)
-        self.levels = []
+def _dot(u, v, fq):
+    add, mul = fq.add_table, fq.mul_table
+    acc = 0
+    for a, b in zip(u, v):
+        acc = add[acc][mul[a][b]]
+    return acc
 
-    def flats(self, d):
-        """All d-flats inside the set, sorted by canonical basis."""
-        sp = self.space
-        if d < 0 or d > sp.n:
-            raise DimensionOutOfRange("d=%d outside 0..%d" % (d, sp.n))
-        if len(self.members) == sp.npoints:
-            return enumerate_flats(sp, d)
-        if not self.members:
-            return []
-        if not self.levels:
-            self.levels.append(sorted((span(sp, [p]) for p in self.order),
-                                      key=Flat.sort_key))
-        while len(self.levels) <= d:
-            self.levels.append(self._grow(self.levels[-1], len(self.levels)))
-        return list(self.levels[d])
 
-    def _grow(self, current, level):
-        sp, order = self.space, self.order
-        fq, coords = sp.field, sp.points
-        add, neg, mul = fq.add_table, fq.neg_table, fq.mul_table
-        scale = [None] + [mul[c] for c in fq.inv_table[1:]]
-        extra = flat_size(sp.kind, level, sp.q) - flat_size(sp.kind, level - 1, sp.q)
-        grown = {}
-        for fl in current:
-            # per echelon row: its pivot column and, per code c, the row times -c
-            reducers = [(row.index(1), [tuple(map(mul[neg[c]].__getitem__, row))
-                                        for c in range(sp.q)])
-                        for row in fl.rows]
-            shift = None if fl.base is None else [add[neg[b]] for b in fl.base]
-            count = {}
-            for p in order[bisect_right(order, fl.points[0]):]:
-                v = coords[p]
-                if shift is not None:  # affine: p - base
-                    v = tuple(map(operator.getitem, shift, v))
-                for col, minus in reducers:
-                    if v[col]:
-                        row = minus[v[col]]
-                        v = tuple(map(operator.getitem, map(add.__getitem__, v), row))
-                lead = next(filter(None, v), 0)
-                if not lead:
-                    continue  # p lies on fl
-                if lead != 1:
-                    v = tuple(map(scale[lead].__getitem__, v))
-                count[v] = count.get(v, 0) + 1
-            for v, c in count.items():
-                if c == extra:
-                    key = _canonical(sp, fl.base, fl.rows + (v,))
-                    if key not in grown:
-                        grown[key] = _flat(sp, *key)
-        return sorted(grown.values(), key=Flat.sort_key)
+def _combine(coeffs, rows, fq):
+    """The combination sum of coeffs[i] * rows[i]."""
+    add, mul = fq.add_table, fq.mul_table
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [add[x][mul[c][y]] for x, y in zip(acc, row)]
+    return tuple(acc)
 
+
+def form_kernel(sp, forms, within=None):
+    """Echelon basis of W: the directions of the affine flat `within`
+    (every vector of GF(q)^n when None) on which the variable part of
+    every form vanishes."""
+    fq, m = sp.field, sp.ncoords
+    if within is None:
+        rows = [tuple(int(i == j) for j in range(m)) for i in range(m)]
+    else:
+        rows = list(within.rows)
+    # a vector lam . rows lies in W when lam solves (a . rows[j])_j . lam = 0
+    pivots, eqs = rref([[_dot(form[:m], row, fq) for row in rows]
+                        for form in forms], fq)
+    kernel = []
+    for f in range(len(rows)):
+        if f not in pivots:
+            lam = [0] * len(rows)
+            lam[f] = 1
+            for p, eq in zip(pivots, eqs):
+                lam[p] = fq.neg(eq[f])
+            kernel.append(_combine(lam, rows, fq))
+    return rref(kernel, fq)[1]
+
+
+def _subspaces(sp, basis, k):
+    """Canonical echelon rows of every k-dimensional subspace of the span
+    of the echelon `basis`: M * basis for each k x len(basis) reduced
+    echelon matrix M, which is reduced echelon again, with its pivots in
+    the basis's pivot columns."""
+    w = len(basis)
+    for piv in combinations(range(w), k):
+        free = [(i, j) for i, p in enumerate(piv)
+                for j in range(p + 1, w) if j not in piv]
+        for vals in product(range(sp.q), repeat=len(free)):
+            coef = [[0] * w for _ in piv]
+            for i, p in enumerate(piv):
+                coef[i][p] = 1
+            for (i, j), v in zip(free, vals):
+                coef[i][j] = v
+            yield tuple(_combine(c, basis, sp.field) for c in coef)
+
+
+def flats_avoiding(sp, forms, d, members, within=None):
+    """The d-flats inside `within` (the whole space when None) that miss
+    the zero set of every form, sorted by canonical basis.  `members` are
+    the points of `within` on no form's zero set.
+
+    In AG(n,q) they are the cosets x + V, V a d-subspace of
+    `form_kernel(sp, forms, within)` and x a member; the canonical base of
+    x + V is its one point that is zero in V's pivot columns, so each
+    coset is built once, from that member.  In PG(n,q) every flat of
+    dimension >= 1 meets every hyperplane: with a form the flats are the
+    members' points, and with none they are the d-subflats of `within`.
+    `members` come in index order."""
+    if d < 0 or d > sp.n:
+        raise DimensionOutOfRange("d=%d outside 0..%d" % (d, sp.n))
+    if not members:
+        return []
+    if len(members) == sp.npoints:
+        return enumerate_flats(sp, d)
+    coords = sp.points
+    if sp.kind == PROJECTIVE:
+        if forms:
+            return [_flat(sp, None, (coords[p],)) for p in members] if d == 0 else []
+        return sorted((_flat(sp, None, rows)
+                       for rows in _subspaces(sp, within.rows, d + 1)),
+                      key=Flat.sort_key)
+    tables = sp._index_tables
+    zero = [frozenset(p for p in members if not coords[p][c]) for c in range(sp.n)]
+    flats = []
+    for rows in _subspaces(sp, form_kernel(sp, forms, within), d):
+        pivots = [row.index(1) for row in rows]
+        vspan = _direction(sp, rows)
+        bases = (zero[pivots[0]].intersection(*[zero[c] for c in pivots[1:]])
+                 if pivots else members)
+        for p in bases:
+            x = coords[p]
+            flats.append(Flat(AFFINE, d, x, rows, tuple(_coset(tables, x, vspan))))
+    return sorted(flats, key=Flat.sort_key)

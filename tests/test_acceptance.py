@@ -23,7 +23,7 @@ from blocksets.blocking import (BlockingInstance, build_instance,
 from blocksets.braid import (braid_arrangement, braid_existence,
                              braid_transversal, escape_parameter)
 from blocksets.cli import main
-from blocksets.geometry import AFFINE, PROJECTIVE, FlatGrowth, span, space
+from blocksets.geometry import AFFINE, PROJECTIVE, enumerate_flats, span, space
 
 from braid_reference import distinct_coordinate_points, line_in_complement
 from geometry_reference import form_value
@@ -298,7 +298,7 @@ def test_restriction_keeps_blocking_property():
             cand = set(minimalize(inst, cand))
         dims = [d for d in range(t + 1, sp.n + 1)]
         d = rng.choice(dims)
-        flats = FlatGrowth(sp, range(sp.npoints)).flats(d)
+        flats = enumerate_flats(sp, d)
         fl = rng.choice(flats)
         assert is_blocking(inst, cand)
         try:
@@ -339,7 +339,7 @@ def test_join_across_a_hyperplane():
             k = rng.randint(1, 3)
             c2 = set(rng.sample(sorted(hset), min(k, len(hset))))
         else:
-            lines = FlatGrowth(sp, hset).flats(1)
+            lines = [fl for fl in enumerate_flats(sp, 1) if hset.issuperset(fl.points)]
             c2 = set(rng.choice(lines).points)
         try:
             full = build_instance(sp, arrangement_make(sp, []), t, "contained")

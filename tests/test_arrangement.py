@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksets.arrangement import (arrangement_make, complement,
-                                   corresponding_arrangement,
+                                   contained_count, corresponding_arrangement,
                                    emit_arrangement_text, flats_in_complement,
                                    hyperplane_flat, max_flat_dimension,
                                    normalize_form, parse_arrangement_text,
@@ -262,6 +262,17 @@ def test_max_flat_dimension_empty_complement_is_none():
     comp = complement(sp, arr)
     assert comp.members == ()
     assert max_flat_dimension(comp) is None
+
+
+@settings(deadline=None, max_examples=60)
+@given(arrangements())
+def test_contained_count_and_max_dimension_match_the_listing(case):
+    sp, arr = case
+    comp = complement(sp, arr)
+    sizes = [len(flats_in_complement(comp, d)) for d in range(sp.n + 1)]
+    assert [contained_count(comp, d) for d in range(sp.n + 1)] == sizes
+    inside = [d for d, size in enumerate(sizes) if size]
+    assert max_flat_dimension(comp) == (inside[-1] if inside else None)
 
 
 def test_arrangement_dimension_mismatch():

@@ -22,8 +22,8 @@ from blocksets.cli import main
 from blocksets.errors import (DimensionOutOfRange, InternalError, NotBlocking,
                               NotInUniverse, SearchTimeout, TooLarge,
                               UniverseTooLarge)
-from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth, enumerate_flats,
-                                flat_size, space, span)
+from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
+                                flats_avoiding, flat_size, space, span)
 
 
 def empty_instance(kind, n, q, t=1, scope="contained"):
@@ -49,35 +49,30 @@ def one_line_instance(n, q, t=1, scope="touching"):
 def test_contained_instance_grows_each_level_once(monkeypatch, kind, n, q, rows, t):
     sp = space(kind, n, q)
     arr = arrangement_make(sp, rows)
-    grown = []
-    real = FlatGrowth._grow
+    listed = []
+    real = arrangement.flats_avoiding
 
-    def counted(self, current, level):
-        grown.append(level)
-        return real(self, current, level)
+    def counted(sp, forms, d, members, within=None):
+        listed.append(d)
+        return real(sp, forms, d, members, within)
 
-    monkeypatch.setattr(FlatGrowth, "_grow", counted)
+    monkeypatch.setattr(arrangement, "flats_avoiding", counted)
     inst = build_instance(sp, arr, t, "contained")
-    built = list(grown)
+    # the build lists the family's level only; the first read of the
+    # forbidden list lists level t
+    assert listed == [n - t]
     forbidden = inst.forbidden
-    if kind == PROJECTIVE:
-        # every flat of dimension >= 1 meets the removed hyperplane, so the
-        # contained levels are known empty without growing them
-        assert grown == []
-    else:
-        # the build grows the family's levels only; the first read of the
-        # forbidden list grows the rest up to t, on the same growth
-        assert built == list(range(1, n - t + 1))
-        assert grown == list(range(1, max(n - t, t) + 1))
-    read = list(grown)
-    assert inst.forbidden is forbidden and grown == read  # listed once
+    assert listed == [n - t, t]
+    assert inst.forbidden is forbidden and listed == [n - t, t]  # listed once
     monkeypatch.undo()
     members = complement(sp, arr).member_set
-    growth = FlatGrowth(sp, members)
-    fam = growth.flats(n - t)
-    forb = growth.flats(t)
-    assert inst.family == tuple(fl.points for fl in fam)
-    assert forbidden == tuple(fl.points for fl in forb)
+    if kind == PROJECTIVE:
+        # every flat of dimension >= 1 meets the removed hyperplane
+        assert inst.family == forbidden == ()
+    assert inst.family == tuple(fl.points for fl in enumerate_flats(sp, n - t)
+                                if members.issuperset(fl.points))
+    assert forbidden == tuple(fl.points for fl in enumerate_flats(sp, t)
+                              if members.issuperset(fl.points))
 
 
 def test_build_empty_arrangement_pg23():
@@ -191,21 +186,21 @@ def test_forbidden_size_counts_the_listed_traces(kind, n, q):
 
 
 def _recorded_levels(monkeypatch):
-    """The dimension of every touching_traces call and of every FlatGrowth
-    level grown, in order."""
+    """The dimension of every touching_traces call and of every contained
+    level listed, in order."""
     dims = []
-    real_traces, real_grow = blocking.touching_traces, FlatGrowth._grow
+    real_traces, real_flats = blocking.touching_traces, arrangement.flats_avoiding
 
     def traces(comp, d):
         dims.append(d)
         return real_traces(comp, d)
 
-    def grow(self, current, level):
-        dims.append(level)
-        return real_grow(self, current, level)
+    def flats(sp, forms, d, members, within=None):
+        dims.append(d)
+        return real_flats(sp, forms, d, members, within)
 
     monkeypatch.setattr(blocking, "touching_traces", traces)
-    monkeypatch.setattr(FlatGrowth, "_grow", grow)
+    monkeypatch.setattr(arrangement, "flats_avoiding", flats)
     return dims
 
 
@@ -724,7 +719,7 @@ def test_flats_inside_the_universe_of_one_dimension_agree(kind, n, q, rows,
     seen = 0
     for d in range(max(inst.blocked_dim, inst.t + 1), n + 1):
         verdicts = []
-        for fl in FlatGrowth(sp, inst.universe_set).flats(d):
+        for fl in flats_avoiding(sp, inst.arrangement.forms, d, inst.universe):
             res = exhaustive_oracle(induced_subinstance(inst, fl),
                                     require_nontrivial=True)
             verdicts.append((res.verdict, res.size))
@@ -764,7 +759,8 @@ def test_join_level_two():
     # at t=2 the hyperplane part must hit every line inside the hyperplane:
     # the whole removed plane does, and so does any one line of it
     full = empty_instance(PROJECTIVE, 3, 2, t=2)
-    for c2 in [hset] + [fl.points for fl in FlatGrowth(sp, set(hset)).flats(1)]:
+    lines = [fl.points for fl in enumerate_flats(sp, 1) if set(fl.points) <= set(hset)]
+    for c2 in [hset] + lines:
         union = set(c1) | set(c2)
         assert is_blocking(full, union)
         for fl in enumerate_flats(sp, 1):
@@ -801,6 +797,30 @@ def test_certificate_none_when_instance_exists():
     inst = empty_instance(PROJECTIVE, 2, 3)
     assert nonexistence_by_subspace(inst, convention="nontrivial") is None
     assert nonexistence_by_subspace(inst, convention="plain") is None
+
+
+def test_certificate_refuses_a_custom_instance_before_listing_flats(monkeypatch):
+    # a custom instance has no arrangement to build flats from: whether a
+    # flat of its space fits the universe (PG(2,2), all of it) or not (the
+    # 31 points of PG(2,5) pass the oracle's cap; four points of PG(2,3) in
+    # general position hold no line), it is refused as restriction refuses it
+    listed = []
+    monkeypatch.setattr(blocking, "flats_avoiding",
+                        lambda *args: listed.append(args))
+    sp3 = space(PROJECTIVE, 2, 3)
+    quad = (sp3.index_of((1, 0, 0)), sp3.index_of((0, 1, 0)),
+            sp3.index_of((0, 0, 1)), sp3.index_of((1, 1, 1)))
+    customs = [BlockingInstance(sp3, 1, quad, [quad])]
+    for q in (2, 5):
+        inst = empty_instance(PROJECTIVE, 2, q)
+        customs.append(BlockingInstance(inst.space, 1, inst.universe, inst.family))
+    for custom in customs:
+        for convention in ("plain", "nontrivial"):
+            with pytest.raises(ValueError, match="^instance has no geometric scope"):
+                nonexistence_by_subspace(custom, convention)
+        with pytest.raises(ValueError, match="^instance has no geometric scope"):
+            induced_subinstance(custom, enumerate_flats(custom.space, 1)[0])
+    assert listed == []
 
 
 # -- scans and classification ------------------------------------------------

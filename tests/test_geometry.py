@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksets import geometry
+from blocksets.arrangement import arrangement_make, complement, normalize_form
 from blocksets.errors import DimensionOutOfRange, InternalError, SpaceTooLarge
-from blocksets.geometry import (AFFINE, PROJECTIVE, FlatGrowth,
-                                enumerate_flats, flat_count, flat_size,
+from blocksets.geometry import (AFFINE, PROJECTIVE, enumerate_flats,
+                                flat_count, flat_size, flats_avoiding,
                                 gaussian_binomial, space, span)
 
-from geometry_reference import in_flat
+from geometry_reference import form_value, in_flat
 
 
 def test_point_counts():
@@ -145,15 +146,21 @@ def test_in_flat_agrees_with_point_list():
 def test_flats_within_subset():
     sp = space(PROJECTIVE, 2, 3)
     line = enumerate_flats(sp, 1)[0]
-    inside = FlatGrowth(sp, set(line.points)).flats(1)
+    inside = flats_avoiding(sp, (), 1, line.points, line)
     assert [fl.key() for fl in inside] == [line.key()]
-    assert FlatGrowth(sp, set(line.points[:-1])).flats(1) == []
+    # a line through the last point alone takes it out, and the line with it
+    other = next(fl for fl in enumerate_flats(sp, 1)
+                 if set(fl.points) & set(line.points) == {line.points[-1]})
+    form = next(f for f in product(range(3), repeat=3)
+                if any(f) and f[next(i for i in range(3) if f[i])] == 1
+                and all(form_value(sp, f, p) == 0 for p in other.points))
+    assert flats_avoiding(sp, (form,), 1, line.points[:-1], line) == []
 
 
 def test_flats_within_full_universe_matches_enumeration():
     sp = space(AFFINE, 2, 3)
-    allpts = set(range(sp.npoints))
-    assert ([fl.key() for fl in FlatGrowth(sp, allpts).flats(1)]
+    allpts = range(sp.npoints)
+    assert ([fl.key() for fl in flats_avoiding(sp, (), 1, allpts)]
             == [fl.key() for fl in enumerate_flats(sp, 1)])
 
 
@@ -162,38 +169,59 @@ def _all_flats(kind, n, q, d):
     return enumerate_flats(space(kind, n, q), d)
 
 
-def _check_flats_within(sp, members, d):
+def _check_flats_within(sp, forms, members, d, within=None):
+    """flats_avoiding against the brute-force reference: every d-flat, in
+    enumerate_flats order, kept when its points lie among the members."""
+    mset = set(members)
     want = [fl for fl in _all_flats(sp.kind, sp.n, sp.q, d)
-            if set(fl.points) <= members]
-    got = FlatGrowth(sp, members).flats(d)
+            if mset.issuperset(fl.points)]
+    got = flats_avoiding(sp, forms, d, members, within)
     assert ([(fl.key(), fl.points) for fl in got]
             == [(fl.key(), fl.points) for fl in want])
-    for fl in got:
-        assert fl.points == tuple(p for p in range(sp.npoints) if in_flat(sp, fl, p))
+    for fl in got:  # sorted, distinct, on the flat and as many as it has
+        assert fl.points == tuple(sorted(set(fl.points)))
+        assert len(fl.points) == flat_size(sp.kind, fl.d, sp.q)
+        assert all(in_flat(sp, fl, p) for p in fl.points)
 
 
-_SMALL_SPACES = [(kind, n, q) for kind in (PROJECTIVE, AFFINE)
-                 for n in (2, 3) for q in (2, 3, 4, 5)]
+_AVOIDING_SPACES = [(kind, n, q) for kind in (PROJECTIVE, AFFINE)
+                    for n in (1, 2, 3, 4) for q in (2, 3, 4, 5)]
 
 
 @st.composite
-def _member_sets(draw):
-    """A space and a member set: a sparse random set, or everything but a
-    few points (which still holds many flats)."""
-    kind, n, q = draw(st.sampled_from(_SMALL_SPACES))
+def _arrangements(draw):
+    """A space, up to four distinct normalized forms over it (independent,
+    dependent or parallel as they fall) and the complement's points."""
+    kind, n, q = draw(st.sampled_from(_AVOIDING_SPACES))
     sp = space(kind, n, q)
-    picked = draw(st.sets(st.integers(0, sp.npoints - 1), max_size=12))
-    if draw(st.booleans()):
-        return sp, set(picked)
-    return sp, set(range(sp.npoints)) - picked
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n + 1,
+                                  max_size=n + 1), max_size=4))
+    forms = sorted({normalize_form(sp, r) for r in rows if any(r[:sp.ncoords])})
+    return sp, forms, complement(sp, arrangement_make(sp, forms)).members
 
 
 @settings(max_examples=60, deadline=None)
-@given(_member_sets())
+@given(_arrangements())
 def test_flats_within_matches_filtered_enumeration(case):
-    sp, members = case
+    sp, forms, members = case
     for d in range(sp.n + 1):
-        _check_flats_within(sp, members, d)
+        _check_flats_within(sp, forms, members, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_arrangements(), st.data())
+def test_flats_within_a_flat_match_filtered_enumeration(case, data):
+    # inside a flat F, with the forms (F minus the arrangement, a contained
+    # restriction) and without them (all of F, a touching one)
+    sp, forms, members = case
+    e = data.draw(st.integers(0, sp.n))
+    flats = _all_flats(sp.kind, sp.n, sp.q, e)
+    within = flats[data.draw(st.integers(0, len(flats) - 1))]
+    mset = set(members)
+    kept = [p for p in within.points if p in mset]
+    for d in range(sp.n + 1):
+        _check_flats_within(sp, forms, kept, d, within)
+        _check_flats_within(sp, (), within.points, d, within)
 
 
 def _reference_flats(sp, d):
@@ -250,43 +278,6 @@ def test_enumerate_flats_matches_reference(kind, q):
             assert got == _reference_flats(sp, d)
 
 
-_GROWTH_SPACES = [(PROJECTIVE, 2, 4), (PROJECTIVE, 2, 9), (PROJECTIVE, 3, 3),
-                  (PROJECTIVE, 3, 4), (AFFINE, 2, 9), (AFFINE, 3, 4),
-                  (AFFINE, 3, 5), (AFFINE, 4, 3), (AFFINE, 2, 7)]
-
-
-@st.composite
-def _flat_unions(draw):
-    """A member set made of a few random flats and points, half the time
-    with one point of the last flat taken out, so that the coset count of
-    that flat (and of every flat through the point) falls one short."""
-    kind, n, q = draw(st.sampled_from(_GROWTH_SPACES))
-    sp = space(kind, n, q)
-    members = set(draw(st.sets(st.integers(0, sp.npoints - 1), max_size=6)))
-    holed = None
-    for _ in range(draw(st.integers(1, 3))):
-        d = draw(st.integers(1, n - 1))
-        fl = draw(st.sampled_from(_all_flats(kind, n, q, d)))
-        members.update(fl.points)
-        holed = fl
-    if draw(st.booleans()):
-        members.discard(draw(st.sampled_from(holed.points)))
-    return sp, members
-
-
-@settings(max_examples=40, deadline=None)
-@given(_flat_unions())
-def test_flat_growth_levels_match_filtered_enumeration(case):
-    sp, members = case
-    growth = FlatGrowth(sp, members)
-    for d in range(sp.n + 1):
-        want = [fl for fl in _all_flats(sp.kind, sp.n, sp.q, d)
-                if members.issuperset(fl.points)]
-        got = growth.flats(d)
-        assert ([(fl.key(), fl.points) for fl in got]
-                == [(fl.key(), fl.points) for fl in want])
-
-
 @pytest.mark.parametrize("n,q", [(2, 4), (2, 9), (3, 3), (3, 4), (4, 2)])
 def test_flats_within_projective_hyperplane(n, q):
     # a hyperplane of PG(n,q) is a PG(n-1,q): its d-flats number
@@ -294,13 +285,9 @@ def test_flats_within_projective_hyperplane(n, q):
     sp = space(PROJECTIVE, n, q)
     hyps = _all_flats(PROJECTIVE, n, q, n - 1)
     for hyp in (hyps[0], hyps[-1]):
-        members = set(hyp.points)
         for d in range(n + 1):
-            got = FlatGrowth(sp, members).flats(d)
-            want = [fl for fl in _all_flats(PROJECTIVE, n, q, d)
-                    if members.issuperset(fl.points)]
-            assert ([(fl.key(), fl.points) for fl in got]
-                    == [(fl.key(), fl.points) for fl in want])
+            _check_flats_within(sp, (), hyp.points, d, hyp)
+            got = flats_avoiding(sp, (), d, hyp.points, hyp)
             assert len(got) == gaussian_binomial(n, d + 1, q)
 
 
