@@ -22,15 +22,15 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import solver
+from . import geometry, solver
 from .arrangement import (Arrangement, arrangement_make,
                           check_trace_enumeration, complement,
                           contained_count, flats_in_complement,
                           touching_count, touching_traces)
 from .errors import (DimensionOutOfRange, InternalError, NotBlocking,
                      NotInUniverse, SearchTimeout, SpaceTooLarge, TooLarge)
-from .geometry import (Flat, flat_count, flats_avoiding, listable_flat_count,
-                       span)
+from .geometry import (Flat, check_flat_listing, flat_count, flats_avoiding,
+                       listable_flat_count, span)
 from .solver import ORACLE_FULL_CAP, SearchResult
 
 CONTAINED = "contained"
@@ -122,8 +122,14 @@ class BlockingInstance:
 
 
 def _traces(comp, d, scope):
-    """The traces of the d-flats under scope, in canonical flat order."""
+    """The traces of the d-flats under scope, in canonical flat order.  A
+    level with too many flats to list raises TooLarge before any is
+    listed; the contained flats are counted by formula for that, and only
+    when the space has too many d-flats, which bound them."""
     if scope == CONTAINED:
+        sp = comp.space
+        if flat_count(sp.kind, sp.n, d, sp.q) > geometry.ENUM_GUARD:
+            check_flat_listing(sp, d, contained_count(comp, d))
         return tuple(fl.points for fl in flats_in_complement(comp, d))
     return touching_traces(comp, d)
 
@@ -279,8 +285,10 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
         stats=stats, seeds=_seeds(inst))
     elapsed = time.monotonic() - start
     sym = stats.get("symmetry")
+    work = {k: stats.get(k, 0) for k in ("closed_children", "pool_tasks")}
     if size is None:
-        return SearchResult("not-exists", None, None, nodes, elapsed, sym)
+        return SearchResult("not-exists", None, None, nodes, elapsed, sym,
+                            **work)
     witness = tuple(inst.universe[b] for b in solver._mask_bits(wmask))
     if not is_blocking(inst, witness):
         raise InternalError("search witness %r does not block" % (witness,))
@@ -288,7 +296,7 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
         raise InternalError("search witness %r swallows a forbidden trace"
                             % (witness,))
     return SearchResult("exists", size, witness, nodes, elapsed, sym,
-                        stats.get("witness_nodes"))
+                        stats.get("witness_nodes"), **work)
 
 
 def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None,
@@ -351,7 +359,7 @@ def induced_subinstance(inst, flat):
     instance's scope rule: contained flats miss the arrangement, touching
     ones need only lie in the region.  Blocked dimension is unchanged (the
     kept traces still come from ambient (n-t)-flats); the level is
-    re-expressed relative to the flat and may reach 0 or below, in which
+    re-expressed relative to the flat and may drop to 0 or below, in which
     case the family side simply cannot be nonempty."""
     forms = _geometric_forms(inst)
     sp = inst.space

@@ -79,7 +79,8 @@ def _instance_block(inst):
 
 def _search_stats(res):
     """The stats block of a SearchResult, or of a SearchTimeout."""
-    stats = {"nodes": res.nodes, "elapsed": res.elapsed}
+    stats = {"nodes": res.nodes, "closed_children": res.closed_children,
+             "pool_tasks": res.pool_tasks, "elapsed": res.elapsed}
     if res.symmetry is not None:
         stats["symmetry"] = res.symmetry
     # a SearchTimeout has no witness phase to count

@@ -69,10 +69,14 @@ class IdenticalPoints(BlocksetsError):
 class SearchTimeout(BlocksetsError):
     """Search exceeded its time budget before reaching a verdict.  Carries
     the search's symmetry record when it computed the group (as
-    SearchResult.symmetry), else None."""
+    SearchResult.symmetry), else None, and its work counts so far, as a
+    SearchResult does."""
 
-    def __init__(self, message, nodes=0, elapsed=0.0, symmetry=None):
+    def __init__(self, message, nodes=0, elapsed=0.0, symmetry=None,
+                 closed_children=0, pool_tasks=0):
         super().__init__(message)
         self.nodes = nodes
         self.elapsed = elapsed
         self.symmetry = symmetry
+        self.closed_children = closed_children
+        self.pool_tasks = pool_tasks

@@ -447,12 +447,17 @@ def _affine_flats(sp, d, i, bound, later, vspan):
                                      _widen(sp, vspan, row, p))
 
 
+def check_flat_listing(sp, d, count):
+    """Raises TooLarge when `count` d-flats of sp are too many to list."""
+    if count > ENUM_GUARD:
+        raise TooLarge("enumerating %d flats of dimension %d in %s exceeds the guard"
+                       % (count, d, sp))
+
+
 def listable_flat_count(sp, d):
     """The number of d-flats; raises TooLarge when they are too many to list."""
     expected = flat_count(sp.kind, sp.n, d, sp.q)
-    if expected > ENUM_GUARD:
-        raise TooLarge("enumerating %d flats of dimension %d in %s exceeds the guard"
-                       % (expected, d, sp))
+    check_flat_listing(sp, d, expected)
     return expected
 
 

@@ -10,9 +10,10 @@ uncovered traces, strengthened by a counting bound: r more points cover
 at most the sum of the r largest degrees of undecided points, a degree
 counting the uncovered traces through a point.  The packing gets sharper
 as exclusions accumulate, which is what makes projective instances (where
-any two traces meet) tractable.  A parent hands each child the largest
-degree sum that child's counting bound could allow, so a child with more
-uncovered traces than that closes before any scan.
+any two traces meet) tractable.  A parent pushes only the children that
+can open: a child's own counting bound allows it no more uncovered traces
+than the sum of its parent's need - 2 largest degrees, so a child whose
+point leaves more than that closes at its parent, unbuilt.
 A search that outgrows a probe also prunes by symmetry (orbital
 branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
@@ -45,9 +46,10 @@ built once, before the search.  The incumbent the search starts from is a
 lazy greedy cover that picks the same points as a full rescan would.
 
 The search runs on an explicit stack of open subtrees, and a run cut short
-by a node limit leaves the rest on it.  That is how `--workers` splits the
-work: the orbital search runs a few nodes at a time until its stack holds
-workers * 8 states, and each state is one pool task.
+by a work limit (nodes popped plus children closed at their parent) leaves
+the rest on it.  That is how `--workers` splits the work: the orbital
+search runs a little work at a time until its stack holds workers * 8
+states, and each state is one pool task.
 
 Verdict sizes are exact.  Witnesses are pinned separately: after the
 optimum s* is known, a prefix-by-prefix feasibility scan builds the
@@ -60,14 +62,14 @@ import heapq
 import time
 from dataclasses import dataclass
 from itertools import compress
-from math import comb
+from math import comb, inf
 
 from .errors import SearchTimeout, UniverseTooLarge
 
 ORACLE_FULL_CAP = 22
 PARALLEL_MIN_UNIVERSE = 24  # below this the pool costs more than the search
 DEADLINE = "deadline"  # _search stopped early: out of time
-LIMIT = "limit"        # _search stopped early: node limit reached
+LIMIT = "limit"        # _search stopped early: work limit reached
 
 
 @dataclass
@@ -79,6 +81,8 @@ class SearchResult:
     elapsed: float = 0.0
     symmetry: dict = None  # solve_masks' symmetry record, when it made one
     witness_nodes: int = None  # nodes of the witness phase, when it ran
+    closed_children: int = 0  # children closed at their parent, not in nodes
+    pool_tasks: int = 0  # open subtrees handed to the --workers pool
 
 
 # bin() digits as bytes 0 and 1, so that compress() keeps the set bits
@@ -139,18 +143,21 @@ def _violates(inc, forb_idx, forb_masks):
 
 def _search(inst, stack, best0, deadline, first_only, limit=None):
     """Core branch and bound, run on `stack`: a list of states (inc, exc,
-    cov, k, group, reach), taken from its end.  `inst` is (trace_masks,
-    cover, forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes,
-    stop, skipped, group_s); best is the smallest solution size < best0
+    cov, k, group), taken from its end.  `inst` is (trace_masks, cover,
+    forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes, stop,
+    skipped, group_s, closed); best is the smallest solution size < best0
     reached from the states, or best0 if none (best_inc None in that case);
     stop is DEADLINE or LIMIT when the search ended early, else None.
 
     A popped state is checked and, unless settled or pruned, replaced by
-    its children pushed in reverse, so they are visited in branching order.
-    A search that stops on `limit` nodes or the deadline leaves every state
-    it has not expanded on the stack.  Those are the open subtrees: together
-    they hold everything not yet settled, up to symmetry, so running them,
-    together or one by one, finishes the search.
+    the children that can open, pushed in reverse, so they are visited in
+    branching order.  `nodes` counts the popped states and `closed` the
+    children closed at their parent (below); `limit` bounds their sum, the
+    search's work, checked before each pop.  A search that stops on the
+    limit or the deadline leaves every state it has not expanded on the
+    stack.  Those are the open subtrees: together they hold everything not
+    yet settled, up to symmetry, so running them, together or one by one,
+    finishes the search.
 
     A state's `group` is None or a group G, in the form symmetry.branch
     takes, that fixes each included point and maps the excluded set onto
@@ -169,12 +176,6 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     S, against the choice of j.  So child j is kept and g(S) is a solution
     of it.
 
-    A state's `reach` is the most uncovered traces it may have and still be
-    scanned: its parent's counting bound, carried down.  A root state
-    carries len(trace_masks), which closes nothing.  A state past its reach
-    is still popped and counted, so `limit` counts the same nodes as
-    without it.
-
     A node closes on a dead trace (an uncovered trace with no undecided
     point), on a first-fit packing, in index order, of need = best - k
     disjoint uncovered traces, or on the counting bound, and on nothing
@@ -184,18 +185,29 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     nrem, that is, lies on every uncovered trace; and where such a point
     is, no trace is dead and no two are disjoint.  So the node closes
     exactly when no undecided point of the lowest uncovered trace lies on
-    all of them, it tests those points alone, and its children carry
-    reach 0.  At need >= 3 a wide node runs the jumps, then every node the
-    counting bound, then the scan, which finds the remaining dead traces
-    and packings and the trace to branch on."""
+    all of them, and it tests those points alone.  At need >= 3 a wide node
+    runs the jumps, then every node the counting bound, then the scan,
+    which finds the remaining dead traces and packings and the trace to
+    branch on.
+
+    Child i has nrem - deg(p_i) uncovered traces, one point more and no
+    larger degrees than its parent, so its own counting bound closes it
+    when that count is more than the sum of the parent's need - 2 largest
+    degrees: 0 at need 2, where only a child that covers everything opens.
+    The points are branched on in order of falling degree, so the children
+    that can open come first, and the rest close at their parent: they
+    are neither built nor pushed, take no part in the orbits, and only
+    later siblings, which close too, would exclude them.  So the pushed
+    children and their exclusions are those of the whole list."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
     points = (1 << npoints) - 1
     nodes = 0
+    closed = 0
     skipped = 0
     group_s = 0.0
-    node_cap = -1 if limit is None else limit
+    node_cap = inf if limit is None else limit
     if any(state[4] is not None for state in stack):
         from .symmetry import branch
     best = best0
@@ -205,11 +217,11 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     pop = stack.pop
     push = stack.append
     while stack:
-        if nodes == node_cap:
-            return best, best_inc, nodes, LIMIT, skipped, group_s
+        if nodes + closed >= node_cap:
+            return best, best_inc, nodes, LIMIT, skipped, group_s, closed
         if deadline is not None and not nodes % 2048 and time.monotonic() > deadline:
-            return best, best_inc, nodes, DEADLINE, skipped, group_s
-        inc, exc, cov, k, grp, reach = pop()
+            return best, best_inc, nodes, DEADLINE, skipped, group_s, closed
+        inc, exc, cov, k, grp = pop()
         nodes += 1
         if cov == full:
             if k < best:
@@ -218,13 +230,11 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                 if first_only:
                     break
             continue
-        rem = full ^ cov
-        nrem = bit_count(rem)
-        if nrem > reach:
-            continue  # closed by the parent's counting bound
         need = best - k  # a better cover adds at most need - 1 points
         if need <= 1:
             continue  # not a cover, and no point may be added
+        rem = full ^ cov
+        nrem = bit_count(rem)
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
         if need == 2:
             # one point more: the node is open exactly when an undecided
@@ -237,7 +247,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                 opts ^= b
             if not opts:
                 continue
-            child_reach = 0  # a child that is not a cover closes
+            fit = 0  # a child that is not a cover closes
         else:
             if nrem > bit_count(und):
                 # the scan's first-fit packing, found by jumping: the next
@@ -271,10 +281,8 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                           reverse=True)
             if sum(degs[:need - 1]) < nrem:
                 continue
-            # a child has one point more and no larger degrees, so its own
-            # counting bound closes it when it has more uncovered traces
-            # than this
-            child_reach = sum(degs[:need - 2])
+            # the most uncovered traces a child's counting bound leaves open
+            fit = sum(degs[:need - 2])
         # the scan: a dead trace or a packing of need traces closes the
         # node, and the trace with the fewest undecided points is the one
         # to branch on
@@ -299,9 +307,15 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         # a dead trace
         if not opts or pack >= need:
             continue
-        pts = mask_bits(sel_opts)
-        if len(pts) > 1:
-            pts.sort(key=lambda p: (-bit_count(cover[p] & rem), p))
+        # the branching points by falling degree, then index; a child opens
+        # only when its point's degree is at least nrem - fit
+        order = sorted([(-bit_count(cover[p] & rem), p)
+                        for p in mask_bits(sel_opts)])
+        least = fit - nrem
+        pts = [p for d, p in order if d <= least]
+        closed += len(order) - len(pts)
+        if not pts:
+            continue
         # child i excludes the orbits of children 0..i-1 under the node's
         # group; orbits[i] is 0 for a child whose point lies in one of them.
         # Walking backwards, excl drops each kept child's orbit just before
@@ -323,9 +337,8 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             p = pts[i]
             inc2 = inc | 1 << p
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-                push((inc2, exc | excl, cov | cover[p], k + 1, groups[i],
-                      child_reach))
-    return best, best_inc, nodes, None, skipped, group_s
+                push((inc2, exc | excl, cov | cover[p], k + 1, groups[i]))
+    return best, best_inc, nodes, None, skipped, group_s, closed
 
 
 def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
@@ -391,20 +404,26 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     None, nodes).  witness_mask is the lexicographically least optimum
     (smallest bit indices first); None size means nothing <= cap.
 
-    The bound phase first runs the plain search with one node per
-    incidence of the instance (trace points, family and forbidden in
-    force).  Only a search that needs more than that pays for the
+    The bound phase first runs the plain search as a probe, its work (the
+    nodes it pops and the children it closes at their parent) limited to
+    the family's incidences, the points of the family traces; forbidden
+    traces prune children but add no branches, so they add nothing to the
+    limit.  Only a search that needs more than that pays for the
     automorphism group, and only when `seeds` is given: `stats` (a dict,
     when given) gets a "symmetry" record, which a SearchTimeout raised
     after the group is computed carries too, and a nontrivial group
     restarts the search from the root with orbital branching, keeping the
-    probe's incumbent.  Once an optimum is found, `stats` also gets
-    "witness_nodes", the witness phase's share of the nodes.  `seeds` is
-    handed to symmetry.automorphisms as it is: the solver neither builds
-    nor reads it, and symmetry fills the record's group fields.  With no
-    seeds, or a trivial group, the search goes on from the probe's own
-    stack, so its nodes are the uncut plain search's.  The witness phase
-    never uses the group."""
+    probe's incumbent.  `seeds` is handed to symmetry.automorphisms as it
+    is: the solver neither builds nor reads it, and symmetry fills the
+    record's group fields.  With no seeds, or a trivial group, the search
+    goes on from the probe's own stack, so its nodes are the uncut plain
+    search's.  The witness phase never uses the group.
+
+    `stats` also gets "closed_children", the children closed at their
+    parent over the whole search, which `nodes` does not count, and
+    "pool_tasks", the open subtrees handed to the pool under `workers` (0
+    when none); a SearchTimeout carries both.  Once an optimum is found it
+    gets "witness_nodes", the witness phase's share of the nodes."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -415,18 +434,22 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         if forb_masks else None
     inst = (trace_masks, cover, forb_masks, forb_at, U)
     nodes = 0
+    closed = 0
+    tasks = 0
     sym = None
 
     def timeout():
         return SearchTimeout("search exceeded its time budget",
                              nodes=nodes, elapsed=time.monotonic() - start,
-                             symmetry=sym)
+                             symmetry=sym, closed_children=closed,
+                             pool_tasks=tasks)
 
     def tally(result):
-        """Counts a search's nodes; raises if it ran out of time."""
-        nonlocal nodes
-        b, found, n, stop, skipped, group_s = result
+        """Counts a search's work; raises if it ran out of time."""
+        nonlocal nodes, closed
+        b, found, n, stop, skipped, group_s, c = result
         nodes += n
+        closed += c
         if sym is not None:
             sym["skipped"] += skipped
             sym["seconds"] += group_s
@@ -450,9 +473,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         if found is not None and b < best:
             best, incumbent = b, found
 
-    incidences = sum(m.bit_count() for m in trace_masks) + \
-        sum(f.bit_count() for f in forb_masks)
-    stack = [(0, 0, 0, 0, None, F)]
+    incidences = sum(m.bit_count() for m in trace_masks)
+    stack = [(0, 0, 0, 0, None)]
     bound(_search(inst, stack, best, deadline, False, limit=incidences))
     if stack and seeds is not None:
         # the probe left open subtrees: compute the group.  Imported here,
@@ -466,9 +488,9 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         if group is not None:
             # restart with the group; a deadline that passed meanwhile
             # stops it at its first node
-            stack = [(0, 0, 0, 0, symmetry.state_group(group), F)]
+            stack = [(0, 0, 0, 0, symmetry.state_group(group))]
     if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
-        # the frontier: run a few nodes at a time until the open subtrees
+        # the frontier: run a little work at a time until the open subtrees
         # are enough tasks for the pool, or none are left
         target = workers * 8
         while 0 < len(stack) < target:
@@ -477,6 +499,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
             payloads = [(inst, state, best, budget) for state in reversed(stack)]
+            tasks = len(payloads)
             stack = []
             # imported here for the same reason: it loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -485,8 +508,11 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                     bound(result)
     # one serial search finishes what the stack still holds, if anything
     bound(_search(inst, stack, best, deadline, False))
-    if sym is not None and stats is not None:
-        stats["symmetry"] = sym
+    if stats is not None:
+        if sym is not None:
+            stats["symmetry"] = sym
+        stats["closed_children"] = closed
+        stats["pool_tasks"] = tasks
     if best > cap:
         return None, None, nodes
 
@@ -506,7 +532,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             inc0 = prefix_mask | pb
             if not (forb_at and _violates(inc0, forb_at[p], forb_masks)):
                 stack.append((inc0, (pb - 1) ^ prefix_mask,
-                              prefix_cov | cover[p], pos + 1, None, F))
+                              prefix_cov | cover[p], pos + 1, None))
         _b, found = tally(_search(inst, stack, best + 1, deadline, True))
         if found is not None:
             witness = _mask_bits(found)
@@ -514,6 +540,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         prefix_cov |= cover[witness[pos]]
     if stats is not None:
         stats["witness_nodes"] = nodes - bound_nodes
+        stats["closed_children"] = closed  # now with the witness phase's
     return best, prefix_mask, nodes
 
 
@@ -555,12 +582,12 @@ def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         return None, None, sum(comb(U, k) for k in range(1, cap + 1))
     cover = _cover_masks(len(trace_masks), trace_masks, U)
     full = (1 << len(trace_masks)) - 1
-    # reach[lo], most[lo]: the union of the covers of the points >= lo, and
+    # onward[lo], most[lo]: the union of the covers of the points >= lo, and
     # the largest number of traces one of them covers
-    reach = [0] * (U + 1)
+    onward = [0] * (U + 1)
     most = [0] * (U + 1)
     for p in range(U - 1, -1, -1):
-        reach[p] = reach[p + 1] | cover[p]
+        onward[p] = onward[p + 1] | cover[p]
         most[p] = max(most[p + 1], cover[p].bit_count())
     # per point, the forbidden traces whose highest point it is
     forb_top = [[] for _ in range(U)]
@@ -580,7 +607,7 @@ def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             pops += 1
             lo, r, cov, pm = pop()
             left = full ^ cov
-            if (left & ~reach[lo] or left.bit_count() > r * most[lo]
+            if (left & ~onward[lo] or left.bit_count() > r * most[lo]
                     or lo and any(f & pm == f for f in forb_top[lo - 1])):
                 checked += comb(U - lo, r)
                 continue

@@ -371,7 +371,7 @@ def schreier_sims(gens, n, order, prefix=()):
     generators, so it grows from the images of its points under the new
     one alone, and only the points that adds go through all of them.
     The orbit lengths never multiply past the group's order, so the chain
-    is complete once they reach `order`.  Short of that, once _QUIET walk
+    is complete once their product is `order`.  Short of that, once _QUIET walk
     elements in a row sift to the identity, every Schreier generator is
     sifted, the bottom level first: t_x s t_s(x)^-1 for each point x of a
     level's orbit and each strong generator s of the level, t_x being the

@@ -301,6 +301,45 @@ def test_forbidden_side_refusal_keeps_type_and_message(monkeypatch, capsys):
         build_instance(sp, empty, 1, "contained")
 
 
+def test_contained_levels_too_large_to_list_are_refused_first(monkeypatch,
+                                                              capsys, tmp_path):
+    # AG(6,7) minus x1 = 0, contained: 41,174,700 family 3-flats at t = 3
+    # and 40,351,206 lines at t = 1, each past ENUM_GUARD (2^24).  Their
+    # counts come by formula, so each level is refused before any of its
+    # flats is listed, and only where it is read: the plain side of t = 1
+    # lists its six hyperplanes and counts the lines
+    path = tmp_path / "ag6-7.txt"
+    path.write_text("affine 6 7\n1 0 0 0 0 0 0\n")
+    listed = []
+    real = arrangement.flats_avoiding
+
+    def spy(sp, forms, d, members, within=None):
+        listed.append(d)
+        if d != 5:  # the listing itself would run for minutes
+            raise AssertionError("the %d-flats were listed" % d)
+        return real(sp, forms, d, members, within)
+
+    monkeypatch.setattr(arrangement, "flats_avoiding", spy)
+
+    def refused(*argv):
+        assert main(list(argv)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "TooLarge"
+        return err["error"]
+
+    assert refused("instance", str(path), "--t", "3") == \
+        "enumerating 41174700 flats of dimension 3 in AG(6,7) exceeds the guard"
+    assert listed == []
+    assert main(["instance", str(path), "--t", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)["instance"]
+    assert (rep["family_size"], rep["forbidden_size"]) == (6, 40351206)
+    assert listed == [5]
+    assert refused("search", str(path), "--t", "1", "--convention",
+                   "nontrivial") == \
+        "enumerating 40351206 flats of dimension 1 in AG(6,7) exceeds the guard"
+    assert listed == [5, 5]
+
+
 # -- predicates --------------------------------------------------------------
 
 def test_is_blocking_basics():
@@ -406,7 +445,7 @@ def test_frontier_pass_stops_at_the_deadline():
     cover = solver._cover_masks(len(tmasks), tmasks, U)
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, []))
-    root = (0, 0, 0, 0, group, len(tmasks))
+    root = (0, 0, 0, 0, group)
     stack = [root]
     result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
                             time.monotonic() - 1.0, False, limit=16)
@@ -429,18 +468,20 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
                for p in range(U)]
     cover = solver._cover_masks(len(tmasks), tmasks, U)
     plain = solver._search((tmasks, cover, fmasks, forb_at, U),
-                           [(0, 0, 0, 0, None, len(tmasks))], 9, None, False)
+                           [(0, 0, 0, 0, None)], 9, None, False)
     res = min_blocking_set(custom, require_nontrivial=True, size_cap=8)
     assert (res.verdict, res.symmetry) == ("not-exists", None)
-    incidences = sum(m.bit_count() for m in tmasks + fmasks)
-    assert res.nodes == plain[2] > incidences
+    assert (res.nodes, res.closed_children) == (plain[2], plain[6])
+    # the probe's work, limited to the family's incidences, did not finish
+    assert plain[2] + plain[6] > sum(m.bit_count() for m in tmasks)
 
 
 def test_a_trivial_group_goes_on_from_the_probe():
     # PG(2,7) minus six lines has 22 points and a trivial group: the search
-    # outgrows its 176-node probe, computes the group, and goes on from the
-    # probe's stack instead of spending those nodes again from the root, so
-    # its bound phase visits exactly the nodes of the uncut plain search
+    # outgrows its probe (176 units of work, one per family incidence, in
+    # 142 nodes), computes the group, and goes on from the probe's stack
+    # instead of spending those nodes again from the root, so its bound
+    # phase visits exactly the nodes of the uncut plain search
     sp = space(PROJECTIVE, 2, 7)
     arr = arrangement_make(sp, [(0, 0, 1), (0, 1, 0), (0, 1, 5), (1, 2, 2),
                                 (1, 5, 2), (1, 6, 5)])
@@ -449,16 +490,69 @@ def test_a_trivial_group_goes_on_from_the_probe():
     assert (len(inst.universe), res.verdict, res.size) == (22, "exists", 11)
     sym = {k: res.symmetry[k] for k in ("order", "generators", "probe_nodes",
                                          "skipped")}
-    assert sym == {"order": 1, "generators": 0, "probe_nodes": 176,
+    assert sym == {"order": 1, "generators": 0, "probe_nodes": 142,
                    "skipped": 0}
-    assert (res.nodes, res.witness_nodes) == (362, 73)
+    assert (res.nodes, res.witness_nodes) == (305, 65)
     U = len(inst.universe)
     tmasks, _ = blocking._masks(inst, False)
     plain_inst = (tmasks, solver._cover_masks(len(tmasks), tmasks, U), [], None, U)
     best0 = solver._greedy_incumbent(*plain_inst).bit_count()
-    plain = solver._search(plain_inst, [(0, 0, 0, 0, None, len(tmasks))],
+    plain = solver._search(plain_inst, [(0, 0, 0, 0, None)],
                            best0, None, False)
     assert res.nodes - res.witness_nodes == plain[2]
+
+
+def test_the_probe_is_limited_by_the_family_incidences(monkeypatch):
+    # PG(2,5) nontrivial: forbidden traces prune children but add no
+    # branches, so the probe's limit is the family's incidences, 31 lines
+    # of 6 points, whatever the 31 forbidden lines hold
+    limits = []
+    real = solver._search
+
+    def spy(inst, stack, best0, deadline, first_only, limit=None):
+        limits.append(limit)
+        return real(inst, stack, best0, deadline, first_only, limit)
+
+    monkeypatch.setattr(solver, "_search", spy)
+    inst = empty_instance(PROJECTIVE, 2, 5)
+    res = min_blocking_set(inst, require_nontrivial=True)
+    assert (res.size, len(inst.forbidden)) == (9, 31)
+    assert limits[0] == sum(len(tr) for tr in inst.family) == 31 * 6
+
+
+class _InlinePool:
+    """A ProcessPoolExecutor stand-in that runs each task in this process
+    and keeps it."""
+
+    tasks = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, payloads, chunksize=1):
+        payloads = list(payloads)
+        _InlinePool.tasks.extend(payloads)
+        return [fn(p) for p in payloads]
+
+
+def test_pool_tasks_count_the_tasks_handed_out(monkeypatch):
+    # PG(2,7) nontrivial under a cap of 14 reaches the --workers 2 pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "tasks", [])
+    inst = empty_instance(PROJECTIVE, 2, 7)
+    serial = min_blocking_set(inst, require_nontrivial=True, size_cap=14)
+    pooled = min_blocking_set(inst, require_nontrivial=True, size_cap=14,
+                              workers=2)
+    assert serial.size == 12
+    assert (pooled.size, pooled.witness) == (serial.size, serial.witness)
+    assert serial.pool_tasks == 0
+    assert pooled.pool_tasks == len(_InlinePool.tasks) > 0
 
 
 def _no_pool(*args, **kwargs):
@@ -480,7 +574,7 @@ def test_a_serial_search_starts_no_pool(monkeypatch, q, workers, size):
 
 def test_a_small_universe_starts_no_pool(monkeypatch):
     # 400 drawn traces of 5 to 8 of 23 points, below PARALLEL_MIN_UNIVERSE:
-    # a --workers 2 frontier here would reach its 16 open subtrees and
+    # a --workers 2 frontier here would get to its 16 open subtrees and
     # start a pool, so only the universe's size keeps the search serial
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     rng = random.Random(20)
@@ -498,11 +592,11 @@ def test_a_small_universe_starts_no_pool(monkeypatch):
 # before orbital branching, which names the row and bounds the new count.
 PINNED_NODES = [
     # kind, n, q, nontrivial, size, nodes without symmetry, nodes
-    (PROJECTIVE, 2, 5, True, 9, 20292, 502),
-    (AFFINE, 3, 3, False, 7, 9597, 404),
-    (PROJECTIVE, 3, 3, True, 6, 17855, 1056),
-    (PROJECTIVE, 4, 2, True, 5, 7465, 939),
-    (AFFINE, 2, 5, False, 9, 6046, 367),
+    (PROJECTIVE, 2, 5, True, 9, 20292, 180),
+    (AFFINE, 3, 3, False, 7, 9597, 347),
+    (PROJECTIVE, 3, 3, True, 6, 17855, 96),
+    (PROJECTIVE, 4, 2, True, 5, 7465, 68),
+    (AFFINE, 2, 5, False, 9, 6046, 253),
 ]
 
 

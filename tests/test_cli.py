@@ -57,7 +57,8 @@ def test_no_meta_is_reproducible(capsys):
 def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
     small = ("search", "--space", "pg", "--n", "2", "--q", "3", "--t", "1")
     rep = run_json(capsys, *small)
-    assert set(rep["stats"]) == {"nodes", "elapsed", "witness_nodes"}
+    assert set(rep["stats"]) == {"nodes", "closed_children", "pool_tasks",
+                                 "elapsed", "witness_nodes"}
     big = ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
            "--convention", "nontrivial")
     rep = run_json(capsys, *big)
@@ -67,7 +68,10 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
     # PG(2,5) with no hyperplane removed: its group is PGL(3,5), from the
     # geometry alone
     assert sym["generators"] > 0
-    assert sym["probe_nodes"] == 31 * 6 * 2  # one node per incidence
+    # the probe's work, its nodes and the children they close at their
+    # parent, is limited to one unit per family incidence: 31 lines of 6
+    # points, the forbidden lines adding nothing
+    assert sym["probe_nodes"] == 101 < 31 * 6
     assert rep["stats"]["nodes"] > sym["probe_nodes"]
     assert "stats" not in run_json(capsys, "--no-meta", *big)
     braid = ("braid", "--kind", "ag", "--n", "3", "--q", "4", "--t", "1",
@@ -77,13 +81,15 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
 
 
 def test_witness_phase_nodes_in_stats(capsys):
-    """stats.witness_nodes is the witness phase's share of stats.nodes, and
-    --no-meta drops it with the rest of stats.  AG(4,3) plain spends most
-    of its nodes there; a search that finds nothing within its cap has no
-    witness phase."""
+    """stats.witness_nodes is the witness phase's share of stats.nodes,
+    stats.closed_children counts the children closed at their parent,
+    which stats.nodes leaves out, and --no-meta drops them with the rest of
+    stats.  AG(4,3) plain spends most of its nodes in the witness phase; a
+    search that finds nothing within its cap has no witness phase."""
     argv = ("search", "--space", "ag", "--n", "4", "--q", "3", "--t", "1")
     stats = run_json(capsys, *argv)["stats"]
-    assert (stats["witness_nodes"], stats["nodes"]) == (21178, 25260)
+    assert (stats["witness_nodes"], stats["nodes"]) == (17722, 21285)
+    assert (stats["closed_children"], stats["pool_tasks"]) == (3975, 0)
     assert "stats" not in run_json(capsys, "--no-meta", *argv)
     capped = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q",
                       "3", "--t", "1", "--cap", "3")
@@ -303,7 +309,7 @@ def test_bad_inputs_exit_two(capsys):
         ("verify", "--space", "pg", "--n", "2", "--q", "3",
          "--set", "0,0,0"),                                # the zero vector
         ("search", "--space", "pg", "--n", "2", "--q", "6"),
-        # 31 points, past the oracle's reach without --cap
+        # 31 points, past the oracle's cap without --cap
         ("search", "--space", "pg", "--n", "2", "--q", "5", "--t", "1",
          "--oracle"),
         ("scan", "--q", "3", "--nmax", "2", "--kind", "affine-classical",

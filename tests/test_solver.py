@@ -156,25 +156,89 @@ def test_search_matches_oracle_on_uneven_degrees(inst):
     assert (size, witness) == (want, want_witness)
 
 
+class _Recorder(list):
+    """A search stack that pairs every state pushed onto it with the state
+    popped last, its parent."""
+
+    def __init__(self, states):
+        super().__init__(states)
+        self.parent = None
+        self.children = []
+
+    def pop(self):
+        self.parent = super().pop()
+        return self.parent
+
+    def append(self, state):
+        self.children.append((self.parent, state))
+        super().append(state)
+
+
+def degrees(cover, state, U, rem):
+    """The degrees of a state's undecided points over the traces in rem,
+    largest first."""
+    inc, exc = state[:2]
+    und = ((1 << U) - 1) & ~(inc | exc)
+    return sorted(((cover[p] & rem).bit_count() for p in peel_bits(und)),
+                  reverse=True)
+
+
 @settings(max_examples=300, deadline=None)
 @given(uneven_instances(), st.integers(1, 8))
-def test_root_counting_bound_and_reach_are_the_stated_sums(inst, best0):
-    """A weaker counting bound or a looser reach changes no answer, only
-    the work: so pin both at the root, where every degree is a point's
-    number of traces.  The root closes when its need - 1 largest degrees
-    sum to less than the traces (need = best0 here), and each child it
-    pushes carries the sum of the need - 2 largest as its reach."""
+def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
+    """A looser test of which children open changes no answer, only the
+    work: so pin it at the root, where every degree is a point's number of
+    traces.  An open root branches on its lowest trace of fewest points, in
+    order of falling degree, and pushes exactly the children whose
+    uncovered traces, F minus the point's degree, fit the sum of its need -
+    2 largest degrees (need = best0 here); the others close at the root,
+    counted apart from the nodes."""
     U, traces, _forb, _cap = inst
-    cover = solver._cover_masks(len(traces), traces, U)
-    degs = sorted((c.bit_count() for c in cover), reverse=True)
-    need = best0
-    stack = [(0, 0, 0, 0, None, len(traces))]
-    solver._search((traces, cover, [], None, U), stack, best0, None, False,
-                   limit=1)
-    if sum(degs[:need - 1]) < len(traces):
-        assert stack == []
-    for state in stack:
-        assert state[5] == sum(degs[:need - 2])
+    F = len(traces)
+    cover = solver._cover_masks(F, traces, U)
+    stack = [(0, 0, 0, 0, None)]
+    out = solver._search((traces, cover, [], None, U), stack, best0, None,
+                         False, limit=1)
+    want = []
+    branched = 0
+    if not reference_node_closes(traces, cover, 0, 0, 0, best0, U):
+        sel = min(range(F), key=lambda ti: (traces[ti].bit_count(), ti))
+        pts = sorted(peel_bits(traces[sel]),
+                     key=lambda p: (-cover[p].bit_count(), p))
+        fit = sum(degrees(cover, (0, 0), U, (1 << F) - 1)[:best0 - 2])
+        want = [p for p in pts if F - cover[p].bit_count() <= fit]
+        branched = len(pts)
+    assert [state[0] for state in reversed(stack)] == [1 << p for p in want]
+    assert (out[2], out[6]) == (1, branched - len(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(uneven_instances())
+def test_no_pushed_child_closes_on_its_parents_counting_bound(inst):
+    """Every state the bound phase pushes has at most as many uncovered
+    traces as its parent's need - 2 largest degrees sum to, so none closes
+    as soon as it is popped; and the answers and witnesses stay the
+    oracle's.  The search starts from the optimum (or the cap + 1), so need
+    is best0 - k at every node."""
+    U, traces, forb, cap = inst
+    want = solver.oracle_masks(U, traces, forb, size_cap=cap)
+    assert solver.solve_masks(U, traces, forb, size_cap=cap)[:2] == want[:2]
+    F = len(traces)
+    full = (1 << F) - 1
+    cover = solver._cover_masks(F, traces, U)
+    forb_at = [tuple(fi for fi, f in enumerate(forb) if f >> p & 1)
+               for p in range(U)] if forb else None
+    top = U if cap is None else min(cap, U)
+    best0 = top + 1 if want[0] is None else want[0]
+    stack = _Recorder([(0, 0, 0, 0, None)])
+    out = solver._search((traces, cover, forb, forb_at, U), stack, best0,
+                         None, False)
+    assert out[1] is None
+    for parent, child in stack.children:
+        rem = full ^ parent[2]
+        need = best0 - parent[3]
+        assert (full ^ child[2]).bit_count() <= \
+            sum(degrees(cover, parent, U, rem)[:need - 2])
 
 
 @st.composite
@@ -209,7 +273,7 @@ def reference_node_closes(traces, cover, inc, exc, k, best0, U):
     """Whether a search node with these included and excluded points, k
     points counted and incumbent best0 pushes no child: it is a cover, an
     uncovered trace has no undecided point, a first-fit packing over every
-    uncovered trace in index order reaches need = best0 - k disjoint
+    uncovered trace in index order gets to need = best0 - k disjoint
     traces, or need - 1 points cannot cover the uncovered traces even
     with the largest degrees."""
     cov = union_cover(cover, inc)
@@ -241,7 +305,7 @@ def test_node_closes_exactly_on_the_stated_bounds(node):
     nothing else: a node that the reference keeps open pushes children."""
     U, traces, inc, exc, k, best0 = node
     cover = solver._cover_masks(len(traces), traces, U)
-    stack = [(inc, exc, union_cover(cover, inc), k, None, len(traces))]
+    stack = [(inc, exc, union_cover(cover, inc), k, None)]
     solver._search((traces, cover, [], None, U), stack, best0, None, False,
                    limit=1)
     assert (stack == []) == reference_node_closes(traces, cover, inc, exc, k,
@@ -274,8 +338,7 @@ def test_plane_nodes_close_exactly_on_the_stated_bounds():
             for inc, exc in states:
                 k = inc.bit_count()
                 for need in range(U + 3):
-                    stack = [(inc, exc, union_cover(cover, inc), k, None,
-                              len(traces))]
+                    stack = [(inc, exc, union_cover(cover, inc), k, None)]
                     solver._search((traces, cover, [], None, U), stack,
                                    k + need, None, False, limit=1)
                     assert (stack == []) == reference_node_closes(
@@ -285,7 +348,7 @@ def test_plane_nodes_close_exactly_on_the_stated_bounds():
 # Wide Bose-Burton rows: the minimum blocking set of the (n-t)-flats of
 # PG(n,q) is a t-flat.  Thousands of traces, few nodes: these pin the
 # search's per-node work on wide instances (trace scan, bounds, branching
-# order), where the narrow pinned rows of test_blocking.py barely reach.
+# order), which the narrow pinned rows of test_blocking.py barely test.
 WIDE_PINNED = [
     # n, q, t, size, nodes
     (3, 5, 2, 31, 31),
@@ -313,8 +376,8 @@ def test_wide_bose_burton_node_counts_are_pinned(n, q, t, size, nodes):
 # n(q - 1) + 1.
 WITNESS_PINNED = [
     # n, q, size, nodes, witness-phase nodes
-    (3, 4, 10, 16877, 4599),
-    (4, 3, 9, 25260, 21178),
+    (3, 4, 10, 8818, 2679),
+    (4, 3, 9, 21285, 17722),
 ]
 
 

@@ -3,7 +3,7 @@
 Group orders are checked against the classical formulas, against sympy's
 own Schreier-Sims and against a list of every collineation
 (collineation_reference); every generator is mapped over the masks by
-hand; orbital branching must reach the optimum the plain search reaches,
+hand; orbital branching must find the optimum the plain search finds,
 and the subset oracle's where the universe is small enough."""
 
 import pickle
@@ -479,9 +479,9 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
     inst = (tmasks, cover, fmasks, forb_at, U)
-    plain = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
+    plain = solver._search(inst, [(0, 0, 0, 0, None)],
                            cap + 1, None, False)
-    orbital = solver._search(inst, [(0, 0, 0, 0, group, len(tmasks))],
+    orbital = solver._search(inst, [(0, 0, 0, 0, group)],
                              cap + 1, None, False)
     assert orbital[0] == plain[0]
     assert orbital[2] <= plain[2] or group is None
@@ -534,10 +534,10 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
                for p in range(U)] if fmasks else None
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
-    stack = _Recorder([(0, 0, 0, 0, group, len(tmasks))])
+    stack = _Recorder([(0, 0, 0, 0, group)])
     solver._search((tmasks, cover, fmasks, forb_at, U), stack,
                    (U if U <= 16 else CAP) + 1, None, False)
-    for inc, exc, _cov, _k, grp, _reach in stack.pushed:
+    for inc, exc, _cov, _k, grp in stack.pushed:
         if grp is None:
             continue
         inc_pts = [x for x in range(U) if inc >> x & 1]
@@ -547,10 +547,11 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
             assert sorted(g[x] for x in exc_pts) == exc_pts
 
 
-# A search cut at L nodes leaves its open subtrees on the stack; finishing
-# each of them on its own must visit exactly the nodes the uncut run
-# visits.  The incumbent is the optimum from the start, so no prune depends
-# on the order in which the subtrees run.
+# A search cut at L units of work (nodes popped plus children closed at
+# their parent) leaves its open subtrees on the stack; finishing each of
+# them on its own must visit exactly the nodes the uncut run visits.  The
+# incumbent is the optimum from the start, so no prune depends on the
+# order in which the subtrees run.
 RESUME_LIMITS = (1, 7, 50, 300)
 
 
@@ -560,22 +561,29 @@ def _check_resume(U, tmasks, fmasks, seeds, cap):
                for p in range(U)] if fmasks else None
     inst = (tmasks, cover, fmasks, forb_at, U)
     orbital = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, fmasks))
-    opt = solver._search(inst, [(0, 0, 0, 0, None, len(tmasks))],
+    opt = solver._search(inst, [(0, 0, 0, 0, None)],
                          cap + 1, None, False)[0]
     for group in (None, orbital):
-        whole = solver._search(inst, [(0, 0, 0, 0, group, len(tmasks))],
+        whole = solver._search(inst, [(0, 0, 0, 0, group)],
                                opt, None, False)
         assert whole[1] is None and whole[3] is None
         for limit in RESUME_LIMITS:
-            stack = [(0, 0, 0, 0, group, len(tmasks))]
+            stack = [(0, 0, 0, 0, group)]
             cut = solver._search(inst, stack, opt, None, False, limit=limit)
             assert cut[3] == (solver.LIMIT if stack else None)
-            assert cut[2] == (limit if stack else whole[2])
+            # the limit is checked before each pop, and one pop adds itself
+            # and at most one closed child per point
+            work = cut[2] + cut[6]
+            if stack:
+                assert limit <= work <= limit + U
+            else:
+                assert (cut[2], cut[6]) == (whole[2], whole[6])
             rest = [solver._search(inst, [state], opt, None, False)
                     for state in stack]
             assert all(r[1] is None and r[3] is None for r in rest)
             assert cut[2] + sum(r[2] for r in rest) == whole[2]
             assert cut[4] + sum(r[4] for r in rest) == whole[4]
+            assert cut[6] + sum(r[6] for r in rest) == whole[6]
 
 
 @pytest.mark.parametrize("kind,n,q,rows,scope,nontrivial", [
