@@ -135,7 +135,12 @@ def _traces(comp, d, scope):
 
 
 def _check_listable(comp, d, scope):
-    """Raises the TooLarge that _traces(comp, d, scope) would raise."""
+    """Raises TooLarge where _traces(comp, d, scope) would, as far as that
+    is known without counting contained flats: under touching scope, or
+    under contained scope when the complement is the whole space, once the
+    space's d-flats are too many to list.  Contained scope short of the
+    whole space checks nothing here; _traces counts those flats, and may
+    refuse them, only when it lists them."""
     sp = comp.space
     if scope == TOUCHING:
         check_trace_enumeration(sp, d)
@@ -157,8 +162,8 @@ def build_instance(sp, arr, t, scope=CONTAINED):
     """Geometric constructor: universe = complement of arr in sp, family =
     traces of (n-t)-flats under the given scope, forbidden = traces of
     t-flats under the same scope.  At t = n - t the forbidden list is the
-    family; otherwise it is listed on first read (its guard is checked
-    here, so a level too large to list still raises TooLarge at once)."""
+    family; otherwise it is listed on first read (_check_listable runs
+    here, so a level it refuses raises TooLarge at once)."""
     if scope not in SCOPES:
         raise ValueError("scope must be one of %s" % (SCOPES,))
     if not 1 <= t <= sp.n:
@@ -276,7 +281,9 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
         raise TooLarge("universe of %d points exceeds the search cap %d"
                        % (len(inst.universe), SEARCH_UNIVERSE_CAP))
     if not inst.family:
-        return SearchResult("vacuous", 0, (), 0, time.monotonic() - start)
+        # the stats of a search that ran no node
+        return SearchResult("vacuous", 0, (), 0, time.monotonic() - start,
+                            {"closed_children": 0, "pool_tasks": 0})
     tmasks, fmasks = _masks(inst, require_nontrivial)
     stats = {}
     size, wmask, nodes = solver.solve_masks(
@@ -284,19 +291,15 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
         size_cap=size_cap, time_budget=time_budget, workers=workers,
         stats=stats, seeds=_seeds(inst))
     elapsed = time.monotonic() - start
-    sym = stats.get("symmetry")
-    work = {k: stats.get(k, 0) for k in ("closed_children", "pool_tasks")}
     if size is None:
-        return SearchResult("not-exists", None, None, nodes, elapsed, sym,
-                            **work)
+        return SearchResult("not-exists", None, None, nodes, elapsed, stats)
     witness = tuple(inst.universe[b] for b in solver._mask_bits(wmask))
     if not is_blocking(inst, witness):
         raise InternalError("search witness %r does not block" % (witness,))
     if require_nontrivial and not is_nontrivial(inst, witness):
         raise InternalError("search witness %r swallows a forbidden trace"
                             % (witness,))
-    return SearchResult("exists", size, witness, nodes, elapsed, sym,
-                        stats.get("witness_nodes"), **work)
+    return SearchResult("exists", size, witness, nodes, elapsed, stats)
 
 
 def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None,

@@ -78,16 +78,8 @@ def _instance_block(inst):
 
 
 def _search_stats(res):
-    """The stats block of a SearchResult, or of a SearchTimeout."""
-    stats = {"nodes": res.nodes, "closed_children": res.closed_children,
-             "pool_tasks": res.pool_tasks, "elapsed": res.elapsed}
-    if res.symmetry is not None:
-        stats["symmetry"] = res.symmetry
-    # a SearchTimeout has no witness phase to count
-    witness_nodes = getattr(res, "witness_nodes", None)
-    if witness_nodes is not None:
-        stats["witness_nodes"] = witness_nodes
-    return stats
+    """The stats block of a SearchResult, a timeout's included."""
+    return dict(res.stats, nodes=res.nodes, elapsed=res.elapsed)
 
 
 def _emit(args, command, payload, stats=None):
@@ -240,9 +232,9 @@ def cmd_search(args):
         res = solve_instance(inst, args.convention, size_cap=args.cap,
                              time_budget=args.budget, workers=args.workers)
     except SearchTimeout as exc:
-        payload["result"] = {"verdict": "timeout", "size": None, "witness": None}
+        payload["result"] = _result_block(sp, exc.result)
         payload["instance"] = _instance_block(inst)
-        _emit(args, "search", payload, stats=_search_stats(exc))
+        _emit(args, "search", payload, stats=_search_stats(exc.result))
         return 3
     payload["result"] = _result_block(sp, res)
     if res.verdict == "vacuous":
@@ -266,9 +258,10 @@ def cmd_search(args):
                 inst, require_nontrivial=(args.convention == "nontrivial"),
                 size_cap=args.cap, time_budget=budget)
         except SearchTimeout as exc:
-            payload["oracle"] = {"verdict": "timeout", "size": None, "witness": None}
+            payload["oracle"] = _result_block(sp, exc.result)
             stats = _search_stats(res)
-            stats["oracle"] = {"subsets": exc.nodes, "elapsed": exc.elapsed}
+            stats["oracle"] = {"subsets": exc.result.nodes,
+                               "elapsed": exc.result.elapsed}
             payload["instance"] = _instance_block(inst)
             _emit(args, "search", payload, stats=stats)
             return 3

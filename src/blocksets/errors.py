@@ -1,5 +1,6 @@
 """Domain errors. Everything user-facing derives from BlocksetsError so the
-CLI can map any domain failure to exit code 2 (bad input) in one place."""
+CLI can map any domain failure to an exit code in one place: 3 for a
+SearchTimeout, 2 (bad input) for every other BlocksetsError."""
 
 
 class BlocksetsError(Exception):
@@ -67,16 +68,10 @@ class IdenticalPoints(BlocksetsError):
 
 
 class SearchTimeout(BlocksetsError):
-    """Search exceeded its time budget before reaching a verdict.  Carries
-    the search's symmetry record when it computed the group (as
-    SearchResult.symmetry), else None, and its work counts so far, as a
-    SearchResult does."""
+    """Search exceeded its time budget before reaching a verdict.  `result`
+    is the search's SearchResult so far: verdict "timeout", no size or
+    witness, and the nodes, elapsed time and stats it had reached."""
 
-    def __init__(self, message, nodes=0, elapsed=0.0, symmetry=None,
-                 closed_children=0, pool_tasks=0):
+    def __init__(self, message, result):
         super().__init__(message)
-        self.nodes = nodes
-        self.elapsed = elapsed
-        self.symmetry = symmetry
-        self.closed_children = closed_children
-        self.pool_tasks = pool_tasks
+        self.result = result

@@ -495,7 +495,8 @@ def _combine(coeffs, rows, fq):
     acc = [0] * len(rows[0])
     for c, row in zip(coeffs, rows):
         if c:
-            acc = [add[x][mul[c][y]] for x, y in zip(acc, row)]
+            mc = mul[c]
+            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
     return tuple(acc)
 
 

@@ -60,7 +60,7 @@ phase happened to find.
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from math import comb, inf
 
@@ -74,15 +74,12 @@ LIMIT = "limit"        # _search stopped early: work limit reached
 
 @dataclass
 class SearchResult:
-    verdict: str          # exists | not-exists | vacuous
+    verdict: str          # exists | not-exists | vacuous | timeout
     size: int = None
     witness: tuple = None  # sorted point indices; () for vacuous
     nodes: int = 0
     elapsed: float = 0.0
-    symmetry: dict = None  # solve_masks' symmetry record, when it made one
-    witness_nodes: int = None  # nodes of the witness phase, when it ran
-    closed_children: int = 0  # children closed at their parent, not in nodes
-    pool_tasks: int = 0  # open subtrees handed to the --workers pool
+    stats: dict = field(default_factory=dict)  # solve_masks' `stats`
 
 
 # bin() digits as bytes 0 and 1, so that compress() keeps the set bits
@@ -409,21 +406,21 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     the family's incidences, the points of the family traces; forbidden
     traces prune children but add no branches, so they add nothing to the
     limit.  Only a search that needs more than that pays for the
-    automorphism group, and only when `seeds` is given: `stats` (a dict,
-    when given) gets a "symmetry" record, which a SearchTimeout raised
-    after the group is computed carries too, and a nontrivial group
-    restarts the search from the root with orbital branching, keeping the
-    probe's incumbent.  `seeds` is handed to symmetry.automorphisms as it
-    is: the solver neither builds nor reads it, and symmetry fills the
-    record's group fields.  With no seeds, or a trivial group, the search
+    automorphism group, and only when `seeds` is given: `stats` gets a
+    "symmetry" record, and a nontrivial group restarts the search from the
+    root with orbital branching, keeping the probe's incumbent.  `seeds`
+    is handed to symmetry.automorphisms as it is: the solver neither
+    builds nor reads it, and symmetry fills the record's group fields.  With no seeds, or a trivial group, the search
     goes on from the probe's own stack, so its nodes are the uncut plain
     search's.  The witness phase never uses the group.
 
-    `stats` also gets "closed_children", the children closed at their
-    parent over the whole search, which `nodes` does not count, and
-    "pool_tasks", the open subtrees handed to the pool under `workers` (0
-    when none); a SearchTimeout carries both.  Once an optimum is found it
-    gets "witness_nodes", the witness phase's share of the nodes."""
+    `stats` (a dict, made here when not given) also gets
+    "closed_children", the children closed at their parent over the whole
+    search, which `nodes` does not count, and "pool_tasks", the open
+    subtrees handed to the pool under `workers` (0 when none).  Once an
+    optimum is found it gets "witness_nodes", the witness phase's share of
+    the nodes.  A SearchTimeout carries the dict as far as it got, in a
+    SearchResult with verdict "timeout"."""
     start = time.monotonic()
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
@@ -434,27 +431,24 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         if forb_masks else None
     inst = (trace_masks, cover, forb_masks, forb_at, U)
     nodes = 0
-    closed = 0
-    tasks = 0
+    if stats is None:
+        stats = {}
+    stats.update(closed_children=0, pool_tasks=0)
     sym = None
-
-    def timeout():
-        return SearchTimeout("search exceeded its time budget",
-                             nodes=nodes, elapsed=time.monotonic() - start,
-                             symmetry=sym, closed_children=closed,
-                             pool_tasks=tasks)
 
     def tally(result):
         """Counts a search's work; raises if it ran out of time."""
-        nonlocal nodes, closed
-        b, found, n, stop, skipped, group_s, c = result
+        nonlocal nodes
+        b, found, n, stop, skipped, group_s, closed = result
         nodes += n
-        closed += c
+        stats["closed_children"] += closed
         if sym is not None:
             sym["skipped"] += skipped
             sym["seconds"] += group_s
         if stop == DEADLINE:
-            raise timeout()
+            raise SearchTimeout("search exceeded its time budget", SearchResult(
+                "timeout", nodes=nodes, elapsed=time.monotonic() - start,
+                stats=stats))
         return b, found
 
     # best stays cap + 1 with incumbent None until a cover within the cap is
@@ -482,7 +476,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         # process that imports the package would compile it
         from . import symmetry
         t0 = time.perf_counter()
-        sym = {"probe_nodes": nodes, "skipped": 0}
+        sym = stats["symmetry"] = {"probe_nodes": nodes, "skipped": 0}
         group = symmetry.automorphisms(seeds, trace_masks, forb_masks, sym)
         sym["seconds"] = time.perf_counter() - t0
         if group is not None:
@@ -499,7 +493,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
             payloads = [(inst, state, best, budget) for state in reversed(stack)]
-            tasks = len(payloads)
+            stats["pool_tasks"] = len(payloads)
             stack = []
             # imported here for the same reason: it loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -508,11 +502,6 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                     bound(result)
     # one serial search finishes what the stack still holds, if anything
     bound(_search(inst, stack, best, deadline, False))
-    if stats is not None:
-        if sym is not None:
-            stats["symmetry"] = sym
-        stats["closed_children"] = closed
-        stats["pool_tasks"] = tasks
     if best > cap:
         return None, None, nodes
 
@@ -538,9 +527,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             witness = _mask_bits(found)
         prefix_mask |= 1 << witness[pos]
         prefix_cov |= cover[witness[pos]]
-    if stats is not None:
-        stats["witness_nodes"] = nodes - bound_nodes
-        stats["closed_children"] = closed  # now with the witness phase's
+    stats["witness_nodes"] = nodes - bound_nodes
     return best, prefix_mask, nodes
 
 
@@ -602,8 +589,8 @@ def oracle_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         push = stack.append
         while stack:
             if deadline is not None and not pops % 2048 and time.monotonic() > deadline:
-                raise SearchTimeout("oracle exceeded its time budget",
-                                    nodes=checked, elapsed=time.monotonic() - start)
+                raise SearchTimeout("oracle exceeded its time budget", SearchResult(
+                    "timeout", nodes=checked, elapsed=time.monotonic() - start))
             pops += 1
             lo, r, cov, pm = pop()
             left = full ^ cov

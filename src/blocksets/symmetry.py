@@ -45,7 +45,7 @@ from functools import reduce
 from math import prod
 
 from .errors import InternalError
-from .geometry import AFFINE, _reduce_by_rows, rref
+from .geometry import AFFINE, _combine, _reduce_by_rows, rref
 from .solver import _mask_bits
 
 
@@ -124,17 +124,6 @@ def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
     if stats is not None:
         stats.update(order=order, generators=len(restricted))
     return Group(tuple(restricted), order, len(pts), chain) if chain else None
-
-
-def _combine(coefs, rows, fq):
-    """The sum of c * row over the pairs, a list."""
-    add, mul = fq.add_table, fq.mul_table
-    acc = [0] * len(rows[0])
-    for c, row in zip(coefs, rows):
-        if c:
-            mc = mul[c]
-            acc = [add[x][mc[y]] for x, y in zip(acc, row)]
-    return acc
 
 
 def _normalized(v, fq):

@@ -184,7 +184,7 @@ def test_affine_hyperplane_blocking_known_answers(n, q):
     res = min_blocking_set(inst, time_budget=30.0)
     assert (res.verdict, res.size) == ("exists", n * (q - 1) + 1)
     assert is_blocking(inst, res.witness) and is_minimal(inst, res.witness)
-    assert res.symmetry is not None and res.symmetry["skipped"] > 0
+    assert res.stats["symmetry"]["skipped"] > 0
     assert time.monotonic() - start < 30.0
 
 

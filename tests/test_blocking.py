@@ -470,8 +470,8 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
     plain = solver._search((tmasks, cover, fmasks, forb_at, U),
                            [(0, 0, 0, 0, None)], 9, None, False)
     res = min_blocking_set(custom, require_nontrivial=True, size_cap=8)
-    assert (res.verdict, res.symmetry) == ("not-exists", None)
-    assert (res.nodes, res.closed_children) == (plain[2], plain[6])
+    assert (res.verdict, res.stats.get("symmetry")) == ("not-exists", None)
+    assert (res.nodes, res.stats["closed_children"]) == (plain[2], plain[6])
     # the probe's work, limited to the family's incidences, did not finish
     assert plain[2] + plain[6] > sum(m.bit_count() for m in tmasks)
 
@@ -488,18 +488,18 @@ def test_a_trivial_group_goes_on_from_the_probe():
     inst = build_instance(sp, arr, 1, "touching")
     res = solve_instance(inst, "plain")
     assert (len(inst.universe), res.verdict, res.size) == (22, "exists", 11)
-    sym = {k: res.symmetry[k] for k in ("order", "generators", "probe_nodes",
-                                         "skipped")}
+    sym = {k: res.stats["symmetry"][k]
+           for k in ("order", "generators", "probe_nodes", "skipped")}
     assert sym == {"order": 1, "generators": 0, "probe_nodes": 142,
                    "skipped": 0}
-    assert (res.nodes, res.witness_nodes) == (305, 65)
+    assert (res.nodes, res.stats["witness_nodes"]) == (305, 65)
     U = len(inst.universe)
     tmasks, _ = blocking._masks(inst, False)
     plain_inst = (tmasks, solver._cover_masks(len(tmasks), tmasks, U), [], None, U)
     best0 = solver._greedy_incumbent(*plain_inst).bit_count()
     plain = solver._search(plain_inst, [(0, 0, 0, 0, None)],
                            best0, None, False)
-    assert res.nodes - res.witness_nodes == plain[2]
+    assert res.nodes - res.stats["witness_nodes"] == plain[2]
 
 
 def test_the_probe_is_limited_by_the_family_incidences(monkeypatch):
@@ -551,8 +551,8 @@ def test_pool_tasks_count_the_tasks_handed_out(monkeypatch):
                               workers=2)
     assert serial.size == 12
     assert (pooled.size, pooled.witness) == (serial.size, serial.witness)
-    assert serial.pool_tasks == 0
-    assert pooled.pool_tasks == len(_InlinePool.tasks) > 0
+    assert serial.stats["pool_tasks"] == 0
+    assert pooled.stats["pool_tasks"] == len(_InlinePool.tasks) > 0
 
 
 def _no_pool(*args, **kwargs):

@@ -97,6 +97,49 @@ def test_witness_phase_nodes_in_stats(capsys):
     assert "witness_nodes" not in capped["stats"]
 
 
+def test_stats_keys_for_each_outcome(capsys, tmp_path):
+    """The stats block's keys, and those of its nested records, for every
+    outcome that reports stats.  Only a finished optimum has a witness
+    phase, only a search past its probe a symmetry record, and a vacuous
+    family runs no search, so its counts are 0."""
+    base = {"nodes", "closed_children", "pool_tasks", "elapsed"}
+    pg5 = ("--space", "pg", "--n", "2", "--q", "5", "--t", "1",
+           "--convention", "nontrivial")
+    line = tmp_path / "line.txt"
+    line.write_text("projective 2 3\n1 0 0\n")
+    cases = [
+        # exists, without and with a group
+        (("search", "--space", "pg", "--n", "2", "--q", "3", "--t", "1"),
+         0, base | {"witness_nodes"}),
+        (("search", *pg5), 0, base | {"witness_nodes", "symmetry"}),
+        # not-exists under --cap
+        (("search", *pg5, "--cap", "8"), 0, base | {"symmetry"}),
+        # vacuous
+        (("search", str(line), "--t", "1"), 0, base),
+        # the search times out long after its group is computed
+        (("search", "--space", "ag", "--n", "2", "--q", "9", "--t", "1",
+          "--budget", "1"), 3, base | {"symmetry"}),
+        # the search proves not-exists at once, and the oracle times out
+        (("search", *pg5, "--cap", "8", "--oracle", "--budget", "0.5"),
+         3, base | {"symmetry", "oracle"}),
+        (("braid", "--kind", "ag", "--n", "3", "--q", "4", "--t", "1",
+          "--scope", "touching"), 0, base | {"witness_nodes", "symmetry"}),
+    ]
+    for argv, want, keys in cases:
+        code, out, _ = run(capsys, *argv)
+        stats = json.loads(out)["stats"]
+        assert (code, set(stats)) == (want, keys), argv
+        if "symmetry" in keys:
+            assert set(stats["symmetry"]) == {"order", "generators",
+                                              "probe_nodes", "skipped",
+                                              "seconds"}
+        if "oracle" in keys:
+            assert set(stats["oracle"]) == {"subsets", "elapsed"}
+    vacuous = run_json(capsys, "search", str(line), "--t", "1")["stats"]
+    assert (vacuous["nodes"], vacuous["closed_children"],
+            vacuous["pool_tasks"]) == (0, 0, 0)
+
+
 def test_search_pinned_minimum(capsys):
     rep = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q", "3",
                    "--t", "1", "--convention", "nontrivial")
