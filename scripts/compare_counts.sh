@@ -5,7 +5,9 @@
 # searches once under each PYTHONPATH, prints `stats.nodes`,
 # `stats.symmetry.order` (1 when the search computed no group),
 # `stats.elapsed` and `stats.symmetry.seconds` (0 with no group) per row
-# for both, and exits 1 when a node count or a group order differs.  The
+# for both, and exits 1 when a node count or a group order differs, after
+# a verdict line: either every differing row went down with its group
+# order equal, or the rows whose nodes went up or whose order changed.  The
 # times are for reading only: one run each, unscaled, so they show a
 # search or group change on the rows the benchmark does not run (AG(2,8),
 # AG(4,3), braid AG(3,5)) but decide nothing.  The rows
@@ -79,5 +81,26 @@ if cmp -s <(sed 's/  elapsed .*//' "$tmp/ref.txt") \
     echo "all counts equal"
 else
     echo "counts differ" >&2
+    # the verdict: did every differing row go down, its group order kept?
+    python3 - "$tmp/ref.txt" "$tmp/tree.txt" <<'PY'
+import re, sys
+
+def rows(path):
+    out = {}
+    for line in open(path):
+        m = re.match(r"(.*?)\s+nodes\s+(\d+)\s+order (\d+)", line)
+        out[m[1]] = (int(m[2]), int(m[3]))
+    return out
+
+ref, tree = rows(sys.argv[1]), rows(sys.argv[2])
+up = [name for name in ref if tree[name][0] > ref[name][0]]
+moved = [name for name in ref if tree[name][1] != ref[name][1]]
+down = sum(tree[name][0] < ref[name][0] for name in ref)
+if up or moved:
+    print("verdict: nodes up on %s; group order changed on %s" % (
+        ", ".join(up) or "no row", ", ".join(moved) or "no row"))
+else:
+    print("verdict: all differing rows down (%d), group orders equal" % down)
+PY
     exit 1
 fi

@@ -286,10 +286,15 @@ def min_blocking_set(inst, require_nontrivial=False, size_cap=None,
                             {"closed_children": 0, "pool_tasks": 0})
     tmasks, fmasks = _masks(inst, require_nontrivial)
     stats = {}
-    size, wmask, nodes = solver.solve_masks(
-        len(inst.universe), tmasks, fmasks,
-        size_cap=size_cap, time_budget=time_budget, workers=workers,
-        stats=stats, seeds=_seeds(inst))
+    try:
+        size, wmask, nodes = solver.solve_masks(
+            len(inst.universe), tmasks, fmasks,
+            size_cap=size_cap, time_budget=time_budget, workers=workers,
+            stats=stats, seeds=_seeds(inst))
+    except SearchTimeout as exc:
+        # timed from here, as a verdict is: the mask build counts too
+        exc.result.elapsed = time.monotonic() - start
+        raise
     elapsed = time.monotonic() - start
     if size is None:
         return SearchResult("not-exists", None, None, nodes, elapsed, stats)
@@ -315,9 +320,13 @@ def exhaustive_oracle(inst, require_nontrivial=False, size_cap=None,
     if not inst.family:
         return SearchResult("vacuous", 0, (), 0, time.monotonic() - start)
     tmasks, fmasks = _masks(inst, require_nontrivial)
-    size, wmask, checked = solver.oracle_masks(
-        len(inst.universe), tmasks, fmasks, size_cap=size_cap,
-        time_budget=time_budget)
+    try:
+        size, wmask, checked = solver.oracle_masks(
+            len(inst.universe), tmasks, fmasks, size_cap=size_cap,
+            time_budget=time_budget)
+    except SearchTimeout as exc:
+        exc.result.elapsed = time.monotonic() - start  # as min_blocking_set's
+        raise
     elapsed = time.monotonic() - start
     if size is None:
         return SearchResult("not-exists", None, None, checked, elapsed)

@@ -11,9 +11,10 @@ at most the sum of the r largest degrees of undecided points, a degree
 counting the uncovered traces through a point.  The packing gets sharper
 as exclusions accumulate, which is what makes projective instances (where
 any two traces meet) tractable.  A parent pushes only the children that
-can open: a child's own counting bound allows it no more uncovered traces
-than the sum of its parent's need - 2 largest degrees, so a child whose
-point leaves more than that closes at its parent, unbuilt.
+can open: child i's own counting bound allows it no more uncovered traces
+than the sum of the need - 2 largest parent degrees of the points left
+undecided once p_0..p_i, the points tried up to its own, are decided, so a
+child whose point leaves more than that closes at its parent, unbuilt.
 A search that outgrows a probe also prunes by symmetry (orbital
 branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
@@ -39,11 +40,16 @@ packing, trace for trace; and since packed point sets are disjoint they
 touch each undecided point at most once, where the scan touches every
 uncovered trace.  A dead trace or a packing of need traces closes the node
 there.  Then the counting bound runs, from the degrees of the undecided
-points, and only a node it leaves open scans its traces.  The scan costs
-time linear in the node's uncovered traces: they are listed from the
-binary digits of one mask (_mask_bits), and each point's cover mask is
-built once, before the search.  The incumbent the search starts from is a
-lazy greedy cover that picks the same points as a full rescan would.
+points, and only a node it leaves open scans its traces.  The degrees are
+carried, not rebuilt: a state holds a packed counter (_Counters), one int
+whose field x is point x's degree, and a node subtracts from its parent's
+counter the indicators of the few traces its point newly covers, then
+reads its undecided points' fields from the counter's bytes and sorts
+them, all in C.  The scan costs time linear in the node's uncovered
+traces: they are listed from the binary digits of one mask (_mask_bits),
+and each point's cover mask is built once, before the search.  The
+incumbent the search starts from is a lazy greedy cover that picks the
+same points as a full rescan would.
 
 The search runs on an explicit stack of open subtrees, and a run cut short
 by a work limit (nodes popped plus children closed at their parent) leaves
@@ -59,6 +65,8 @@ phase happened to find.
 """
 
 import heapq
+import struct
+import sys
 import time
 from dataclasses import dataclass, field
 from itertools import compress
@@ -130,6 +138,62 @@ def _cover_masks(ntraces, trace_masks, npoints):
     return cover
 
 
+class _Counters(dict):
+    """Packed degree counters over one instance.  A counter is an int whose
+    w-byte field x holds point x's degree, the number of traces of some set
+    through x; w is the width of the narrowest native unsigned type (struct
+    format `code`) that holds the largest degree at the root, over all
+    traces.  The fields are laid out in native byte order, so a memoryview
+    cast reads them back, and since no field ever drops below 0,
+    subtracting counters subtracts field by field.  The dict maps a trace
+    index to its indicator, the counter of that trace alone (1 in the field
+    of each of its points), and `root` is the counter of every trace.
+    Nothing is built before a search needs it: the layout (`code`, `width`,
+    the counter's `size` in bytes, and `root_degrees`, from which `code`
+    follows) and `root` on first use, each indicator on its trace's first."""
+
+    def __init__(self, trace_masks, cover):
+        super().__init__()
+        self.trace_masks = trace_masks
+        self.cover = cover
+
+    def __getattr__(self, name):
+        # reached only while the attribute is unset: set it, once
+        if name == "root":
+            self.root = self.pack(self.root_degrees)
+        elif name in ("root_degrees", "code", "width", "size"):
+            degs = self.root_degrees = list(map(int.bit_count, self.cover))
+            top = max(degs, default=0)
+            self.code = next(c for c in "BHIL" if top < 1 << 8 * struct.calcsize(c))
+            self.width = struct.calcsize(self.code)
+            self.size = len(degs) * self.width
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
+
+    def __missing__(self, ti):
+        # _mask_bits' digits: byte x is 1 exactly when the trace holds x,
+        # and it goes to the low byte of field x
+        fields = bin(self.trace_masks[ti])[:1:-1].encode().translate(_BIN_FLAGS)
+        w = self.width
+        if w > 1:
+            flags = fields
+            low = 0 if sys.byteorder == "little" else w - 1
+            fields = bytearray(self.size)
+            fields[low:low + len(flags) * w:w] = flags
+        ind = self[ti] = int.from_bytes(fields.ljust(self.size, b"\0"),
+                                        sys.byteorder)
+        return ind
+
+    def count(self, rem):
+        """The counter of the traces in `rem`, built from scratch."""
+        return self.pack([(c & rem).bit_count() for c in self.cover])
+
+    def pack(self, degs):
+        return int.from_bytes(struct.pack("%d%s" % (len(degs), self.code), *degs),
+                              sys.byteorder)
+
+
 def _violates(inc, forb_idx, forb_masks):
     for fi in forb_idx:
         f = forb_masks[fi]
@@ -138,13 +202,26 @@ def _violates(inc, forb_idx, forb_masks):
     return False
 
 
-def _search(inst, stack, best0, deadline, first_only, limit=None):
+def _search(inst, stack, best0, deadline, first_only, limit=None,
+            counters=None):
     """Core branch and bound, run on `stack`: a list of states (inc, exc,
-    cov, k, group), taken from its end.  `inst` is (trace_masks, cover,
-    forb_masks, forb_at, npoints).  Returns (best, best_inc, nodes, stop,
-    skipped, group_s, closed); best is the smallest solution size < best0
-    reached from the states, or best0 if none (best_inc None in that case);
-    stop is DEADLINE or LIMIT when the search ended early, else None.
+    cov, k, group, cnt, pcov), taken from its end.  `inst` is (trace_masks,
+    cover, forb_masks, forb_at, npoints), and `counters` the instance's
+    _Counters, made here when not given (a caller that runs several
+    searches passes one, so each indicator is built once).  Returns (best,
+    best_inc, nodes, stop, skipped, group_s, closed); best is the smallest
+    solution size < best0 reached from the states, or best0 if none
+    (best_inc None in that case); stop is DEADLINE or LIMIT when the search
+    ended early, else None.
+
+    A state's cnt is the packed counter of the traces outside pcov, a
+    subset of cov, or None for the counter of every trace (pcov 0: a root
+    or a witness-scan state).  Only a node that runs the counting bound
+    brings it up to date: it subtracts the indicators of the cov ^ pcov
+    traces, or, when those outnumber the points, counts afresh, one bit
+    count per point instead of one subtraction per trace.  Its children
+    then hold the node's counter and its cov; a node that did not count
+    (need 2) hands on its own pair, still valid below it.
 
     A popped state is checked and, unless settled or pruned, replaced by
     the children that can open, pushed in reverse, so they are visited in
@@ -187,15 +264,22 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     which finds the remaining dead traces and packings and the trace to
     branch on.
 
-    Child i has nrem - deg(p_i) uncovered traces, one point more and no
-    larger degrees than its parent, so its own counting bound closes it
-    when that count is more than the sum of the parent's need - 2 largest
-    degrees: 0 at need 2, where only a child that covers everything opens.
-    The points are branched on in order of falling degree, so the children
-    that can open come first, and the rest close at their parent: they
-    are neither built nor pushed, take no part in the orbits, and only
-    later siblings, which close too, would exclude them.  So the pushed
-    children and their exclusions are those of the whole list."""
+    Child i has nrem - deg(p_i) uncovered traces, need - 1 and no larger
+    degrees than its parent, and its undecided points lie among the
+    parent's less p_0..p_i (it includes p_i and excludes the earlier
+    ones).  So its own counting bound closes it when that count is more
+    than fit_i, the sum of the need - 2 largest parent degrees of und less
+    p_0..p_i: 0 at need 2, where only a child that covers everything
+    opens.  The points are branched on in order of falling degree, so
+    nrem - deg(p_i) never falls as i grows, and fit_i never rises, since
+    each step takes one more degree out of the same list.  The children
+    that can open therefore come first, and the rest close at their
+    parent: they are neither built nor pushed, take no part in the orbits,
+    and only later siblings, which close too, would exclude them.  So the
+    pushed children and their exclusions are those of the whole list.
+    fit_i costs O(1) per child: as the points leave in falling order, one
+    whose degree is at least the largest one left out of fit gives way to
+    it, and once one is below, every later one is too."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
@@ -207,6 +291,10 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
     node_cap = inf if limit is None else limit
     if any(state[4] is not None for state in stack):
         from .symmetry import branch
+    if counters is None:
+        counters = _Counters(trace_masks, cover)
+    indicator = counters.__getitem__
+    order = sys.byteorder
     best = best0
     best_inc = None
     bit_count = int.bit_count
@@ -218,7 +306,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             return best, best_inc, nodes, LIMIT, skipped, group_s, closed
         if deadline is not None and not nodes % 2048 and time.monotonic() > deadline:
             return best, best_inc, nodes, DEADLINE, skipped, group_s, closed
-        inc, exc, cov, k, grp = pop()
+        inc, exc, cov, k, grp, cnt, pcov = pop()
         nodes += 1
         if cov == full:
             if k < best:
@@ -244,7 +332,6 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
                 opts ^= b
             if not opts:
                 continue
-            fit = 0  # a child that is not a cover closes
         else:
             if nrem > bit_count(und):
                 # the scan's first-fit packing, found by jumping: the next
@@ -274,12 +361,25 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             # counting bound: need - 1 points cover at most the need - 1
             # largest degrees, each counted in uncovered traces.  A point
             # on no uncovered trace only pads the list with a 0
-            degs = sorted([bit_count(cover[p] & rem) for p in mask_bits(und)],
+            new = cov ^ pcov  # the traces covered since cnt was counted
+            if bit_count(new) > npoints:
+                # a rebuild counts each point once, an update each trace
+                cnt = counters.count(rem)
+            else:
+                if cnt is None:
+                    cnt = counters.root
+                while new:  # few traces: peeled, not listed
+                    b = new & -new
+                    cnt -= indicator(b.bit_length() - 1)
+                    new ^= b
+            pcov = cov
+            deg = cnt.to_bytes(counters.size, order)
+            if counters.width > 1:
+                deg = memoryview(deg).cast(counters.code)
+            degs = sorted(compress(deg, bin(und)[:1:-1].encode().translate(_BIN_FLAGS)),
                           reverse=True)
             if sum(degs[:need - 1]) < nrem:
                 continue
-            # the most uncovered traces a child's counting bound leaves open
-            fit = sum(degs[:need - 2])
         # the scan: a dead trace or a packing of need traces closes the
         # node, and the trace with the fewest undecided points is the one
         # to branch on
@@ -304,13 +404,29 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
         # a dead trace
         if not opts or pack >= need:
             continue
-        # the branching points by falling degree, then index; a child opens
-        # only when its point's degree is at least nrem - fit
-        order = sorted([(-bit_count(cover[p] & rem), p)
-                        for p in mask_bits(sel_opts)])
-        least = fit - nrem
-        pts = [p for d, p in order if d <= least]
-        closed += len(order) - len(pts)
+        if need == 2:
+            # only a child that covers everything opens
+            branching = mask_bits(sel_opts)
+            pts = [p for p in branching if cover[p] & rem == rem]
+        else:
+            # the branching points by falling degree, then index; child i
+            # opens when nrem - deg(p_i) <= fit_i, degs[top] being the
+            # largest degree left out of fit
+            branching = sorted(mask_bits(sel_opts), key=deg.__getitem__,
+                               reverse=True)  # stable: ties stay ascending
+            top = min(need - 2, len(degs))
+            fit = sum(degs[:top])
+            degs += [0] * len(branching)  # past the last point: nothing
+            pts = []
+            for p in branching:
+                d = deg[p]
+                if d >= degs[top]:
+                    fit += degs[top] - d
+                    top += 1
+                if fit < nrem - d:
+                    break
+                pts.append(p)
+        closed += len(branching) - len(pts)
         if not pts:
             continue
         # child i excludes the orbits of children 0..i-1 under the node's
@@ -334,7 +450,8 @@ def _search(inst, stack, best0, deadline, first_only, limit=None):
             p = pts[i]
             inc2 = inc | 1 << p
             if not (forb_at and _violates(inc2, forb_at[p], forb_masks)):
-                push((inc2, exc | excl, cov | cover[p], k + 1, groups[i]))
+                push((inc2, exc | excl, cov | cover[p], k + 1, groups[i],
+                      cnt, pcov))
     return best, best_inc, nodes, None, skipped, group_s, closed
 
 
@@ -430,6 +547,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     forb_at = [_mask_bits(c) for c in _cover_masks(len(forb_masks), forb_masks, U)] \
         if forb_masks else None
     inst = (trace_masks, cover, forb_masks, forb_at, U)
+    counters = _Counters(trace_masks, cover)
     nodes = 0
     if stats is None:
         stats = {}
@@ -468,8 +586,9 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             best, incumbent = b, found
 
     incidences = sum(m.bit_count() for m in trace_masks)
-    stack = [(0, 0, 0, 0, None)]
-    bound(_search(inst, stack, best, deadline, False, limit=incidences))
+    stack = [(0, 0, 0, 0, None, None, 0)]
+    bound(_search(inst, stack, best, deadline, False, limit=incidences,
+                  counters=counters))
     if stack and seeds is not None:
         # the probe left open subtrees: compute the group.  Imported here,
         # not at the top: only a search past the probe needs it, and every
@@ -482,13 +601,14 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         if group is not None:
             # restart with the group; a deadline that passed meanwhile
             # stops it at its first node
-            stack = [(0, 0, 0, 0, symmetry.state_group(group))]
+            stack = [(0, 0, 0, 0, symmetry.state_group(group), None, 0)]
     if workers > 1 and U >= PARALLEL_MIN_UNIVERSE:
         # the frontier: run a little work at a time until the open subtrees
         # are enough tasks for the pool, or none are left
         target = workers * 8
         while 0 < len(stack) < target:
-            bound(_search(inst, stack, best, deadline, False, limit=target))
+            bound(_search(inst, stack, best, deadline, False, limit=target,
+                          counters=counters))
         if len(stack) > 1:
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
@@ -501,7 +621,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                 for result in pool.map(_phase1_task, payloads, chunksize=1):
                     bound(result)
     # one serial search finishes what the stack still holds, if anything
-    bound(_search(inst, stack, best, deadline, False))
+    bound(_search(inst, stack, best, deadline, False, counters=counters))
     if best > cap:
         return None, None, nodes
 
@@ -521,10 +641,12 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
             inc0 = prefix_mask | pb
             if not (forb_at and _violates(inc0, forb_at[p], forb_masks)):
                 stack.append((inc0, (pb - 1) ^ prefix_mask,
-                              prefix_cov | cover[p], pos + 1, None))
-        _b, found = tally(_search(inst, stack, best + 1, deadline, True))
-        if found is not None:
-            witness = _mask_bits(found)
+                              prefix_cov | cover[p], pos + 1, None, None, 0))
+        if stack:  # no point below the witness's: nothing to search
+            _b, found = tally(_search(inst, stack, best + 1, deadline, True,
+                                      counters=counters))
+            if found is not None:
+                witness = _mask_bits(found)
         prefix_mask |= 1 << witness[pos]
         prefix_cov |= cover[witness[pos]]
     stats["witness_nodes"] = nodes - bound_nodes

@@ -71,7 +71,7 @@ def test_symmetry_stats_only_when_the_probe_does_not_settle(capsys):
     # the probe's work, its nodes and the children they close at their
     # parent, is limited to one unit per family incidence: 31 lines of 6
     # points, the forbidden lines adding nothing
-    assert sym["probe_nodes"] == 101 < 31 * 6
+    assert sym["probe_nodes"] == 71 < 31 * 6
     assert rep["stats"]["nodes"] > sym["probe_nodes"]
     assert "stats" not in run_json(capsys, "--no-meta", *big)
     braid = ("braid", "--kind", "ag", "--n", "3", "--q", "4", "--t", "1",
@@ -88,8 +88,8 @@ def test_witness_phase_nodes_in_stats(capsys):
     search that finds nothing within its cap has no witness phase."""
     argv = ("search", "--space", "ag", "--n", "4", "--q", "3", "--t", "1")
     stats = run_json(capsys, *argv)["stats"]
-    assert (stats["witness_nodes"], stats["nodes"]) == (17722, 21285)
-    assert (stats["closed_children"], stats["pool_tasks"]) == (3975, 0)
+    assert (stats["witness_nodes"], stats["nodes"]) == (12124, 14584)
+    assert (stats["closed_children"], stats["pool_tasks"]) == (11167, 0)
     assert "stats" not in run_json(capsys, "--no-meta", *argv)
     capped = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q",
                       "3", "--t", "1", "--cap", "3")

@@ -188,15 +188,16 @@ def degrees(cover, state, U, rem):
 def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
     """A looser test of which children open changes no answer, only the
     work: so pin it at the root, where every degree is a point's number of
-    traces.  An open root branches on its lowest trace of fewest points, in
-    order of falling degree, and pushes exactly the children whose
-    uncovered traces, F minus the point's degree, fit the sum of its need -
-    2 largest degrees (need = best0 here); the others close at the root,
-    counted apart from the nodes."""
+    traces.  An open root branches on its lowest trace of fewest points,
+    p_0, p_1, ... in order of falling degree, and pushes exactly the
+    children whose uncovered traces, F minus deg(p_i), fit the sum of the
+    need - 2 largest degrees (need = best0 here) of the points other than
+    p_0..p_i; the others close at the root, counted apart from the
+    nodes."""
     U, traces, _forb, _cap = inst
     F = len(traces)
     cover = solver._cover_masks(F, traces, U)
-    stack = [(0, 0, 0, 0, None)]
+    stack = [(0, 0, 0, 0, None, None, 0)]
     out = solver._search((traces, cover, [], None, U), stack, best0, None,
                          False, limit=1)
     want = []
@@ -205,8 +206,11 @@ def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
         sel = min(range(F), key=lambda ti: (traces[ti].bit_count(), ti))
         pts = sorted(peel_bits(traces[sel]),
                      key=lambda p: (-cover[p].bit_count(), p))
-        fit = sum(degrees(cover, (0, 0), U, (1 << F) - 1)[:best0 - 2])
-        want = [p for p in pts if F - cover[p].bit_count() <= fit]
+        for i, p in enumerate(pts):
+            tried = sum(1 << x for x in pts[:i + 1])
+            fit = sum(degrees(cover, (tried, 0), U, (1 << F) - 1)[:best0 - 2])
+            if F - cover[p].bit_count() <= fit:
+                want.append(p)
         branched = len(pts)
     assert [state[0] for state in reversed(stack)] == [1 << p for p in want]
     assert (out[2], out[6]) == (1, branched - len(want))
@@ -230,7 +234,7 @@ def test_no_pushed_child_closes_on_its_parents_counting_bound(inst):
                for p in range(U)] if forb else None
     top = U if cap is None else min(cap, U)
     best0 = top + 1 if want[0] is None else want[0]
-    stack = _Recorder([(0, 0, 0, 0, None)])
+    stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
     out = solver._search((traces, cover, forb, forb_at, U), stack, best0,
                          None, False)
     assert out[1] is None
@@ -309,11 +313,110 @@ def test_node_closes_exactly_on_the_stated_bounds(node):
     its children or closing them at itself."""
     U, traces, inc, exc, k, best0 = node
     cover = solver._cover_masks(len(traces), traces, U)
-    stack = [(inc, exc, union_cover(cover, inc), k, None)]
+    stack = [(inc, exc, union_cover(cover, inc), k, None,
+              None, 0)]
     closed = solver._search((traces, cover, [], None, U), stack, best0, None,
                             False, limit=1)[6]
     assert (stack == [] and closed == 0) == \
         reference_node_closes(traces, cover, inc, exc, k, best0, U)
+
+
+@settings(max_examples=600, deadline=None)
+@given(search_nodes())
+def test_children_closed_at_their_parent_close_on_their_own(node):
+    """The push rule is sound: each child a node closes unbuilt, run alone
+    as a one-state stack, is no cover and pushes no child.  The
+    closed children are those of the branching order, the node's lowest
+    trace of fewest undecided points by falling degree, that the node
+    does not push; the pushed ones come first.  And the search over the
+    drawn traces finds the oracle's optimum."""
+    U, traces, inc, exc, k, best0 = node
+    assert solver.solve_masks(U, traces, [])[:2] == \
+        solver.oracle_masks(U, traces, [])[:2]
+    F = len(traces)
+    cover = solver._cover_masks(F, traces, U)
+    cov = union_cover(cover, inc)
+    inst = (traces, cover, [], None, U)
+    stack = [(inc, exc, cov, k, None, None, 0)]
+    out = solver._search(inst, stack, best0, None, False, limit=1)
+    if reference_node_closes(traces, cover, inc, exc, k, best0, U):
+        return
+    rem = ((1 << F) - 1) ^ cov
+    und = ((1 << U) - 1) & ~(inc | exc)
+    sel = min(peel_bits(rem), key=lambda ti: ((traces[ti] & und).bit_count(), ti))
+    order = sorted(peel_bits(traces[sel] & und),
+                   key=lambda p: (-(cover[p] & rem).bit_count(), p))
+    pushed = [state[0] ^ inc for state in reversed(stack)]
+    assert pushed == [1 << p for p in order[:len(pushed)]]
+    assert out[6] == len(order) - len(pushed)
+    for i in range(len(pushed), len(order)):
+        p = order[i]
+        tried = sum(1 << x for x in order[:i])
+        child = [(inc | 1 << p, exc | tried, cov | cover[p], k + 1, None,
+                  None, 0)]
+        got = solver._search(inst, child, best0, None, False, limit=1)
+        assert (got[1], child) == (None, [])
+
+
+def check_degrees(U, traces, best0):
+    """Searches the traces from the root with incumbent best0 and checks
+    every node that reads its packed degrees, seen through the solver's
+    `compress`, which keeps the fields of the undecided points: the node is
+    at need >= 3 and reads bit_count(cover[p] & rem) for each undecided
+    point p, in order.  Returns the search's _Counters and the reads, each
+    with the node's state and the field view."""
+    cover = solver._cover_masks(len(traces), traces, U)
+    counters = solver._Counters(traces, cover)
+    stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
+    real = solver.compress
+    reads = []
+
+    def spy(data, flags):
+        if not isinstance(data, range):  # _mask_bits' listing is no read
+            reads.append((stack.parent, list(real(data, flags)), data))
+        return real(data, flags)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "compress", spy)
+        solver._search((traces, cover, [], None, U), stack, best0, None, False,
+                       counters=counters)
+    full = (1 << len(traces)) - 1
+    for (inc, exc, cov, k, *_), degs, _view in reads:
+        assert best0 - k >= 3
+        rem = full ^ cov
+        und = [p for p in range(U) if not (inc | exc) >> p & 1]
+        assert degs == [(cover[p] & rem).bit_count() for p in und]
+    return counters, reads
+
+
+@settings(max_examples=300, deadline=None)
+@given(uneven_instances())
+def test_packed_degrees_are_the_uncovered_traces_through_each_point(inst):
+    """The counters a node carries down and updates from the traces its
+    point newly covers hold, at every node that reads them, the degrees a
+    rebuild would count.  The search starts from the optimum (or the cap +
+    1), so need is best0 - k at every node."""
+    U, traces, _forb, cap = inst
+    size = solver.oracle_masks(U, traces, [], size_cap=cap)[0]
+    top = U if cap is None else min(cap, U)
+    check_degrees(U, traces, top + 1 if size is None else size)
+
+
+def test_packed_degrees_in_fields_wider_than_a_byte():
+    """Point 0 lies on 284 traces, {0, a, a + d} for d = 1..8 over points
+    1..40, so a field takes two bytes; the 3-subsets of points 1..7 need 5
+    more points, so nodes below the optimum of 6 run the counting bound.
+    A child that takes point 0 covers more traces than there are points
+    and counts afresh; one that takes another point covers at most 31 and
+    subtracts their indicators."""
+    traces = [1 | 1 << a | 1 << a + d for d in range(1, 9) for a in range(1, 41 - d)]
+    traces += [sum(1 << p for p in c) for c in combinations(range(1, 8), 3)]
+    # the least optimum: 0, and 1..5, which leave only 6 and 7 of 1..7
+    assert solver.solve_masks(41, traces, [])[:2] == (6, 0b111111)
+    counters, reads = check_degrees(41, traces, 6)
+    assert counters.width == 2 and len(counters) > 0  # indicators were built
+    assert reads and all(view.itemsize == 2 for _s, _d, view in reads)
+    assert max(max(degs) for _s, degs, _v in reads) >= 256
 
 
 def plane_lines(kind, q):
@@ -342,7 +445,8 @@ def test_plane_nodes_close_exactly_on_the_stated_bounds():
             for inc, exc in states:
                 k = inc.bit_count()
                 for need in range(U + 3):
-                    stack = [(inc, exc, union_cover(cover, inc), k, None)]
+                    stack = [(inc, exc, union_cover(cover, inc), k, None,
+                              None, 0)]
                     solver._search((traces, cover, [], None, U), stack,
                                    k + need, None, False, limit=1)
                     assert (stack == []) == reference_node_closes(
@@ -358,7 +462,7 @@ WIDE_PINNED = [
     (3, 5, 2, 31, 31),
     (3, 7, 2, 57, 57),
     (3, 9, 2, 91, 91),
-    (4, 3, 2, 13, 863),
+    (4, 3, 2, 13, 722),
     (4, 3, 3, 40, 49),
 ]
 
@@ -380,8 +484,8 @@ def test_wide_bose_burton_node_counts_are_pinned(n, q, t, size, nodes):
 # n(q - 1) + 1.
 WITNESS_PINNED = [
     # n, q, size, nodes, witness-phase nodes
-    (3, 4, 10, 8818, 2679),
-    (4, 3, 9, 21285, 17722),
+    (3, 4, 10, 6680, 2115),
+    (4, 3, 9, 14584, 12124),
 ]
 
 

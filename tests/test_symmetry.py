@@ -479,9 +479,9 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
     inst = (tmasks, cover, fmasks, forb_at, U)
-    plain = solver._search(inst, [(0, 0, 0, 0, None)],
+    plain = solver._search(inst, [(0, 0, 0, 0, None, None, 0)],
                            cap + 1, None, False)
-    orbital = solver._search(inst, [(0, 0, 0, 0, group)],
+    orbital = solver._search(inst, [(0, 0, 0, 0, group, None, 0)],
                              cap + 1, None, False)
     assert orbital[0] == plain[0]
     assert orbital[2] <= plain[2] or group is None
@@ -534,10 +534,10 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
                for p in range(U)] if fmasks else None
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
-    stack = _Recorder([(0, 0, 0, 0, group)])
+    stack = _Recorder([(0, 0, 0, 0, group, None, 0)])
     solver._search((tmasks, cover, fmasks, forb_at, U), stack,
                    (U if U <= 16 else CAP) + 1, None, False)
-    for inc, exc, _cov, _k, grp in stack.pushed:
+    for inc, exc, _cov, _k, grp, _cnt, _pcov in stack.pushed:
         if grp is None:
             continue
         inc_pts = [x for x in range(U) if inc >> x & 1]
@@ -561,14 +561,14 @@ def _check_resume(U, tmasks, fmasks, seeds, cap):
                for p in range(U)] if fmasks else None
     inst = (tmasks, cover, fmasks, forb_at, U)
     orbital = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, fmasks))
-    opt = solver._search(inst, [(0, 0, 0, 0, None)],
+    opt = solver._search(inst, [(0, 0, 0, 0, None, None, 0)],
                          cap + 1, None, False)[0]
     for group in (None, orbital):
-        whole = solver._search(inst, [(0, 0, 0, 0, group)],
+        whole = solver._search(inst, [(0, 0, 0, 0, group, None, 0)],
                                opt, None, False)
         assert whole[1] is None and whole[3] is None
         for limit in RESUME_LIMITS:
-            stack = [(0, 0, 0, 0, group)]
+            stack = [(0, 0, 0, 0, group, None, 0)]
             cut = solver._search(inst, stack, opt, None, False, limit=limit)
             assert cut[3] == (solver.LIMIT if stack else None)
             # the limit is checked before each pop, and one pop adds itself
