@@ -5,9 +5,14 @@
 # searches once under each PYTHONPATH, prints `stats.nodes`,
 # `stats.symmetry.order` (1 when the search computed no group),
 # `stats.elapsed` and `stats.symmetry.seconds` (0 with no group) per row
-# for both, and exits 1 when a node count or a group order differs, after
-# a verdict line: either every differing row went down with its group
-# order equal, or the rows whose nodes went up or whose order changed.  The
+# for both, and compares each row's `result` block (verdict, size and
+# witness) between them, with a verdict line of its own: every result
+# equal, or the rows whose result differs.  It exits 1 when a result, a
+# node count or a group order differs, and ends, when a count differs,
+# with a verdict line: either every differing row went down with its group
+# order equal, or the rows whose nodes went up or whose order changed.  So
+# a change that is to cut nodes and keep every report shows both in one
+# run: "every result equal", then "all differing rows down".  The
 # times are for reading only: one run each, unscaled, so they show a
 # search or group change on the rows the benchmark does not run (AG(2,8),
 # AG(4,3), braid AG(3,5)) but decide nothing.  The rows
@@ -32,12 +37,13 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 counts() {
-    python3 - "$root/bench" "$tmp" <<'PY'
+    python3 - "$root/bench" "$tmp" "$1" <<'PY'
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from workloads import make_cases
 from blocksets import cli
 
+results = open(sys.argv[3], "w")
 rows = []
 for seed in range(1, 5):
     for case in make_cases("bound", seed):
@@ -59,7 +65,9 @@ for name, argv in rows:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli.main(argv)
-    stats = json.loads(out.getvalue())["stats"]
+    report = json.loads(out.getvalue())
+    stats = report["stats"]
+    results.write("%s\t%s\n" % (name, json.dumps(report["result"], sort_keys=True)))
     sym = stats.get("symmetry", {})
     print("%-50s nodes %9d  order %d  elapsed %.3f s  group %.3f s" % (
         name, stats["nodes"], sym.get("order", 1), stats["elapsed"],
@@ -69,12 +77,25 @@ PY
 
 source "$root/scripts/unpack_ref.sh"
 unpack_ref "$ref" "$tmp"
-PYTHONPATH="$tmp/src" counts > "$tmp/ref.txt"
-PYTHONPATH="$root/src" counts > "$tmp/tree.txt"
+PYTHONPATH="$tmp/src" counts "$tmp/ref.results" > "$tmp/ref.txt"
+PYTHONPATH="$root/src" counts "$tmp/tree.results" > "$tmp/tree.txt"
 echo "== $ref"
 cat "$tmp/ref.txt"
 echo "== working tree"
 cat "$tmp/tree.txt"
+# a results line per row: its name, a tab and its result block as JSON
+status=0
+python3 - "$tmp/ref.results" "$tmp/tree.results" <<'PY' || status=1
+import sys
+
+ref, tree = (dict(line.rstrip("\n").split("\t") for line in open(path))
+             for path in sys.argv[1:])
+moved = [name for name in ref if tree[name] != ref[name]]
+if moved:
+    print("results: differ on %s" % ", ".join(moved))
+    sys.exit(1)
+print("results: every result equal (verdict, size and witness)")
+PY
 # the elapsed and group columns are left out of the comparison
 if cmp -s <(sed 's/  elapsed .*//' "$tmp/ref.txt") \
           <(sed 's/  elapsed .*//' "$tmp/tree.txt"); then
@@ -104,3 +125,4 @@ else:
 PY
     exit 1
 fi
+exit $status

@@ -15,11 +15,14 @@ can open: child i's own counting bound allows it no more uncovered traces
 than the sum of the need - 2 largest parent degrees of the points left
 undecided once p_0..p_i, the points tried up to its own, are decided, so a
 child whose point leaves more than that closes at its parent, unbuilt.
+A node closes on a trace none of whose points can open a child.
 A search that outgrows a probe also prunes by symmetry (orbital
 branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
-skipped.  The subtrees then cover every solution up to an automorphism.
+skipped.  The subtrees then cover every solution up to an automorphism,
+and a node whose group has two or more orbits among its undecided points
+branches on the trace that meets the fewest.
 The group comes from symmetry.automorphisms, out of the arrangement the
 caller built the instance on (`solve_masks`' `seeds`, handed on
 unopened); an instance with no arrangement gets none.  A node with no
@@ -94,6 +97,11 @@ class SearchResult:
 _BIN_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 # per bit j, each byte value as the digit of its bit j, b"0" or b"1"
 _BIT_DIGITS = [bytes(0x30 | (v >> j & 1) for v in range(256)) for j in range(8)]
+
+
+# per threshold theta, built on first use: each byte value as the digit
+# b"1" when it is >= theta, else b"0"
+_AT_LEAST = {}
 
 
 def _mask_bits(mask):
@@ -242,8 +250,11 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     p_0..p_{i-1}, and a child whose point lies in one of them is skipped
     (`skipped` counts them).  Each kept child carries Stab_G(p_i), so the
     invariant holds below it, and once that is trivial its subtree does no
-    group work (`group_s` seconds in all).  No optimum is lost: a solution
-    S of the node meets the branching trace, so some g in G puts some p_j
+    group work (`group_s` seconds in all).  Where G has two or more orbits
+    among the undecided points, the branching trace is the first that
+    meets the fewest, then has the fewest points (symmetry.fewest_orbits).
+    No optimum is lost: a solution S of the node meets every uncovered
+    trace, so some g in G puts some p_j
     in g(S); take the least such j.  Then g(S), a solution of the node of
     the same size, meets none of the orbits of p_0..p_{j-1}: if h(p_i) lay
     in it for some h in G and i < j, h^-1 g would put p_i in its image of
@@ -262,7 +273,8 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     all of them, and it tests those points alone.  At need >= 3 a wide node
     runs the jumps, then every node the counting bound, then the scan,
     which finds the remaining dead traces and packings and the trace to
-    branch on.
+    branch on.  A node that none of them closes branches: it pushes its
+    children that can open and closes the others at itself.
 
     Child i has nrem - deg(p_i) uncovered traces, need - 1 and no larger
     degrees than its parent, and its undecided points lie among the
@@ -279,7 +291,15 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     pushed children and their exclusions are those of the whole list.
     fit_i costs O(1) per child: as the points leave in falling order, one
     whose degree is at least the largest one left out of fit gives way to
-    it, and once one is below, every later one is too."""
+    it, and once one is below, every later one is too.
+
+    fit_i <= S, the need - 2 largest degrees, so a point of degree below
+    theta = nrem - S opens no child, and the scan closes the node on a
+    trace with no undecided point of degree >= theta, its points counted
+    as closed children (the closure rule).  That point mask is skipped
+    when the smallest degree is >= theta.  The rule yields to a dead trace
+    or packing anywhere in the scan, so only a wide node, whose jumps
+    found none, stops at the first such trace."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
@@ -290,11 +310,12 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     group_s = 0.0
     node_cap = inf if limit is None else limit
     if any(state[4] is not None for state in stack):
-        from .symmetry import branch
+        from .symmetry import branch, fewest_orbits
     if counters is None:
         counters = _Counters(trace_masks, cover)
     indicator = counters.__getitem__
     order = sys.byteorder
+    at_least = _AT_LEAST
     best = best0
     best_inc = None
     bit_count = int.bit_count
@@ -321,6 +342,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
         rem = full ^ cov
         nrem = bit_count(rem)
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
+        hi = 0  # the points that may open a child; 0 when all of them may
         if need == 2:
             # one point more: the node is open exactly when an undecided
             # point lies on every uncovered trace, so on the lowest one
@@ -333,7 +355,8 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
             if not opts:
                 continue
         else:
-            if nrem > bit_count(und):
+            wide = nrem > bit_count(und)
+            if wide:
                 # the scan's first-fit packing, found by jumping: the next
                 # packed trace is the lowest one through none of the packed
                 # points, so each packed trace drops every trace through
@@ -380,17 +403,36 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
                           reverse=True)
             if sum(degs[:need - 1]) < nrem:
                 continue
+            # a child whose point has degree < theta keeps more uncovered
+            # traces than fit, the need - 2 largest degrees, can cover
+            fit = sum(degs[:need - 2])
+            theta = nrem - fit
+            if degs[-1] < theta:
+                if counters.width > 1:
+                    hi = int(bytes(0x30 | (d >= theta) for d in reversed(deg)), 2)
+                else:
+                    table = at_least.get(theta)
+                    if table is None:
+                        table = at_least[theta] = bytes(0x30 | (v >= theta)
+                                                        for v in range(256))
+                    hi = int(deg.translate(table)[::-1], 2)
         # the scan: a dead trace or a packing of need traces closes the
-        # node, and the trace with the fewest undecided points is the one
-        # to branch on
+        # node, and so does a trace none of whose points may open a child
+        # (shut); the trace with the fewest undecided points is the one to
+        # branch on, unless the node's group picks one by its orbits
         pack = 0
         acc = 0
+        shut = 0
         sel_opts = 0
         sel_cnt = npoints + 1
         for ti in mask_bits(rem):
             opts = trace_masks[ti] & und
             if not opts:
                 break  # some trace can no longer be hit
+            if hi and not shut and not opts & hi:
+                shut = opts
+                if wide:
+                    break  # the jumps found no dead trace or packing
             if not opts & acc:
                 acc |= opts
                 pack += 1
@@ -404,6 +446,14 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
         # a dead trace
         if not opts or pack >= need:
             continue
+        if shut:
+            closed += bit_count(shut)  # its points' children, all closed
+            continue
+        if grp is not None and sel_cnt > 1:
+            t0 = time.perf_counter()
+            sel_opts = fewest_orbits(grp, und, sel_opts, (trace_masks[ti] & und
+                                                          for ti in mask_bits(rem)))
+            group_s += time.perf_counter() - t0
         if need == 2:
             # only a child that covers everything opens
             branching = mask_bits(sel_opts)
@@ -415,7 +465,6 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
             branching = sorted(mask_bits(sel_opts), key=deg.__getitem__,
                                reverse=True)  # stable: ties stay ascending
             top = min(need - 2, len(degs))
-            fit = sum(degs[:top])
             degs += [0] * len(branching)  # past the last point: nothing
             pts = []
             for p in branching:

@@ -42,11 +42,12 @@ returns a Group, a search state carries one as (H, v) (see
 
 import random
 from functools import reduce
+from itertools import compress
 from math import prod
 
 from .errors import InternalError
 from .geometry import AFFINE, _combine, _reduce_by_rows, rref
-from .solver import _mask_bits
+from .solver import _BIN_FLAGS, _mask_bits
 
 
 def _mul(a, b):
@@ -553,3 +554,32 @@ def branch(group, pts):
         K, w = H.stabilizer(a)
         children.append(None if K is None else (K, _mul(v, w)))
     return orbits, children
+
+
+def fewest_orbits(group, und, first, options):
+    """The branching trace at a node whose group G is given as (H, v), as
+    in `state_group`: of `options`, the undecided points of each uncovered
+    trace in index order, the first that meets the fewest G-orbits, then
+    has the fewest points.  G's orbit of x is H's orbit of v(x).  `first`
+    is the first option of fewest points.  G maps the undecided points
+    `und` onto themselves, so an option of c points meets at least c / s
+    orbits, s the largest orbit in und: `first` is the answer when it meets
+    no more (when und is one orbit, for one), and an option whose bound
+    cannot beat the best so far is not counted."""
+    H, v = group
+    ids = list(map(H.orbit_of.__getitem__, v))
+
+    def orbits(m):
+        return set(compress(ids, bin(m)[:1:-1].encode().translate(_BIN_FLAGS)))
+
+    s = max(len(H.orbit_pts[o]) for o in orbits(und))
+    best = (len(orbits(first)), first.bit_count())
+    if best[0] == -(-best[1] // s):
+        return first
+    for m in options:
+        c = m.bit_count()
+        if (-(-c // s), c) < best:
+            key = (len(orbits(m)), c)
+            if key < best:
+                best, first = key, m
+    return first

@@ -495,7 +495,7 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
 def test_a_trivial_group_goes_on_from_the_probe():
     # PG(2,7) minus six lines has 22 points and a trivial group: the search
     # outgrows its probe (176 units of work, one per family incidence, in
-    # 135 nodes), computes the group, and goes on from the probe's stack
+    # 119 nodes), computes the group, and goes on from the probe's stack
     # instead of spending those nodes again from the root, so its bound
     # phase visits exactly the nodes of the uncut plain search
     sp = space(PROJECTIVE, 2, 7)
@@ -506,9 +506,9 @@ def test_a_trivial_group_goes_on_from_the_probe():
     assert (len(inst.universe), res.verdict, res.size) == (22, "exists", 11)
     sym = {k: res.stats["symmetry"][k]
            for k in ("order", "generators", "probe_nodes", "skipped")}
-    assert sym == {"order": 1, "generators": 0, "probe_nodes": 135,
+    assert sym == {"order": 1, "generators": 0, "probe_nodes": 119,
                    "skipped": 0}
-    assert (res.nodes, res.stats["witness_nodes"]) == (291, 63)
+    assert (res.nodes, res.stats["witness_nodes"]) == (271, 59)
     U = len(inst.universe)
     tmasks, _ = blocking._masks(inst, False)
     plain_inst = (tmasks, solver._cover_masks(len(tmasks), tmasks, U), [], None, U)
@@ -609,10 +609,10 @@ def test_a_small_universe_starts_no_pool(monkeypatch):
 PINNED_NODES = [
     # kind, n, q, nontrivial, size, nodes without symmetry, nodes
     (PROJECTIVE, 2, 5, True, 9, 20292, 135),
-    (AFFINE, 3, 3, False, 7, 9597, 254),
+    (AFFINE, 3, 3, False, 7, 9597, 247),
     (PROJECTIVE, 3, 3, True, 6, 17855, 72),
     (PROJECTIVE, 4, 2, True, 5, 7465, 68),
-    (AFFINE, 2, 5, False, 9, 6046, 214),
+    (AFFINE, 2, 5, False, 9, 6046, 184),
 ]
 
 

@@ -88,8 +88,8 @@ def test_witness_phase_nodes_in_stats(capsys):
     search that finds nothing within its cap has no witness phase."""
     argv = ("search", "--space", "ag", "--n", "4", "--q", "3", "--t", "1")
     stats = run_json(capsys, *argv)["stats"]
-    assert (stats["witness_nodes"], stats["nodes"]) == (12124, 14584)
-    assert (stats["closed_children"], stats["pool_tasks"]) == (11167, 0)
+    assert (stats["witness_nodes"], stats["nodes"]) == (12124, 14388)
+    assert (stats["closed_children"], stats["pool_tasks"]) == (10641, 0)
     assert "stats" not in run_json(capsys, "--no-meta", *argv)
     capped = run_json(capsys, "search", "--space", "pg", "--n", "2", "--q",
                       "3", "--t", "1", "--cap", "3")

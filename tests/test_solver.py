@@ -188,12 +188,14 @@ def degrees(cover, state, U, rem):
 def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
     """A looser test of which children open changes no answer, only the
     work: so pin it at the root, where every degree is a point's number of
-    traces.  An open root branches on its lowest trace of fewest points,
-    p_0, p_1, ... in order of falling degree, and pushes exactly the
-    children whose uncovered traces, F minus deg(p_i), fit the sum of the
-    need - 2 largest degrees (need = best0 here) of the points other than
-    p_0..p_i; the others close at the root, counted apart from the
-    nodes."""
+    traces.  An open root closes on its first trace with no point of
+    degree >= theta, F less the need - 2 largest degrees (need = best0
+    here), counting that trace's points as children closed at it.  With no
+    such trace it branches on its lowest trace of fewest points, p_0, p_1,
+    ... in order of falling degree, and pushes exactly the children whose
+    uncovered traces, F minus deg(p_i), fit the sum of the need - 2
+    largest degrees of the points other than p_0..p_i; the others close at
+    the root, counted apart from the nodes."""
     U, traces, _forb, _cap = inst
     F = len(traces)
     cover = solver._cover_masks(F, traces, U)
@@ -202,7 +204,10 @@ def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
                          False, limit=1)
     want = []
     branched = 0
-    if not reference_node_closes(traces, cover, 0, 0, 0, best0, U):
+    shut = reference_shut(traces, cover, 0, 0, 0, best0, U)
+    if shut:
+        branched = shut.bit_count()
+    elif not reference_node_closes(traces, cover, 0, 0, 0, best0, U):
         sel = min(range(F), key=lambda ti: (traces[ti].bit_count(), ti))
         pts = sorted(peel_bits(traces[sel]),
                      key=lambda p: (-cover[p].bit_count(), p))
@@ -301,11 +306,36 @@ def reference_node_closes(traces, cover, inc, exc, k, best0, U):
     return sum(degs[:need - 1]) < len(rem)
 
 
+def reference_shut(traces, cover, inc, exc, k, best0, U):
+    """The closure rule: a node at need >= 3 that no bound of
+    reference_node_closes closes has theta, its number of uncovered traces
+    less the need - 2 largest degrees, and closes on its first uncovered
+    trace, in index order, with no undecided point of degree >= theta.
+    Returns that trace's undecided points as a mask, or 0 where the rule
+    does not close the node."""
+    need = best0 - k
+    if need < 3 or reference_node_closes(traces, cover, inc, exc, k, best0, U):
+        return 0
+    rem = ((1 << len(traces)) - 1) & ~union_cover(cover, inc)
+    und = ((1 << U) - 1) & ~(inc | exc)
+    deg = {p: (cover[p] & rem).bit_count() for p in peel_bits(und)}
+    theta = rem.bit_count() - sum(sorted(deg.values(), reverse=True)[:need - 2])
+    for ti in peel_bits(rem):
+        if all(deg[p] < theta for p in peel_bits(traces[ti] & und)):
+            return traces[ti] & und
+    return 0
+
+
 @settings(max_examples=1000, deadline=None)
 @given(search_nodes())
 # open by every bound, but its one branching child closes at its parent:
 # the stack is empty and the node did not close
 @example((10, [4, 8, 24, 768, 256, 512], 227, 16, 0, 4))
+# no wider than its undecided points, so no jumps: the closure rule finds
+# {1, 2} first in the scan, but the node closes on the dead trace {7},
+# with no child counted
+@example((8, [0b110, 0b1001, 0b10001, 0b100001, 0b1001000, 0b1010000,
+              0b10000000], 0, 0b10000000, 0, 4))
 def test_node_closes_exactly_on_the_stated_bounds(node):
     """One node, whichever test it runs first, closes on a dead trace, on
     the index-order first-fit packing or on the counting bound, and on
@@ -328,11 +358,20 @@ def test_children_closed_at_their_parent_close_on_their_own(node):
     as a one-state stack, is no cover and pushes no child.  The
     closed children are those of the branching order, the node's lowest
     trace of fewest undecided points by falling degree, that the node
-    does not push; the pushed ones come first.  And the search over the
-    drawn traces finds the oracle's optimum."""
+    does not push; the pushed ones come first.  A node that the closure
+    rule closes pushes none and closes every child of its trace, each of
+    which closes on its own even with no point excluded.  And the search
+    over the drawn traces finds the oracle's optimum."""
     U, traces, inc, exc, k, best0 = node
     assert solver.solve_masks(U, traces, [])[:2] == \
         solver.oracle_masks(U, traces, [])[:2]
+    check_children(U, traces, inc, exc, k, best0)
+
+
+def check_children(U, traces, inc, exc, k, best0):
+    """Runs one node alone and checks the children it pushes and closes
+    against the push rule and the closure rule, as stated in
+    test_children_closed_at_their_parent_close_on_their_own."""
     F = len(traces)
     cover = solver._cover_masks(F, traces, U)
     cov = union_cover(cover, inc)
@@ -343,19 +382,70 @@ def test_children_closed_at_their_parent_close_on_their_own(node):
         return
     rem = ((1 << F) - 1) ^ cov
     und = ((1 << U) - 1) & ~(inc | exc)
-    sel = min(peel_bits(rem), key=lambda ti: ((traces[ti] & und).bit_count(), ti))
-    order = sorted(peel_bits(traces[sel] & und),
-                   key=lambda p: (-(cover[p] & rem).bit_count(), p))
+    shut = reference_shut(traces, cover, inc, exc, k, best0, U)
+    if shut:
+        order = peel_bits(shut)
+    else:
+        sel = min(peel_bits(rem), key=lambda ti: ((traces[ti] & und).bit_count(), ti))
+        order = sorted(peel_bits(traces[sel] & und),
+                       key=lambda p: (-(cover[p] & rem).bit_count(), p))
     pushed = [state[0] ^ inc for state in reversed(stack)]
     assert pushed == [1 << p for p in order[:len(pushed)]]
+    assert not (shut and pushed)
     assert out[6] == len(order) - len(pushed)
     for i in range(len(pushed), len(order)):
         p = order[i]
-        tried = sum(1 << x for x in order[:i])
+        tried = 0 if shut else sum(1 << x for x in order[:i])
         child = [(inc | 1 << p, exc | tried, cov | cover[p], k + 1, None,
                   None, 0)]
         got = solver._search(inst, child, best0, None, False, limit=1)
         assert (got[1], child) == (None, [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(uneven_instances())
+# the root at need 3: point 0 on three traces and point 1 on two cover all
+# five, and deg(1) = 2 = theta, so the rule must test deg >= theta
+@example((7, [0b101, 0b1001, 0b10001, 0b100010, 0b1000010], [], None))
+def test_the_closure_rule_closes_no_node_with_a_better_cover(inst):
+    """A point of degree below theta leaves its child more uncovered traces
+    than the need - 2 largest degrees can cover, so a node whose trace has
+    no other points has no cover of need - 1 undecided points.  For the
+    root and every state the search pushes from the optimum, with m the
+    fewest undecided points that cover its uncovered traces (the oracle's
+    count, over the node's traces), the node at need = m + 1 has such a
+    cover: it pushes a child and the rule does not fire.  At every need
+    from 3 to m + 1, the rule fires where reference_shut says, closing the
+    node with its trace's points counted as closed children.  And the
+    answers stay the oracle's.  Testing deg > theta in place of deg >=
+    theta fails this test."""
+    U, traces, forb, cap = inst
+    want = solver.oracle_masks(U, traces, forb, size_cap=cap)
+    assert solver.solve_masks(U, traces, forb, size_cap=cap)[:2] == want[:2]
+    F = len(traces)
+    full = (1 << F) - 1
+    cover = solver._cover_masks(F, traces, U)
+    inst = (traces, cover, [], None, U)
+    top = U if cap is None else min(cap, U)
+    stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
+    solver._search(inst, stack, top + 1 if want[0] is None else want[0],
+                   None, False)
+    states = [(0, 0, 0, 0)] + [child[:4] for _parent, child in stack.children]
+    for inc, exc, cov, k in states:
+        und = ((1 << U) - 1) & ~(inc | exc)
+        left = [traces[ti] & und for ti in peel_bits(full ^ cov)]
+        m = solver.oracle_masks(U, left, [])[0]
+        if m is None:
+            continue  # a dead trace: no need opens the node
+        for need in range(3, m + 2):
+            alone = [(inc, exc, cov, k, None, None, 0)]
+            closed = solver._search(inst, alone, k + need, None, False,
+                                    limit=1)[6]
+            shut = reference_shut(traces, cover, inc, exc, k, k + need, U)
+            if need == m + 1:
+                assert alone and not shut
+            elif shut:
+                assert (alone, closed) == ([], shut.bit_count())
 
 
 def check_degrees(U, traces, best0):
@@ -417,6 +507,26 @@ def test_packed_degrees_in_fields_wider_than_a_byte():
     assert counters.width == 2 and len(counters) > 0  # indicators were built
     assert reads and all(view.itemsize == 2 for _s, _d, view in reads)
     assert max(max(degs) for _s, degs, _v in reads) >= 256
+
+
+@pytest.mark.parametrize("extra", [
+    # theta = 4 and each of 1, 2, 3 has degree 2: the root closes on
+    # {1, 2, 3}, though child 6 of {2, 6}, its trace of fewest points, opens
+    [0b1110, 1 << 2 | 1 << 6, 1 << 3 | 1 << 7, 1 << 1 | 1 << 8],
+    # theta = 2 = deg(1), and {0, 1} covers all: the root branches
+    [0b110, 0b1010],
+])
+def test_closure_rule_in_fields_wider_than_a_byte(extra):
+    """Point 0 lies on 300 traces {0, a, b}, a and b in 6..40, so a field
+    takes two bytes; the extra traces avoid it.  At need 3, theta is their
+    number, and the root pushes and closes the children the push rule and
+    the closure rule say."""
+    hub = [1 | 1 << a | 1 << b for a, b in combinations(range(6, 41), 2)][:300]
+    traces = hub + extra
+    cover = solver._cover_masks(len(traces), traces, 41)
+    assert solver._Counters(traces, cover).width == 2
+    assert bool(reference_shut(traces, cover, 0, 0, 0, 3, 41)) == (len(extra) == 4)
+    check_children(41, traces, 0, 0, 0, 3)
 
 
 def plane_lines(kind, q):
@@ -484,8 +594,8 @@ def test_wide_bose_burton_node_counts_are_pinned(n, q, t, size, nodes):
 # n(q - 1) + 1.
 WITNESS_PINNED = [
     # n, q, size, nodes, witness-phase nodes
-    (3, 4, 10, 6680, 2115),
-    (4, 3, 9, 14584, 12124),
+    (3, 4, 10, 6048, 1731),
+    (4, 3, 9, 14388, 12124),
 ]
 
 

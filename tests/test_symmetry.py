@@ -498,14 +498,22 @@ def test_orbital_search_reaches_the_plain_optimum(case):
 
 
 class _Recorder(list):
-    """A search stack that keeps every state pushed onto it."""
+    """A search stack that keeps every state pushed onto it, and each
+    pushed state with the state popped last, its parent."""
 
     def __init__(self, states):
         super().__init__(states)
         self.pushed = list(states)
+        self.parent = None
+        self.children = []
+
+    def pop(self):
+        self.parent = super().pop()
+        return self.parent
 
     def append(self, state):
         self.pushed.append(state)
+        self.children.append((self.parent, state))
         super().append(state)
 
 
@@ -545,6 +553,44 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
         for g in _actual_gens(grp, U):
             assert all(g[x] == x for x in inc_pts)
             assert sorted(g[x] for x in exc_pts) == exc_pts
+
+
+def test_group_nodes_branch_on_a_trace_of_fewest_orbits():
+    # PG(2,7) minus two lines, group order 3528: a node whose group has two
+    # or more orbits among its undecided points branches on its first
+    # uncovered trace whose undecided points meet the fewest of them, then
+    # are fewest, so every child it pushes includes a point of that trace.
+    # The group's orbit of x is H's orbit of v(x).  On at least one node the
+    # first trace of fewest points meets more orbits.
+    U, tmasks, _fmasks, seeds = _masks(PROJECTIVE, 2, 7, rows=((1, 0, 0), (0, 1, 0)),
+                                       scope="touching")
+    F = len(tmasks)
+    cover = solver._cover_masks(F, tmasks, U)
+    group = symmetry.automorphisms(seeds, tmasks, [])
+    assert group.order == 3528
+    stack = _Recorder([(0, 0, 0, 0, symmetry.state_group(group), None, 0)])
+    size = solver.solve_masks(U, tmasks, [])[0]
+    assert solver._search((tmasks, cover, [], None, U), stack, size + 1,
+                          None, False)[0] == size
+    checked = moved = 0
+    for parent, child in stack.children:
+        inc, exc, cov, _k, grp = parent[:5]
+        if grp is None:
+            continue
+        H, v = grp
+        und = ((1 << U) - 1) & ~(inc | exc)
+        opts = [tmasks[ti] & und for ti in range(F) if not cov >> ti & 1]
+
+        def orbits(m):
+            return len({H.orbit_of[v[x]] for x in range(U) if m >> x & 1})
+
+        if orbits(und) < 2:
+            continue
+        sel = min(opts, key=lambda m: (orbits(m), m.bit_count()))
+        assert (child[0] ^ inc) & sel  # the child's point lies on sel
+        checked += 1
+        moved += sel != min(opts, key=int.bit_count)
+    assert checked and moved
 
 
 # A search cut at L units of work (nodes popped plus children closed at
