@@ -4,19 +4,22 @@
 # into a temporary directory with git archive, runs a fixed list of
 # searches once under each PYTHONPATH, prints `stats.nodes`,
 # `stats.symmetry.order` (1 when the search computed no group),
-# `stats.elapsed` and `stats.symmetry.seconds` (0 with no group) per row
-# for both, and compares each row's `result` block (verdict, size and
-# witness) between them, with a verdict line of its own: every result
-# equal, or the rows whose result differs.  It exits 1 when a result, a
-# node count or a group order differs, and ends, when a count differs,
-# with a verdict line: either every differing row went down with its group
-# order equal, or the rows whose nodes went up or whose order changed.  So
-# a change that is to cut nodes and keep every report shows both in one
-# run: "every result equal", then "all differing rows down".  The
-# times are for reading only: one run each, unscaled, so they show a
+# `stats.closed_children`, `stats.symmetry.probe_nodes` (- with no group
+# computed), `stats.elapsed` and `stats.symmetry.seconds` (0 with no
+# group) per row for both, and compares each row's `result` block
+# (verdict, size and witness) between them, with a verdict line of its
+# own: every result equal, or the rows whose result differs.  It exits 1
+# when a result, a node count or a group order differs, and ends, when a
+# count differs, with a verdict line: either every differing row went down
+# with its group order equal, or the rows whose nodes went up or whose
+# order changed.  So a change that is to cut nodes and keep every report
+# shows both in one run: "every result equal", then "all differing rows
+# down".  The closed children and probe nodes are for reading only: a rule
+# change that moves them shows how in the same run, but they decide
+# nothing.  Nor do the times: one run each, unscaled, so they show a
 # search or group change on the rows the benchmark does not run (AG(2,8),
-# AG(4,3), braid AG(3,5)) but decide nothing.  The rows
-# are the seven `bound` rows of bench/workloads.py at seeds 1-4, and these:
+# AG(4,3), braid AG(3,5)).  The rows are the seven `bound` rows of
+# bench/workloads.py at seeds 1-4, and these:
 # PG(2,7) and PG(2,9) nontrivial, PG(2,8) nontrivial with cap 16, AG(2,7),
 # AG(2,8), AG(3,4) and AG(4,3) plain, and the braid arrangement of AG(3,5)
 # and of AG(4,4) touching plain.  The braid AG(4,4) universe lies in a
@@ -69,9 +72,10 @@ for name, argv in rows:
     stats = report["stats"]
     results.write("%s\t%s\n" % (name, json.dumps(report["result"], sort_keys=True)))
     sym = stats.get("symmetry", {})
-    print("%-50s nodes %9d  order %d  elapsed %.3f s  group %.3f s" % (
-        name, stats["nodes"], sym.get("order", 1), stats["elapsed"],
-        sym.get("seconds", 0)))
+    print("%-50s nodes %9d  order %d  closed %9d  probe %6s  elapsed %.3f s"
+          "  group %.3f s" % (name, stats["nodes"], sym.get("order", 1),
+                              stats["closed_children"], sym.get("probe_nodes", "-"),
+                              stats["elapsed"], sym.get("seconds", 0)))
 PY
 }
 
@@ -96,9 +100,10 @@ if moved:
     sys.exit(1)
 print("results: every result equal (verdict, size and witness)")
 PY
-# the elapsed and group columns are left out of the comparison
-if cmp -s <(sed 's/  elapsed .*//' "$tmp/ref.txt") \
-          <(sed 's/  elapsed .*//' "$tmp/tree.txt"); then
+# the closed, probe, elapsed and group columns are left out of the
+# comparison
+if cmp -s <(sed 's/  closed .*//' "$tmp/ref.txt") \
+          <(sed 's/  closed .*//' "$tmp/tree.txt"); then
     echo "all counts equal"
 else
     echo "counts differ" >&2

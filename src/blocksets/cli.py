@@ -228,15 +228,14 @@ def cmd_search(args):
         # the oracle's own refusal, before the search rather than after it
         check_oracle_universe(len(inst.universe), args.cap)
     start = time.monotonic()
+    timeout = None  # the SearchResult of whichever run timed out
     try:
         res = solve_instance(inst, args.convention, size_cap=args.cap,
                              time_budget=args.budget, workers=args.workers)
     except SearchTimeout as exc:
-        payload["result"] = _result_block(sp, exc.result)
-        payload["instance"] = _instance_block(inst)
-        _emit(args, "search", payload, stats=_search_stats(exc.result))
-        return 3
+        res = timeout = exc.result
     payload["result"] = _result_block(sp, res)
+    stats = _search_stats(res)
     if res.verdict == "vacuous":
         payload["result"]["vacuous_family"] = True
     if args.certificate and res.verdict == "not-exists":
@@ -249,7 +248,7 @@ def cmd_search(args):
                 "flat_points": [_point_str(sp, p) for p in cert.flat.points],
                 "sub_universe": len(cert.sub.universe),
                 "subsets_checked": cert.result.nodes}
-    if args.oracle:
+    if args.oracle and timeout is None:
         # the oracle gets what the search and the certificate left of --budget
         budget = None if args.budget is None else \
             args.budget - (time.monotonic() - start)
@@ -258,20 +257,16 @@ def cmd_search(args):
                 inst, require_nontrivial=(args.convention == "nontrivial"),
                 size_cap=args.cap, time_budget=budget)
         except SearchTimeout as exc:
-            payload["oracle"] = _result_block(sp, exc.result)
-            stats = _search_stats(res)
-            stats["oracle"] = {"subsets": exc.result.nodes,
-                               "elapsed": exc.result.elapsed}
-            payload["instance"] = _instance_block(inst)
-            _emit(args, "search", payload, stats=stats)
-            return 3
+            ores = timeout = exc.result
+            stats["oracle"] = {"subsets": ores.nodes, "elapsed": ores.elapsed}
         payload["oracle"] = _result_block(sp, ores)
-        payload["oracle_agrees"] = (ores.verdict == res.verdict
-                                    and ores.size == res.size
-                                    and ores.witness == res.witness)
+        if timeout is None:
+            payload["oracle_agrees"] = (ores.verdict == res.verdict
+                                        and ores.size == res.size
+                                        and ores.witness == res.witness)
     payload["instance"] = _instance_block(inst)
-    _emit(args, "search", payload, stats=_search_stats(res))
-    return 0
+    _emit(args, "search", payload, stats=stats)
+    return 0 if timeout is None else 3
 
 
 def cmd_verify(args):
@@ -386,10 +381,9 @@ def cmd_braid(args):
     if out.vacuous_family:
         payload["warning"] = ("no flat of the blocked dimension lies inside "
                               "the complement; the empty set blocks vacuously")
-    if out.result is not None:
-        payload["result"] = _result_block(out.space, out.result)
     stats = None
     if out.result is not None:
+        payload["result"] = _result_block(out.space, out.result)
         stats = _search_stats(out.result)
     if args.lines:
         sp = out.space

@@ -21,8 +21,8 @@ branching, see symmetry.py): a node's group is the pointwise stabilizer of
 its included points, each branch excludes the whole orbits of the points
 tried before it, and a branch whose point lies in one of those orbits is
 skipped.  The subtrees then cover every solution up to an automorphism,
-and a node whose group has two or more orbits among its undecided points
-branches on the trace that meets the fewest.
+and a node at need >= 3 whose group has two or more orbits among its
+undecided points branches on the trace that meets the fewest.
 The group comes from symmetry.automorphisms, out of the arrangement the
 caller built the instance on (`solve_masks`' `seeds`, handed on
 unopened); an instance with no arrangement gets none.  A node with no
@@ -31,11 +31,11 @@ one rule builds every child.
 
 Each node runs its cheapest decisive test first.  With need = best - k,
 a better cover adds at most need - 1 points, so a node that is not a cover
-closes at need <= 1.  At need 2 the node is open exactly when one
-undecided point lies on every uncovered trace, hence on the lowest one,
-and it checks only that trace's points.  At need >= 3, a node with more
-uncovered traces than undecided points first finds its packing by
-jumping: it packs the lowest uncovered trace, drops every trace through
+closes at need <= 1.  At need 2 a child opens exactly when its point
+lies on every uncovered trace, hence on the lowest one, and the node
+branches on that trace in one pass over its points.  At need >= 3, a node
+with more uncovered traces than undecided points first finds its packing
+by jumping: it packs the lowest uncovered trace, drops every trace through
 one of that trace's undecided points (the union of their cover masks),
 and packs the lowest trace left.  The scan packs a trace exactly when it
 meets none of the points packed before it, so the jumps build the scan's
@@ -43,7 +43,9 @@ packing, trace for trace; and since packed point sets are disjoint they
 touch each undecided point at most once, where the scan touches every
 uncovered trace.  A dead trace or a packing of need traces closes the node
 there.  Then the counting bound runs, from the degrees of the undecided
-points, and only a node it leaves open scans its traces.  The degrees are
+points, and only a node it leaves open scans its traces, closing at the
+first one none of whose points can open a child or at the one that
+completes a packing.  The degrees are
 carried, not rebuilt: a state holds a packed counter (_Counters), one int
 whose field x is point x's degree, and a node subtracts from its parent's
 counter the indicators of the few traces its point newly covers, then
@@ -155,29 +157,19 @@ class _Counters(dict):
     cast reads them back, and since no field ever drops below 0,
     subtracting counters subtracts field by field.  The dict maps a trace
     index to its indicator, the counter of that trace alone (1 in the field
-    of each of its points), and `root` is the counter of every trace.
-    Nothing is built before a search needs it: the layout (`code`, `width`,
-    the counter's `size` in bytes, and `root_degrees`, from which `code`
-    follows) and `root` on first use, each indicator on its trace's first."""
+    of each of its points), built on the trace's first use, and `root` is
+    the counter of every trace; `size` is a counter's length in bytes."""
 
     def __init__(self, trace_masks, cover):
         super().__init__()
         self.trace_masks = trace_masks
         self.cover = cover
-
-    def __getattr__(self, name):
-        # reached only while the attribute is unset: set it, once
-        if name == "root":
-            self.root = self.pack(self.root_degrees)
-        elif name in ("root_degrees", "code", "width", "size"):
-            degs = self.root_degrees = list(map(int.bit_count, self.cover))
-            top = max(degs, default=0)
-            self.code = next(c for c in "BHIL" if top < 1 << 8 * struct.calcsize(c))
-            self.width = struct.calcsize(self.code)
-            self.size = len(degs) * self.width
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+        degs = list(map(int.bit_count, cover))
+        top = max(degs, default=0)
+        self.code = next(c for c in "BHIL" if top < 1 << 8 * struct.calcsize(c))
+        self.width = struct.calcsize(self.code)
+        self.size = len(degs) * self.width
+        self.root = self.pack(degs)
 
     def __missing__(self, ti):
         # _mask_bits' digits: byte x is 1 exactly when the trace holds x,
@@ -251,30 +243,38 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     (`skipped` counts them).  Each kept child carries Stab_G(p_i), so the
     invariant holds below it, and once that is trivial its subtree does no
     group work (`group_s` seconds in all).  Where G has two or more orbits
-    among the undecided points, the branching trace is the first that
-    meets the fewest, then has the fewest points (symmetry.fewest_orbits).
-    No optimum is lost: a solution S of the node meets every uncovered
-    trace, so some g in G puts some p_j
-    in g(S); take the least such j.  Then g(S), a solution of the node of
+    among the undecided points, a node at need >= 3 branches on the first
+    trace that meets the fewest, then has the fewest points
+    (symmetry.fewest_orbits).  No optimum is lost: a solution S of the
+    node meets every uncovered trace, so some g in G puts some p_j in
+    g(S); take the least such j.  Then g(S), a solution of the node of
     the same size, meets none of the orbits of p_0..p_{j-1}: if h(p_i) lay
     in it for some h in G and i < j, h^-1 g would put p_i in its image of
     S, against the choice of j.  So child j is kept and g(S) is a solution
-    of it.
+    of it.  At need 2 every child that opens has its point on every
+    uncovered trace, so no choice of trace changes the children.
 
     A node closes on a dead trace (an uncovered trace with no undecided
     point), on a first-fit packing, in index order, of need = best - k
-    disjoint uncovered traces, or on the counting bound, and on nothing
-    else; the order of the tests changes only what a node costs.  At need
-    <= 1 the first uncovered trace is dead or packs alone.  At need 2 the
-    counting bound closes the node unless some undecided point has degree
-    nrem, that is, lies on every uncovered trace; and where such a point
-    is, no trace is dead and no two are disjoint.  So the node closes
-    exactly when no undecided point of the lowest uncovered trace lies on
-    all of them, and it tests those points alone.  At need >= 3 a wide node
+    disjoint uncovered traces, on the counting bound, or on a trace none of
+    whose points can open a child (below), and on nothing else; the order
+    of the tests changes what a node costs and which children a closing
+    node counts, not which nodes close.  At need <= 1 the first uncovered
+    trace is dead or packs alone.  At need 2 a child opens exactly when its
+    point lies on every uncovered trace (fit_i is 0, below), so on the
+    lowest one, and the node branches on that trace: its undecided points,
+    ascending, are the branching order, and those not on every trace close
+    at the node.  The counting bound closes the node exactly when none is
+    on every trace; where one is, no trace is dead, no two are disjoint,
+    and any other trace would give the same children.  So a need-2 node
+    makes one pass over the points of one trace.  At need >= 3 a wide node
     runs the jumps, then every node the counting bound, then the scan,
-    which finds the remaining dead traces and packings and the trace to
-    branch on.  A node that none of them closes branches: it pushes its
-    children that can open and closes the others at itself.
+    which closes the node at the first uncovered trace none of whose
+    undecided points may open a child (a dead trace has none), counting
+    that trace's points as closed children, or at the trace that completes
+    a packing, and else finds the trace to branch on.  A node that none of
+    them closes branches: it pushes its children that can open, at least
+    one, and closes the others at itself.
 
     Child i has nrem - deg(p_i) uncovered traces, need - 1 and no larger
     degrees than its parent, and its undecided points lie among the
@@ -294,12 +294,15 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     it, and once one is below, every later one is too.
 
     fit_i <= S, the need - 2 largest degrees, so a point of degree below
-    theta = nrem - S opens no child, and the scan closes the node on a
-    trace with no undecided point of degree >= theta, its points counted
-    as closed children (the closure rule).  That point mask is skipped
-    when the smallest degree is >= theta.  The rule yields to a dead trace
-    or packing anywhere in the scan, so only a wide node, whose jumps
-    found none, stops at the first such trace."""
+    theta = nrem - S opens no child (the closure rule): the points that may
+    open one are those of degree >= theta, all of them when the smallest
+    degree is.  And a node that the scan leaves open has a child that
+    opens, p_0, the point of largest degree on the branching trace.  If
+    deg(p_0) is at least degs[need - 2], the largest degree left out of S,
+    then fit_0 = S - deg(p_0) + degs[need - 2], and the child's bound is
+    the node's own counting bound, which passed.  Otherwise fit_0 = S, and
+    deg(p_0) >= theta, since the scan did not close the node on that
+    trace."""
     trace_masks, cover, forb_masks, forb_at, npoints = inst
     F = len(trace_masks)
     full = (1 << F) - 1
@@ -340,27 +343,30 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
         if need <= 1:
             continue  # not a cover, and no point may be added
         rem = full ^ cov
-        nrem = bit_count(rem)
         und = points ^ (inc | exc)  # undecided; nonnegative, so & stays cheap
-        hi = 0  # the points that may open a child; 0 when all of them may
         if need == 2:
-            # one point more: the node is open exactly when an undecided
-            # point lies on every uncovered trace, so on the lowest one
+            # one point more: a child opens exactly when its point lies on
+            # every uncovered trace, so on the lowest one, which the node
+            # branches on; with no such point the counting bound closes it
             opts = trace_masks[(rem & -rem).bit_length() - 1] & und
-            while opts:
+            tried = bit_count(opts)
+            pts = []
+            while opts:  # few points: peeled, not listed
                 b = opts & -opts
-                if cover[b.bit_length() - 1] & rem == rem:
-                    break
+                p = b.bit_length() - 1
+                if cover[p] & rem == rem:
+                    pts.append(p)
                 opts ^= b
-            if not opts:
+            if not pts:
                 continue
+            closed += tried - len(pts)
         else:
-            wide = nrem > bit_count(und)
-            if wide:
-                # the scan's first-fit packing, found by jumping: the next
-                # packed trace is the lowest one through none of the packed
-                # points, so each packed trace drops every trace through
-                # its own points.  Packed point sets are disjoint, so this
+            nrem = bit_count(rem)
+            if nrem > bit_count(und):
+                # a wide node: the scan's first-fit packing, found by
+                # jumping: the next packed trace is the lowest one through
+                # none of the packed points, so each packed trace drops
+                # every trace through its own points.  Packed point sets are disjoint, so this
                 # touches each undecided point at most once, fewer than
                 # the traces the scan would touch.
                 free = rem
@@ -404,9 +410,11 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
             if sum(degs[:need - 1]) < nrem:
                 continue
             # a child whose point has degree < theta keeps more uncovered
-            # traces than fit, the need - 2 largest degrees, can cover
+            # traces than fit, the need - 2 largest degrees, can cover; hi
+            # holds the points that may open a child
             fit = sum(degs[:need - 2])
             theta = nrem - fit
+            hi = points
             if degs[-1] < theta:
                 if counters.width > 1:
                     hi = int(bytes(0x30 | (d >= theta) for d in reversed(deg)), 2)
@@ -416,52 +424,43 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
                         table = at_least[theta] = bytes(0x30 | (v >= theta)
                                                         for v in range(256))
                     hi = int(deg.translate(table)[::-1], 2)
-        # the scan: a dead trace or a packing of need traces closes the
-        # node, and so does a trace none of whose points may open a child
-        # (shut); the trace with the fewest undecided points is the one to
-        # branch on, unless the node's group picks one by its orbits
-        pack = 0
-        acc = 0
-        shut = 0
-        sel_opts = 0
-        sel_cnt = npoints + 1
-        for ti in mask_bits(rem):
-            opts = trace_masks[ti] & und
-            if not opts:
-                break  # some trace can no longer be hit
-            if hi and not shut and not opts & hi:
-                shut = opts
-                if wide:
-                    break  # the jumps found no dead trace or packing
-            if not opts & acc:
-                acc |= opts
-                pack += 1
-                if pack >= need:
+            # the scan closes the node at the first trace none of whose
+            # points may open a child (a dead trace has none), counting its
+            # points as closed children, or at the trace that completes a
+            # packing of need traces; else the trace with the fewest
+            # undecided points is the one to branch on, unless the node's
+            # group picks one by its orbits
+            pack = 0
+            acc = 0
+            sel_opts = 0
+            sel_cnt = npoints + 1
+            for ti in mask_bits(rem):
+                opts = trace_masks[ti] & und
+                if not opts & hi:
+                    closed += bit_count(opts)
                     break
-            c = bit_count(opts)
-            if c < sel_cnt:
-                sel_cnt = c
-                sel_opts = opts
-        # rem is not empty, so opts is set: 0 exactly when the loop broke on
-        # a dead trace
-        if not opts or pack >= need:
-            continue
-        if shut:
-            closed += bit_count(shut)  # its points' children, all closed
-            continue
-        if grp is not None and sel_cnt > 1:
-            t0 = time.perf_counter()
-            sel_opts = fewest_orbits(grp, und, sel_opts, (trace_masks[ti] & und
-                                                          for ti in mask_bits(rem)))
-            group_s += time.perf_counter() - t0
-        if need == 2:
-            # only a child that covers everything opens
-            branching = mask_bits(sel_opts)
-            pts = [p for p in branching if cover[p] & rem == rem]
-        else:
+                if not opts & acc:
+                    acc |= opts
+                    pack += 1
+                    if pack >= need:
+                        break
+                c = bit_count(opts)
+                if c < sel_cnt:
+                    sel_cnt = c
+                    sel_opts = opts
+            else:
+                ti = None  # the scan ran through: the node branches
+            if ti is not None:
+                continue  # the scan closed the node at trace ti
+            if grp is not None and sel_cnt > 1:
+                t0 = time.perf_counter()
+                sel_opts = fewest_orbits(grp, und, sel_opts,
+                                         (trace_masks[ti] & und
+                                          for ti in mask_bits(rem)))
+                group_s += time.perf_counter() - t0
             # the branching points by falling degree, then index; child i
             # opens when nrem - deg(p_i) <= fit_i, degs[top] being the
-            # largest degree left out of fit
+            # largest degree left out of fit.  The first always opens
             branching = sorted(mask_bits(sel_opts), key=deg.__getitem__,
                                reverse=True)  # stable: ties stay ascending
             top = min(need - 2, len(degs))
@@ -475,9 +474,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
                 if fit < nrem - d:
                     break
                 pts.append(p)
-        closed += len(branching) - len(pts)
-        if not pts:
-            continue
+            closed += len(branching) - len(pts)
         # child i excludes the orbits of children 0..i-1 under the node's
         # group; orbits[i] is 0 for a child whose point lies in one of them.
         # Walking backwards, excl drops each kept child's orbit just before

@@ -610,8 +610,8 @@ PINNED_NODES = [
     # kind, n, q, nontrivial, size, nodes without symmetry, nodes
     (PROJECTIVE, 2, 5, True, 9, 20292, 135),
     (AFFINE, 3, 3, False, 7, 9597, 247),
-    (PROJECTIVE, 3, 3, True, 6, 17855, 72),
-    (PROJECTIVE, 4, 2, True, 5, 7465, 68),
+    (PROJECTIVE, 3, 3, True, 6, 17855, 68),
+    (PROJECTIVE, 4, 2, True, 5, 7465, 65),
     (AFFINE, 2, 5, False, 9, 6046, 184),
 ]
 

@@ -185,17 +185,20 @@ def degrees(cover, state, U, rem):
 
 @settings(max_examples=300, deadline=None)
 @given(uneven_instances(), st.integers(1, 8))
+# need 2: trace 0 has three points, trace 1 two, and point 0 covers both;
+# the root branches on trace 0 and closes the children of 1 and 2 at it
+@example((4, [0b0111, 0b1001], [], None), 2)
 def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
     """A looser test of which children open changes no answer, only the
     work: so pin it at the root, where every degree is a point's number of
-    traces.  An open root closes on its first trace with no point of
-    degree >= theta, F less the need - 2 largest degrees (need = best0
-    here), counting that trace's points as children closed at it.  With no
-    such trace it branches on its lowest trace of fewest points, p_0, p_1,
-    ... in order of falling degree, and pushes exactly the children whose
-    uncovered traces, F minus deg(p_i), fit the sum of the need - 2
-    largest degrees of the points other than p_0..p_i; the others close at
-    the root, counted apart from the nodes."""
+    traces.  An open root at need = best0 >= 3 closes where reference_shut
+    says, counting that trace's points as children closed at it.  Else it
+    branches on its lowest trace at need 2, on its lowest trace of fewest
+    points at need >= 3, p_0, p_1, ... in order of falling degree, and
+    pushes exactly the children whose uncovered traces, F minus deg(p_i),
+    fit the sum of the need - 2 largest degrees of the points other than
+    p_0..p_i; the others close at the root, counted apart from the
+    nodes."""
     U, traces, _forb, _cap = inst
     F = len(traces)
     cover = solver._cover_masks(F, traces, U)
@@ -205,10 +208,11 @@ def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
     want = []
     branched = 0
     shut = reference_shut(traces, cover, 0, 0, 0, best0, U)
-    if shut:
+    if shut is not None:
         branched = shut.bit_count()
     elif not reference_node_closes(traces, cover, 0, 0, 0, best0, U):
-        sel = min(range(F), key=lambda ti: (traces[ti].bit_count(), ti))
+        sel = 0 if best0 == 2 else \
+            min(range(F), key=lambda ti: (traces[ti].bit_count(), ti))
         pts = sorted(peel_bits(traces[sel]),
                      key=lambda p: (-cover[p].bit_count(), p))
         for i, p in enumerate(pts):
@@ -279,12 +283,12 @@ def search_nodes(draw):
 
 
 def reference_node_closes(traces, cover, inc, exc, k, best0, U):
-    """Whether a search node with these included and excluded points, k
-    points counted and incumbent best0 pushes no child: it is a cover, an
-    uncovered trace has no undecided point, a first-fit packing over every
-    uncovered trace in index order gets to need = best0 - k disjoint
-    traces, or need - 1 points cannot cover the uncovered traces even
-    with the largest degrees."""
+    """Whether one of the bounds closes a search node with these included
+    and excluded points, k points counted and incumbent best0: it is a
+    cover, an uncovered trace has no undecided point, a first-fit packing
+    over every uncovered trace in index order gets to need = best0 - k
+    disjoint traces, or need - 1 points cannot cover the uncovered traces
+    even with the largest degrees."""
     cov = union_cover(cover, inc)
     rem = [ti for ti in range(len(traces)) if not cov >> ti & 1]
     if not rem:
@@ -307,23 +311,56 @@ def reference_node_closes(traces, cover, inc, exc, k, best0, U):
 
 
 def reference_shut(traces, cover, inc, exc, k, best0, U):
-    """The closure rule: a node at need >= 3 that no bound of
-    reference_node_closes closes has theta, its number of uncovered traces
-    less the need - 2 largest degrees, and closes on its first uncovered
-    trace, in index order, with no undecided point of degree >= theta.
-    Returns that trace's undecided points as a mask, or 0 where the rule
-    does not close the node."""
+    """The scan of a node at need = best0 - k >= 3 that is no cover and
+    passes the counting bound, and that, with more uncovered traces than
+    undecided points, has no dead trace and no packing of need traces (the
+    jumps' tests).  With theta its number of uncovered traces less the
+    need - 2 largest degrees, the scan closes the node at the first
+    uncovered trace, in index order, that has no undecided point of degree
+    >= theta, a dead trace among them, or that completes a first-fit
+    packing of need traces.  Returns the undecided points whose children
+    close at the node, as a mask: the trace's, or 0 for a packing; None
+    where the scan is not run or leaves the node open."""
     need = best0 - k
-    if need < 3 or reference_node_closes(traces, cover, inc, exc, k, best0, U):
-        return 0
     rem = ((1 << len(traces)) - 1) & ~union_cover(cover, inc)
     und = ((1 << U) - 1) & ~(inc | exc)
     deg = {p: (cover[p] & rem).bit_count() for p in peel_bits(und)}
-    theta = rem.bit_count() - sum(sorted(deg.values(), reverse=True)[:need - 2])
+    degs = sorted(deg.values(), reverse=True)
+    if need < 3 or not rem or sum(degs[:need - 1]) < rem.bit_count():
+        return None
+    if rem.bit_count() > und.bit_count() and \
+            reference_node_closes(traces, cover, inc, exc, k, best0, U):
+        return None
+    theta = rem.bit_count() - sum(degs[:need - 2])
+    acc = pack = 0
     for ti in peel_bits(rem):
-        if all(deg[p] < theta for p in peel_bits(traces[ti] & und)):
-            return traces[ti] & und
-    return 0
+        opts = traces[ti] & und
+        if all(deg[p] < theta for p in peel_bits(opts)):
+            return opts
+        if not opts & acc:
+            acc |= opts
+            pack += 1
+            if pack >= need:
+                return 0
+    return None
+
+
+def check_node(U, traces, inc, exc, k, best0):
+    """Runs one node alone: it closes where reference_shut says, counting
+    its children closed there, or else with no child counted on the bounds
+    of reference_node_closes, and on nothing else; a node that passes them
+    all pushes at least one child."""
+    cover = solver._cover_masks(len(traces), traces, U)
+    stack = [(inc, exc, union_cover(cover, inc), k, None, None, 0)]
+    closed = solver._search((traces, cover, [], None, U), stack, best0, None,
+                            False, limit=1)[6]
+    shut = reference_shut(traces, cover, inc, exc, k, best0, U)
+    if shut is not None:
+        assert (stack, closed) == ([], shut.bit_count())
+    elif reference_node_closes(traces, cover, inc, exc, k, best0, U):
+        assert (stack, closed) == ([], 0)
+    else:
+        assert stack
 
 
 @settings(max_examples=1000, deadline=None)
@@ -331,37 +368,39 @@ def reference_shut(traces, cover, inc, exc, k, best0, U):
 # open by every bound, but its one branching child closes at its parent:
 # the stack is empty and the node did not close
 @example((10, [4, 8, 24, 768, 256, 512], 227, 16, 0, 4))
-# no wider than its undecided points, so no jumps: the closure rule finds
-# {1, 2} first in the scan, but the node closes on the dead trace {7},
-# with no child counted
+# no wider than its undecided points, so no jumps: the scan closes the
+# node on {1, 2}, whose points have degree 1 < theta = 2, before it reaches
+# the dead trace {7}, and counts both children closed
 @example((8, [0b110, 0b1001, 0b10001, 0b100001, 0b1001000, 0b1010000,
               0b10000000], 0, 0b10000000, 0, 4))
+# theta = 2: the scan closes the node on {2}, of degree 1, before {0}, {1}
+# and {0, 1} complete a packing of three traces
+@example((4, [0b100, 0b1, 0b10, 0b11], 0, 0, 0, 3))
 def test_node_closes_exactly_on_the_stated_bounds(node):
-    """One node, whichever test it runs first, closes on a dead trace, on
-    the index-order first-fit packing or on the counting bound, and on
-    nothing else: a node that the reference keeps open branches, pushing
-    its children or closing them at itself."""
-    U, traces, inc, exc, k, best0 = node
-    cover = solver._cover_masks(len(traces), traces, U)
-    stack = [(inc, exc, union_cover(cover, inc), k, None,
-              None, 0)]
-    closed = solver._search((traces, cover, [], None, U), stack, best0, None,
-                            False, limit=1)[6]
-    assert (stack == [] and closed == 0) == \
-        reference_node_closes(traces, cover, inc, exc, k, best0, U)
+    """One node, whichever test it runs first, closes on the bounds of
+    reference_node_closes or on its scan, and on nothing else."""
+    check_node(*node)
 
 
 @settings(max_examples=600, deadline=None)
 @given(search_nodes())
+# need 2: the node branches on its lowest trace {0, 1, 2}, not on {0, 3},
+# and closes the children of 1 and 2 at itself
+@example((4, [0b111, 0b1001], 0, 0, 0, 2))
+# narrow, with theta = 2: {3}, of degree 1, comes before the dead trace {4},
+# so the node closes on it and counts its one child closed
+@example((5, [0b1000, 0b10000, 0b111, 0b110], 0, 0b10000, 0, 3))
 def test_children_closed_at_their_parent_close_on_their_own(node):
     """The push rule is sound: each child a node closes unbuilt, run alone
-    as a one-state stack, is no cover and pushes no child.  The
-    closed children are those of the branching order, the node's lowest
-    trace of fewest undecided points by falling degree, that the node
-    does not push; the pushed ones come first.  A node that the closure
-    rule closes pushes none and closes every child of its trace, each of
-    which closes on its own even with no point excluded.  And the search
-    over the drawn traces finds the oracle's optimum."""
+    as a one-state stack, is no cover and pushes no child.  The closed
+    children are those of the branching order that the node does not
+    push, and the pushed ones come first.  The branching order is the
+    undecided points, by falling degree, of the node's lowest trace at need
+    2 and of its lowest trace of fewest undecided points at need >= 3.  A
+    node that its scan closes pushes none and closes every child of the
+    trace it closes on, each of which closes on its own even with no point
+    excluded; a node that passes the scan pushes at least one.  And the
+    search over the drawn traces finds the oracle's optimum."""
     U, traces, inc, exc, k, best0 = node
     assert solver.solve_masks(U, traces, [])[:2] == \
         solver.oracle_masks(U, traces, [])[:2]
@@ -370,7 +409,7 @@ def test_children_closed_at_their_parent_close_on_their_own(node):
 
 def check_children(U, traces, inc, exc, k, best0):
     """Runs one node alone and checks the children it pushes and closes
-    against the push rule and the closure rule, as stated in
+    against the push rule and the scan, as stated in
     test_children_closed_at_their_parent_close_on_their_own."""
     F = len(traces)
     cover = solver._cover_masks(F, traces, U)
@@ -378,24 +417,29 @@ def check_children(U, traces, inc, exc, k, best0):
     inst = (traces, cover, [], None, U)
     stack = [(inc, exc, cov, k, None, None, 0)]
     out = solver._search(inst, stack, best0, None, False, limit=1)
-    if reference_node_closes(traces, cover, inc, exc, k, best0, U):
+    shut = reference_shut(traces, cover, inc, exc, k, best0, U)
+    if shut is None and \
+            reference_node_closes(traces, cover, inc, exc, k, best0, U):
         return
     rem = ((1 << F) - 1) ^ cov
     und = ((1 << U) - 1) & ~(inc | exc)
-    shut = reference_shut(traces, cover, inc, exc, k, best0, U)
-    if shut:
+    if shut is not None:
         order = peel_bits(shut)
     else:
-        sel = min(peel_bits(rem), key=lambda ti: ((traces[ti] & und).bit_count(), ti))
+        if best0 - k == 2:
+            sel = peel_bits(rem)[0]
+        else:
+            sel = min(peel_bits(rem),
+                      key=lambda ti: ((traces[ti] & und).bit_count(), ti))
         order = sorted(peel_bits(traces[sel] & und),
                        key=lambda p: (-(cover[p] & rem).bit_count(), p))
     pushed = [state[0] ^ inc for state in reversed(stack)]
     assert pushed == [1 << p for p in order[:len(pushed)]]
-    assert not (shut and pushed)
+    assert bool(pushed) == (shut is None)
     assert out[6] == len(order) - len(pushed)
     for i in range(len(pushed), len(order)):
         p = order[i]
-        tried = 0 if shut else sum(1 << x for x in order[:i])
+        tried = 0 if shut is not None else sum(1 << x for x in order[:i])
         child = [(inc | 1 << p, exc | tried, cov | cover[p], k + 1, None,
                   None, 0)]
         got = solver._search(inst, child, best0, None, False, limit=1)
@@ -443,8 +487,8 @@ def test_the_closure_rule_closes_no_node_with_a_better_cover(inst):
                                     limit=1)[6]
             shut = reference_shut(traces, cover, inc, exc, k, k + need, U)
             if need == m + 1:
-                assert alone and not shut
-            elif shut:
+                assert alone and shut is None
+            elif shut is not None:
                 assert (alone, closed) == ([], shut.bit_count())
 
 
@@ -525,7 +569,8 @@ def test_closure_rule_in_fields_wider_than_a_byte(extra):
     traces = hub + extra
     cover = solver._cover_masks(len(traces), traces, 41)
     assert solver._Counters(traces, cover).width == 2
-    assert bool(reference_shut(traces, cover, 0, 0, 0, 3, 41)) == (len(extra) == 4)
+    assert (reference_shut(traces, cover, 0, 0, 0, 3, 41) is not None) == \
+        (len(extra) == 4)
     check_children(41, traces, 0, 0, 0, 3)
 
 
@@ -555,12 +600,7 @@ def test_plane_nodes_close_exactly_on_the_stated_bounds():
             for inc, exc in states:
                 k = inc.bit_count()
                 for need in range(U + 3):
-                    stack = [(inc, exc, union_cover(cover, inc), k, None,
-                              None, 0)]
-                    solver._search((traces, cover, [], None, U), stack,
-                                   k + need, None, False, limit=1)
-                    assert (stack == []) == reference_node_closes(
-                        traces, cover, inc, exc, k, k + need, U)
+                    check_node(U, traces, inc, exc, k, k + need)
 
 
 # Wide Bose-Burton rows: the minimum blocking set of the (n-t)-flats of

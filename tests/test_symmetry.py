@@ -556,10 +556,11 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
 
 
 def test_group_nodes_branch_on_a_trace_of_fewest_orbits():
-    # PG(2,7) minus two lines, group order 3528: a node whose group has two
-    # or more orbits among its undecided points branches on its first
-    # uncovered trace whose undecided points meet the fewest of them, then
-    # are fewest, so every child it pushes includes a point of that trace.
+    # PG(2,7) minus two lines, group order 3528: a node at need >= 3 whose
+    # group has two or more orbits among its undecided points branches on
+    # its first uncovered trace whose undecided points meet the fewest of
+    # them, then are fewest, so every child it pushes includes a point of
+    # that trace; a need-2 node's children lie on every uncovered trace.
     # The group's orbit of x is H's orbit of v(x).  On at least one node the
     # first trace of fewest points meets more orbits.
     U, tmasks, _fmasks, seeds = _masks(PROJECTIVE, 2, 7, rows=((1, 0, 0), (0, 1, 0)),
