@@ -1,5 +1,5 @@
 #!/bin/bash
-# Prints seven sha256 digests over the --no-meta reports of fixed lists of
+# Prints eight sha256 digests over the --no-meta reports of fixed lists of
 # commands.  The first list enumerates many flats: contained and touching
 # complements, instance traces in both scopes, the braid lines, braid
 # existence where the contained lines are one parallel class (AG(m,q) at
@@ -38,7 +38,11 @@
 # and branch on its orbits: PG(2,7) minus two lines (touching, plain) in
 # two labellings, and braid AG(3,5) touching plain, whose dependent forms
 # still get the whole set stabilizer of the braid planes and the plane at
-# infinity.  Two versions of the package that build the same flats,
+# infinity.  The eighth checks candidate sets on PG(3,9) at t = 2,
+# 7,462 line traces over 820 points: a plane (blocking, minimal, but it
+# swallows a plane), the plane plus one point, minimalized back to the
+# plane, and a line, which does not block.  Two versions of the package
+# that build the same flats,
 # compute the same field elements and search alike print the same
 # digests, so comparing them across checkouts shows whether a change
 # altered any report:
@@ -175,3 +179,19 @@ printf 'projective 2 7\n1 2 3\n0 1 5\n' > "$tmp/pg2-7.two-other-lines.txt"
     $BS search "$tmp/pg2-7.two-other-lines.txt" --t 1 --scope touching
     $BS braid --kind ag --n 3 --q 5 --t 1 --scope touching
 } | sha256sum | sed 's/-$/orbital-search commands/'
+
+# the line x0 = x1 = 0 of PG(3,9) and the plane x0 = 0 through it
+line="0,0,0,1"
+for c in 0 1 2 3 4 5 6 7 8; do line+=" 0,0,1,$c"; done
+plane=$line
+for b in 0 1 2 3 4 5 6 7 8; do
+    for c in 0 1 2 3 4 5 6 7 8; do plane+=" 0,1,$b,$c"; done
+done
+{
+    # shellcheck disable=SC2086  # each set is a list of points
+    $BS verify --space pg --n 3 --q 9 --t 2 --set $plane
+    # shellcheck disable=SC2086
+    $BS verify --space pg --n 3 --q 9 --t 2 --set $plane 1,0,0,0 --minimalize
+    # shellcheck disable=SC2086
+    $BS verify --space pg --n 3 --q 9 --t 2 --set $line
+} | sha256sum | sed 's/-$/witness-check commands/'

@@ -9,13 +9,13 @@ the flats lying entirely inside the complement, "touching" takes the trace
 of every flat that meets it.  The blocked dimension is n - t throughout;
 forbidden traces come from dimension t.  Only the nontrivial convention
 and the checks of a given set read the forbidden list, so an instance
-that build_instance made keeps its complement and lists the list from it
-on first read; forbidden_size counts it only while nothing has listed it.
+that build_instance made lists it on first read (BlockingInstance).
 
 Decision routes are deliberately redundant: the branch-and-bound engine in
 solver.py gives the fast exact answer, exhaustive_oracle re-derives it by
 subset enumeration on small universes, and every witness returned by
-the fast route is re-checked here with direct set loops before it leaves.
+the fast route is re-checked here before it leaves, by set operations on
+the traces that share nothing with the solver's masks.
 """
 
 import time
@@ -75,38 +75,19 @@ class BlockingInstance:
         self.universe = tuple(sorted(set(universe)))
         uset = frozenset(self.universe)
         self.universe_set = uset
-        fam = []
-        for tr in family:
-            tr = tuple(sorted(set(tr)))
-            if not tr:
-                raise ValueError("empty trace in family")
-            if not uset.issuperset(tr):
-                p = next(p for p in tr if p not in uset)
-                raise NotInUniverse("family trace point %r outside universe" % (p,))
-            fam.append(tr)
-        self.family = tuple(fam)
+        self.family = _sorted_traces(family, uset, "family")
         self.arrangement = arrangement
         self.scope = scope
         self.blocked_dim = space.n - t if blocked_dim is None else blocked_dim
         self.region = region
         self.complement = complement
         if forbidden is not None:
-            self.forbidden = self._checked_forbidden(forbidden)
-
-    def _checked_forbidden(self, traces):
-        forb = []
-        for tr in traces:
-            tr = tuple(sorted(set(tr)))
-            if not self.universe_set.issuperset(tr):
-                p = next(p for p in tr if p not in self.universe_set)
-                raise NotInUniverse("forbidden trace point %r outside universe" % (p,))
-            if tr:
-                forb.append(tr)
-        return tuple(forb)
+            self.forbidden = _sorted_traces(forbidden, uset, "forbidden")
 
     @cached_property
     def forbidden(self):
-        return self._checked_forbidden(_traces(self.complement, self.t, self.scope))
+        return _sorted_traces(_traces(self.complement, self.t, self.scope),
+                              self.universe_set, "forbidden")
 
     @property
     def forbidden_size(self):
@@ -119,6 +100,31 @@ class BlockingInstance:
                 "|family|=%d, |forbidden|=%d)" % (
                     self.space, self.t, self.scope, len(self.universe),
                     len(self.family), self.forbidden_size))
+
+
+def _sorted_traces(traces, uset, what):
+    """The traces as sorted tuples of distinct points of uset, empty ones
+    dropped (refused in the family).  The loop runs only where a trace
+    repeats a point or fails a check, and raises where one fails."""
+    traces = tuple(traces)
+    try:
+        out = tuple(filter(None, map(tuple, map(sorted, traces))))
+        if (what != "family" or len(out) == len(traces)) and list(map(
+                len, out)) == list(map(len, map(uset.intersection, out))):
+            return out
+    except TypeError:
+        pass
+    out = []
+    for tr in traces:
+        tr = tuple(sorted(set(tr)))
+        if not tr and what == "family":
+            raise ValueError("empty trace in family")
+        if not uset.issuperset(tr):
+            p = next(p for p in tr if p not in uset)
+            raise NotInUniverse("%s trace point %r outside universe" % (what, p))
+        if tr:
+            out.append(tr)
+    return tuple(out)
 
 
 def _traces(comp, d, scope):
@@ -194,38 +200,26 @@ def _as_pointset(inst, candidate):
 
 
 def is_blocking(inst, candidate):
-    """Direct loop: every family trace meets the candidate set."""
-    pts = _as_pointset(inst, candidate)
-    for tr in inst.family:
-        if not any(p in pts for p in tr):
-            return False
-    return True
+    """Every family trace meets the candidate set."""
+    return not any(map(_as_pointset(inst, candidate).isdisjoint, inst.family))
 
 
 def is_nontrivial(inst, candidate):
     """No forbidden trace is entirely inside the candidate set."""
-    pts = _as_pointset(inst, candidate)
-    for tr in inst.forbidden:
-        if all(p in pts for p in tr):
-            return False
-    return True
+    return not any(map(_as_pointset(inst, candidate).issuperset, inst.forbidden))
 
 
 def is_minimal(inst, candidate):
-    """Every point owns a private trace (a trace it alone covers)."""
+    """Every point owns a private trace, one that meets the set in that
+    point alone."""
     pts = _as_pointset(inst, candidate)
     if not is_blocking(inst, pts):
         raise NotBlocking("candidate does not block, minimality undefined")
-    for p in pts:
-        private = False
-        for tr in inst.family:
-            hit = [x for x in tr if x in pts]
-            if len(hit) == 1 and hit[0] == p:
-                private = True
-                break
-        if not private:
-            return False
-    return True
+    owned = set()
+    for hit in map(pts.intersection, inst.family):
+        if len(hit) == 1:
+            owned |= hit
+    return owned == pts
 
 
 def minimalize(inst, candidate):

@@ -120,7 +120,7 @@ class BraidOutcome:
     t: int
     scope: str
     convention: str
-    verdict: str            # exists | not-exists | vacuous | empty
+    verdict: str            # exists | not-exists | vacuous | empty | timeout
     vacuous_family: bool
     universe_size: int
     result: SearchResult = None

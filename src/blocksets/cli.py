@@ -28,8 +28,8 @@ from .blocking import (CONVENTIONS, SCOPES, build_instance, classify_arrangement
                        exhaustive_oracle, guaranteed_existence_check, is_blocking,
                        is_minimal, is_nontrivial, min_blocking_set, minimalize,
                        nonexistence_by_subspace, solve_instance, threshold_scan)
-from .braid import (braid_arrangement, braid_existence, braid_lines,
-                    braid_transversal, escape_parameter)
+from .braid import (BraidOutcome, braid_arrangement, braid_existence,
+                    braid_lines, braid_transversal, escape_parameter)
 from .errors import BlocksetsError, InternalError, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
@@ -355,8 +355,8 @@ def cmd_braid(args):
     if n is None:
         # q coordinates by default: AG(q,q), or PG(q-1,q) projectively
         n = args.q if kind == AFFINE else args.q - 1
+    sp = space(kind, n, args.q)
     if args.escape:
-        sp = space(kind, n, args.q)
         hit = escape_parameter(sp, *map(_parse_point, args.escape))
         payload = {"space": _space_block(sp)}
         if hit is None:
@@ -369,10 +369,16 @@ def cmd_braid(args):
             payload["line_contained"] = False
         _emit(args, "braid", payload)
         return 0
-    out = braid_existence(kind, n, args.q, t=args.t, scope=args.scope,
-                          convention=args.convention, size_cap=args.cap,
-                          time_budget=args.budget, workers=args.workers)
-    payload = {"space": _space_block(out.space),
+    try:
+        out = braid_existence(kind, n, args.q, t=args.t, scope=args.scope,
+                              convention=args.convention, size_cap=args.cap,
+                              time_budget=args.budget, workers=args.workers)
+    except SearchTimeout as exc:
+        arr = braid_arrangement(sp)
+        out = BraidOutcome(sp, arr, args.t, args.scope, args.convention,
+                           "timeout", False, len(complement(sp, arr).members),
+                           exc.result)
+    payload = {"space": _space_block(sp),
                "arrangement": {"count": len(out.arrangement.forms)},
                "t": out.t, "scope": out.scope, "convention": out.convention,
                "verdict": out.verdict,
@@ -383,18 +389,16 @@ def cmd_braid(args):
                               "the complement; the empty set blocks vacuously")
     stats = None
     if out.result is not None:
-        payload["result"] = _result_block(out.space, out.result)
+        payload["result"] = _result_block(sp, out.result)
         stats = _search_stats(out.result)
     if args.lines:
-        sp = out.space
         payload["lines"] = [[_point_str(sp, p) for p in fl.points]
                             for fl in braid_lines(sp)]
     if args.transversal:
-        sp = out.space
-        tv = braid_transversal(sp)
-        payload["transversal"] = [_point_str(sp, p) for p in tv]
+        payload["transversal"] = [_point_str(sp, p)
+                                  for p in braid_transversal(sp)]
     _emit(args, "braid", payload, stats=stats)
-    return 0
+    return 3 if out.verdict == "timeout" else 0
 
 
 def cmd_classify(args):

@@ -74,7 +74,7 @@ import struct
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 from math import comb, inf
 
 from .errors import SearchTimeout, UniverseTooLarge
@@ -97,8 +97,8 @@ class SearchResult:
 
 # bin() digits as bytes 0 and 1, so that compress() keeps the set bits
 _BIN_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-# per bit j, each byte value as the digit of its bit j, b"0" or b"1"
-_BIT_DIGITS = [bytes(0x30 | (v >> j & 1) for v in range(256)) for j in range(8)]
+# per j < 8, byte j of each 8-byte word, big-endian
+_BYTE_J = [slice(7 - j, None, 8) for j in range(8)]
 
 
 # per threshold theta, built on first use: each byte value as the digit
@@ -118,33 +118,33 @@ def _mask_bits(mask):
 
 
 def _build_masks(universe, traces):
-    pos = {p: i for i, p in enumerate(universe)}
-    masks = []
-    seen = set()
-    for tr in traces:
-        m = 0
-        for p in tr:
-            m |= 1 << pos[p]
-        if m not in seen:  # duplicates carry no extra constraint
-            seen.add(m)
-            masks.append(m)
-    return masks
+    # the sum is the OR only as a normalized trace holds each point once
+    bit = {p: 1 << i for i, p in enumerate(universe)}.__getitem__
+    return [*dict.fromkeys([sum(map(bit, tr)) for tr in traces])]
 
 
 def _cover_masks(ntraces, trace_masks, npoints):
-    """Per point, the mask of the traces through it: the transpose of the
-    trace masks, each built in one piece.  The masks are laid out as rows
-    of bytes, the last trace first, so byte column k holds points 8k..8k+7
-    and bit j of that column, read as binary digits, is point 8k+j's mask."""
-    if not ntraces:
-        return [0] * npoints
+    """Per point, the mask of the traces through it.  Byte column k, an
+    int with trace i in byte i, holds points 8k..8k+7; three block swaps
+    transpose each 8-byte word as an 8x8 bit matrix, so that byte j of
+    word g is point 8k+j's mask byte g."""
     width = (npoints + 7) >> 3
     rows = b"".join(m.to_bytes(width, "little") for m in reversed(trace_masks))
+    size = (ntraces + 7) & -8
+    ones = int.from_bytes(b"\0\0\0\0\0\0\0\1" * (size >> 3), "big")
+    m1, m2, m3 = 0xAA00AA00AA00AA * ones, 0xCCCC0000CCCC * ones, 0xF0F0F0F0 * ones
     cover = []
     for k in range(width):
-        column = rows[k::width]
-        cover.extend(int(column.translate(_BIT_DIGITS[j]), 2)
-                     for j in range(min(8, npoints - 8 * k)))
+        x = int.from_bytes(rows[k::width], "big")
+        t = (x ^ x >> 7) & m1
+        x ^= t ^ t << 7
+        t = (x ^ x >> 14) & m2
+        x ^= t ^ t << 14
+        t = (x ^ x >> 28) & m3
+        x ^= t ^ t << 28
+        col = x.to_bytes(size, "big")
+        cover += map(int.from_bytes, map(col.__getitem__, _BYTE_J[:npoints - 8 * k]),
+                     repeat("big"))
     return cover
 
 

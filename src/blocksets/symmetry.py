@@ -110,8 +110,9 @@ def automorphisms(seeds, trace_masks, forb_masks=(), stats=None):
     pts = [sp.points[p] + (1,) for p in universe] if sp.kind == AFFINE \
         else [sp.points[p] for p in universe]
     gens, bound = collineations(arr, pts)
-    mask_sets = [(set(ms), [_mask_bits(x) for x in set(ms)])
-                 for ms in (trace_masks, forb_masks)]
+    # one set at t = n - t
+    mask_sets = [(ms, [_mask_bits(x) for x in ms])
+                 for ms in {frozenset(trace_masks), frozenset(forb_masks)}]
     ident = tuple(range(len(pts)))
     restricted = []
     for g in gens:

@@ -5,6 +5,8 @@ import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blocksets import arrangement, blocking, geometry, solver, symmetry
 from blocksets.arrangement import (arrangement_make, complement,
@@ -138,6 +140,24 @@ def test_instance_names_the_first_trace_point_outside_the_universe():
         BlockingInstance(sp, 1, universe=uni, family=((0,),), forbidden=((8, 1, 5),))
     with pytest.raises(ValueError, match="^empty trace in family$"):
         BlockingInstance(sp, 1, universe=uni, family=((0,), ()))
+
+
+@pytest.mark.parametrize("family,forbidden,error,message", [
+    (((0, 0), (), (9,)), (), ValueError, "empty trace in family"),
+    (((3, 1, 1), (9, 2), ()), (), NotInUniverse,
+     "family trace point 9 outside universe"),
+    (((0,), (), ("a", 1)), (), ValueError, "empty trace in family"),
+    (((0,), (2, 2)), ((), (1, 1), (6, 0, 4)), NotInUniverse,
+     "forbidden trace point 4 outside universe"),
+])
+def test_instance_raises_on_the_first_trace_that_fails(family, forbidden,
+                                                       error, message):
+    # a later trace that fails another check, or that cannot be sorted,
+    # does not change what the first failing one raises
+    sp = space(PROJECTIVE, 2, 3)
+    with pytest.raises(error) as info:
+        BlockingInstance(sp, 1, (0, 1, 2, 3), family, forbidden)
+    assert type(info.value) is error and str(info.value) == message
 
 
 # -- the forbidden side, listed on first read --------------------------------
@@ -373,6 +393,51 @@ def test_is_minimal_requires_blocking():
     inst = empty_instance(PROJECTIVE, 2, 2)
     with pytest.raises(NotBlocking):
         is_minimal(inst, (0,))
+
+
+def _meets(tr, pts):
+    return [p for p in tr if p in pts]
+
+
+@st.composite
+def drawn_checks(draw):
+    """(instance, candidate): a custom instance on points of PG(2,4) whose
+    traces may repeat a point or a trace (the family may be empty, and the
+    forbidden list may hold an empty trace), and a candidate subset of its
+    universe, possibly empty."""
+    sp = space(PROJECTIVE, 2, 4)
+    universe = sorted(draw(st.sets(st.integers(0, sp.npoints - 1), min_size=1)))
+    point = st.sampled_from(universe)
+    family = draw(st.lists(st.lists(point, min_size=1, max_size=6), max_size=10))
+    forbidden = draw(st.lists(st.lists(point, max_size=4), max_size=6))
+    inst = BlockingInstance(sp, 1, universe, family, forbidden)
+    assert inst.family == tuple(tuple(sorted(set(tr))) for tr in family)
+    assert inst.forbidden == tuple(tuple(sorted(set(tr)))
+                                   for tr in forbidden if tr)
+    return inst, draw(st.sets(point))
+
+
+_PG22 = space(PROJECTIVE, 2, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@example((BlockingInstance(_PG22, 1, range(7), ()), set()))
+@example((BlockingInstance(_PG22, 1, range(7), ((0, 1), (2,)), ((0,),)), set()))
+@example((BlockingInstance(_PG22, 1, range(7), ((0, 1), (1, 2), (3,))),
+          {1, 2, 3}))
+@given(drawn_checks())
+def test_witness_checks_match_their_loops(drawn):
+    inst, pts = drawn
+    blocks = all(_meets(tr, pts) for tr in inst.family)
+    assert is_blocking(inst, pts) is blocks
+    assert is_nontrivial(inst, pts) is all(
+        len(_meets(tr, pts)) < len(tr) for tr in inst.forbidden)
+    if not blocks:
+        with pytest.raises(NotBlocking):
+            is_minimal(inst, pts)
+        return
+    assert is_minimal(inst, pts) is all(
+        any(_meets(tr, pts) == [p] for tr in inst.family) for p in pts)
 
 
 def test_is_nontrivial():

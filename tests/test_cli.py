@@ -258,11 +258,23 @@ def test_deadline_passing_during_the_group_computation(capsys, monkeypatch):
     assert stats["nodes"] == stats["symmetry"]["probe_nodes"]
 
 
-def test_braid_timeout_is_an_error_object(capsys):
-    code, out, err = run(capsys, "braid", "--kind", "ag", "--n", "3",
-                         "--q", "5", "--scope", "touching", "--budget", "0.05")
-    assert (code, out) == (3, "")
-    assert json.loads(err)["type"] == "SearchTimeout"
+def test_braid_timeout_reports_the_search_so_far(capsys):
+    argv = ("braid", "--kind", "ag", "--n", "3", "--q", "5",
+            "--scope", "touching", "--budget", "0.05")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (3, "")
+    rep = json.loads(out)
+    timeout = {"verdict": "timeout", "size": None, "witness": None}
+    assert (rep["verdict"], rep["result"]) == ("timeout", timeout)
+    # q(q-1)(q-2) points with distinct coordinates, 3 braid planes
+    assert (rep["universe_size"], rep["arrangement"]) == (60, {"count": 3})
+    assert {"nodes", "closed_children"} <= set(rep["stats"])
+    assert rep["stats"]["elapsed"] >= 0.05
+    code, out, err = run(capsys, "--no-meta", *argv)
+    assert (code, err) == (3, "")
+    bare = json.loads(out)
+    assert "stats" not in bare and "generated" not in bare
+    assert bare["result"] == timeout
 
 
 def test_search_vacuous_family(capsys, tmp_path):

@@ -103,7 +103,53 @@ def instances(draw, max_points=30, max_traces=40):
     return npoints, traces, forb
 
 
+def reference_masks(universe, traces):
+    """One mask per distinct trace, first occurrence first, each the OR of
+    its points' bits."""
+    pos = {p: i for i, p in enumerate(universe)}
+    masks = []
+    for tr in traces:
+        m = 0
+        for p in tr:
+            m |= 1 << pos[p]
+        if m not in masks:
+            masks.append(m)
+    return masks
+
+
+@st.composite
+def normalized_traces(draw):
+    """(universe, traces): sorted traces of distinct universe points, some
+    of them repeated; the universe is any increasing list of indices."""
+    universe = sorted(draw(st.sets(st.integers(0, 300), min_size=1, max_size=40)))
+    trace = st.sets(st.sampled_from(universe), max_size=12).map(
+        lambda pts: tuple(sorted(pts)))
+    distinct = draw(st.lists(trace, min_size=1, max_size=12))
+    traces = draw(st.lists(st.sampled_from(distinct), max_size=30))
+    return universe, traces
+
+
 @settings(max_examples=200, deadline=None)
+@example(((2, 5, 7, 11), [(5, 7), (2,), (5, 7), (2, 11), (2,), (7,)]))
+@given(normalized_traces())
+def test_build_masks_keep_the_first_of_equal_traces(drawn):
+    universe, traces = drawn
+    assert solver._build_masks(universe, traces) == \
+        reference_masks(universe, traces)
+
+
+def _pg34_lines():
+    """(85, the masks of PG(3,4)'s 357 lines, []): neither count is a
+    multiple of 8, and the traces outnumber the drawn ones."""
+    sp = space(PROJECTIVE, 3, 4)
+    lines = [fl.points for fl in enumerate_flats(sp, 1)]
+    return sp.npoints, solver._build_masks(range(sp.npoints), lines), []
+
+
+@settings(max_examples=200, deadline=None)
+@example((11, [0b10000000001, 0b111, 0b11111111000, 0b1010], []))
+@example((13, [1 << p | 1 << (12 - p) for p in range(9)], []))
+@example(_pg34_lines())
 @given(instances(max_points=90, max_traces=120))
 def test_cover_masks_match_definition(inst):
     npoints, traces, _forb = inst

@@ -373,6 +373,28 @@ def test_a_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
         symmetry.automorphisms(seeds, tmasks, ())
 
 
+def test_each_mask_set_is_checked_once_and_still_checked(monkeypatch):
+    # at t = n - t the forbidden masks are the family's: the group is the
+    # one of the family alone, and a swap that fails the family still
+    # raises; a forbidden set that differs is checked on its own
+    U, tmasks, fmasks, seeds = _masks(PROJECTIVE, 2, 3, nontrivial=True)
+    assert fmasks == tmasks
+    checked = []
+    real = symmetry._preserves
+    monkeypatch.setattr(symmetry, "_preserves", lambda g, mask_sets: (
+        checked.append(len(mask_sets)) or real(g, mask_sets)))
+    assert symmetry.automorphisms(seeds, tmasks, fmasks).order == _pgaml(2, 3)
+    assert checked and set(checked) == {1}
+    with pytest.raises(InternalError):  # the group moves the first line
+        symmetry.automorphisms(seeds, tmasks, tmasks[:1])
+    assert checked[-1] == 2
+    swap = (1, 0) + tuple(range(2, U))
+    monkeypatch.setattr(symmetry, "collineations",
+                        lambda arr, points=None: ([swap], 2))
+    with pytest.raises(InternalError):
+        symmetry.automorphisms(seeds, tmasks, fmasks)
+
+
 def test_a_hyperplane_universe_seed_that_is_no_automorphism_is_a_fault(monkeypatch):
     # the same on braid AG(4,4), touching, whose universe lies in a
     # hyperplane: a swap of its first two points, and a map that takes its
