@@ -466,11 +466,10 @@ def threshold_scan(kind, q, t=1, n_max=4, scope=CONTAINED, convention=PLAIN,
     defined) up to n_max.  The builder, when given, maps a space to the
     arrangement for that row; rows whose space or flat enumeration blows
     the guards are reported as skipped rather than aborting the scan."""
-    from .geometry import space as make_space
     rows = []
     for n in range(max(t, 1), n_max + 1):
         try:
-            sp = make_space(kind, n, q)
+            sp = geometry.space(kind, n, q)
             arr = arrangement_builder(sp) if arrangement_builder else \
                 arrangement_make(sp, [])
             inst = build_instance(sp, arr, t, scope)
@@ -519,13 +518,13 @@ def classify_arrangement(sp, arr, t=1, scope=CONTAINED, convention=PLAIN,
     had, unblocking when it creates it, neutral otherwise.  Minimality
     drops one form at a time; a caller-supplied pool widens the check to
     arbitrary smaller arrangements."""
-    empty = arrangement_make(sp, [])
-    base_inst = build_instance(sp, empty, t, scope)
-    base = solve_instance(base_inst, convention, size_cap=size_cap,
-                          time_budget=time_budget, workers=workers)
-    inst = build_instance(sp, arr, t, scope)
-    res = solve_instance(inst, convention, size_cap=size_cap,
-                         time_budget=time_budget, workers=workers)
+    def solve(a):
+        return solve_instance(build_instance(sp, a, t, scope), convention,
+                              size_cap=size_cap, time_budget=time_budget,
+                              workers=workers)
+
+    base = solve(arrangement_make(sp, []))
+    res = solve(arr)
     e0, e1 = _exists_like(base), _exists_like(res)
     if e0 and not e1:
         category = "blocking-arrangement"
@@ -538,10 +537,7 @@ def classify_arrangement(sp, arr, t=1, scope=CONTAINED, convention=PLAIN,
         return out
 
     def same_category(sub_arr):
-        sub_inst = build_instance(sp, sub_arr, t, scope)
-        sub_res = solve_instance(sub_inst, convention, size_cap=size_cap,
-                                 time_budget=time_budget, workers=workers)
-        se = _exists_like(sub_res)
+        se = _exists_like(solve(sub_arr))
         if category == "blocking-arrangement":
             return e0 and not se
         return se and not e0

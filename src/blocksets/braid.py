@@ -22,7 +22,7 @@ from itertools import permutations
 from .arrangement import Arrangement, arrangement_make
 from .blocking import CONTAINED, PLAIN, build_instance, solve_instance
 from .errors import (DimensionMismatch, IdenticalPoints, InternalError,
-                     NotInUniverse)
+                     NotInUniverse, SearchTimeout)
 from .geometry import AFFINE, span, space
 from .solver import SearchResult
 
@@ -138,7 +138,8 @@ def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
     search (solve_instance), which re-checks its witness before it
     returns.  Under the contained scope the family can come out empty;
     that is existence with the empty witness, flagged so callers can tell
-    it apart from a substantive one.
+    it apart from a substantive one.  A search past `time_budget` gives
+    the verdict timeout, with the search so far as its result.
     """
     sp = space(kind, n, q)
     arr = braid_arrangement(sp)
@@ -146,8 +147,12 @@ def braid_existence(kind, n, q, t=1, scope=CONTAINED, convention=PLAIN,
         return BraidOutcome(sp, arr, t, scope, convention, "empty",
                             False, 0)
     inst = build_instance(sp, arr, t, scope)
-    res = solve_instance(inst, convention, size_cap=size_cap,
-                         time_budget=time_budget, workers=workers)
+    try:
+        res = solve_instance(inst, convention, size_cap=size_cap,
+                             time_budget=time_budget, workers=workers)
+    except SearchTimeout as exc:
+        return BraidOutcome(sp, arr, t, scope, convention, "timeout", False,
+                            len(inst.universe), exc.result, inst)
     return BraidOutcome(sp, arr, t, scope, convention, res.verdict,
                         res.verdict == "vacuous", len(inst.universe),
                         res, inst)

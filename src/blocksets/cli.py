@@ -28,8 +28,8 @@ from .blocking import (CONVENTIONS, SCOPES, build_instance, classify_arrangement
                        exhaustive_oracle, guaranteed_existence_check, is_blocking,
                        is_minimal, is_nontrivial, min_blocking_set, minimalize,
                        nonexistence_by_subspace, solve_instance, threshold_scan)
-from .braid import (BraidOutcome, braid_arrangement, braid_existence,
-                    braid_lines, braid_transversal, escape_parameter)
+from .braid import (braid_arrangement, braid_existence, braid_lines,
+                    braid_transversal, escape_parameter)
 from .errors import BlocksetsError, InternalError, SearchTimeout
 from .gf import field_make
 from .geometry import AFFINE, PROJECTIVE, flat_count, gaussian_binomial, space
@@ -369,15 +369,9 @@ def cmd_braid(args):
             payload["line_contained"] = False
         _emit(args, "braid", payload)
         return 0
-    try:
-        out = braid_existence(kind, n, args.q, t=args.t, scope=args.scope,
-                              convention=args.convention, size_cap=args.cap,
-                              time_budget=args.budget, workers=args.workers)
-    except SearchTimeout as exc:
-        arr = braid_arrangement(sp)
-        out = BraidOutcome(sp, arr, args.t, args.scope, args.convention,
-                           "timeout", False, len(complement(sp, arr).members),
-                           exc.result)
+    out = braid_existence(kind, n, args.q, t=args.t, scope=args.scope,
+                          convention=args.convention, size_cap=args.cap,
+                          time_budget=args.budget, workers=args.workers)
     payload = {"space": _space_block(sp),
                "arrangement": {"count": len(out.arrangement.forms)},
                "t": out.t, "scope": out.scope, "convention": out.convention,

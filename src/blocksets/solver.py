@@ -46,7 +46,7 @@ there.  Then the counting bound runs, from the degrees of the undecided
 points, and only a node it leaves open scans its traces, closing at the
 first one none of whose points can open a child or at the one that
 completes a packing.  The degrees are
-carried, not rebuilt: a state holds a packed counter (_Counters), one int
+carried, not rebuilt: a state holds a packed counter (see _Instance), one int
 whose field x is point x's degree, and a node subtracts from its parent's
 counter the indicators of the few traces its point newly covers, then
 reads its undecided points' fields from the counter's bytes and sorts
@@ -148,28 +148,40 @@ def _cover_masks(ntraces, trace_masks, npoints):
     return cover
 
 
-class _Counters(dict):
-    """Packed degree counters over one instance.  A counter is an int whose
-    w-byte field x holds point x's degree, the number of traces of some set
-    through x; w is the width of the narrowest native unsigned type (struct
-    format `code`) that holds the largest degree at the root, over all
-    traces.  The fields are laid out in native byte order, so a memoryview
-    cast reads them back, and since no field ever drops below 0,
-    subtracting counters subtracts field by field.  The dict maps a trace
-    index to its indicator, the counter of that trace alone (1 in the field
-    of each of its points), built on the trace's first use, and `root` is
-    the counter of every trace; `size` is a counter's length in bytes."""
+class _Instance(dict):
+    """The search's instance: the trace and forbidden masks, the point
+    count, each point's `cover` mask (the traces through it) and `forb_at`
+    list (the forbidden traces through it; None with none), and the packed
+    degree counters.  A counter is an int whose w-byte field x holds point
+    x's degree, the number of traces of some set through x; w is the width
+    of the narrowest native unsigned type (struct format `code`) that
+    holds the largest degree at the root, over all traces.  The fields are
+    laid out in native byte order, so a memoryview cast reads them back,
+    and since no field ever drops below 0, subtracting counters subtracts
+    field by field.  The dict maps a trace index to its indicator, the
+    counter of that trace alone (1 in the field of each of its points),
+    built on the trace's first use, and `root` is the counter of every
+    trace; `size` is a counter's length in bytes.  A pickle (a pool task's)
+    holds the three inputs alone, not the indicators."""
 
-    def __init__(self, trace_masks, cover):
+    def __init__(self, trace_masks, forb_masks, npoints):
         super().__init__()
         self.trace_masks = trace_masks
-        self.cover = cover
-        degs = list(map(int.bit_count, cover))
+        self.forb_masks = forb_masks
+        self.npoints = npoints
+        self.cover = _cover_masks(len(trace_masks), trace_masks, npoints)
+        self.forb_at = [_mask_bits(c) for c in
+                        _cover_masks(len(forb_masks), forb_masks, npoints)] \
+            if forb_masks else None
+        degs = list(map(int.bit_count, self.cover))
         top = max(degs, default=0)
         self.code = next(c for c in "BHIL" if top < 1 << 8 * struct.calcsize(c))
         self.width = struct.calcsize(self.code)
         self.size = len(degs) * self.width
         self.root = self.pack(degs)
+
+    def __reduce__(self):
+        return _Instance, (self.trace_masks, self.forb_masks, self.npoints)
 
     def __missing__(self, ti):
         # _mask_bits' digits: byte x is 1 exactly when the trace holds x,
@@ -202,17 +214,13 @@ def _violates(inc, forb_idx, forb_masks):
     return False
 
 
-def _search(inst, stack, best0, deadline, first_only, limit=None,
-            counters=None):
-    """Core branch and bound, run on `stack`: a list of states (inc, exc,
-    cov, k, group, cnt, pcov), taken from its end.  `inst` is (trace_masks,
-    cover, forb_masks, forb_at, npoints), and `counters` the instance's
-    _Counters, made here when not given (a caller that runs several
-    searches passes one, so each indicator is built once).  Returns (best,
-    best_inc, nodes, stop, skipped, group_s, closed); best is the smallest
-    solution size < best0 reached from the states, or best0 if none
-    (best_inc None in that case); stop is DEADLINE or LIMIT when the search
-    ended early, else None.
+def _search(inst, stack, best0, deadline, first_only, limit=None):
+    """Core branch and bound over the _Instance `inst`, run on `stack`: a
+    list of states (inc, exc, cov, k, group, cnt, pcov), taken from its
+    end.  Returns (best, best_inc, nodes, stop, skipped, group_s, closed);
+    best is the smallest solution size < best0 reached from the states, or
+    best0 if none (best_inc None in that case); stop is DEADLINE or LIMIT
+    when the search ended early, else None.
 
     A state's cnt is the packed counter of the traces outside pcov, a
     subset of cov, or None for the counter of every trace (pcov 0: a root
@@ -303,9 +311,9 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     the node's own counting bound, which passed.  Otherwise fit_0 = S, and
     deg(p_0) >= theta, since the scan did not close the node on that
     trace."""
-    trace_masks, cover, forb_masks, forb_at, npoints = inst
-    F = len(trace_masks)
-    full = (1 << F) - 1
+    trace_masks, cover, npoints = inst.trace_masks, inst.cover, inst.npoints
+    forb_masks, forb_at = inst.forb_masks, inst.forb_at
+    full = (1 << len(trace_masks)) - 1
     points = (1 << npoints) - 1
     nodes = 0
     closed = 0
@@ -314,9 +322,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     node_cap = inf if limit is None else limit
     if any(state[4] is not None for state in stack):
         from .symmetry import branch, fewest_orbits
-    if counters is None:
-        counters = _Counters(trace_masks, cover)
-    indicator = counters.__getitem__
+    indicator = inst.__getitem__
     order = sys.byteorder
     at_least = _AT_LEAST
     best = best0
@@ -393,18 +399,18 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
             new = cov ^ pcov  # the traces covered since cnt was counted
             if bit_count(new) > npoints:
                 # a rebuild counts each point once, an update each trace
-                cnt = counters.count(rem)
+                cnt = inst.count(rem)
             else:
                 if cnt is None:
-                    cnt = counters.root
+                    cnt = inst.root
                 while new:  # few traces: peeled, not listed
                     b = new & -new
                     cnt -= indicator(b.bit_length() - 1)
                     new ^= b
             pcov = cov
-            deg = cnt.to_bytes(counters.size, order)
-            if counters.width > 1:
-                deg = memoryview(deg).cast(counters.code)
+            deg = cnt.to_bytes(inst.size, order)
+            if inst.width > 1:
+                deg = memoryview(deg).cast(inst.code)
             degs = sorted(compress(deg, bin(und)[:1:-1].encode().translate(_BIN_FLAGS)),
                           reverse=True)
             if sum(degs[:need - 1]) < nrem:
@@ -416,7 +422,7 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
             theta = nrem - fit
             hi = points
             if degs[-1] < theta:
-                if counters.width > 1:
+                if inst.width > 1:
                     hi = int(bytes(0x30 | (d >= theta) for d in reversed(deg)), 2)
                 else:
                     table = at_least.get(theta)
@@ -501,9 +507,10 @@ def _search(inst, stack, best0, deadline, first_only, limit=None,
     return best, best_inc, nodes, None, skipped, group_s, closed
 
 
-def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
-    """Deterministic greedy cover + one minimalization pass; None when the
-    forbidden constraints block the greedy path.
+def _greedy_incumbent(inst):
+    """Deterministic greedy cover + one minimalization pass over the
+    _Instance `inst`; None when the forbidden constraints block the greedy
+    path.
 
     Each step adds the lowest point of largest gain (newly covered traces)
     that keeps every forbidden trace incomplete.  The steps are lazy: a
@@ -512,8 +519,8 @@ def _greedy_incumbent(trace_masks, cover, forb_masks, forb_at, npoints):
     is the step's point; a stale top is re-scored and pushed back.  A point
     whose addition completes a forbidden trace is dropped for good, since
     the included set only grows."""
-    F = len(trace_masks)
-    full = (1 << F) - 1
+    cover, forb_masks, forb_at = inst.cover, inst.forb_masks, inst.forb_at
+    full = (1 << len(inst.trace_masks)) - 1
     inc = 0
     cov = 0
     heap = [(-c.bit_count(), p) for p, c in enumerate(cover) if c]
@@ -588,12 +595,8 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     deadline = start + time_budget if time_budget is not None else None
     U = universe_size
     cap = U if size_cap is None else min(size_cap, U)
-    F = len(trace_masks)
-    cover = _cover_masks(F, trace_masks, U)
-    forb_at = [_mask_bits(c) for c in _cover_masks(len(forb_masks), forb_masks, U)] \
-        if forb_masks else None
-    inst = (trace_masks, cover, forb_masks, forb_at, U)
-    counters = _Counters(trace_masks, cover)
+    inst = _Instance(trace_masks, forb_masks, U)
+    cover, forb_at = inst.cover, inst.forb_at
     nodes = 0
     if stats is None:
         stats = {}
@@ -618,7 +621,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
     # best stays cap + 1 with incumbent None until a cover within the cap is
     # known; from then on incumbent is a cover of size best
     best = cap + 1
-    incumbent = _greedy_incumbent(*inst)
+    incumbent = _greedy_incumbent(inst)
     if incumbent is not None and incumbent.bit_count() <= cap:
         best = incumbent.bit_count()
     else:
@@ -633,8 +636,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
 
     incidences = sum(m.bit_count() for m in trace_masks)
     stack = [(0, 0, 0, 0, None, None, 0)]
-    bound(_search(inst, stack, best, deadline, False, limit=incidences,
-                  counters=counters))
+    bound(_search(inst, stack, best, deadline, False, limit=incidences))
     if stack and seeds is not None:
         # the probe left open subtrees: compute the group.  Imported here,
         # not at the top: only a search past the probe needs it, and every
@@ -653,8 +655,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
         # are enough tasks for the pool, or none are left
         target = workers * 8
         while 0 < len(stack) < target:
-            bound(_search(inst, stack, best, deadline, False, limit=target,
-                          counters=counters))
+            bound(_search(inst, stack, best, deadline, False, limit=target))
         if len(stack) > 1:
             budget = None if deadline is None else max(deadline - time.monotonic(), 0.01)
             # the tasks go in the order the serial search would visit them
@@ -667,7 +668,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                 for result in pool.map(_phase1_task, payloads, chunksize=1):
                     bound(result)
     # one serial search finishes what the stack still holds, if anything
-    bound(_search(inst, stack, best, deadline, False, counters=counters))
+    bound(_search(inst, stack, best, deadline, False))
     if best > cap:
         return None, None, nodes
 
@@ -689,8 +690,7 @@ def solve_masks(universe_size, trace_masks, forb_masks, size_cap=None,
                 stack.append((inc0, (pb - 1) ^ prefix_mask,
                               prefix_cov | cover[p], pos + 1, None, None, 0))
         if stack:  # no point below the witness's: nothing to search
-            _b, found = tally(_search(inst, stack, best + 1, deadline, True,
-                                      counters=counters))
+            _b, found = tally(_search(inst, stack, best + 1, deadline, True))
             if found is not None:
                 witness = _mask_bits(found)
         prefix_mask |= 1 << witness[pos]

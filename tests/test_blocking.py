@@ -523,12 +523,11 @@ def test_frontier_pass_stops_at_the_deadline():
     inst = empty_instance(PROJECTIVE, 2, 5)
     U = len(inst.universe)
     tmasks = solver._build_masks(inst.universe, inst.family)
-    cover = solver._cover_masks(len(tmasks), tmasks, U)
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, []))
     root = (0, 0, 0, 0, group, None, 0)
     stack = [root]
-    result = solver._search((tmasks, cover, [], None, U), stack, U + 1,
+    result = solver._search(solver._Instance(tmasks, [], U), stack, U + 1,
                             time.monotonic() - 1.0, False, limit=16)
     assert result[3] == solver.DEADLINE
     assert (result[2], stack) == (0, [root])
@@ -545,10 +544,7 @@ def test_an_instance_with_no_arrangement_goes_on_from_the_probe():
                               inst.forbidden)
     U = len(custom.universe)
     tmasks, fmasks = blocking._masks(custom, True)
-    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
-               for p in range(U)]
-    cover = solver._cover_masks(len(tmasks), tmasks, U)
-    plain = solver._search((tmasks, cover, fmasks, forb_at, U),
+    plain = solver._search(solver._Instance(tmasks, fmasks, U),
                            [(0, 0, 0, 0, None, None, 0)], 9, None, False)
     res = min_blocking_set(custom, require_nontrivial=True, size_cap=8)
     assert (res.verdict, res.stats.get("symmetry")) == ("not-exists", None)
@@ -576,8 +572,8 @@ def test_a_trivial_group_goes_on_from_the_probe():
     assert (res.nodes, res.stats["witness_nodes"]) == (271, 59)
     U = len(inst.universe)
     tmasks, _ = blocking._masks(inst, False)
-    plain_inst = (tmasks, solver._cover_masks(len(tmasks), tmasks, U), [], None, U)
-    best0 = solver._greedy_incumbent(*plain_inst).bit_count()
+    plain_inst = solver._Instance(tmasks, [], U)
+    best0 = solver._greedy_incumbent(plain_inst).bit_count()
     plain = solver._search(plain_inst, [(0, 0, 0, 0, None, None, 0)],
                            best0, None, False)
     assert res.nodes - res.stats["witness_nodes"] == plain[2]
@@ -590,9 +586,9 @@ def test_the_probe_is_limited_by_the_family_incidences(monkeypatch):
     limits = []
     real = solver._search
 
-    def spy(inst, stack, best0, deadline, first_only, limit=None, **kw):
+    def spy(inst, stack, best0, deadline, first_only, limit=None):
         limits.append(limit)
-        return real(inst, stack, best0, deadline, first_only, limit, **kw)
+        return real(inst, stack, best0, deadline, first_only, limit)
 
     monkeypatch.setattr(solver, "_search", spy)
     inst = empty_instance(PROJECTIVE, 2, 5)
@@ -745,6 +741,8 @@ def test_solve_instance_conventions():
     assert nontriv.size == 6
     with pytest.raises(ValueError):
         solve_instance(inst, "fancy")
+    with pytest.raises(ValueError):
+        nonexistence_by_subspace(inst, "fancy")
 
 
 def test_oracle_universe_cap():

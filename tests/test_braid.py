@@ -203,3 +203,15 @@ def test_affine_vacuous_at_level_one():
     out = braid_existence(AFFINE, 3, 3, t=1)
     assert out.verdict == "vacuous"
     assert out.vacuous_family
+
+
+def test_a_timeout_is_an_outcome():
+    # a search past its budget gives the verdict timeout, with the search
+    # so far, on the instance's own universe: AG(3,5)'s 5 * 4 * 3 points
+    # with distinct coordinates
+    out = braid_existence(AFFINE, 3, 5, t=1, scope="touching",
+                          time_budget=1e-6)
+    assert (out.verdict, out.result.verdict) == ("timeout", "timeout")
+    assert (out.universe_size, out.vacuous_family) == (60, False)
+    assert len(out.instance.universe) == 60
+    assert "closed_children" in out.result.stats

@@ -681,6 +681,18 @@ def test_classify_single_line(capsys, tmp_path):
     assert rep["minimal"] is True
 
 
+def test_classify_timeout_is_an_error_object(capsys, tmp_path):
+    # classify reports no timeout verdict: its first search's SearchTimeout
+    # reaches main, which prints it as an error object and exits 3
+    src = tmp_path / "line.txt"
+    src.write_text("projective 2 3\n1 0 0\n")
+    code, out, err = run(capsys, "classify", str(src), "--t", "1",
+                         "--scope", "touching", "--budget", "0.000001")
+    assert (code, out) == (3, "")
+    assert err == '{"error":"search exceeded its time budget",' \
+        '"type":"SearchTimeout"}\n'
+
+
 def test_classify_pool(capsys, tmp_path):
     files = {"empty": "projective 2 3\n", "one": "projective 2 3\n1 0 0\n",
              "two": "projective 2 3\n1 0 0\n0 1 0\n", "pg24": "projective 2 4\n"}

@@ -2,6 +2,7 @@
 checked against a plain reference on drawn masks, and wide instances with
 pinned node counts."""
 
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -165,8 +166,8 @@ def test_lazy_greedy_matches_full_scan(inst):
     cover = reference_cover(traces, npoints)
     forb_at = [tuple(fi for fi, f in enumerate(forb) if f >> p & 1)
                for p in range(npoints)] if forb else None
-    args = (traces, cover, forb, forb_at, npoints)
-    assert solver._greedy_incumbent(*args) == reference_greedy(*args)
+    assert solver._greedy_incumbent(solver._Instance(traces, forb, npoints)) == \
+        reference_greedy(traces, cover, forb, forb_at, npoints)
 
 
 @st.composite
@@ -247,10 +248,10 @@ def test_root_pushes_exactly_the_children_that_can_open(inst, best0):
     nodes."""
     U, traces, _forb, _cap = inst
     F = len(traces)
-    cover = solver._cover_masks(F, traces, U)
+    inst = solver._Instance(traces, [], U)
+    cover = inst.cover
     stack = [(0, 0, 0, 0, None, None, 0)]
-    out = solver._search((traces, cover, [], None, U), stack, best0, None,
-                         False, limit=1)
+    out = solver._search(inst, stack, best0, None, False, limit=1)
     want = []
     branched = 0
     shut = reference_shut(traces, cover, 0, 0, 0, best0, U)
@@ -284,14 +285,12 @@ def test_no_pushed_child_closes_on_its_parents_counting_bound(inst):
     assert solver.solve_masks(U, traces, forb, size_cap=cap)[:2] == want[:2]
     F = len(traces)
     full = (1 << F) - 1
-    cover = solver._cover_masks(F, traces, U)
-    forb_at = [tuple(fi for fi, f in enumerate(forb) if f >> p & 1)
-               for p in range(U)] if forb else None
+    inst = solver._Instance(traces, forb, U)
+    cover = inst.cover
     top = U if cap is None else min(cap, U)
     best0 = top + 1 if want[0] is None else want[0]
     stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
-    out = solver._search((traces, cover, forb, forb_at, U), stack, best0,
-                         None, False)
+    out = solver._search(inst, stack, best0, None, False)
     assert out[1] is None
     for parent, child in stack.children:
         rem = full ^ parent[2]
@@ -396,10 +395,10 @@ def check_node(U, traces, inc, exc, k, best0):
     its children closed there, or else with no child counted on the bounds
     of reference_node_closes, and on nothing else; a node that passes them
     all pushes at least one child."""
-    cover = solver._cover_masks(len(traces), traces, U)
+    inst = solver._Instance(traces, [], U)
+    cover = inst.cover
     stack = [(inc, exc, union_cover(cover, inc), k, None, None, 0)]
-    closed = solver._search((traces, cover, [], None, U), stack, best0, None,
-                            False, limit=1)[6]
+    closed = solver._search(inst, stack, best0, None, False, limit=1)[6]
     shut = reference_shut(traces, cover, inc, exc, k, best0, U)
     if shut is not None:
         assert (stack, closed) == ([], shut.bit_count())
@@ -458,9 +457,9 @@ def check_children(U, traces, inc, exc, k, best0):
     against the push rule and the scan, as stated in
     test_children_closed_at_their_parent_close_on_their_own."""
     F = len(traces)
-    cover = solver._cover_masks(F, traces, U)
+    inst = solver._Instance(traces, [], U)
+    cover = inst.cover
     cov = union_cover(cover, inc)
-    inst = (traces, cover, [], None, U)
     stack = [(inc, exc, cov, k, None, None, 0)]
     out = solver._search(inst, stack, best0, None, False, limit=1)
     shut = reference_shut(traces, cover, inc, exc, k, best0, U)
@@ -514,8 +513,8 @@ def test_the_closure_rule_closes_no_node_with_a_better_cover(inst):
     assert solver.solve_masks(U, traces, forb, size_cap=cap)[:2] == want[:2]
     F = len(traces)
     full = (1 << F) - 1
-    cover = solver._cover_masks(F, traces, U)
-    inst = (traces, cover, [], None, U)
+    inst = solver._Instance(traces, [], U)
+    cover = inst.cover
     top = U if cap is None else min(cap, U)
     stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
     solver._search(inst, stack, top + 1 if want[0] is None else want[0],
@@ -543,10 +542,10 @@ def check_degrees(U, traces, best0):
     every node that reads its packed degrees, seen through the solver's
     `compress`, which keeps the fields of the undecided points: the node is
     at need >= 3 and reads bit_count(cover[p] & rem) for each undecided
-    point p, in order.  Returns the search's _Counters and the reads, each
+    point p, in order.  Returns the search's _Instance and the reads, each
     with the node's state and the field view."""
-    cover = solver._cover_masks(len(traces), traces, U)
-    counters = solver._Counters(traces, cover)
+    inst = solver._Instance(traces, [], U)
+    cover = inst.cover
     stack = _Recorder([(0, 0, 0, 0, None, None, 0)])
     real = solver.compress
     reads = []
@@ -558,15 +557,14 @@ def check_degrees(U, traces, best0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "compress", spy)
-        solver._search((traces, cover, [], None, U), stack, best0, None, False,
-                       counters=counters)
+        solver._search(inst, stack, best0, None, False)
     full = (1 << len(traces)) - 1
     for (inc, exc, cov, k, *_), degs, _view in reads:
         assert best0 - k >= 3
         rem = full ^ cov
         und = [p for p in range(U) if not (inc | exc) >> p & 1]
         assert degs == [(cover[p] & rem).bit_count() for p in und]
-    return counters, reads
+    return inst, reads
 
 
 @settings(max_examples=300, deadline=None)
@@ -593,8 +591,8 @@ def test_packed_degrees_in_fields_wider_than_a_byte():
     traces += [sum(1 << p for p in c) for c in combinations(range(1, 8), 3)]
     # the least optimum: 0, and 1..5, which leave only 6 and 7 of 1..7
     assert solver.solve_masks(41, traces, [])[:2] == (6, 0b111111)
-    counters, reads = check_degrees(41, traces, 6)
-    assert counters.width == 2 and len(counters) > 0  # indicators were built
+    inst, reads = check_degrees(41, traces, 6)
+    assert inst.width == 2 and len(inst) > 0  # indicators were built
     assert reads and all(view.itemsize == 2 for _s, _d, view in reads)
     assert max(max(degs) for _s, degs, _v in reads) >= 256
 
@@ -613,9 +611,9 @@ def test_closure_rule_in_fields_wider_than_a_byte(extra):
     the closure rule say."""
     hub = [1 | 1 << a | 1 << b for a, b in combinations(range(6, 41), 2)][:300]
     traces = hub + extra
-    cover = solver._cover_masks(len(traces), traces, 41)
-    assert solver._Counters(traces, cover).width == 2
-    assert (reference_shut(traces, cover, 0, 0, 0, 3, 41) is not None) == \
+    inst = solver._Instance(traces, [], 41)
+    assert inst.width == 2
+    assert (reference_shut(traces, inst.cover, 0, 0, 0, 3, 41) is not None) == \
         (len(extra) == 4)
     check_children(41, traces, 0, 0, 0, 3)
 
@@ -630,6 +628,28 @@ def plane_lines(kind, q):
 PLANES = [plane_lines(PROJECTIVE, 2), plane_lines(AFFINE, 3)]
 
 
+def test_a_pickled_instance_carries_no_indicators():
+    """A pool task's instance is pickled: the pickle carries no cached
+    indicator and is no larger than the instance's masks with their covers
+    and forbidden lists, and the copy derives the same and searches the
+    same.  PG(2,3) nontrivial, from above its optimum of 6, builds
+    indicators."""
+    U, lines = plane_lines(PROJECTIVE, 3)
+    inst = solver._Instance(lines, lines, U)
+    root = (0, 0, 0, 0, None, None, 0)
+    out = solver._search(inst, [root], 7, None, False)
+    assert out[0] == 6 and len(inst) > 0
+    data = pickle.dumps(inst)
+    parts = (lines, inst.cover, lines, inst.forb_at, U)
+    assert len(data) <= len(pickle.dumps(parts))
+    copy = pickle.loads(data)
+    assert type(copy) is solver._Instance and len(copy) == 0
+    assert (copy.trace_masks, copy.cover, copy.forb_masks, copy.forb_at,
+            copy.npoints, copy.code, copy.root) == \
+        (*parts, inst.code, inst.root)
+    assert solver._search(copy, [root], 7, None, False) == out
+
+
 def test_plane_nodes_close_exactly_on_the_stated_bounds():
     """The same closure on the lines of a small plane, with at most one
     line left out, at every need from 0 to U + 2: the root, and each node
@@ -640,7 +660,6 @@ def test_plane_nodes_close_exactly_on_the_stated_bounds():
     for U, lines in PLANES:
         for drop in [None] + lines:
             traces = [m for m in lines if m != drop]
-            cover = solver._cover_masks(len(traces), traces, U)
             states = [(0, 0)] + [(1 << p, 0) for p in range(U)] + \
                 [(0, 1 << p) for p in range(U)]
             for inc, exc in states:

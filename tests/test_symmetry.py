@@ -494,13 +494,10 @@ def test_orbital_search_reaches_the_plain_optimum(case):
     fmasks = []
     if convention == "nontrivial":
         fmasks = solver._build_masks(inst.universe, inst.forbidden)
-    cover = solver._cover_masks(len(tmasks), tmasks, U)
-    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
-               for p in range(U)] if fmasks else None
     cap = U if U <= 16 else CAP
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
-    inst = (tmasks, cover, fmasks, forb_at, U)
+    inst = solver._Instance(tmasks, fmasks, U)
     plain = solver._search(inst, [(0, 0, 0, 0, None, None, 0)],
                            cap + 1, None, False)
     orbital = solver._search(inst, [(0, 0, 0, 0, group, None, 0)],
@@ -511,7 +508,7 @@ def test_orbital_search_reaches_the_plain_optimum(case):
         found = orbital[1]
         cov = 0
         for p in solver._mask_bits(found):
-            cov |= cover[p]
+            cov |= inst.cover[p]
         assert cov == (1 << len(tmasks)) - 1
         assert not any(f & found == f for f in fmasks)
     if U <= solver.ORACLE_FULL_CAP:
@@ -559,13 +556,10 @@ def test_every_pushed_group_fixes_inc_and_maps_exc_onto_itself(case):
     fmasks = []
     if convention == "nontrivial":
         fmasks = solver._build_masks(inst.universe, inst.forbidden)
-    cover = solver._cover_masks(len(tmasks), tmasks, U)
-    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
-               for p in range(U)] if fmasks else None
     group = symmetry.state_group(
         symmetry.automorphisms(blocking._seeds(inst), tmasks, fmasks))
     stack = _Recorder([(0, 0, 0, 0, group, None, 0)])
-    solver._search((tmasks, cover, fmasks, forb_at, U), stack,
+    solver._search(solver._Instance(tmasks, fmasks, U), stack,
                    (U if U <= 16 else CAP) + 1, None, False)
     for inc, exc, _cov, _k, grp, _cnt, _pcov in stack.pushed:
         if grp is None:
@@ -588,12 +582,11 @@ def test_group_nodes_branch_on_a_trace_of_fewest_orbits():
     U, tmasks, _fmasks, seeds = _masks(PROJECTIVE, 2, 7, rows=((1, 0, 0), (0, 1, 0)),
                                        scope="touching")
     F = len(tmasks)
-    cover = solver._cover_masks(F, tmasks, U)
     group = symmetry.automorphisms(seeds, tmasks, [])
     assert group.order == 3528
     stack = _Recorder([(0, 0, 0, 0, symmetry.state_group(group), None, 0)])
     size = solver.solve_masks(U, tmasks, [])[0]
-    assert solver._search((tmasks, cover, [], None, U), stack, size + 1,
+    assert solver._search(solver._Instance(tmasks, [], U), stack, size + 1,
                           None, False)[0] == size
     checked = moved = 0
     for parent, child in stack.children:
@@ -625,10 +618,7 @@ RESUME_LIMITS = (1, 7, 50, 300)
 
 
 def _check_resume(U, tmasks, fmasks, seeds, cap):
-    cover = solver._cover_masks(len(tmasks), tmasks, U)
-    forb_at = [tuple(fi for fi, f in enumerate(fmasks) if f >> p & 1)
-               for p in range(U)] if fmasks else None
-    inst = (tmasks, cover, fmasks, forb_at, U)
+    inst = solver._Instance(tmasks, fmasks, U)
     orbital = symmetry.state_group(symmetry.automorphisms(seeds, tmasks, fmasks))
     opt = solver._search(inst, [(0, 0, 0, 0, None, None, 0)],
                          cap + 1, None, False)[0]
